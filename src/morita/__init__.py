@@ -31,6 +31,7 @@ from .categories import (
     L_of,
     categories_equivalent,
     categories_isomorphic,
+    cauchy_skeleton,
     cauchy_vs_span,
     check_morita_context,
     check_weak_equivalence,

@@ -24,8 +24,8 @@ from .categories import (
     L_of,
     SkeletonData,
     build_category,
-    categories_equivalent,
-    skeleton_with_maps,
+    cauchy_skeleton,
+    equivalence_from_skeletons,
 )
 from .errors import (
     AssociativityFailure,
@@ -463,12 +463,17 @@ class MoritaDecision:
 
 
 def morita_equivalent(S: InverseSemigroup, T: InverseSemigroup) -> MoritaDecision:
-    """Decide Morita equivalence through the Cauchy completions."""
+    """Decide Morita equivalence through the Cauchy completions.
+
+    Each skeleton is built once from the D-classes of the idempotents; one
+    isomorphism search between them decides, and its inverse gives the
+    backward witness.
+    """
     CS, CT = C_of(S), C_of(T)
-    pair = categories_equivalent(CS, CT)
+    skS, skT = cauchy_skeleton(CS), cauchy_skeleton(CT)
+    pair = equivalence_from_skeletons(CS, skS, CT, skT)
     return MoritaDecision(
-        S, T, pair is not None, CS, CT,
-        skeleton_with_maps(CS), skeleton_with_maps(CT),
+        S, T, pair is not None, CS, CT, skS, skT,
         None if pair is None else pair[0],
         None if pair is None else pair[1],
     )

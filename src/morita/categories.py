@@ -1,24 +1,35 @@
 """Finite categories and the constructions attached to a semigroup.
 
 A category is stored densely: morphisms are indices with dom/cod arrays
-and an m x m composition table using -1 for "not composable".  The two
-key constructions are the left-cancellative category of an inverse
-semigroup (pairs (e,s) with es=s) and the Cauchy completion (triples
-(e,s,f) with esf=s).  Equivalence of finite categories is decided through
-skeletons: two finite categories are equivalent iff their skeletons are
-isomorphic, and the isomorphism search is a backtracking matcher with
-invariant-refinement pruning.
+and an m x m composition table using -1 for "not composable"; hom-sets are
+read from an index of the morphisms sorted by (dom, cod).  The two key
+constructions are the left-cancellative category of an inverse semigroup
+(pairs (e,s) with es=s) and the Cauchy completion (triples (e,s,f) with
+esf=s).  Equivalence of finite categories is decided through skeletons:
+two finite categories are equivalent iff their skeletons are isomorphic,
+and the isomorphism search is a backtracking matcher with
+invariant-refinement pruning.  Its inverse gives the backward witness, so
+each decision searches once.
+
+For the Cauchy completion the skeleton needs no search for isomorphisms:
+an isomorphism f -> e of C(S) is an element s with s*s = f and ss* = e, so
+the isomorphism classes of objects are the D-classes of idempotents, and
+the skeleton is the full subcategory on one idempotent per D-class, with
+hom(f, e) = eSf (`cauchy_skeleton`).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .errors import (
     CospanMismatch,
+    IsomorphismChainBroken,
     NoPullbacks,
     NotFullSubcategory,
+    PreconditionFailed,
     SourceTargetMismatch,
 )
 from .semigroups import FiniteSemigroup, InverseSemigroup, idempotents
@@ -50,12 +61,33 @@ class FiniteCategory:
     def n_mor(self):
         return len(self.mor_labels)
 
+    @cached_property
+    def _hom_index(self):
+        """Morphism ids sorted by (dom, cod), and where each hom-set starts.
+
+        hom(a, b) is order[start[k]:start[k + 1]] with k = a * n_objects + b;
+        the stable sort keeps each hom-set in ascending id order.  Cached
+        once: the arrays it is built from are read-only.
+        """
+        n = self.n_objects
+        key = self.dom * n + self.cod
+        order = np.argsort(key, kind="stable")
+        start = np.searchsorted(key[order], np.arange(n * n + 1))
+        return order, start
+
+    def _hom(self, a: int, b: int) -> np.ndarray:
+        order, start = self._hom_index
+        k = a * self.n_objects + b
+        return order[start[k]:start[k + 1]]
+
     def hom(self, a: int, b: int) -> list:
-        return [
-            m
-            for m in range(self.n_mor)
-            if self.dom[m] == a and self.cod[m] == b
-        ]
+        """Morphism ids from a to b, ascending."""
+        return self._hom(a, b).tolist()
+
+    def hom_sizes(self) -> np.ndarray:
+        """hom_sizes()[a, b] = |hom(a, b)|."""
+        n = self.n_objects
+        return np.diff(self._hom_index[1]).reshape(n, n)
 
     def compose(self, g: int, f: int) -> int:
         return int(self.comp[g, f])
@@ -134,49 +166,64 @@ def check_category(C: FiniteCategory) -> list:
 
 # -- L(S) and C(S) -----------------------------------------------------------
 
+def _table_category(objects, dom, cod, labels, payloads, ident, composite, extra):
+    """A category of semigroup-labelled morphisms with its composition table.
+
+    composite(g, f) maps arrays of composable morphism ids to the ids of
+    g.f; it is evaluated one block of composable pairs per middle object.
+    """
+    m = len(payloads)
+    comp = np.full((m, m), -1, dtype=np.int64)
+    for j in range(len(objects)):
+        g = np.flatnonzero(dom == j)
+        f = np.flatnonzero(cod == j)
+        comp[np.ix_(g, f)] = composite(g[:, None], f[None, :])
+    xt = dict(extra)
+    xt["payload"] = payloads
+    xt["index"] = {p: i for i, p in enumerate(payloads)}
+    return FiniteCategory(objects, labels, dom, cod, comp, ident, xt)
+
+
 def L_of(S: InverseSemigroup) -> FiniteCategory:
     """Left-cancellative category: morphisms (e,s) with es=s, from s*s to e."""
-    tab, star = S.table, S.star
+    tab, star, names = S.table, S.star, S.names
     E = idempotents(S)
-    obj_of = {e: i for i, e in enumerate(E)}
-    mors = []
-    for e in E:
-        for s in range(len(S)):
-            if tab[e, s] == s:
-                d = int(tab[star[s], s])
-                mors.append((obj_of[d], obj_of[e],
-                             f"({S.names[e]},{S.names[s]})", (e, s)))
-
-    def compose(pg, pf):
-        (e, s), (_f, t) = pg, pf
-        return (e, int(tab[s, t]))
-
-    extra = {"kind": "L", "sgrp": S, "obj_elt": tuple(E)}
-    return build_category(tuple(S.names[e] for e in E), mors, compose,
-                          lambda o: (E[o], E[o]), extra)
+    Ea = np.array(E, dtype=np.int64)
+    k, n = len(E), len(S)
+    obj_of = np.full(n, -1, dtype=np.int64)
+    obj_of[Ea] = np.arange(k)
+    # morphisms in (e, s) order, numbered through idx[e, s]
+    ei, s = np.nonzero(tab[Ea] == np.arange(n))
+    idx = np.full((k, n), -1, dtype=np.int64)
+    idx[ei, s] = np.arange(len(s))
+    dom = obj_of[tab[star[s], s]]
+    payloads = tuple(zip(Ea[ei].tolist(), s.tolist()))
+    labels = tuple(f"({names[e]},{names[t]})" for e, t in payloads)
+    return _table_category(
+        tuple(names[e] for e in E), dom, ei, labels, payloads,
+        idx[np.arange(k), Ea],
+        lambda g, f: idx[ei[g], tab[s[g], s[f]]],
+        {"kind": "L", "sgrp": S, "obj_elt": tuple(E)})
 
 
 def C_of(S: FiniteSemigroup) -> FiniteCategory:
     """Cauchy completion: morphisms (e,s,f) with esf=s, from f to e."""
-    tab = S.table
+    tab, names = S.table, S.names
     E = idempotents(S)
-    obj_of = {e: i for i, e in enumerate(E)}
-    mors = []
-    for e in E:
-        for f in E:
-            for s in range(len(S)):
-                if tab[tab[e, s], f] == s:
-                    mors.append((obj_of[f], obj_of[e],
-                                 f"({S.names[e]},{S.names[s]},{S.names[f]})",
-                                 (e, s, f)))
-
-    def compose(pg, pf):
-        (e, s, f), (_f2, t, i) = pg, pf
-        return (e, int(tab[s, t]), i)
-
-    extra = {"kind": "C", "sgrp": S, "obj_elt": tuple(E)}
-    return build_category(tuple(S.names[e] for e in E), mors, compose,
-                          lambda o: (E[o], E[o], E[o]), extra)
+    Ea = np.array(E, dtype=np.int64)
+    k, n = len(E), len(S)
+    # morphisms in (e, f, s) order, numbered through idx[e, f, s]
+    es = tab[Ea]
+    ei, fi, s = np.nonzero(tab[es[:, None, :], Ea[None, :, None]] == np.arange(n))
+    idx = np.full((k, k, n), -1, dtype=np.int64)
+    idx[ei, fi, s] = np.arange(len(s))
+    payloads = tuple(zip(Ea[ei].tolist(), s.tolist(), Ea[fi].tolist()))
+    labels = tuple(f"({names[e]},{names[t]},{names[f]})" for e, t, f in payloads)
+    return _table_category(
+        tuple(names[e] for e in E), fi, ei, labels, payloads,
+        idx[np.arange(k), np.arange(k), Ea],
+        lambda g, f: idx[ei[g], fi[f], tab[s[g], s[f]]],
+        {"kind": "C", "sgrp": S, "obj_elt": tuple(E)})
 
 
 def left_cancellation_witness(C: FiniteCategory):
@@ -222,12 +269,15 @@ def idempotents_split(C: FiniteCategory) -> bool:
 def iso_partner(C: FiniteCategory) -> np.ndarray:
     """For each morphism, its two-sided inverse or -1."""
     out = np.full(C.n_mor, -1, dtype=np.int64)
-    for m in range(C.n_mor):
-        a, b = int(C.dom[m]), int(C.cod[m])
-        for w in C.hom(b, a):
-            if C.comp[m, w] == C.identity[b] and C.comp[w, m] == C.identity[a]:
-                out[m] = w
-                break
+    for a in range(C.n_objects):
+        for b in range(C.n_objects):
+            M, W = C._hom(a, b), C._hom(b, a)
+            if not (len(M) and len(W)):
+                continue
+            ok = ((C.comp[np.ix_(M, W)] == C.identity[b])
+                  & (C.comp[np.ix_(W, M)].T == C.identity[a]))
+            has = ok.any(axis=1)
+            out[M[has]] = W[ok.argmax(axis=1)[has]]
     return out
 
 
@@ -243,7 +293,33 @@ class SkeletonData:
     smor_of_cmor: dict         # C morphism between reps -> skeleton morphism
 
 
+def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
+    """The full subcategory on the objects o with rep[o] == o."""
+    is_rep = rep == np.arange(C.n_objects)
+    reps = np.flatnonzero(is_rep)
+    sk_index = np.full(C.n_objects, -1, dtype=np.int64)
+    sk_index[reps] = np.arange(len(reps))
+    keep = np.flatnonzero(is_rep[C.dom] & is_rep[C.cod])
+    smor = np.full(C.n_mor, -1, dtype=np.int64)
+    smor[keep] = np.arange(len(keep))
+    sub = C.comp[np.ix_(keep, keep)]
+    cat = FiniteCategory(
+        tuple(C.objects[r] for r in reps),
+        tuple(C.mor_labels[m] for m in keep),
+        sk_index[C.dom[keep]],
+        sk_index[C.cod[keep]],
+        np.where(sub >= 0, smor[sub], -1),
+        smor[C.identity[reps]],
+        {"kind": "skeleton", "parent": C},
+    )
+    keep = keep.tolist()
+    return SkeletonData(cat, rep, sk_index[rep], tuple(reps.tolist()),
+                        to_rep, from_rep, tuple(keep),
+                        {m: i for i, m in enumerate(keep)})
+
+
 def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
+    """Skeleton of any finite category, found through its isomorphisms."""
     partner = iso_partner(C)
     n = C.n_objects
     rep = np.arange(n)
@@ -272,30 +348,7 @@ def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
             # along the chain (two hops suffice after the union pass above
             # only if a direct iso exists, so fall back to a search)
             to_rep[o], from_rep[o] = _iso_chain(C, partner, o, r)
-    reps = sorted(set(int(r) for r in rep))
-    sk_index = {r: i for i, r in enumerate(reps)}
-    sk_of_obj = np.array([sk_index[int(rep[o])] for o in range(n)], dtype=np.int64)
-    keep = [m for m in range(C.n_mor)
-            if int(rep[C.dom[m]]) == int(C.dom[m]) and int(rep[C.cod[m]]) == int(C.cod[m])]
-    smor_of_cmor = {m: i for i, m in enumerate(keep)}
-    k = len(keep)
-    comp = np.full((k, k), -1, dtype=np.int64)
-    for i, g in enumerate(keep):
-        for j, f in enumerate(keep):
-            c = int(C.comp[g, f])
-            if c >= 0:
-                comp[i, j] = smor_of_cmor[c]
-    cat = FiniteCategory(
-        tuple(C.objects[r] for r in reps),
-        tuple(C.mor_labels[m] for m in keep),
-        np.array([sk_index[int(C.dom[m])] for m in keep]),
-        np.array([sk_index[int(C.cod[m])] for m in keep]),
-        comp,
-        np.array([smor_of_cmor[int(C.identity[r])] for r in reps]),
-        {"kind": "skeleton", "parent": C},
-    )
-    return SkeletonData(cat, rep, sk_of_obj, tuple(reps), to_rep, from_rep,
-                        tuple(keep), smor_of_cmor)
+    return _skeleton_data(C, rep, to_rep, from_rep)
 
 
 def _iso_chain(C, partner, o, r):
@@ -315,7 +368,8 @@ def _iso_chain(C, partner, o, r):
                     prev[b] = (a, m)
                     q.append(b)
     if r not in prev:
-        raise RuntimeError("object class without connecting isomorphism")
+        raise IsomorphismChainBroken("object class without connecting isomorphism",
+                                     witness=(o, r))
     path = []
     cur = r
     while prev[cur] is not None:
@@ -325,8 +379,45 @@ def _iso_chain(C, partner, o, r):
     fwd = path[-1]
     for m in reversed(path[:-1]):
         fwd = int(C.comp[m, fwd])
-    assert partner[fwd] >= 0  # a composite of isomorphisms
+    if partner[fwd] < 0:
+        raise IsomorphismChainBroken("a composite of isomorphisms is not an isomorphism",
+                                     witness=(o, r, fwd))
     return fwd, int(partner[fwd])
+
+
+def cauchy_skeleton(C: FiniteCategory) -> SkeletonData:
+    """The skeleton of a Cauchy completion C(S), read off the D-classes of E(S).
+
+    Each D-class is represented by its smallest object r, which maps to
+    itself by its identity; every other o of the class is sent to r by
+    (r, s, o) for the smallest s with s*s = o and ss* = r.  The result
+    equals skeleton_with_maps(C) field for field.
+    """
+    S = C.extra.get("sgrp")
+    if C.extra.get("kind") != "C" or not isinstance(S, InverseSemigroup):
+        raise PreconditionFailed("cauchy_skeleton needs C_of of an inverse semigroup")
+    tab, star = S.table, S.star
+    E = C.extra["obj_elt"]
+    k = len(E)
+    obj_of = np.full(len(S), -1, dtype=np.int64)
+    obj_of[list(E)] = np.arange(k)
+    s = np.arange(len(S))
+    src = obj_of[tab[star, s]]   # s*s
+    dst = obj_of[tab[s, star]]   # ss*
+    # D restricted to E(S) is an equivalence relation, so the smallest s*s
+    # over the s with ss* = o is the smallest object of o's class
+    rep = np.arange(k)
+    np.minimum.at(rep, dst, src)
+    best = np.full(k, len(S))
+    to_r = dst == rep[src]
+    np.minimum.at(best, src[to_r], s[to_r])
+    to_rep, from_rep = C.identity.copy(), C.identity.copy()
+    index = C.extra["index"]
+    for o in np.flatnonzero(rep != np.arange(k)).tolist():
+        t, r = int(best[o]), int(rep[o])
+        to_rep[o] = index[(E[r], t, E[o])]
+        from_rep[o] = index[(E[o], int(star[t]), E[r])]
+    return _skeleton_data(C, rep, to_rep, from_rep)
 
 
 def skeleton(C: FiniteCategory) -> FiniteCategory:
@@ -427,69 +518,74 @@ def is_bipartite(U: FiniteCategory, A_objs, B_objs) -> bool:
 
 # -- category isomorphism and equivalence ------------------------------------
 
+def _intern(rows) -> np.ndarray:
+    """Number the distinct rows of a 2-d array in order of first appearance."""
+    table = {}
+    return np.array([table.setdefault(r.tobytes(), len(table))
+                     for r in np.ascontiguousarray(rows)], dtype=np.int64)
+
+
 def _joint_invariants(C, D):
-    """Composition-aware invariant classes shared between two categories."""
+    """Composition-aware invariant classes shared between two categories.
+
+    C and D have equally many morphisms.  Each round keys a morphism by its
+    class, the classes of its endpoints, and the sorted (class, composite
+    class) codes of its row and of its column of the composition table; the
+    keys are numbered jointly over both categories.  Endpoint classes key an
+    object by its identity's class and the class counts of the morphisms out
+    of and into it.  Rounds stop once C's partition stops splitting.
+    """
+    cats = (C, D)
+    mC, nC = C.n_mor, C.n_objects
 
     def initial(cat):
-        ids = set(int(i) for i in cat.identity)
-        partner = iso_partner(cat)
-        return [(m in ids, bool(partner[m] >= 0), bool(cat.dom[m] == cat.cod[m]))
-                for m in range(cat.n_mor)]
+        is_id = np.zeros(cat.n_mor, dtype=np.int64)
+        is_id[cat.identity] = 1
+        return 4 * is_id + 2 * (iso_partner(cat) >= 0) + (cat.dom == cat.cod)
 
-    invC, invD = initial(C), initial(D)
-
-    def obj_keys(cat, inv):
+    def obj_classes(inv):
+        K = int(inv.max()) + 1 if len(inv) else 1
         keys = []
-        for o in range(cat.n_objects):
-            outs = sorted(inv[m] for m in range(cat.n_mor) if cat.dom[m] == o)
-            ins = sorted(inv[m] for m in range(cat.n_mor) if cat.cod[m] == o)
-            keys.append((inv[int(cat.identity[o])], tuple(outs), tuple(ins)))
-        return keys
+        for cat, ci in zip(cats, (inv[:mC], inv[mC:])):
+            outs = np.zeros((cat.n_objects, K), dtype=np.int64)
+            ins = np.zeros((cat.n_objects, K), dtype=np.int64)
+            np.add.at(outs, (cat.dom, ci), 1)
+            np.add.at(ins, (cat.cod, ci), 1)
+            keys.append(np.column_stack([ci[cat.identity], outs, ins]))
+        return _intern(np.vstack(keys))
 
-    for _ in range(max(C.n_mor, 1)):
-        okC, okD = obj_keys(C, invC), obj_keys(D, invD)
-        table = {}
+    def codes(inv, K, transpose):
+        out = []
+        for cat, ci in zip(cats, (inv[:mC], inv[mC:])):
+            comp = cat.comp.T if transpose else cat.comp
+            c = np.where(comp >= 0, ci[None, :] * K + ci[comp], -1)
+            out.append(np.sort(c, axis=1))
+        return _intern(np.vstack(out))
 
-        def refine(cat, inv, ok):
-            out = []
-            for m in range(cat.n_mor):
-                rows = sorted(
-                    (inv[f], inv[int(cat.comp[m, f])])
-                    for f in range(cat.n_mor)
-                    if cat.comp[m, f] >= 0
-                )
-                cols = sorted(
-                    (inv[g], inv[int(cat.comp[g, m])])
-                    for g in range(cat.n_mor)
-                    if cat.comp[g, m] >= 0
-                )
-                key = (inv[m], ok[int(cat.dom[m])], ok[int(cat.cod[m])],
-                       tuple(rows), tuple(cols))
-                out.append(table.setdefault(key, len(table)))
-            return out
+    inv = np.concatenate([initial(C), initial(D)])
+    if len(inv):
+        for _ in range(max(mC, 1)):
+            ok = obj_classes(inv)
+            okC, okD = ok[:nC], ok[nC:]
+            K = int(inv.max()) + 1
+            new = _intern(np.column_stack([
+                inv,
+                np.concatenate([okC[C.dom], okD[D.dom]]),
+                np.concatenate([okC[C.cod], okD[D.cod]]),
+                codes(inv, K, False),
+                codes(inv, K, True),
+            ]))
+            # refinement only ever splits classes, so equal counts mean a fixpoint
+            stable = (np.count_nonzero(np.bincount(new[:mC]))
+                      == np.count_nonzero(np.bincount(inv[:mC])))
+            inv = new
+            if stable:
+                break
 
-        newC = refine(C, invC, okC)
-        newD = refine(D, invD, okD)
-        # refinement only ever splits classes, so equal counts mean a fixpoint
-        stable = len(set(newC)) == len(set(invC))
-        invC, invD = newC, newD
-        if stable:
-            break
-
-    def obj_classes(cat, inv):
-        keys = obj_keys(cat, inv)
-        table = {}
-        return [table.setdefault(k, len(table)) for k in keys], table
-
-    ocC, tabC = obj_classes(C, invC)
-    # reuse C's interning so classes are comparable
-    keysD = []
-    for o in range(D.n_objects):
-        outs = sorted(invD[m] for m in range(D.n_mor) if D.dom[m] == o)
-        ins = sorted(invD[m] for m in range(D.n_mor) if D.cod[m] == o)
-        keysD.append((invD[int(D.identity[o])], tuple(outs), tuple(ins)))
-    ocD = [tabC.get(k, -1) for k in keysD]
-    return invC, invD, ocC, ocD
+    ok = obj_classes(inv)
+    ocC, ocD = ok[:nC], ok[nC:]
+    ocD = np.where(np.isin(ocD, ocC), ocD, -1)
+    return inv[:mC], inv[mC:], ocC, ocD
 
 
 def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
@@ -501,21 +597,30 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
     if C.n_objects != D.n_objects or C.n_mor != D.n_mor:
         return None
     invC, invD, ocC, ocD = _joint_invariants(C, D)
-    if sorted(invC) != sorted(invD) or sorted(ocC) != sorted(ocD) or -1 in ocD:
+    if (not np.array_equal(np.sort(invC), np.sort(invD))
+            or not np.array_equal(np.sort(ocC), np.sort(ocD)) or -1 in ocD):
         return None
 
     obj_map = np.full(C.n_objects, -1, dtype=np.int64)
     mor_map = np.full(C.n_mor, -1, dtype=np.int64)
     used_obj = np.zeros(D.n_objects, dtype=bool)
     used_mor = np.zeros(D.n_mor, dtype=bool)
+    hsC, hsD = C.hom_sizes(), D.hom_sizes()
 
-    obj_candidates = [
-        [o2 for o2 in range(D.n_objects) if ocD[o2] == ocC[o1]]
-        for o1 in range(C.n_objects)
-    ]
+    obj_candidates = [np.flatnonzero(ocD == ocC[o1]).tolist()
+                      for o1 in range(C.n_objects)]
     obj_order = sorted(range(C.n_objects), key=lambda o: (len(obj_candidates[o]), o))
-    non_id = [m for m in range(C.n_mor) if m not in set(int(i) for i in C.identity)]
-    non_id.sort(key=lambda m: (sum(1 for w in range(D.n_mor) if invD[w] == invC[m]), m))
+    is_id = np.zeros(C.n_mor, dtype=bool)
+    is_id[C.identity] = True
+    class_size = np.bincount(invD, minlength=int(invC.max(initial=0)) + 1)
+    non_id = sorted(np.flatnonzero(~is_id).tolist(),
+                    key=lambda m: (int(class_size[invC[m]]), m))
+
+    def placed(line):
+        """Morphisms f whose image and whose composite `line[f]` are placed."""
+        f = np.flatnonzero((mor_map >= 0) & (line >= 0))
+        f = f[mor_map[line[f]] >= 0]
+        return mor_map[f], mor_map[line[f]]
 
     def assign_mor(pos):
         if pos == len(non_id):
@@ -523,23 +628,14 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
             return F if is_functor(F) else None
         m = non_id[pos]
         a, b = int(obj_map[C.dom[m]]), int(obj_map[C.cod[m]])
-        for w in range(D.n_mor):
-            if used_mor[w] or invD[w] != invC[m] or D.dom[w] != a or D.cod[w] != b:
+        # w must send m.f to w.F(f) and f.m to F(f).w wherever both are placed
+        right, right_to = placed(C.comp[m])
+        left, left_to = placed(C.comp[:, m])
+        for w in D.hom(a, b):
+            if used_mor[w] or invD[w] != invC[m]:
                 continue
-            ok = True
-            for f in range(C.n_mor):
-                wf = int(mor_map[f])
-                if wf < 0:
-                    continue
-                c = int(C.comp[m, f])
-                if c >= 0 and mor_map[c] >= 0 and D.comp[w, wf] != mor_map[c]:
-                    ok = False
-                    break
-                c = int(C.comp[f, m])
-                if c >= 0 and mor_map[c] >= 0 and D.comp[wf, w] != mor_map[c]:
-                    ok = False
-                    break
-            if not ok:
+            if not (np.array_equal(D.comp[w, right], right_to)
+                    and np.array_equal(D.comp[left, w], left_to)):
                 continue
             mor_map[m] = w
             used_mor[w] = True
@@ -558,14 +654,11 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
             if used_obj[o2]:
                 continue
             # hom-size profile against already-placed objects
-            ok = True
-            for p in obj_order[:pos]:
-                p2 = int(obj_map[p])
-                if (len(C.hom(o, p)) != len(D.hom(o2, p2))
-                        or len(C.hom(p, o)) != len(D.hom(p2, o2))):
-                    ok = False
-                    break
-            if not ok or len(C.hom(o, o)) != len(D.hom(o2, o2)):
+            done = obj_order[:pos]
+            images = obj_map[done]
+            if (hsC[o, o] != hsD[o2, o2]
+                    or not np.array_equal(hsC[o, done], hsD[o2, images])
+                    or not np.array_equal(hsC[done, o], hsD[images, o2])):
                 continue
             obj_map[o] = o2
             used_obj[o2] = True
@@ -586,35 +679,48 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
     return assign_obj(0)
 
 
+def inverse_functor(F: Functor) -> Functor:
+    """The inverse of an isomorphism of categories."""
+    om = np.empty_like(F.obj_map)
+    om[F.obj_map] = np.arange(len(om))
+    mm = np.empty_like(F.mor_map)
+    mm[F.mor_map] = np.arange(len(mm))
+    return Functor(F.target, F.source, om, mm)
+
+
+def _extend(src, src_sk, dst_sk, iso, dst) -> Functor:
+    """src -> dst: go to the skeleton, across `iso`, and include into dst."""
+    om = np.array(dst_sk.obj_of_sk, dtype=np.int64)[iso.obj_map[src_sk.sk_of_obj]]
+    t = src.comp[src_sk.to_rep[src.cod], np.arange(src.n_mor)]
+    t = src.comp[t, src_sk.from_rep[src.dom]]
+    smor = np.full(src.n_mor, -1, dtype=np.int64)
+    smor[list(src_sk.cmor_of_smor)] = np.arange(len(src_sk.cmor_of_smor))
+    mm = np.array(dst_sk.cmor_of_smor, dtype=np.int64)[iso.mor_map[smor[t]]]
+    return Functor(src, dst, om, mm)
+
+
+def equivalence_from_skeletons(C: FiniteCategory, skC: SkeletonData,
+                               D: FiniteCategory, skD: SkeletonData):
+    """Weak equivalences C -> D and D -> C through the given skeletons, or None.
+
+    One isomorphism search between the skeletons; the backward witness
+    extends its inverse.
+    """
+    phi = categories_isomorphic(skC.cat, skD.cat)
+    if phi is None:
+        return None
+    return (_extend(C, skC, skD, phi, D),
+            _extend(D, skD, skC, inverse_functor(phi), C))
+
+
 def categories_equivalent(C: FiniteCategory, D: FiniteCategory):
     """Weak equivalences both ways, or None.
 
     Equivalence is decided on skeletons; the witness functors extend the
     skeleton isomorphism along the chosen isomorphisms to representatives.
     """
-    skC = skeleton_with_maps(C)
-    skD = skeleton_with_maps(D)
-    phi = categories_isomorphic(skC.cat, skD.cat)
-    if phi is None:
-        return None
-    psi = categories_isomorphic(skD.cat, skC.cat)  # inverse direction witness
-
-    def extend(src, src_sk, dst_sk, iso, dst):
-        om = np.empty(src.n_objects, dtype=np.int64)
-        for o in range(src.n_objects):
-            om[o] = dst_sk.obj_of_sk[int(iso.obj_map[src_sk.sk_of_obj[o]])]
-        mm = np.empty(src.n_mor, dtype=np.int64)
-        for m in range(src.n_mor):
-            a, b = int(src.dom[m]), int(src.cod[m])
-            t = int(src.comp[src_sk.to_rep[b], m])
-            t = int(src.comp[t, src_sk.from_rep[a]])
-            sk_m = src_sk.smor_of_cmor[t]
-            mm[m] = dst_sk.cmor_of_smor[int(iso.mor_map[sk_m])]
-        return Functor(src, dst, om, mm)
-
-    F = extend(C, skC, skD, phi, D)
-    G = extend(D, skD, skC, psi, C)
-    return F, G
+    return equivalence_from_skeletons(C, skeleton_with_maps(C),
+                                      D, skeleton_with_maps(D))
 
 
 # -- pullbacks and the span category -----------------------------------------
@@ -622,44 +728,35 @@ def categories_equivalent(C: FiniteCategory, D: FiniteCategory):
 def pullback(C: FiniteCategory, f: int, g: int):
     """Terminal cone over the cospan (f, g), or None.
 
-    Returns (apex, p, q) with f.p = g.q.
+    Returns (apex, p, q) with f.p = g.q; the first terminal cone in (p, q)
+    order.
     """
     if C.cod[f] != C.cod[g]:
         raise CospanMismatch(witness=(f, g))
-    cones = []
-    for p in range(C.n_mor):
-        if C.cod[p] != C.dom[f]:
-            continue
-        for q in range(C.n_mor):
-            if C.cod[q] != C.dom[g] or C.dom[q] != C.dom[p]:
-                continue
-            if C.comp[f, p] == C.comp[g, q]:
-                cones.append((p, q))
-    for (p0, q0) in cones:
+    # cones: p into dom f and q into dom g from a common object x, i.e. the
+    # pairs of hom(x, dom f) x hom(x, dom g), in (p, q) order
+    P = np.flatnonzero(C.cod == C.dom[f])
+    Q = np.flatnonzero(C.cod == C.dom[g])
+    i, j = np.nonzero((C.dom[P][:, None] == C.dom[Q][None, :])
+                      & (C.comp[f, P][:, None] == C.comp[g, Q][None, :]))
+    P, Q = P[i], Q[j]
+    for p0, q0 in zip(P.tolist(), Q.tolist()):
         apex = int(C.dom[p0])
-        terminal = True
-        for (p, q) in cones:
-            count = 0
-            for u in C.hom(int(C.dom[p]), apex):
-                if C.comp[p0, u] == p and C.comp[q0, u] == q:
-                    count += 1
-            if count != 1:
-                terminal = False
-                break
-        if terminal:
+        # every cone must factor through (p0, q0) exactly once
+        U = np.flatnonzero(C.cod == apex)
+        hits = ((C.comp[p0, U][None, :] == P[:, None])
+                & (C.comp[q0, U][None, :] == Q[:, None]))
+        if np.all(hits.sum(axis=1) == 1):
             return apex, p0, q0
     return None
 
 
 def _canonical_span(C, partner, l, r):
-    best = (int(l), int(r))
-    apex = int(C.dom[l])
-    for u in range(C.n_mor):
-        if partner[u] >= 0 and C.cod[u] == apex:
-            cand = (int(C.comp[l, u]), int(C.comp[r, u]))
-            if cand < best:
-                best = cand
-    return best
+    """The least (l.u, r.u) over the isomorphisms u into the apex."""
+    U = np.flatnonzero((partner >= 0) & (C.cod == C.dom[l]))
+    ls, rs = C.comp[l, U], C.comp[r, U]
+    best = int(ls.min())
+    return best, int(rs[ls == best].min())
 
 
 def span_category(L: FiniteCategory) -> FiniteCategory:
@@ -669,11 +766,15 @@ def span_category(L: FiniteCategory) -> FiniteCategory:
     (l: x -> b, r: x -> a) with a common apex.
     """
     partner = iso_partner(L)
-    # precondition: all cospans have pullbacks
+    # precondition: all cospans have pullbacks; composition reads them here
+    pullbacks = {}
     for f in range(L.n_mor):
         for g in range(L.n_mor):
-            if L.cod[f] == L.cod[g] and pullback(L, f, g) is None:
-                raise NoPullbacks(witness=(f, g))
+            if L.cod[f] == L.cod[g]:
+                pb = pullback(L, f, g)
+                if pb is None:
+                    raise NoPullbacks(witness=(f, g))
+                pullbacks[f, g] = pb
     reps = set()
     for l in range(L.n_mor):
         for r in range(L.n_mor):
@@ -686,9 +787,7 @@ def span_category(L: FiniteCategory) -> FiniteCategory:
 
     def compose(pg, pf):
         (l2, r2), (l1, r1) = pg, pf
-        pb = pullback(L, r2, l1)
-        assert pb is not None
-        _, p, q = pb
+        _, p, q = pullbacks[r2, l1]
         return _canonical_span(L, partner, int(L.comp[l2, p]), int(L.comp[r1, q]))
 
     def ident(o):

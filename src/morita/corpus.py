@@ -145,6 +145,19 @@ def random_inverse_subsemigroups(seed: int, count: int, ambient=None) -> list:
     return out
 
 
+def random_relabelling(S: InverseSemigroup, rng: random.Random) -> InverseSemigroup:
+    """An isomorphic copy of S with its elements renumbered at random.
+
+    Element i of S becomes element perm[i] of the copy, names included.
+    """
+    perm = list(range(len(S)))
+    rng.shuffle(perm)
+    perm = np.array(perm, dtype=np.int64)
+    old = np.argsort(perm)   # copy element -> S element
+    return InverseSemigroup(tuple(S.names[i] for i in old),
+                            perm[S.table[np.ix_(old, old)]], perm[S.star[old]])
+
+
 # -- sample actions and presheaves -------------------------------------------------
 
 def sample_closed_actions(S: InverseSemigroup, seed: int, count: int) -> list:

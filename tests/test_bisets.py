@@ -1,5 +1,8 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morita.bisets import (
     EquivalenceBiset,
@@ -252,6 +255,18 @@ def test_morita_decisions(b12, b13, bc22, c2z, chain2, chain3):
     assert not morita_equivalent(cyclic_group(2), chain2).equivalent
     d = morita_equivalent(b12, b13)
     assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), relabel_seed=st.integers(0, 2**32 - 1))
+def test_morita_relabel_invariance_and_symmetry(seed, relabel_seed):
+    from morita.corpus import random_inverse_subsemigroups, random_relabelling
+
+    S, T = random_inverse_subsemigroups(seed, 2)
+    d = morita_equivalent(S, random_relabelling(S, random.Random(relabel_seed)))
+    assert d.equivalent
+    assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+    assert morita_equivalent(S, T).equivalent == morita_equivalent(T, S).equivalent
 
 
 def test_exhaustive_search_penalties(b12, chain2):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from morita.categories import (
     C_of,
     Functor,
     L_of,
+    _iso_chain,
     build_category,
     categories_equivalent,
     categories_isomorphic,
+    cauchy_skeleton,
     cauchy_vs_span,
     check_category,
     check_morita_context,
@@ -25,11 +29,18 @@ from morita.categories import (
     skeleton_with_maps,
     span_category,
 )
-from morita.errors import CospanMismatch, SourceTargetMismatch
+from morita.corpus import builtin_corpus, random_relabelling
+from morita.errors import (
+    CospanMismatch,
+    IsomorphismChainBroken,
+    PreconditionFailed,
+    SourceTargetMismatch,
+)
 from morita.semigroups import (
     cyclic_group,
     group_with_zero,
     idempotents,
+    symmetric_inverse_monoid,
 )
 
 
@@ -245,3 +256,85 @@ def test_span_category_counts(chain2):
 def test_cauchy_vs_span(small_corpus):
     for S in small_corpus:
         assert cauchy_vs_span(S)
+
+
+# -- the vectorised constructions against the callback-built reference ---------
+
+def reference_L_of(S):
+    tab, star = S.table, S.star
+    E = idempotents(S)
+    obj_of = {e: i for i, e in enumerate(E)}
+    mors = [(obj_of[int(tab[star[s], s])], obj_of[e],
+             f"({S.names[e]},{S.names[s]})", (e, s))
+            for e in E for s in range(len(S)) if tab[e, s] == s]
+    return build_category(tuple(S.names[e] for e in E), mors,
+                          lambda pg, pf: (pg[0], int(tab[pg[1], pf[1]])),
+                          lambda o: (E[o], E[o]),
+                          {"kind": "L", "sgrp": S, "obj_elt": tuple(E)})
+
+
+def reference_C_of(S):
+    tab = S.table
+    E = idempotents(S)
+    obj_of = {e: i for i, e in enumerate(E)}
+    mors = [(obj_of[f], obj_of[e], f"({S.names[e]},{S.names[s]},{S.names[f]})",
+             (e, s, f))
+            for e in E for f in E for s in range(len(S)) if tab[tab[e, s], f] == s]
+    return build_category(tuple(S.names[e] for e in E), mors,
+                          lambda pg, pf: (pg[0], int(tab[pg[1], pf[1]]), pf[2]),
+                          lambda o: (E[o], E[o], E[o]),
+                          {"kind": "C", "sgrp": S, "obj_elt": tuple(E)})
+
+
+def _members():
+    base = builtin_corpus() + [("syminv3", symmetric_inverse_monoid(3))]
+    out = []
+    for name, S in base:
+        out.append((name, S))
+        out.extend((f"{name}'{seed}", random_relabelling(S, random.Random(seed)))
+                   for seed in (1, 2))
+    return out
+
+
+MEMBERS = _members()
+
+
+def assert_same_category(A, B):
+    assert A.objects == B.objects and A.mor_labels == B.mor_labels
+    for name in ("dom", "cod", "comp", "identity"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
+    assert A.extra["payload"] == B.extra["payload"]
+    assert A.extra["index"] == B.extra["index"]
+
+
+@pytest.mark.parametrize("S", [S for _n, S in MEMBERS], ids=[n for n, _S in MEMBERS])
+def test_constructions_match_reference(S):
+    for fast, ref in ((C_of, reference_C_of), (L_of, reference_L_of)):
+        A = fast(S)
+        assert_same_category(A, ref(S))
+        for a in range(A.n_objects):
+            for b in range(A.n_objects):
+                assert A.hom(a, b) == [m for m in range(A.n_mor)
+                                       if A.dom[m] == a and A.cod[m] == b]
+    C = C_of(S)
+    fast, ref = cauchy_skeleton(C), skeleton_with_maps(C)
+    for name in ("objects", "mor_labels", "dom", "cod", "comp", "identity"):
+        assert np.array_equal(getattr(fast.cat, name), getattr(ref.cat, name)), name
+    assert fast.cat.extra == ref.cat.extra
+    for name in ("obj_rep", "sk_of_obj", "to_rep", "from_rep"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+    assert fast.obj_of_sk == ref.obj_of_sk
+    assert fast.cmor_of_smor == ref.cmor_of_smor
+    assert fast.smor_of_cmor == ref.smor_of_cmor
+
+
+def test_cauchy_skeleton_needs_a_cauchy_completion(b12):
+    with pytest.raises(PreconditionFailed):
+        cauchy_skeleton(L_of(b12))
+
+
+def test_iso_chain_raises_typed_error(chain2):
+    # the two objects of C(2-chain) are not isomorphic
+    C = C_of(chain2)
+    with pytest.raises(IsomorphismChainBroken):
+        _iso_chain(C, np.full(C.n_mor, -1), 0, 1)
