@@ -1,51 +1,18 @@
 """Hot table-scan kernels.
 
 Axiom checks over dense integer tables (associativity, action laws,
-cancellation) are the inner loops of every validation sweep, so they come
-in two flavours: numba-jitted and pure numpy.  The backend is chosen by
-the MORITA_KERNELS environment variable: "numba", "numpy", or "auto"
-(default; uses numba when importable).  Every entry point also accepts an
-explicit ``backend=`` argument so the two paths can be compared directly
-(see benchmarks/bench_kernels.py).
+cancellation) are the inner loops of every validation sweep; each one scans
+the table one row at a time with numpy and reports the first failure in
+index order.
 """
-
-import os
 
 import numpy as np
 
-_ENV = os.environ.get("MORITA_KERNELS", "auto").lower()
-if _ENV not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"MORITA_KERNELS must be auto|numba|numpy, got {_ENV!r}")
 
-_HAVE_NUMBA = False
-if _ENV in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _ENV == "numba":
-            raise RuntimeError("MORITA_KERNELS=numba but numba is not importable")
-
-
-def active_backend() -> str:
-    if _ENV == "numpy":
-        return "numpy"
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def _pick(backend):
-    b = backend or active_backend()
-    if b == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return b
-
-
-# -- associativity ----------------------------------------------------------
-
-def _assoc_witness_np(table):
-    n = table.shape[0]
-    for i in range(n):
+def assoc_witness(table):
+    """First triple (i, j, k) with (ij)k != i(jk), or None."""
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    for i in range(table.shape[0]):
         left = table[table[i], :]       # [j, k] -> (ij)k
         right = table[i, table]         # [j, k] -> i(jk)
         bad = np.argwhere(left != right)
@@ -55,34 +22,11 @@ def _assoc_witness_np(table):
     return None
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _assoc_witness_nb(table):
-        n = table.shape[0]
-        for i in range(n):
-            for j in range(n):
-                ij = table[i, j]
-                for k in range(n):
-                    if table[ij, k] != table[i, table[j, k]]:
-                        return i, j, k
-        return -1, -1, -1
-
-
-def assoc_witness(table, backend=None):
-    """First triple (i, j, k) with (ij)k != i(jk), or None."""
+def action_witness(act, table):
+    """First (x, s, t) with (xs)t != x(st), or None."""
+    act = np.ascontiguousarray(act, dtype=np.int64)
     table = np.ascontiguousarray(table, dtype=np.int64)
-    if _pick(backend) == "numba":
-        i, j, k = _assoc_witness_nb(table)
-        return None if i < 0 else (int(i), int(j), int(k))
-    return _assoc_witness_np(table)
-
-
-# -- right action law -------------------------------------------------------
-
-def _action_witness_np(act, table):
-    nx = act.shape[0]
-    for x in range(nx):
+    for x in range(act.shape[0]):
         left = act[act[x], :]           # [s, t] -> (xs)t
         right = act[x][table]           # [s, t] -> x(st)
         bad = np.argwhere(left != right)
@@ -92,47 +36,21 @@ def _action_witness_np(act, table):
     return None
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _action_witness_nb(act, table):
-        nx = act.shape[0]
-        ns = table.shape[0]
-        for x in range(nx):
-            for s in range(ns):
-                xs = act[x, s]
-                for t in range(ns):
-                    if act[xs, t] != act[x, table[s, t]]:
-                        return x, s, t
-        return -1, -1, -1
-
-
-def action_witness(act, table, backend=None):
-    """First (x, s, t) with (xs)t != x(st), or None."""
-    act = np.ascontiguousarray(act, dtype=np.int64)
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    if act.size == 0:
-        return None
-    if _pick(backend) == "numba":
-        x, s, t = _action_witness_nb(act, table)
-        return None if x < 0 else (int(x), int(s), int(t))
-    return _action_witness_np(act, table)
-
-
 # -- cancellation in a composition table ------------------------------------
 # comp[g, f] = g.f with -1 for "not composable".  Left cancellation fails
 # exactly when some row repeats a defined value; right cancellation is the
 # same condition on columns.
 
-def _dup_in_rows_np(comp):
-    m = comp.shape[0]
-    for g in range(m):
+def left_cancellation_witness(comp):
+    """First (g, f1, f2) with g.f1 == g.f2 defined and f1 != f2, or None."""
+    comp = np.ascontiguousarray(comp, dtype=np.int64)
+    for g in range(comp.shape[0]):
         row = comp[g]
         defined = np.flatnonzero(row >= 0)
         vals = row[defined]
         if np.unique(vals).size == vals.size:
             continue
-        # rare: recover the first repeat in column order, as the jit path does
+        # rare: recover the first repeat in column order
         seen = {}
         for f in defined:
             v = int(row[f])
@@ -142,38 +60,7 @@ def _dup_in_rows_np(comp):
     return None
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dup_in_rows_nb(comp):
-        m = comp.shape[0]
-        seen = np.empty(m, dtype=np.int64)
-        for g in range(m):
-            seen[:] = -1
-            for f in range(m):
-                v = comp[g, f]
-                if v >= 0:
-                    if seen[v] >= 0:
-                        return g, seen[v], f
-                    seen[v] = f
-        return -1, -1, -1
-
-
-def left_cancellation_witness(comp, backend=None):
-    """First (g, f1, f2) with g.f1 == g.f2 defined and f1 != f2, or None."""
-    comp = np.ascontiguousarray(comp, dtype=np.int64)
-    if comp.size == 0:
-        return None
-    if _pick(backend) == "numba":
-        g, f1, f2 = _dup_in_rows_nb(comp)
-        return None if g < 0 else (int(g), int(f1), int(f2))
-    return _dup_in_rows_np(comp)
-
-
-def right_cancellation_witness(comp, backend=None):
+def right_cancellation_witness(comp):
     """First (f, g1, g2) with g1.f == g2.f defined and g1 != g2, or None."""
     comp = np.ascontiguousarray(comp, dtype=np.int64)
-    if comp.size == 0:
-        return None
-    w = left_cancellation_witness(comp.T.copy(), backend=backend)
-    return None if w is None else w
+    return left_cancellation_witness(comp.T.copy())

@@ -1,5 +1,62 @@
 """Small shared helpers."""
 
+import numpy as np
+
+
+def components(n, a, b):
+    """Connected components of the graph on nodes 0..n-1 with edges a[k]-b[k].
+
+    Returns (root, cls): root[v] is the least node of v's component, and
+    cls[v] numbers the components 0, 1, ... in order of their least node.
+    Min-label hooking plus pointer jumping: every round hooks each root to
+    the least root across its edges, then flattens the forest to stars; a
+    round that changes nothing leaves every edge inside one star.
+    """
+    a = np.asarray(a, dtype=np.int64).ravel()
+    b = np.asarray(b, dtype=np.int64).ravel()
+    root = np.arange(n, dtype=np.int64)
+    while True:
+        ra, rb = root[a], root[b]
+        lo = np.minimum(ra, rb)
+        new = root.copy()
+        np.minimum.at(new, ra, lo)
+        np.minimum.at(new, rb, lo)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, root):
+            break
+        root = new
+    is_root = root == np.arange(n)
+    cls = (np.cumsum(is_root) - 1)[root]
+    return root, cls
+
+
+def congruence(n, a, b, move):
+    """Least partition joining each a[k] to b[k] that the maps move[:, l] respect.
+
+    move[v, l] is the image of node v under the l-th partial map, -1 where
+    undefined; joined nodes must have joined images.  Re-runs `components`
+    with each node's images tied to its root's images until the partition
+    stops changing, and returns (root, cls) as `components` does.  An image
+    defined at a node but not at its root is skipped: the caller checks that
+    joined nodes share their domains.
+    """
+    a = np.asarray(a, dtype=np.int64).ravel()
+    b = np.asarray(b, dtype=np.int64).ravel()
+    root, cls = components(n, a, b)
+    while True:
+        v = np.flatnonzero(root != np.arange(n))
+        img, rimg = move[v], move[root[v]]
+        both = (img >= 0) & (rimg >= 0)
+        nroot, ncls = components(n, np.concatenate([a, img[both]]),
+                                 np.concatenate([b, rimg[both]]))
+        if np.array_equal(nroot, root):
+            return root, cls
+        root, cls = nroot, ncls
+
 
 class UnionFind:
     """Union-find over hashable keys, with path splitting."""

@@ -10,9 +10,13 @@ The comparison functors implemented here:
   I*  : presheaves on the Cauchy completion -> etale actions
   I_! : its left adjoint, computed fiberwise as a colimit
 
-All colimits are computed as disjoint unions followed by union-find
-closure of the zig-zag relation; class representatives are the least
-(component, index) pair, so every construction is deterministic.
+Every colimit and quotient is a disjoint union of points cut into the
+connected components of its zig-zag relation by `_util.components` (or
+`_util.congruence`, its closure under the action).  Points are numbered so
+that integer order is the order of their (component, index) pairs, e.g.
+x * |S| + s for the pair (x, s); a class is represented by its least point
+and classes are numbered in order of it, so every construction is
+deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -20,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._util import UnionFind
+from ._util import components, congruence
 from .categories import C_of, FiniteCategory, Functor, L_of
-from .errors import NoRightLocalUnits, NotClosed, WrongSite
+from .errors import InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
 from .semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
@@ -170,28 +174,15 @@ def coproduct_action(parts) -> RightAction:
 
 def quotient_action(X: RightAction, pairs) -> RightAction:
     """Quotient by the equivariant closure of the given point identifications."""
-    uf = UnionFind(range(len(X)))
-    stack = [tuple(p) for p in pairs]
-    while stack:
-        a, b = stack.pop()
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
-            continue
-        uf.union(ra, rb)
-        for s in range(len(X.sgrp)):
-            stack.append((int(X.act[a, s]), int(X.act[b, s])))
-    classes = uf.classes()
-    rep_of = {}
-    for i, cls in enumerate(classes):
-        for x in cls:
-            rep_of[x] = i
-    act = np.empty((len(classes), len(X.sgrp)), dtype=np.int64)
-    for i, cls in enumerate(classes):
-        x = cls[0]
-        for s in range(len(X.sgrp)):
-            act[i, s] = rep_of[int(X.act[x, s])]
-    names = tuple(X.carrier[cls[0]] for cls in classes)
-    return RightAction(names, X.sgrp, act, {"kind": "quotient", "classes": classes})
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    root, cls = congruence(len(X), pairs[:, 0], pairs[:, 1], X.act)
+    reps = np.flatnonzero(root == np.arange(len(X)))
+    classes = [[] for _ in reps]
+    for x, c in enumerate(cls.tolist()):
+        classes[c].append(x)
+    names = tuple(X.carrier[x] for x in reps)
+    return RightAction(names, X.sgrp, cls[X.act[reps]],
+                       {"kind": "quotient", "classes": classes})
 
 
 def product_action(X: RightAction, Y: RightAction) -> RightAction:
@@ -244,33 +235,32 @@ def is_unitary(X: RightAction) -> bool:
 
 @dataclass(eq=False)
 class TensorResult:
-    classes: list            # each class: sorted list of (x, s) pairs
-    mu: list                 # per class, the common value xs
+    mu: list                 # per class of X (x) S, the common value xs
     surjective: bool
     injective: bool
 
 
 def tensor_with_S(X: RightAction) -> TensorResult:
-    """X (x) S with mu(x (x) s) = xs, computed by union-find to fixpoint."""
+    """X (x) S with mu(x (x) s) = xs.
+
+    The pair (x, s) is node x * |S| + s; (xs, t) and (x, st) are joined.
+    """
     S = X.sgrp
     if not local_unit_flags(S).right_local_units:
         raise NoRightLocalUnits()
     n, ns = len(X), len(S)
-    uf = UnionFind((x, s) for x in range(n) for s in range(ns))
-    for x in range(n):
-        for s in range(ns):
-            xs = int(X.act[x, s])
-            for t in range(ns):
-                uf.union((xs, t), (x, int(S.table[s, t])))
-    classes = uf.classes()
-    mu = []
-    for cls in classes:
-        vals = {int(X.act[x, s]) for (x, s) in cls}
-        assert len(vals) == 1, "mu not constant on a tensor class"
-        mu.append(vals.pop())
-    surjective = set(mu) == set(range(n))
-    injective = len(set(mu)) == len(mu)
-    return TensorResult(classes, mu, surjective, injective)
+    root, _cls = components(
+        n * ns,
+        X.act[:, :, None] * ns + np.arange(ns),
+        np.arange(n)[:, None, None] * ns + S.table)
+    xs = X.act.ravel()
+    bad = np.flatnonzero(xs != xs[root])
+    if len(bad):
+        raise InvariantBroken("mu not constant on a tensor class",
+                              witness=divmod(int(bad[0]), ns))
+    mu = xs[root == np.arange(n * ns)]
+    hits = np.bincount(mu, minlength=n)
+    return TensorResult(mu.tolist(), bool((hits > 0).all()), bool((hits <= 1).all()))
 
 
 def is_closed(X: RightAction) -> bool:
@@ -468,7 +458,9 @@ def category_of_elements(P: Presheaf):
                 for m, (ff, ii) in enumerate(cat.extra["payload"])
                 if ff == f and ii == i
             ]
-            assert len(lifts) == 1, "element category lost the fibration property"
+            if len(lifts) != 1:
+                raise InvariantBroken("element category lost the fibration property",
+                                      witness=(f, i))
     return cat, K
 
 
@@ -507,50 +499,57 @@ class ColimitActionResult:
 
 
 def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
-    """Colimit of eS over the category of elements of P, by zig-zag closure."""
+    """Colimit of eS over the category of elements of P, read off P directly.
+
+    A node is a pair (element i of P(o), u in eS) for e the idempotent of o,
+    numbered node_off[o] + i * |eS| + (rank of u in eS), which is the
+    (element, u) order.  Each site morphism a: f -> e joins
+    (i, au) to (P(a)(i), u) for every i in P(e) and u in fS.
+    """
     S = _expect_site(P, "C")
     C = P.site
-    obj_elt = C.extra["obj_elt"]
-    elements, K = category_of_elements(P)
-    eobjs = elements.extra["objs"]  # (site object, fiber index)
     tab = S.table
-
-    def ideal(e):
-        return [s for s in range(len(S)) if tab[e, s] == s]
-
-    nodes = []
-    for k, (o, _i) in enumerate(eobjs):
-        for u in ideal(obj_elt[o]):
-            nodes.append((k, u))
-    uf = UnionFind(nodes)
-    for m, (f, i) in enumerate(elements.extra["payload"]):
-        src = int(elements.dom[m])
-        dst = int(elements.cod[m])
-        a = C.extra["payload"][f][1]  # the semigroup element of the site morphism
-        for u in ideal(obj_elt[eobjs[src][0]]):
-            uf.union((dst, int(tab[a, u])), (src, u))
-    classes = uf.classes()
-    rep_of = {}
-    for ci, cls in enumerate(classes):
-        for node in cls:
-            rep_of[node] = ci
-    act = np.empty((len(classes), len(S)), dtype=np.int64)
-    for ci, cls in enumerate(classes):
-        k, u = cls[0]
-        for s in range(len(S)):
-            act[ci, s] = rep_of[(k, int(tab[u, s]))]
-    names = tuple(f"q{ci}" for ci in range(len(classes)))
-    X = RightAction(names, S, act, {"kind": "q_shriek"})
-    assert check_action(X)
+    Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
+    ideal = tab[Ea] == np.arange(len(S))       # ideal[o, u]: u in eS
+    rank = np.cumsum(ideal, axis=1) - 1        # rank of u in eS
+    elt = np.argsort(~ideal, axis=1, kind="stable")  # elt[o, rank] = u
+    size = ideal.sum(axis=1)
+    nfib = np.array([P.fiber_size(o) for o in range(C.n_objects)], dtype=np.int64)
+    node_off = np.concatenate([[0], np.cumsum(nfib * size)])
+    a_parts, b_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for m, (_e, a, _f) in enumerate(C.extra["payload"]):
+        co, do = int(C.cod[m]), int(C.dom[m])
+        us = np.flatnonzero(ideal[do])
+        i = np.arange(nfib[co])[:, None]
+        a_parts.append((node_off[co] + i * size[co] + rank[co, tab[a, us]]).ravel())
+        b_parts.append((node_off[do] + P.maps[m][:, None] * size[do]
+                        + rank[do, us]).ravel())
+    n = int(node_off[-1])
+    root, cls = components(n, np.concatenate(a_parts), np.concatenate(b_parts))
+    reps = np.flatnonzero(root == np.arange(n))
+    o = np.searchsorted(node_off, reps, side="right") - 1
+    i, j = np.divmod(reps - node_off[o], size[o])
+    base = node_off[o] + i * size[o]
+    act = cls[base[:, None] + rank[o[:, None], tab[elt[o, j]]]]
+    X = RightAction(tuple(f"q{c}" for c in range(len(reps))), S, act,
+                    {"kind": "q_shriek"})
+    w = action_law_witness(X)
+    if w is not None:
+        raise InvariantBroken("Q_! colimit breaks the action law", witness=w)
     unit = {}
-    for k, (o, i) in enumerate(eobjs):
-        unit[(o, i)] = rep_of[(k, obj_elt[o])]
+    for o, e in enumerate(Ea):
+        at_e = cls[node_off[o] + np.arange(nfib[o]) * size[o] + rank[o, e]]
+        unit.update(((o, i), c) for i, c in enumerate(at_e.tolist()))
     return ColimitActionResult(X, unit)
 
 
 def Q_shriek(P: Presheaf) -> RightAction:
+    """Q_!(P), after checking that the maps of P are a presheaf on its site."""
+    if not check_presheaf(P):
+        raise InvariantBroken("Q_! needs a presheaf: the maps are not functorial")
     res = q_shriek_with_unit(P)
-    assert is_closed(res.action), "colimit of closed actions must be closed"
+    if not is_closed(res.action):
+        raise InvariantBroken("colimit of closed actions must be closed")
     return res.action
 
 
@@ -686,7 +685,8 @@ def fullness_faithfulness_check(X: RightAction, Y: RightAction) -> bool:
         for (o, i) in vars_:
             x = PX.pts[o][i]
             y = int(h[x])
-            assert Y.act[y, obj_elt[o]] == y
+            if Y.act[y, obj_elt[o]] != y:
+                raise InvariantBroken("hom does not map Xe into Ye", witness=(o, y))
             alpha.append(PY.pts[o].index(y))
         restricted.add(tuple(alpha))
     return len(restricted) == len(homs) and restricted == set(nats)
@@ -753,13 +753,11 @@ def action_isomorphic(X: RightAction, Y: RightAction):
 
 def is_indecomposable(X: RightAction) -> bool:
     """No splitting as a coproduct of two proper subactions."""
-    if len(X) == 0:
+    n = len(X)
+    if n == 0:
         return False
-    uf = UnionFind(range(len(X)))
-    for x in range(len(X)):
-        for s in range(len(X.sgrp)):
-            uf.union(x, int(X.act[x, s]))
-    return len(uf.classes()) == 1
+    _root, cls = components(n, np.repeat(np.arange(n), len(X.sgrp)), X.act)
+    return bool(cls.max() == 0)
 
 
 def indecomposable_projective_check(X: RightAction):
@@ -807,71 +805,63 @@ def i_shriek_with_maps(X: EtaleAction, site: FiniteCategory = None) -> IShriekRe
     """I_!(p)(e) as the colimit of x -> C(S)(e, p(x)) over the element category.
 
     The category has the points of X as objects and, as morphisms x -> y,
-    the elements s with p(y)s = s, s*s = p(x) and ys = x.
+    the elements s with p(y)s = s, s*s = p(x) and ys = x.  Over the site
+    object e a node is a pair (x, m) with m in C(S)(e, p(x)), numbered
+    off[x] + (rank of m in that hom-set), which is the (x, m) order.
     """
     S = X.sgrp
     C = site if site is not None else C_of(S)
     if C.extra.get("kind") != "C" or C.extra.get("sgrp") is not S:
         raise WrongSite("site must be C(S) for the semigroup of the action")
-    obj_elt = C.extra["obj_elt"]
-    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
+    k, nm = C.n_objects, C.n_mor
     cidx = C.extra["index"]
     tab, star = S.table, S.star
-    anchor = X.anchor
-    # morphisms of the indexing category
-    xmors = []
-    for y in range(len(X)):
-        py = int(anchor[y])
-        for s in range(len(S)):
-            if tab[py, s] == s:
-                px = int(tab[star[s], s])
-                x = int(X.base.act[y, s])
-                if anchor[x] == px:
-                    xmors.append((x, y, s))
-    fibers, maps_classes, betas = [], [], []
-    for e in obj_elt:
-        eo = obj_of_elt[e]
-        nodes = []
-        for x in range(len(X)):
-            px = int(anchor[x])
-            for m in C.hom(eo, obj_of_elt[px]):
-                nodes.append((x, m))
-        uf = UnionFind(nodes)
-        for (x, y, s) in xmors:
-            smor = cidx[(int(anchor[y]), s, int(anchor[x]))]
-            for m in C.hom(eo, obj_of_elt[int(anchor[x])]):
-                uf.union((x, m), (y, int(C.comp[smor, m])))
-        classes = uf.classes()
-        rep_of = {}
-        for ci, cls in enumerate(classes):
-            for node in cls:
-                rep_of[node] = ci
-        beta = {}
-        for ci, cls in enumerate(classes):
-            vals = set()
-            for (x, m) in cls:
-                s_elt = C.extra["payload"][m][1]
-                vals.add(int(X.base.act[x, s_elt]))
-            assert len(vals) == 1, "colimit class maps to several points of Xe"
-            beta[ci] = vals.pop()
-        fibers.append(classes)
-        maps_classes.append(rep_of)
-        betas.append(beta)
+    act, anchor = X.base.act, X.anchor
+    n, ns = len(X), len(S)
+    obj_of = np.full(ns, -1, dtype=np.int64)
+    obj_of[list(C.extra["obj_elt"])] = np.arange(k)
+    px = obj_of[anchor]
+    # morphisms x -> y of the indexing category, with their site morphisms
+    ys, ss = np.nonzero((tab[anchor] == np.arange(ns))
+                        & (anchor[act] == tab[star, np.arange(ns)]))
+    xs = act[ys, ss]
+    smor = np.array([cidx[key] for key in zip(anchor[ys].tolist(), ss.tolist(),
+                                              anchor[xs].tolist())], dtype=np.int64)
+    # rank of each site morphism in its hom-set
+    order, start = C._hom_index
+    hom_pos = np.empty(nm, dtype=np.int64)
+    hom_pos[order] = np.arange(nm) - start[C.dom[order] * k + C.cod[order]]
+    payload_s = np.array([p[1] for p in C.extra["payload"]], dtype=np.int64)
+    sizes = C.hom_sizes()
+    fibers, betas = [], []
+    for eo in range(k):
+        hl = sizes[eo, px]
+        off = np.concatenate([[0], np.cumsum(hl)])
+        total = int(off[-1])
+        node_x = np.repeat(np.arange(n), hl)
+        node_m = order[start[eo * k + px[node_x]] + np.arange(total) - off[node_x]]
+        lens = hl[xs]
+        t = np.repeat(np.arange(len(xs)), lens)
+        a = off[xs[t]] + np.arange(len(t)) - np.repeat(np.cumsum(lens) - lens, lens)
+        b = off[ys[t]] + hom_pos[C.comp[smor[t], node_m[a]]]
+        root, cls = components(total, a, b)
+        val = act[node_x, payload_s[node_m]]
+        if not np.array_equal(val, val[root]):
+            raise InvariantBroken("colimit class maps to several points of Xe")
+        reps = np.flatnonzero(root == np.arange(total))
+        fibers.append((off, node_x, node_m, root, cls, reps))
+        betas.append(dict(enumerate(val[reps].tolist())))
     # transitions: precompose with the site morphism
     maps = []
-    for m, (e, a, f) in enumerate(C.extra["payload"]):
-        co, do = obj_of_elt[e], obj_of_elt[f]
-        arr = np.empty(len(fibers[co]), dtype=np.int64)
-        for ci, cls in enumerate(fibers[co]):
-            results = set()
-            for (x, mm) in cls:
-                results.add(maps_classes[do][(x, int(C.comp[mm, m]))])
-            assert len(results) == 1, "transition not constant on a colimit class"
-            arr[ci] = results.pop()
-        maps.append(arr)
-    fiber_labels = tuple(
-        tuple(f"i{ci}" for ci in range(len(fibers[o]))) for o in range(C.n_objects)
-    )
+    for m in range(nm):
+        _off, node_x, node_m, root, _cls, reps = fibers[int(C.cod[m])]
+        off_d, _x, _m, _root, cls_d, _reps = fibers[int(C.dom[m])]
+        val = cls_d[off_d[node_x] + hom_pos[C.comp[node_m, m]]]
+        if not np.array_equal(val, val[root]):
+            raise InvariantBroken("transition not constant on a colimit class",
+                                  witness=m)
+        maps.append(val[reps])
+    fiber_labels = tuple(tuple(f"i{ci}" for ci in range(len(b))) for b in betas)
     P = Presheaf(C, fiber_labels, tuple(maps))
     return IShriekResult(P, tuple(betas))
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -277,26 +276,12 @@ def cmd_psh_equiv(args) -> Report:
                 "ok" if unit_iso_check(P) else "fail")
     presheaves = corpus.sample_presheaves(S, C, args.seed, args.samples)
     actions = corpus.sample_closed_actions(S, args.seed, args.samples)
-
-    def unit_job(i):
-        return i, unit_iso_check(presheaves[i])
-
-    def ff_job(i):
-        X = actions[i]
+    for i, P in enumerate(presheaves):
+        rep.add(f"unit_iso_sample_{i}", "ok" if unit_iso_check(P) else "fail")
+    for i, X in enumerate(actions):
         Y = actions[(i + 1) % len(actions)]
-        return i, fullness_faithfulness_check(X, Y)
-
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            unit_results = sorted(pool.map(unit_job, range(len(presheaves))))
-            ff_results = sorted(pool.map(ff_job, range(len(actions))))
-    else:
-        unit_results = [unit_job(i) for i in range(len(presheaves))]
-        ff_results = [ff_job(i) for i in range(len(actions))]
-    for i, ok in unit_results:
-        rep.add(f"unit_iso_sample_{i}", "ok" if ok else "fail")
-    for i, ok in ff_results:
-        rep.add(f"full_faithful_sample_{i}", "ok" if ok else "fail")
+        rep.add(f"full_faithful_sample_{i}",
+                "ok" if fullness_faithfulness_check(X, Y) else "fail")
     for d in E:
         for e in E:
             homs = action_homs(principal_action(S, d), principal_action(S, e))
@@ -343,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cell budget for exhaustive searches")
     p.add_argument("--max-points", type=int, default=4,
                    help="carrier bound for the biset search oracle")
-    p.add_argument("--parallel", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("validate", help="associativity and inverse checks")

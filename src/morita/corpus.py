@@ -8,7 +8,9 @@ import random
 
 import numpy as np
 
+from ._util import congruence
 from .actions import (
+    Presheaf,
     coproduct_action,
     empty_action,
     munn_action,
@@ -18,7 +20,7 @@ from .actions import (
     regular_action,
 )
 from .categories import FiniteCategory
-from .actions import Presheaf
+from .errors import InvariantBroken
 from .semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
@@ -240,40 +242,41 @@ def coproduct_presheaf(site: FiniteCategory, parts) -> Presheaf:
 
 
 def quotient_presheaf(P: Presheaf, idents) -> Presheaf:
-    """Quotient by identifications (object, i, j), closed under transitions."""
-    from ._util import UnionFind
+    """Quotient by identifications (object, i, j), closed under transitions.
 
+    Element i of P(o) is node off[o] + i, which is the (o, i) order.
+    """
     site = P.site
-    uf = UnionFind((o, i) for o in range(site.n_objects)
-                   for i in range(P.fiber_size(o)))
-    stack = [(o, i, j) for (o, i, j) in idents]
-    while stack:
-        o, i, j = stack.pop()
-        if uf.find((o, i)) == uf.find((o, j)):
-            continue
-        uf.union((o, i), (o, j))
-        for m in range(site.n_mor):
-            if int(site.cod[m]) == o:
-                stack.append((int(site.dom[m]), int(P.maps[m][i]), int(P.maps[m][j])))
-    classes = uf.classes()
-    new_of = {}
-    per_obj = [[] for _ in range(site.n_objects)]
-    for cls in classes:
-        o = cls[0][0]
-        assert all(c[0] == o for c in cls), "identified elements across fibers"
-        new_of.update({node: (o, len(per_obj[o])) for node in cls})
-        per_obj[o].append(cls)
+    k = site.n_objects
+    nfib = np.array([P.fiber_size(o) for o in range(k)], dtype=np.int64)
+    off = np.concatenate([[0], np.cumsum(nfib)])
+    n = int(off[-1])
+    # move[v, m]: the image of node v under P(m), -1 off the fiber over cod m
+    move = np.full((n, site.n_mor), -1, dtype=np.int64)
+    for m in range(site.n_mor):
+        co, do = int(site.cod[m]), int(site.dom[m])
+        move[off[co]:off[co + 1], m] = off[do] + P.maps[m]
+    idents = np.asarray(idents, dtype=np.int64).reshape(-1, 3)
+    base = off[idents[:, 0]]
+    root, cls = congruence(n, base + idents[:, 1], base + idents[:, 2], move)
+    obj = np.repeat(np.arange(k), nfib)
+    across = np.flatnonzero(obj[root] != obj)
+    if len(across):
+        raise InvariantBroken("identified elements across fibers",
+                              witness=(int(root[across[0]]), int(across[0])))
+    # classes are numbered in node order, so each fiber's classes are a run
+    reps = np.flatnonzero(root == np.arange(n))
+    first = np.searchsorted(reps, off)
+    local = cls - first[obj]
     fibers = tuple(
-        tuple(P.fibers[o][cls[0][1]] for cls in per_obj[o])
-        for o in range(site.n_objects)
+        tuple(P.fibers[o][r] for r in (reps[first[o]:first[o + 1]] - off[o]).tolist())
+        for o in range(k)
     )
     maps = []
     for m in range(site.n_mor):
-        co, do = int(site.cod[m]), int(site.dom[m])
-        arr = np.empty(len(per_obj[co]), dtype=np.int64)
-        for ci, cls in enumerate(per_obj[co]):
-            vals = {new_of[(do, int(P.maps[m][i]))][1] for (_o, i) in cls}
-            assert len(vals) == 1, "quotient transition not well-defined"
-            arr[ci] = vals.pop()
-        maps.append(arr)
+        co = int(site.cod[m])
+        val = local[move[off[co]:off[co + 1], m]]
+        if not np.array_equal(val, val[root[off[co]:off[co + 1]] - off[co]]):
+            raise InvariantBroken("quotient transition not well-defined", witness=m)
+        maps.append(val[reps[first[co]:first[co + 1]] - off[co]])
     return Presheaf(site, fibers, tuple(maps))

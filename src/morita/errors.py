@@ -122,3 +122,11 @@ class NotInverseSemigroupoid(MoritaError):
 
 class BudgetExceeded(MoritaError):
     pass
+
+
+class InvariantBroken(MoritaError):
+    """A construction's own invariant fails, e.g. a colimit is not well defined.
+
+    Raised where the input is out of the construction's contract (say, a
+    presheaf whose maps are not functorial) or the construction is wrong.
+    """

@@ -94,10 +94,13 @@ def as_inverse(S: FiniteSemigroup) -> InverseSemigroup:
     if isinstance(S, InverseSemigroup):
         return S
     tab = S.table
-    n = len(S)
-    for s in range(n):
-        if not inverses_of(S, s):
-            raise NotRegular(f"element {S.names[s]} has no inverse", witness=s)
+    ar = np.arange(len(S))
+    sts = tab[tab, ar[:, None]]                        # [s, t] -> (st)s
+    inv = (sts == ar[:, None]) & (sts.T == ar[None, :])  # t is an inverse of s
+    count = inv.sum(axis=1)
+    if (count == 0).any():
+        s = int(np.argmax(count == 0))
+        raise NotRegular(f"element {S.names[s]} has no inverse", witness=s)
     E = idempotents(S)
     for i, e in enumerate(E):
         for f in E[i + 1:]:
@@ -105,14 +108,12 @@ def as_inverse(S: FiniteSemigroup) -> InverseSemigroup:
                 raise IdempotentsDontCommute(
                     f"{S.names[e]} and {S.names[f]} do not commute", witness=(e, f)
                 )
-    star = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        vs = inverses_of(S, s)
-        if len(vs) != 1:
-            # unreachable when the two checks above pass; defensive
-            raise NonUniqueInverse(f"element {S.names[s]}", witness=(s, tuple(vs)))
-        star[s] = vs[0]
-    return InverseSemigroup(S.names, S.table, star)
+    if (count != 1).any():
+        # reachable only for a table that is not associative
+        s = int(np.argmax(count != 1))
+        raise NonUniqueInverse(f"element {S.names[s]}",
+                               witness=(s, tuple(np.flatnonzero(inv[s]).tolist())))
+    return InverseSemigroup(S.names, S.table, np.argmax(inv, axis=1))
 
 
 def natural_leq(S: InverseSemigroup, s: int, t: int) -> bool:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from morita.actions import (
     EtaleAction,
+    Presheaf,
     I_shriek,
     I_star,
     Q_of,
@@ -33,15 +35,17 @@ from morita.actions import (
     principal_action,
     principal_etale,
     product_action,
+    q_shriek_with_unit,
+    quotient_action,
     regular_action,
     tensor_with_S,
     unit_UR,
     unit_iso_check,
 )
 from morita.categories import C_of, L_of
-from morita.errors import NotClosed, WrongSite
+from morita.errors import InvariantBroken, NotClosed, WrongSite
 from morita.semigroups import chain_semilattice, cyclic_group, idempotents
-from morita._util import UnionFind
+from morita._util import UnionFind, components
 
 
 def orphan_action(S):
@@ -190,6 +194,21 @@ def test_Q_shriek_representables(b12):
     X = Q_shriek(P)
     Y = coproduct_action([principal_action(S, E[0]), principal_action(S, E[1])])
     assert action_isomorphic(X, Y) is not None
+
+
+def test_Q_shriek_rejects_non_functorial_maps(b12):
+    C = C_of(b12)
+    P = Q_of(regular_action(b12), C)
+    m = next(m for m in range(C.n_mor)
+             if m not in C.identity and P.fiber_size(int(C.dom[m])) >= 2
+             and P.fiber_size(int(C.cod[m])) >= 1)
+    maps = list(P.maps)
+    maps[m] = maps[m].copy()
+    maps[m][0] = (maps[m][0] + 1) % P.fiber_size(int(C.dom[m]))
+    bad = Presheaf(C, P.fibers, tuple(maps))
+    assert not check_presheaf(bad)
+    with pytest.raises(InvariantBroken):
+        Q_shriek(bad)
 
 
 def test_unit_iso(b12, chain2):
@@ -407,3 +426,210 @@ def test_empty_action_everywhere(b12):
     assert check_etale(empty_etale)
     PE = I_shriek(empty_etale)
     assert all(PE.fiber_size(o) == 0 for o in range(PE.site.n_objects))
+
+
+# -- reference colimits: the union-find constructions the array code replaced ---
+
+def _uf_classes(nodes, edges):
+    uf = UnionFind(nodes)
+    for x, y in edges:
+        uf.union(x, y)
+    classes = uf.classes()
+    return classes, {v: i for i, cls in enumerate(classes) for v in cls}
+
+
+def _ref_tensor(X):
+    S = X.sgrp
+    n, ns = len(X), len(S)
+    classes, _ = _uf_classes(
+        [(x, s) for x in range(n) for s in range(ns)],
+        [((int(X.act[x, s]), t), (x, int(S.table[s, t])))
+         for x in range(n) for s in range(ns) for t in range(ns)])
+    mu = []
+    for cls in classes:
+        vals = {int(X.act[x, s]) for (x, s) in cls}
+        assert len(vals) == 1
+        mu.append(vals.pop())
+    return mu, set(mu) == set(range(n)), len(set(mu)) == len(mu)
+
+
+def _ref_quotient_action(X, pairs):
+    uf = UnionFind(range(len(X)))
+    stack = [tuple(p) for p in pairs]
+    while stack:
+        a, b = stack.pop()
+        if uf.find(a) == uf.find(b):
+            continue
+        uf.union(a, b)
+        stack.extend((int(X.act[a, s]), int(X.act[b, s])) for s in range(len(X.sgrp)))
+    classes = uf.classes()
+    rep_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    act = [[rep_of[int(X.act[cls[0], s])] for s in range(len(X.sgrp))]
+           for cls in classes]
+    return tuple(X.carrier[cls[0]] for cls in classes), act, classes
+
+
+def _ref_q_shriek(P):
+    S, C = P.site.extra["sgrp"], P.site
+    obj_elt = C.extra["obj_elt"]
+    elements, _K = category_of_elements(P)
+    eobjs = elements.extra["objs"]
+    tab = S.table
+
+    def ideal(e):
+        return [s for s in range(len(S)) if tab[e, s] == s]
+
+    edges = []
+    for m, (f, _i) in enumerate(elements.extra["payload"]):
+        src, dst = int(elements.dom[m]), int(elements.cod[m])
+        a = C.extra["payload"][f][1]
+        edges.extend(((dst, int(tab[a, u])), (src, u))
+                     for u in ideal(obj_elt[eobjs[src][0]]))
+    classes, rep_of = _uf_classes(
+        [(k, u) for k, (o, _i) in enumerate(eobjs) for u in ideal(obj_elt[o])], edges)
+    act = [[rep_of[(cls[0][0], int(tab[cls[0][1], s]))] for s in range(len(S))]
+           for cls in classes]
+    unit = {(o, i): rep_of[(k, obj_elt[o])] for k, (o, i) in enumerate(eobjs)}
+    return act, unit
+
+
+def _ref_i_shriek(X, C):
+    S = X.sgrp
+    obj_elt = C.extra["obj_elt"]
+    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
+    cidx, tab, star, anchor = C.extra["index"], S.table, S.star, X.anchor
+    xmors = [(int(X.base.act[y, s]), y, s)
+             for y in range(len(X)) for s in range(len(S))
+             if tab[anchor[y], s] == s
+             and anchor[X.base.act[y, s]] == tab[star[s], s]]
+    fibers, rep_ofs, betas = [], [], []
+    for e in obj_elt:
+        eo = obj_of_elt[e]
+        edges = []
+        for (x, y, s) in xmors:
+            smor = cidx[(int(anchor[y]), s, int(anchor[x]))]
+            edges.extend(((x, m), (y, int(C.comp[smor, m])))
+                         for m in C.hom(eo, obj_of_elt[int(anchor[x])]))
+        classes, rep_of = _uf_classes(
+            [(x, m) for x in range(len(X))
+             for m in C.hom(eo, obj_of_elt[int(anchor[x])])], edges)
+        beta = {}
+        for ci, cls in enumerate(classes):
+            vals = {int(X.base.act[x, C.extra["payload"][m][1]]) for (x, m) in cls}
+            assert len(vals) == 1
+            beta[ci] = vals.pop()
+        fibers.append(classes)
+        rep_ofs.append(rep_of)
+        betas.append(beta)
+    maps = []
+    for m, (e, _a, f) in enumerate(C.extra["payload"]):
+        co, do = obj_of_elt[e], obj_of_elt[f]
+        row = []
+        for cls in fibers[co]:
+            vals = {rep_ofs[do][(x, int(C.comp[mm, m]))] for (x, mm) in cls}
+            assert len(vals) == 1
+            row.append(vals.pop())
+        maps.append(row)
+    return [len(f) for f in fibers], maps, betas
+
+
+def _ref_quotient_presheaf(P, idents):
+    site = P.site
+    uf = UnionFind((o, i) for o in range(site.n_objects) for i in range(P.fiber_size(o)))
+    stack = list(idents)
+    while stack:
+        o, i, j = stack.pop()
+        if uf.find((o, i)) == uf.find((o, j)):
+            continue
+        uf.union((o, i), (o, j))
+        stack.extend((int(site.dom[m]), int(P.maps[m][i]), int(P.maps[m][j]))
+                     for m in range(site.n_mor) if int(site.cod[m]) == o)
+    per_obj = [[] for _ in range(site.n_objects)]
+    for cls in uf.classes():
+        per_obj[cls[0][0]].append(cls)
+    new_of = {node: ci for cls_list in per_obj for ci, cls in enumerate(cls_list)
+              for node in cls}
+    fibers = [tuple(P.fibers[o][cls[0][1]] for cls in per_obj[o])
+              for o in range(site.n_objects)]
+    maps = [[new_of[(int(site.dom[m]), int(P.maps[m][cls[0][1]]))]
+             for cls in per_obj[int(site.cod[m])]] for m in range(site.n_mor)]
+    return fibers, maps
+
+
+def _reference_cases():
+    from morita.corpus import builtin_corpus, random_inverse_subsemigroups
+    from morita.semigroups import symmetric_inverse_monoid
+
+    return ([S for _name, S in builtin_corpus()] + [symmetric_inverse_monoid(3)]
+            + random_inverse_subsemigroups(7, 6))
+
+
+def test_colimits_match_union_find_reference():
+    import random
+
+    from morita.corpus import (
+        coproduct_presheaf,
+        quotient_presheaf,
+        sample_closed_actions,
+        sample_etale_actions,
+        sample_presheaves,
+    )
+
+    rng = random.Random(2024)
+    for S in _reference_cases():
+        C = C_of(S)
+        big = len(C.extra["obj_elt"]) > 4
+        for X in sample_closed_actions(S, 5, 2 if big else 6):
+            t = tensor_with_S(X)
+            assert (t.mu, t.surjective, t.injective) == _ref_tensor(X)
+            assert is_indecomposable(X) == (
+                len(X) > 0 and len(_uf_classes(
+                    range(len(X)), [(x, int(X.act[x, s])) for x in range(len(X))
+                                    for s in range(len(S))])[0]) == 1)
+            if len(X) >= 2:
+                pairs = [(rng.randrange(len(X)), rng.randrange(len(X)))
+                         for _ in range(rng.randint(1, 3))]
+                Z = quotient_action(X, pairs)
+                carrier, act, classes = _ref_quotient_action(X, pairs)
+                assert Z.carrier == carrier and Z.act.tolist() == act
+                assert Z.extra["classes"] == classes
+        for P in sample_presheaves(S, C, 5, 1 if big else 4):
+            res = q_shriek_with_unit(P)
+            act, unit = _ref_q_shriek(P)
+            assert res.action.act.tolist() == act and res.unit == unit
+            assert res.action.carrier == tuple(f"q{c}" for c in range(len(act)))
+            Q = coproduct_presheaf(C, [P, P])
+            idents = [(o, rng.randrange(Q.fiber_size(o)), rng.randrange(Q.fiber_size(o)))
+                      for o in (rng.randrange(C.n_objects) for _ in range(2))
+                      if Q.fiber_size(o)]
+            R = quotient_presheaf(Q, idents)
+            fibers, maps = _ref_quotient_presheaf(Q, idents)
+            assert list(R.fibers) == fibers
+            assert [m.tolist() for m in R.maps] == maps
+        for X in sample_etale_actions(S)[:3 if big else None]:
+            res = i_shriek_with_maps(X, C)
+            sizes, maps, betas = _ref_i_shriek(X, C)
+            P = res.presheaf
+            assert [P.fiber_size(o) for o in range(C.n_objects)] == sizes
+            assert P.fibers == tuple(tuple(f"i{c}" for c in range(k)) for k in sizes)
+            assert [m.tolist() for m in P.maps] == maps
+            assert list(res.beta) == betas
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 20))
+    node = st.integers(0, max(n - 1, 0))
+    return n, draw(st.lists(st.tuples(node, node), max_size=30 if n else 0))
+
+
+@settings(max_examples=200, deadline=None)
+@example((0, []))
+@example((6, []))
+@given(graphs())
+def test_components_match_union_find(graph):
+    n, edges = graph
+    root, cls = components(n, [x for x, _y in edges], [y for _x, y in edges])
+    classes, rep_of = _uf_classes(range(n), edges)
+    assert cls.tolist() == [rep_of[v] for v in range(n)]
+    assert root.tolist() == [classes[rep_of[v]][0] for v in range(n)]

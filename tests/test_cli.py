@@ -88,9 +88,6 @@ def test_psh_equiv(corpus_dir, capsys):
                            "--samples", "4"])
     assert rc == 0 and "verdict=pass" in out
     assert "unit_iso_sample_3 status=ok" in out
-    rc2, out2 = run(capsys, ["--parallel", "2", "psh-equiv",
-                             str(corpus_dir / "chain2.smg"), "--samples", "4"])
-    assert rc2 == 0 and out2 == out
 
 
 def test_json_format(corpus_dir, capsys):
