@@ -58,6 +58,31 @@ def congruence(n, a, b, move):
         root, cls = nroot, ncls
 
 
+def inverse_relation(tab):
+    """M[a, b]: b is an inverse of a in the (partial) table tab.
+
+    Undefined products are negative.  M[a, b] holds when ab and ba are both
+    defined, (ab)a = a and (ba)b = b; on a total table this is the inverse
+    relation of a semigroup.
+    """
+    tab = np.asarray(tab, dtype=np.int64)
+    ar = np.arange(len(tab))
+    d = tab >= 0
+    # [a, b] -> (ab)a, and -1 where ab is undefined, so it never equals a
+    aba = np.where(d, tab[np.where(d, tab, 0), ar[:, None]], -1)
+    return (aba == ar[:, None]) & (aba.T == ar[None, :])
+
+
+def row_blocks(n, row_cells):
+    """Consecutive blocks of range(n), each holding about 2**15 cells.
+
+    row_cells is the number of cells one index contributes; a pass that
+    evaluates a block at once keeps its temporaries at that size.
+    """
+    step = max(1, 2**15 // max(1, row_cells))
+    return [np.arange(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
 class UnionFind:
     """Union-find over hashable keys, with path splitting."""
 

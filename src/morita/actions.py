@@ -122,14 +122,24 @@ def check_presheaf(P: Presheaf) -> bool:
         m = P.maps[int(C.identity[o])]
         if not np.array_equal(m, np.arange(len(m))):
             return False
+    # functoriality P(g.f) = P(f) o P(g), one comparison per g over all its f,
+    # reading the maps from one concatenated array at their offsets
+    size = np.array([len(m) for m in P.maps], dtype=np.int64)
+    off = np.concatenate([[0], np.cumsum(size)])
+    flat = np.concatenate((*P.maps, np.zeros(0, dtype=np.int64)))
     for g in range(C.n_mor):
-        for f in range(C.n_mor):
-            h = int(C.comp[g, f])
-            if h >= 0:
-                lhs = P.maps[h]
-                rhs = P.maps[f][P.maps[g]]
-                if len(lhs) != len(rhs) or not np.array_equal(lhs, rhs):
-                    return False
+        f = np.flatnonzero(C.comp[g] >= 0)
+        if not f.size:
+            continue
+        h = C.comp[g, f]
+        mg = P.maps[g]
+        # on a site whose composites have the wrong endpoints the shapes differ
+        if np.any(size[h] != len(mg)) or (len(mg) and mg.max() >= size[f].min()):
+            return False
+        lhs = flat[off[h][:, None] + np.arange(len(mg))]
+        rhs = flat[off[f][:, None] + mg[None, :]]
+        if not np.array_equal(lhs, rhs):
+            return False
     return True
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import row_blocks
 from .categories import (
     C_of,
     FiniteCategory,
@@ -31,6 +32,7 @@ from .errors import (
     AssociativityFailure,
     BudgetExceeded,
     InvalidBiset,
+    InvariantBroken,
     NotAnEnlargement,
     PreconditionFailed,
     UndefinedPseudoproduct,
@@ -101,11 +103,27 @@ class BisetReport:
         return [(n, w) for (n, ok, w) in self.entries if not ok]
 
 
-def verify_biset(B: EquivalenceBiset) -> BisetReport:
-    """Exhaustive check of the action laws, (M1)-(M7), and pairing surjectivity.
+def _first_failure(n, row_cells, holds):
+    """First index, in C order, at which the axiom fails; None when it holds.
 
-    Failures become report entries with the first witness in index order;
-    nothing raises.
+    holds(rows) evaluates the axiom as one boolean array whose first axis
+    runs over `rows`, a block of range(n) sized by `row_blocks`.
+    """
+    for rows in row_blocks(n, row_cells):
+        bad = np.argwhere(~holds(rows))
+        if bad.size:
+            return (int(rows[bad[0, 0]]), *map(int, bad[0, 1:]))
+    return None
+
+
+def verify_biset(B: EquivalenceBiset) -> BisetReport:
+    """Check the action laws, (M1)-(M7), and pairing surjectivity.
+
+    Array pass, first witness in the loop index order: each axiom is one
+    array comparison with its outer index first (the pair (s1, s2) or
+    (s, t) for the action laws), so the first failure np.argwhere finds is
+    the one a nested loop over the indices would meet.  A failure becomes a
+    report entry with that witness; nothing raises.
     """
     S, T = B.S, B.T
     L, R, P, Q = B.left_act, B.right_act, B.inner_S, B.inner_T
@@ -116,39 +134,50 @@ def verify_biset(B: EquivalenceBiset) -> BisetReport:
     xs = np.arange(nx)
     entries = []
 
-    def add(name, witness_fn):
-        w = witness_fn()
+    def add(name, w):
         entries.append((name, w is None, "" if w is None else str(w)))
 
-    def scan(outer, inner_cond):
-        # inner_cond(i) is a boolean array; returns (i, *index) of first failure
-        for i in outer:
-            bad = np.argwhere(~inner_cond(i))
-            if bad.size:
-                return (i, *map(int, bad[0]))
-        return None
+    def pair_first(w):
+        # the action laws name their witness ((i, j), x)
+        return None if w is None else (w[:2], w[2])
+
+    def whole(cond):
+        bad = np.argwhere(~cond)
+        return (0, *map(int, bad[0])) if bad.size else None
 
     if nx == 0:
         for name in ("left_action_law", "right_action_law", "biset_compatibility",
                      "M1", "M2", "M3", "M4", "M5", "M6", "M7"):
             entries.append((name, True, ""))
     else:
-        add("left_action_law", lambda: scan(
-            ((s1, s2) for s1 in range(ns) for s2 in range(ns)),
-            lambda p: L[tS[p[0], p[1]], :] == L[p[0], L[p[1], :]]))
-        add("right_action_law", lambda: scan(
-            ((t1, t2) for t1 in range(nt) for t2 in range(nt)),
-            lambda p: R[:, tT[p[0], p[1]]] == R[R[:, p[0]], p[1]]))
-        add("biset_compatibility", lambda: scan(
-            ((s, t) for s in range(ns) for t in range(nt)),
-            lambda p: R[L[p[0], :], p[1]] == L[p[0], R[:, p[1]]]))
-        add("M1", lambda: scan(range(ns), lambda s: P[L[s, :], :] == tS[s, P]))
-        add("M2", lambda: scan([0], lambda _: P.T == sS[P]))
-        add("M3", lambda: scan([0], lambda _: L[P[xs, xs], xs] == xs))
-        add("M4", lambda: scan(range(nt), lambda t: Q[:, R[:, t]] == tT[Q, t]))
-        add("M5", lambda: scan([0], lambda _: Q == sT[Q.T]))
-        add("M6", lambda: scan([0], lambda _: R[xs, Q[xs, xs]] == xs))
-        add("M7", lambda: scan(range(nx), lambda z: L[P, z] == R[:, Q[:, z]]))
+        x3 = xs[None, None, :]
+        tt = np.arange(nt)
+        # [s1, s2, x]: (s1 s2)x = s1(s2 x)
+        add("left_action_law", pair_first(_first_failure(
+            ns, ns * nx, lambda r: L[tS[r]] == L[r[:, None, None], L[None]])))
+        # [t1, t2, x]: x(t1 t2) = (x t1)t2
+        add("right_action_law", pair_first(_first_failure(
+            nt, nt * nx, lambda r: R[x3, tT[r][:, :, None]]
+            == R[R[x3, r[:, None, None]], tt[None, :, None]])))
+        # [s, t, x]: (sx)t = s(xt)
+        add("biset_compatibility", pair_first(_first_failure(
+            ns, nt * nx, lambda r: R[L[r][:, None, :], tt[None, :, None]]
+            == L[r[:, None, None], R.T[None]])))
+        # [s, x, y]: <sx, y> = s<x, y>
+        add("M1", _first_failure(
+            ns, nx * nx, lambda r: P[L[r]] == tS[r[:, None, None], P[None]]))
+        add("M2", whole(P.T == sS[P]))
+        add("M3", whole(L[P[xs, xs], xs] == xs))
+        # [t, x, y]: [x, yt] = [x, y]t
+        add("M4", _first_failure(
+            nt, nx * nx, lambda r: Q[xs[None, :, None], R.T[r][:, None, :]]
+            == tT[Q[None], r[:, None, None]]))
+        add("M5", whole(Q == sT[Q.T]))
+        add("M6", whole(R[xs, Q[xs, xs]] == xs))
+        # [z, x, y]: <x, y>z = x[y, z]
+        add("M7", _first_failure(
+            nx, nx * nx, lambda r: L[P[None], r[:, None, None]]
+            == R[xs[None, :, None], Q.T[r][:, None, :]]))
     surj_S = set(int(v) for v in P.ravel()) == set(range(ns))
     entries.append(("inner_S_surjective", surj_S,
                     "" if surj_S else "some element of S is not an inner product"))
@@ -265,33 +294,21 @@ def build_R_semigroupoid(B: EquivalenceBiset) -> InverseSemigroupoid:
         else:
             names.append(f"y_{B.points[v]}")
 
-    def product(a, b):
-        (ka, va), (kb, vb) = a, b
-        if ka == "S" and kb == "S":
-            return ("S", int(S.table[va, vb]))
-        if ka == "T" and kb == "T":
-            return ("T", int(T.table[va, vb]))
-        if ka == "S" and kb == "X":
-            return ("X", int(B.left_act[va, vb]))
-        if ka == "X" and kb == "T":
-            return ("X", int(B.right_act[va, vb]))
-        if ka == "T" and kb == "Y":
-            return ("Y", int(B.right_act[vb, int(T.star[va])]))
-        if ka == "Y" and kb == "S":
-            return ("Y", int(B.left_act[int(S.star[vb]), va]))
-        if ka == "Y" and kb == "X":
-            return ("T", int(B.inner_T[va, vb]))
-        if ka == "X" and kb == "Y":
-            return ("S", int(B.inner_S[va, vb]))
-        return None
-
+    # the eight products, block by block; every other product is undefined
+    ns, nt = len(S), len(T)
+    oT, oX, oY = ns, ns + nt, ns + nt + nx
     n = len(elems)
     table = np.full((n, n), -1, dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            p = product(a, b)
-            if p is not None:
-                table[i, j] = pos[p]
+    sl_S, sl_T = slice(0, oT), slice(oT, oX)
+    sl_X, sl_Y = slice(oX, oY), slice(oY, n)
+    table[sl_S, sl_S] = S.table                        # s s'
+    table[sl_T, sl_T] = T.table + oT                   # t t'
+    table[sl_S, sl_X] = B.left_act + oX                # s x
+    table[sl_X, sl_T] = B.right_act + oX               # x t
+    table[sl_T, sl_Y] = B.right_act[:, T.star].T + oY  # t y = (y t*)
+    table[sl_Y, sl_S] = B.left_act[S.star].T + oY      # y s = (s* y)
+    table[sl_Y, sl_X] = B.inner_T + oT                 # y x = [y, x]
+    table[sl_X, sl_Y] = B.inner_S                      # x y = <x, y>
     bad = semigroupoid_violations(names, table)
     assoc_bad = [m for m in bad if "associativity" in m or "definedness" in m]
     if assoc_bad:
@@ -307,24 +324,17 @@ def build_R_semigroupoid(B: EquivalenceBiset) -> InverseSemigroupoid:
     )
     # enlargement identities: S' = S'RS', R = RS'R, T' = T'RT', R = RT'R
     def pset(A, Bset):
-        out = set()
-        for a in A:
-            for b in Bset:
-                v = int(table[a, b])
-                if v >= 0:
-                    out.add(v)
-        return out
+        v = table[np.ix_(A, Bset)]
+        return np.unique(v[v >= 0])
 
-    sp = set(Rg.extra["s_part"])
-    tp = set(Rg.extra["t_part"])
-    everything = set(range(n))
-    if pset(pset(sp, everything), sp) != sp:
+    sp, tp, everything = np.arange(ns), np.arange(oT, oX), np.arange(n)
+    if not np.array_equal(pset(pset(sp, everything), sp), sp):
         raise InvalidBiset("S' = S'RS' fails")
-    if pset(pset(everything, sp), everything) != everything:
+    if not np.array_equal(pset(pset(everything, sp), everything), everything):
         raise InvalidBiset("R = RS'R fails")
-    if pset(pset(tp, everything), tp) != tp:
+    if not np.array_equal(pset(pset(tp, everything), tp), tp):
         raise InvalidBiset("T' = T'RT' fails")
-    if pset(pset(everything, tp), everything) != everything:
+    if not np.array_equal(pset(pset(everything, tp), everything), everything):
         raise InvalidBiset("R = RT'R fails")
     return Rg
 
@@ -355,7 +365,9 @@ def build_bipartite_U(B: EquivalenceBiset):
     def compose(pg, pf):
         (c1, r1), (_c2, r2) = pg, pf
         v = int(tab[r1, r2])
-        assert v >= 0
+        if v < 0:
+            raise InvariantBroken("composable morphisms of U have no composite in R",
+                                  witness=(r1, r2))
         return (c1, v)
 
     U = build_category(tuple(Rg.names[e] for e in idem), mors, compose,
@@ -816,7 +828,7 @@ def enlargement_pipeline(R, S_subset, T_subset) -> dict:
     out["bipartite"] = is_bipartite(U, s_objs, t_objs)
     out["U_left_cancellative"] = is_left_cancellative(U)
     out["morita_context"] = check_morita_context(Pf.source, Qf.source, U, Pf, Qf)
-    Rg = build_R_semigroupoid(B)
+    Rg = U.extra["sgpd"]
     out["semigroupoid_inverse"] = not semigroupoid_violations(Rg.names, Rg.table)
     G = ordered_groupoid_of(Rg)
     s_part = list(Rg.extra["s_part"])

@@ -240,7 +240,7 @@ def cmd_biset_enlarge(args) -> Report:
     rep.add("left_cancellative", "ok" if is_left_cancellative(U) else "fail")
     rep.add("morita_context",
             "ok" if check_morita_context(P.source, Q.source, U, P, Q) else "fail")
-    Rg = bisets.build_R_semigroupoid(B)
+    Rg = U.extra["sgpd"]
     rep.add("inverse_semigroupoid",
             "ok" if not semigroupoid_violations(Rg.names, Rg.table) else "fail")
     G = ordered_groupoid_of(Rg)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import inverse_relation, row_blocks
 from .categories import (
     FiniteCategory,
     Functor,
@@ -18,12 +19,14 @@ from .categories import (
     check_weak_equivalence,
 )
 from .errors import (
+    InvariantBroken,
     NotAnOrderedFunctor,
     NotASubgroupoid,
     NotBelow,
     NotInverseSemigroupoid,
     NotPrincipallyInductive,
     NotUnique,
+    UndefinedPseudoproduct,
 )
 from .semigroups import InverseSemigroup, idempotents, natural_leq
 
@@ -215,7 +218,16 @@ def pseudoproduct(G: OrderedGroupoid, g: int, h: int):
     gr = restriction(G, e, g)
     hc = corestriction(G, h, e)
     out = int(G.comp[gr, hc])
-    assert out >= 0
+    if out < 0:
+        raise UndefinedPseudoproduct("restriction and corestriction do not compose",
+                                     witness=(g, h))
+    return out
+
+
+def _defined_pseudoproduct(G: OrderedGroupoid, g: int, h: int) -> int:
+    out = pseudoproduct(G, g, h)
+    if out is None:
+        raise UndefinedPseudoproduct("no meet of dom(g) and cod(h)", witness=(g, h))
     return out
 
 
@@ -241,9 +253,7 @@ def L_of_groupoid(G: OrderedGroupoid) -> FiniteCategory:
 
     def compose(pg, pf):
         (e, g), (_f, h) = pg, pf
-        out = pseudoproduct(G, g, h)
-        assert out is not None
-        return (e, out)
+        return (e, _defined_pseudoproduct(G, g, h))
 
     return build_category(G.objects, mors, compose,
                           lambda o: (o, int(G.identity[o])),
@@ -265,9 +275,7 @@ def C_of_groupoid(G: OrderedGroupoid) -> FiniteCategory:
 
     def compose(pg, pf):
         (e, x, f), (_f2, y, i) = pg, pf
-        out = pseudoproduct(G, x, y)
-        assert out is not None
-        return (e, out, i)
+        return (e, _defined_pseudoproduct(G, x, y), i)
 
     return build_category(G.objects, mors, compose,
                           lambda o: (o, int(G.identity[o]), o),
@@ -438,8 +446,8 @@ def is_local_isomorphism(F: OrderedFunctor) -> bool:
     """(LI1) and (LI2); cross-checked against L(F) being a weak equivalence."""
     rep = local_isomorphism_report(F)
     lf_weak = check_weak_equivalence(L_of_ordered_functor(F))
-    assert rep["local_isomorphism"] == lf_weak, \
-        "local isomorphism and L(theta) weak equivalence disagree"
+    if rep["local_isomorphism"] != lf_weak:
+        raise InvariantBroken("local isomorphism and L(theta) weak equivalence disagree")
     return rep["local_isomorphism"]
 
 
@@ -469,37 +477,40 @@ class InverseSemigroupoid:
 
 
 def semigroupoid_violations(names, table) -> list:
-    """Typed associativity, regularity, commuting idempotents, unique inverses."""
+    """Typed associativity, regularity, commuting idempotents, unique inverses.
+
+    Array pass, first witness in the loop index order: the messages come
+    out in the order of nested loops over (a, b, c), then a, then pairs of
+    idempotents (e, f), then a.  Associativity and definedness run over
+    blocks of rows a, so each (rows, n, n) temporary stays near 2**15 cells.
+    """
     bad = []
     n = len(names)
-    tab = table
-    for a in range(n):
-        for b in range(n):
-            ab = int(tab[a, b])
-            for c in range(n):
-                bc = int(tab[b, c])
-                if ab >= 0 and bc >= 0:
-                    if tab[ab, c] < 0 or tab[a, bc] < 0 or tab[ab, c] != tab[a, bc]:
-                        bad.append(f"associativity fails at ({a},{b},{c})")
-                elif ab >= 0 and tab[ab, c] >= 0 and bc < 0:
-                    bad.append(f"definedness incoherent at ({a},{b},{c})")
-    for a in range(n):
-        if not any(tab[int(tab[a, b]), a] == a and tab[int(tab[b, a]), b] == b
-                   for b in range(n) if tab[a, b] >= 0 and tab[b, a] >= 0):
-            bad.append(f"element {a} has no inverse")
-    idem = [e for e in range(n) if tab[e, e] == e]
-    for e in idem:
-        for f in idem:
-            ef, fe = int(tab[e, f]), int(tab[f, e])
-            if (ef >= 0) != (fe >= 0) or (ef >= 0 and ef != fe):
-                bad.append(f"idempotents {e},{f} do not commute")
+    tab = np.asarray(table, dtype=np.int64).reshape(n, n)
+    d = tab >= 0
+    safe = np.where(d, tab, 0)
+    for rows in row_blocks(n, n * n):
+        dab = d[rows][:, :, None]               # ab defined, [a, b, c]
+        ab_c = tab[safe[rows]]                  # (ab)c
+        a_bc = tab[rows[:, None, None], safe]   # a(bc)
+        assoc = dab & d & ((ab_c < 0) | (ab_c != a_bc))
+        incoherent = dab & ~d & (ab_c >= 0)
+        for k in np.flatnonzero(assoc | incoherent):
+            i, b, c = np.unravel_index(k, assoc.shape)
+            kind = ("associativity fails" if assoc.flat[k]
+                    else "definedness incoherent")
+            bad.append(f"{kind} at ({rows[i]},{b},{c})")
+    inv = inverse_relation(tab)
+    count = inv.sum(axis=1)
+    bad.extend(f"element {a} has no inverse" for a in np.flatnonzero(count == 0))
+    idem = np.flatnonzero(np.diagonal(tab) == np.arange(n))
+    ef = tab[np.ix_(idem, idem)]
+    # ef != fe covers both one side undefined and two different products
+    bad.extend(f"idempotents {idem[i]},{idem[j]} do not commute"
+               for (i, j) in np.argwhere(ef != ef.T))
     if not bad:
-        for a in range(n):
-            invs = [b for b in range(n)
-                    if tab[a, b] >= 0 and tab[b, a] >= 0
-                    and tab[int(tab[a, b]), a] == a and tab[int(tab[b, a]), b] == b]
-            if len(invs) != 1:
-                bad.append(f"element {a} has {len(invs)} inverses")
+        bad.extend(f"element {a} has {count[a]} inverses"
+                   for a in np.flatnonzero(count != 1))
     return bad
 
 
@@ -507,15 +518,8 @@ def make_inverse_semigroupoid(names, table, extra=None) -> InverseSemigroupoid:
     bad = semigroupoid_violations(names, table)
     if bad:
         raise NotInverseSemigroupoid("; ".join(bad[:3]))
-    n = len(names)
-    star = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            if (table[a, b] >= 0 and table[b, a] >= 0
-                    and table[int(table[a, b]), a] == a
-                    and table[int(table[b, a]), b] == b):
-                star[a] = b
-                break
+    # the checks above leave one inverse per row: its column is the star
+    star = np.nonzero(inverse_relation(table))[1]
     return InverseSemigroupoid(tuple(names), np.asarray(table), star, dict(extra or {}))
 
 
@@ -526,31 +530,25 @@ def ordered_groupoid_of(R: InverseSemigroupoid) -> OrderedGroupoid:
         raise NotInverseSemigroupoid("; ".join(bad[:3]))
     tab, star = R.table, R.star
     n = len(R)
-    idem = [e for e in range(n) if tab[e, e] == e]
-    obj_of = {e: i for i, e in enumerate(idem)}
-    rr = np.array([int(tab[star[a], a]) for a in range(n)])
-    ss = np.array([int(tab[a, star[a]]) for a in range(n)])
-    dom = np.array([obj_of[int(r)] for r in rr])
-    cod = np.array([obj_of[int(s)] for s in ss])
-    comp = np.full((n, n), -1, dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            if rr[a] == ss[b]:
-                c = int(tab[a, b])
-                assert c >= 0
-                comp[a, b] = c
-    leq = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            prod = int(tab[b, rr[a]]) if tab[b, rr[a]] >= 0 else -1
-            leq[a, b] = prod == a
-    obj_leq = np.zeros((len(idem), len(idem)), dtype=bool)
-    for i, e in enumerate(idem):
-        for j, f in enumerate(idem):
-            obj_leq[i, j] = tab[f, e] == e
+    ar = np.arange(n)
+    idem = np.flatnonzero(np.diagonal(tab) == ar)
+    obj_of = np.full(n, -1, dtype=np.int64)
+    obj_of[idem] = np.arange(len(idem))
+    rr = tab[star, ar]                       # s*s
+    ss = tab[ar, star]                       # ss*
+    dom, cod = obj_of[rr], obj_of[ss]
+    composable = rr[:, None] == ss[None, :]
+    missing = np.argwhere(composable & (tab < 0))
+    if missing.size:
+        a, b = map(int, missing[0])
+        raise NotInverseSemigroupoid(
+            f"restricted product undefined at ({a},{b})", witness=(a, b))
+    comp = np.where(composable, tab, -1)
+    leq = tab[:, rr].T == ar[:, None]        # [a, b]: b(a*a) = a
+    obj_leq = tab[np.ix_(idem, idem)].T == idem[:, None]   # [e, f]: fe = e
     G = OrderedGroupoid(
         tuple(R.names[e] for e in idem), obj_leq, R.names, dom, cod, comp,
-        star.copy(), np.array(idem, dtype=np.int64), leq,
+        star.copy(), idem, leq,
         {"kind": "of_semigroupoid", "sgpd": R},
     )
     bad = validate_ordered_groupoid(G)

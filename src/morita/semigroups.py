@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._util import inverse_relation
 from .errors import (
     IdempotentsDontCommute,
     NonUniqueInverse,
@@ -94,9 +95,7 @@ def as_inverse(S: FiniteSemigroup) -> InverseSemigroup:
     if isinstance(S, InverseSemigroup):
         return S
     tab = S.table
-    ar = np.arange(len(S))
-    sts = tab[tab, ar[:, None]]                        # [s, t] -> (st)s
-    inv = (sts == ar[:, None]) & (sts.T == ar[None, :])  # t is an inverse of s
+    inv = inverse_relation(tab)                        # t is an inverse of s
     count = inv.sum(axis=1)
     if (count == 0).any():
         s = int(np.argmax(count == 0))

@@ -57,3 +57,23 @@ def small_corpus():
         group_with_zero(cyclic_group(2)),
         symmetric_inverse_monoid(2),
     ]
+
+
+@pytest.fixture(scope="session")
+def local_submonoid_bisets():
+    """The (T, eTe) bisets of brandt(C1, 2..3) and brandt(C2, 2..3), one per e with TeT = T."""
+    import numpy as np
+
+    from morita.bisets import biset_from_regular_enlargement
+
+    out = []
+    for g, n in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        T = brandt(cyclic_group(g), n)
+        tab = T.table
+        everything = range(len(T))
+        for e in everything:
+            TeT = np.unique(tab[np.ix_(tab[:, e], everything)])
+            if tab[e, e] == e and len(TeT) == len(T):
+                eTe = [s for s in everything if tab[tab[e, s], e] == s]
+                out.append(biset_from_regular_enlargement(T, eTe, everything))
+    return out

@@ -633,3 +633,54 @@ def test_components_match_union_find(graph):
     classes, rep_of = _uf_classes(range(n), edges)
     assert cls.tolist() == [rep_of[v] for v in range(n)]
     assert root.tolist() == [classes[rep_of[v]][0] for v in range(n)]
+
+
+def _loop_check_presheaf(P):
+    """The O(m^2) loop over composable pairs, kept as the reference."""
+    C = P.site
+    if len(P.fibers) != C.n_objects or len(P.maps) != C.n_mor:
+        return False
+    for m in range(C.n_mor):
+        arr = P.maps[m]
+        if len(arr) != P.fiber_size(int(C.cod[m])):
+            return False
+        if len(arr) and (arr.min() < 0
+                         or arr.max() >= P.fiber_size(int(C.dom[m]))):
+            return False
+    for o in range(C.n_objects):
+        m = P.maps[int(C.identity[o])]
+        if not np.array_equal(m, np.arange(len(m))):
+            return False
+    for g in range(C.n_mor):
+        for f in range(C.n_mor):
+            h = int(C.comp[g, f])
+            if h >= 0:
+                lhs = P.maps[h]
+                rhs = P.maps[f][P.maps[g]]
+                if len(lhs) != len(rhs) or not np.array_equal(lhs, rhs):
+                    return False
+    return True
+
+
+def test_check_presheaf_matches_loop_on_samples_and_mutants(b12, bc22, sim2):
+    import random
+
+    from morita.corpus import sample_presheaves
+
+    rng = random.Random(31)
+    verdicts = set()
+    for S in (b12, bc22, sim2, chain_semilattice(3)):
+        C = C_of(S)
+        for P in sample_presheaves(S, C, 3, 4):
+            assert check_presheaf(P) == _loop_check_presheaf(P)
+            movable = [m for m in range(C.n_mor)
+                       if len(P.maps[m]) and P.fiber_size(int(C.dom[m])) >= 2]
+            for _ in range(4 if movable else 0):
+                maps = [m.copy() for m in P.maps]
+                m = rng.choice(movable)
+                maps[m][rng.randrange(len(maps[m]))] = \
+                    rng.randrange(P.fiber_size(int(C.dom[m])))
+                Pm = Presheaf(C, P.fibers, tuple(maps))
+                verdicts.add(check_presheaf(Pm))
+                assert check_presheaf(Pm) == _loop_check_presheaf(Pm)
+    assert verdicts == {True, False}

@@ -304,3 +304,130 @@ def test_pipeline(b12, bc22):
     assert zeroc in sub
     out = enlargement_pipeline(bc22, sub, range(len(bc22)))
     assert all(out.values()), out
+
+
+# -- the array checks against interpreted reference loops ---------------------
+
+def loop_verify_biset(B):
+    """A scan per outer index, kept as the reference for the array pass."""
+    S, T = B.S, B.T
+    L, R, P, Q = B.left_act, B.right_act, B.inner_S, B.inner_T
+    tS, tT = S.table, T.table
+    sS, sT = S.star, T.star
+    nx = len(B)
+    ns, nt = len(S), len(T)
+    xs = np.arange(nx)
+    entries = []
+
+    def add(name, witness_fn):
+        w = witness_fn()
+        entries.append((name, w is None, "" if w is None else str(w)))
+
+    def scan(outer, inner_cond):
+        for i in outer:
+            bad = np.argwhere(~inner_cond(i))
+            if bad.size:
+                return (i, *map(int, bad[0]))
+        return None
+
+    if nx == 0:
+        for name in ("left_action_law", "right_action_law", "biset_compatibility",
+                     "M1", "M2", "M3", "M4", "M5", "M6", "M7"):
+            entries.append((name, True, ""))
+    else:
+        add("left_action_law", lambda: scan(
+            ((s1, s2) for s1 in range(ns) for s2 in range(ns)),
+            lambda p: L[tS[p[0], p[1]], :] == L[p[0], L[p[1], :]]))
+        add("right_action_law", lambda: scan(
+            ((t1, t2) for t1 in range(nt) for t2 in range(nt)),
+            lambda p: R[:, tT[p[0], p[1]]] == R[R[:, p[0]], p[1]]))
+        add("biset_compatibility", lambda: scan(
+            ((s, t) for s in range(ns) for t in range(nt)),
+            lambda p: R[L[p[0], :], p[1]] == L[p[0], R[:, p[1]]]))
+        add("M1", lambda: scan(range(ns), lambda s: P[L[s, :], :] == tS[s, P]))
+        add("M2", lambda: scan([0], lambda _: P.T == sS[P]))
+        add("M3", lambda: scan([0], lambda _: L[P[xs, xs], xs] == xs))
+        add("M4", lambda: scan(range(nt), lambda t: Q[:, R[:, t]] == tT[Q, t]))
+        add("M5", lambda: scan([0], lambda _: Q == sT[Q.T]))
+        add("M6", lambda: scan([0], lambda _: R[xs, Q[xs, xs]] == xs))
+        add("M7", lambda: scan(range(nx), lambda z: L[P, z] == R[:, Q[:, z]]))
+    surj_S = set(int(v) for v in P.ravel()) == set(range(ns))
+    entries.append(("inner_S_surjective", surj_S,
+                    "" if surj_S else "some element of S is not an inner product"))
+    surj_T = set(int(v) for v in Q.ravel()) == set(range(nt))
+    entries.append(("inner_T_surjective", surj_T,
+                    "" if surj_T else "some element of T is not an inner product"))
+    return entries
+
+
+def loop_R_table(B):
+    """R(S,T;X) filled pair by pair from the eight product rules."""
+    S, T = B.S, B.T
+    nx = len(B)
+    elems = ([("S", s) for s in range(len(S))] + [("T", t) for t in range(len(T))]
+             + [("X", x) for x in range(nx)] + [("Y", x) for x in range(nx)])
+    pos = {e: i for i, e in enumerate(elems)}
+    rules = {
+        ("S", "S"): lambda a, b: ("S", int(S.table[a, b])),
+        ("T", "T"): lambda a, b: ("T", int(T.table[a, b])),
+        ("S", "X"): lambda a, b: ("X", int(B.left_act[a, b])),
+        ("X", "T"): lambda a, b: ("X", int(B.right_act[a, b])),
+        ("T", "Y"): lambda a, b: ("Y", int(B.right_act[b, int(T.star[a])])),
+        ("Y", "S"): lambda a, b: ("Y", int(B.left_act[int(S.star[b]), a])),
+        ("Y", "X"): lambda a, b: ("T", int(B.inner_T[a, b])),
+        ("X", "Y"): lambda a, b: ("S", int(B.inner_S[a, b])),
+    }
+    table = np.full((len(elems), len(elems)), -1, dtype=np.int64)
+    for i, (ka, va) in enumerate(elems):
+        for j, (kb, vb) in enumerate(elems):
+            rule = rules.get((ka, kb))
+            if rule is not None:
+                table[i, j] = pos[rule(va, vb)]
+    return table
+
+
+def test_verify_biset_and_R_table_match_loops_on_mutants(b12, local_submonoid_bisets):
+    rng = random.Random(17)
+    bisets = local_submonoid_bisets + [group_self_biset(cyclic_group(3)),
+                                       b12_enlargement_biset(b12)]
+    for B in bisets:
+        assert verify_biset(B).entries == loop_verify_biset(B)
+        assert np.array_equal(build_R_semigroupoid(B).table, loop_R_table(B))
+    failed = set()
+    for B in bisets:
+        for which, hi in (("left_act", len(B)), ("right_act", len(B)),
+                          ("inner_S", len(B.S)), ("inner_T", len(B.T))):
+            for _ in range(3):
+                tables = {name: getattr(B, name).copy()
+                          for name in ("left_act", "right_act", "inner_S", "inner_T")}
+                arr = tables[which]
+                for _ in range(rng.randint(1, 2)):
+                    arr[rng.randrange(arr.shape[0]), rng.randrange(arr.shape[1])] = \
+                        rng.randrange(hi)
+                Bm = EquivalenceBiset(B.S, B.T, B.points, **tables)
+                entries = verify_biset(Bm).entries
+                assert entries == loop_verify_biset(Bm)
+                failed.update(name for (name, ok, _w) in entries if not ok)
+    # the mutants reach every axiom that a single table can break
+    assert failed >= {"left_action_law", "right_action_law", "biset_compatibility",
+                      "M1", "M2", "M3", "M4", "M5", "M6", "M7"}
+
+
+def test_biset_check_report_names_the_loop_witness(tmp_path, capsys, local_submonoid_bisets):
+    from morita.cli import main
+    from morita.formats import dump_biset, dump_semigroup
+
+    B = local_submonoid_bisets[-1]
+    (tmp_path / "S.smg").write_text(dump_semigroup(B.S))
+    (tmp_path / "T.smg").write_text(dump_semigroup(B.T))
+    right = B.right_act.copy()
+    right[1, 2] = (right[1, 2] + 1) % len(B)
+    Bm = EquivalenceBiset(B.S, B.T, B.points, B.left_act, right, B.inner_S, B.inner_T)
+    path = tmp_path / "m.biset"
+    path.write_text(dump_biset(Bm, "S.smg", "T.smg"))
+    assert main(["biset-check", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    expected = [f"check={name} status={'ok' if ok else 'fail'}"
+                + (f" value={w}" if w else "")
+                for (name, ok, w) in loop_verify_biset(Bm)]
+    assert lines[2:-1] == expected

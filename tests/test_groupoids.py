@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from morita.categories import categories_isomorphic, check_weak_equivalence, Functor
 from morita.errors import (
     NotASubgroupoid,
     NotBelow,
     NotPrincipallyInductive,
+    UndefinedPseudoproduct,
 )
 from morita.groupoids import (
     C_of_groupoid,
@@ -25,6 +27,7 @@ from morita.groupoids import (
     ordered_groupoid_of,
     pseudoproduct,
     restriction,
+    semigroupoid_violations,
     sub_ordered_groupoid,
     validate_ordered_groupoid,
 )
@@ -186,3 +189,130 @@ def test_sub_ordered_groupoid_enlargement_inclusion(b12):
     assert validate_ordered_groupoid(H) == []
     assert check_ordered_functor(incl)
     assert is_local_isomorphism(incl)
+
+
+# -- the array checks against interpreted reference loops ---------------------
+
+def loop_semigroupoid_violations(names, table):
+    """The interpreted O(n^3) loop, kept as the reference for the array pass."""
+    bad = []
+    n = len(names)
+    tab = table
+    for a in range(n):
+        for b in range(n):
+            ab = int(tab[a, b])
+            for c in range(n):
+                bc = int(tab[b, c])
+                if ab >= 0 and bc >= 0:
+                    if tab[ab, c] < 0 or tab[a, bc] < 0 or tab[ab, c] != tab[a, bc]:
+                        bad.append(f"associativity fails at ({a},{b},{c})")
+                elif ab >= 0 and tab[ab, c] >= 0 and bc < 0:
+                    bad.append(f"definedness incoherent at ({a},{b},{c})")
+    for a in range(n):
+        if not any(tab[int(tab[a, b]), a] == a and tab[int(tab[b, a]), b] == b
+                   for b in range(n) if tab[a, b] >= 0 and tab[b, a] >= 0):
+            bad.append(f"element {a} has no inverse")
+    idem = [e for e in range(n) if tab[e, e] == e]
+    for e in idem:
+        for f in idem:
+            ef, fe = int(tab[e, f]), int(tab[f, e])
+            if (ef >= 0) != (fe >= 0) or (ef >= 0 and ef != fe):
+                bad.append(f"idempotents {e},{f} do not commute")
+    if not bad:
+        for a in range(n):
+            invs = [b for b in range(n)
+                    if tab[a, b] >= 0 and tab[b, a] >= 0
+                    and tab[int(tab[a, b]), a] == a and tab[int(tab[b, a]), b] == b]
+            if len(invs) != 1:
+                bad.append(f"element {a} has {len(invs)} inverses")
+    return bad
+
+
+def loop_star(table):
+    """The first inverse of each element, by a loop over candidates."""
+    n = len(table)
+    star = []
+    for a in range(n):
+        for b in range(n):
+            if (table[a, b] >= 0 and table[b, a] >= 0
+                    and table[int(table[a, b]), a] == a
+                    and table[int(table[b, a]), b] == b):
+                star.append(b)
+                break
+    return star
+
+
+def assert_matches_loop(table):
+    table = np.asarray(table, dtype=np.int64)
+    names = tuple(str(i) for i in range(len(table)))
+    bad = semigroupoid_violations(names, table)
+    assert bad == loop_semigroupoid_violations(names, table)
+    if not bad:
+        R = make_inverse_semigroupoid(names, table)
+        assert R.star.tolist() == loop_star(table)
+
+
+def test_semigroupoid_checks_match_loop_on_corpus_and_R_mutants(local_submonoid_bisets):
+    from morita.bisets import build_R_semigroupoid
+    from morita.corpus import builtin_corpus
+
+    for _name, S in builtin_corpus():
+        assert_matches_loop(S.table)
+    rng = np.random.default_rng(5)
+    for B in local_submonoid_bisets:
+        table = build_R_semigroupoid(B).table.copy()
+        assert semigroupoid_violations(range(len(table)), table) == []
+        assert_matches_loop(table)
+        n = len(table)
+        for _ in range(4):
+            t = table.copy()
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = rng.integers(0, n, size=2)
+                t[i, j] = rng.integers(-1, n)
+            assert_matches_loop(t)
+
+
+@st.composite
+def partial_tables(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    cells = draw(st.lists(st.integers(-1, max(n - 1, 0)), min_size=n * n, max_size=n * n))
+    return np.array(cells, dtype=np.int64).reshape(n, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=partial_tables())
+@example(table=np.zeros((0, 0), dtype=np.int64))
+@example(table=np.zeros((1, 1), dtype=np.int64))
+@example(table=np.full((1, 1), -1, dtype=np.int64))
+def test_semigroupoid_violations_match_loop_on_random_tables(table):
+    assert_matches_loop(table)
+
+
+def test_semigroupoid_violations_over_several_row_blocks():
+    # n = 40 runs the associativity pass in blocks of 2**15 // 40**2 = 20 rows
+    from morita._util import row_blocks
+
+    assert len(row_blocks(40, 40 * 40)) == 2
+    rng = np.random.default_rng(9)
+    zero = np.zeros((40, 40), dtype=np.int64)   # a null semigroup: no inverses
+    assert_matches_loop(zero)
+    t = rng.integers(-1, 40, size=(40, 40))
+    assert_matches_loop(t)
+    # a group table with a few cells broken late in the row order
+    from morita.semigroups import cyclic_group as Cn
+
+    g = Cn(40).table.copy()
+    g[33, 5] = -1
+    g[38, 2] = int(g[38, 3])
+    assert_matches_loop(g)
+
+
+def test_pseudoproduct_raises_when_the_composite_is_missing(b12):
+    G = inductive_groupoid_of(b12)
+    s, t = b12.index("(1,2)"), b12.index("(2,1)")
+    comp = G.comp.copy()
+    comp[s, t] = -1
+    H = OrderedGroupoid(G.objects, G.obj_leq, G.arrows, G.dom, G.cod, comp,
+                        G.inv, G.identity, G.leq)
+    with pytest.raises(UndefinedPseudoproduct):
+        pseudoproduct(H, s, t)

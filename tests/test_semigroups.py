@@ -3,6 +3,7 @@ import pytest
 
 from morita.errors import (
     IdempotentsDontCommute,
+    MoritaError,
     NotAssociative,
     NotASubsemigroup,
     NotRegular,
@@ -240,3 +241,40 @@ def test_subsemigroup_closure(sim2):
     one = subsemigroup_closure(sim2, [sim2.names.index("nil")], star_closed=True)
     assert len(one) == 1
     assert is_subsemigroup(sim2, one)
+
+
+def _ref_as_inverse(S):
+    """Errors and star of `as_inverse` from the direct (st)s table expression."""
+    tab = S.table
+    ar = np.arange(len(S))
+    sts = tab[tab, ar[:, None]]
+    inv = (sts == ar[:, None]) & (sts.T == ar[None, :])
+    count = inv.sum(axis=1)
+    if (count == 0).any():
+        return ("NotRegular", int(np.argmax(count == 0)))
+    E = idempotents(S)
+    for i, e in enumerate(E):
+        for f in E[i + 1:]:
+            if tab[e, f] != tab[f, e]:
+                return ("IdempotentsDontCommute", (e, f))
+    if (count != 1).any():
+        s = int(np.argmax(count != 1))
+        return ("NonUniqueInverse", (s, tuple(np.flatnonzero(inv[s]).tolist())))
+    return ("ok", np.argmax(inv, axis=1).tolist())
+
+
+def test_as_inverse_errors_match_reference():
+    from morita.corpus import seeded_mutants
+
+    cases = [FiniteSemigroup(("a", "b"), np.array([[0, 0], [1, 1]])),
+             FiniteSemigroup(("a", "z"), np.array([[1, 1], [1, 1]]))]
+    cases += [M for (_name, M, _cell) in seeded_mutants(8, 120)]
+    kinds = set()
+    for S in cases:
+        try:
+            got = ("ok", as_inverse(S).star.tolist())
+        except MoritaError as exc:
+            got = (type(exc).__name__, exc.witness)
+        assert got == _ref_as_inverse(S)
+        kinds.add(got[0])
+    assert kinds == {"ok", "NotRegular", "IdempotentsDontCommute", "NonUniqueInverse"}
