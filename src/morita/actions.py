@@ -379,42 +379,47 @@ def _expect_site(P: Presheaf, kind: str):
     return P.site.extra["sgrp"]
 
 
+def _fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Presheaf:
+    """The presheaf of the fibers of X over the objects of L(S) or C(S).
+
+    member[o, x] says that point x lies in the fiber over object o.  A site
+    morphism m with payload (e, s, ...) maps the fiber over cod(m) = e into
+    the fiber over dom(m) by acting with s.  P.pts keeps the point indices
+    of each fiber.
+    """
+    pts = [np.flatnonzero(row).tolist() for row in member]
+    pos = [{x: i for i, x in enumerate(p)} for p in pts]
+    maps = tuple(
+        np.array([pos[d][int(X.act[x, pay[1]])] for x in pts[c]], dtype=np.int64)
+        for d, c, pay in zip(site.dom.tolist(), site.cod.tolist(), site.extra["payload"])
+    )
+    P = Presheaf(site, tuple(tuple(X.carrier[x] for x in p) for p in pts), maps)
+    P.pts = tuple(tuple(p) for p in pts)
+    return P
+
+
 def presheaf_of_etale(X: EtaleAction, site: FiniteCategory = None) -> Presheaf:
     """Fiber map e -> p^{-1}(e); transitions act by the element of L(S)."""
     S = X.sgrp
     L = site if site is not None else L_of(S)
     if L.extra.get("kind") != "L" or L.extra.get("sgrp") is not S:
         raise WrongSite("site must be L(S) for the semigroup of the action")
-    obj_elt = L.extra["obj_elt"]
-    fibers = []
-    pos = []
-    for e in obj_elt:
-        pts = [x for x in range(len(X)) if X.anchor[x] == e]
-        fibers.append(tuple(X.base.carrier[x] for x in pts))
-        pos.append({x: i for i, x in enumerate(pts)})
-    fiber_pts = [sorted(p, key=p.get) for p in pos]
-    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
-    maps = []
-    for (e, s) in L.extra["payload"]:
-        co = obj_of_elt[e]
-        do = obj_of_elt[int(S.table[S.star[s], s])]
-        arr = np.array(
-            [pos[do][int(X.base.act[x, s])] for x in fiber_pts[co]], dtype=np.int64
-        )
-        maps.append(arr)
-    P = Presheaf(L, tuple(fibers), tuple(maps))
-    P.pts = tuple(tuple(f) for f in fiber_pts)  # point indices per fiber
-    return P
+    obj_elt = np.array(L.extra["obj_elt"], dtype=np.int64)
+    return _fiber_presheaf(L, X.base, X.anchor[None, :] == obj_elt[:, None])
 
 
-def etale_of_presheaf(P: Presheaf) -> EtaleAction:
-    """Total space of the fiber map, with the anchor remembering the fiber."""
-    S = _expect_site(P, "L")
-    L = P.site
-    obj_elt = L.extra["obj_elt"]
+def _etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
+    """Etale action on the disjoint union of the fibers of P over L(S) or C(S).
+
+    The point i over e moves under s along the site morphism from s*es to e
+    labelled es: payload (e, es) in L(S), (e, es, s*es) in C(S).
+    """
+    S = _expect_site(P, kind)
+    site = P.site
+    obj_elt = site.extra["obj_elt"]
     obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
-    lidx = L.extra["index"]
-    pts = [(o, i) for o in range(L.n_objects) for i in range(P.fiber_size(o))]
+    idx = site.extra["index"]
+    pts = [(o, i) for o in range(site.n_objects) for i in range(P.fiber_size(o))]
     pos = {p: i for i, p in enumerate(pts)}
     tab, star = S.table, S.star
     act = np.empty((len(pts), len(S)), dtype=np.int64)
@@ -423,11 +428,16 @@ def etale_of_presheaf(P: Presheaf) -> EtaleAction:
         for s in range(len(S)):
             es = int(tab[e, s])
             d = int(tab[tab[star[s], e], s])  # s*es
-            m = lidx[(e, es)]
+            m = idx[(e, es, d) if kind == "C" else (e, es)]
             act[k, s] = pos[(obj_of_elt[d], int(P.maps[m][i]))]
-    names = tuple(f"{L.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
-    base = RightAction(names, S, act, {"kind": "etale_of_presheaf", "pairs": tuple(pts)})
+    names = tuple(f"{site.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
+    base = RightAction(names, S, act, {"kind": tag, "pairs": tuple(pts)})
     return EtaleAction(base, np.array([obj_elt[o] for (o, _i) in pts], dtype=np.int64))
+
+
+def etale_of_presheaf(P: Presheaf) -> EtaleAction:
+    """Total space of the fiber map, with the anchor remembering the fiber."""
+    return _etale_of_fibers(P, "L", "etale_of_presheaf")
 
 
 def category_of_elements(P: Presheaf):
@@ -484,22 +494,8 @@ def Q_of(X: RightAction, site: FiniteCategory = None) -> Presheaf:
     C = site if site is not None else C_of(S)
     if C.extra.get("kind") != "C" or C.extra.get("sgrp") is not S:
         raise WrongSite("site must be C(S) for the semigroup of the action")
-    obj_elt = C.extra["obj_elt"]
-    pts, pos, fibers = [], [], []
-    for e in obj_elt:
-        p = [x for x in range(len(X)) if X.act[x, e] == x]
-        pts.append(p)
-        pos.append({x: i for i, x in enumerate(p)})
-        fibers.append(tuple(X.carrier[x] for x in p))
-    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
-    maps = []
-    for (e, s, f) in C.extra["payload"]:
-        co, do = obj_of_elt[e], obj_of_elt[f]
-        maps.append(np.array([pos[do][int(X.act[x, s])] for x in pts[co]],
-                             dtype=np.int64))
-    P = Presheaf(C, tuple(fibers), tuple(maps))
-    P.pts = tuple(tuple(p) for p in pts)
-    return P
+    obj_elt = list(C.extra["obj_elt"])
+    return _fiber_presheaf(C, X, X.act[:, obj_elt].T == np.arange(len(X)))
 
 
 @dataclass(eq=False)
@@ -784,25 +780,7 @@ def indecomposable_projective_check(X: RightAction):
 
 def I_star(P: Presheaf) -> EtaleAction:
     """Etale action on the disjoint union of the fibers of P over C(S)."""
-    S = _expect_site(P, "C")
-    C = P.site
-    obj_elt = C.extra["obj_elt"]
-    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
-    cidx = C.extra["index"]
-    pts = [(o, i) for o in range(C.n_objects) for i in range(P.fiber_size(o))]
-    pos = {p: i for i, p in enumerate(pts)}
-    tab, star = S.table, S.star
-    act = np.empty((len(pts), len(S)), dtype=np.int64)
-    for k, (o, i) in enumerate(pts):
-        e = obj_elt[o]
-        for s in range(len(S)):
-            es = int(tab[e, s])
-            d = int(tab[tab[star[s], e], s])
-            m = cidx[(e, es, d)]
-            act[k, s] = pos[(obj_of_elt[d], int(P.maps[m][i]))]
-    names = tuple(f"{C.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
-    base = RightAction(names, S, act, {"kind": "I_star", "pairs": tuple(pts)})
-    return EtaleAction(base, np.array([obj_elt[o] for (o, _i) in pts], dtype=np.int64))
+    return _etale_of_fibers(P, "C", "I_star")
 
 
 @dataclass(eq=False)

@@ -26,7 +26,10 @@ from .categories import (
     SkeletonData,
     build_category,
     cauchy_skeleton,
+    check_morita_context,
     equivalence_from_skeletons,
+    is_bipartite,
+    is_left_cancellative,
 )
 from .errors import (
     AssociativityFailure,
@@ -51,7 +54,6 @@ from .groupoids import (
 )
 from .semigroups import (
     InverseSemigroup,
-    idempotents,
     inverses_of,
     is_semigroup_enlargement,
     restrict_inverse,
@@ -405,10 +407,7 @@ def biset_from_ordered_enlargement(G: OrderedGroupoid, S: InverseSemigroup,
     emb_T = np.ascontiguousarray(emb_T, dtype=np.int64)
     for (sgrp, emb) in ((S, emb_S), (T, emb_T)):
         ig = inductive_groupoid_of(sgrp)
-        om = np.full(ig.n_objects, -1, dtype=np.int64)
-        for i, e in enumerate(idempotents(sgrp)):
-            om[i] = G.dom[int(emb[e])]
-        F = OrderedFunctor(ig, G, om, emb)
+        F = OrderedFunctor(ig, G, G.dom[emb[ig.identity]], emb)
         if len(set(int(v) for v in emb)) != len(sgrp) or not check_ordered_functor(F):
             raise NotAnEnlargement("embedding is not an ordered-groupoid embedding")
     if not is_enlargement(G, [int(v) for v in emb_S]):
@@ -814,16 +813,13 @@ def exhaustive_biset_search(S: InverseSemigroup, T: InverseSemigroup,
 
 # -- the end-to-end pipeline (used by the CLI and the acceptance suite) -----------
 
-def enlargement_pipeline(R, S_subset, T_subset) -> dict:
-    """enlarge -> biset -> bipartite U -> semigroupoid -> ordered groupoid.
+def biset_enlargement_chain(B: EquivalenceBiset):
+    """biset -> bipartite U -> semigroupoid -> ordered groupoid -> biset.
 
-    Runs every verification along the chain and reports each as a bool.
+    Runs every verification that follows a verified biset and reports each
+    as a bool; returns (checks, G) with G the ordered groupoid of R(S,T;X).
     """
-    from .categories import check_morita_context, is_bipartite, is_left_cancellative
-
     out = {}
-    B = biset_from_regular_enlargement(R, S_subset, T_subset)
-    out["biset_axioms"] = verify_biset(B).passed
     U, s_objs, t_objs, Pf, Qf = build_bipartite_U(B)
     out["bipartite"] = is_bipartite(U, s_objs, t_objs)
     out["U_left_cancellative"] = is_left_cancellative(U)
@@ -835,22 +831,29 @@ def enlargement_pipeline(R, S_subset, T_subset) -> dict:
     t_part = list(Rg.extra["t_part"])
     out["enlargement_of_S"] = is_enlargement(G, s_part)
     out["enlargement_of_T"] = is_enlargement(G, t_part)
-    # bipartite object condition on G
-    s_objs_g = {int(G.dom[a]) for a in s_part}
-    t_objs_g = {int(G.dom[a]) for a in t_part}
-    cond = all(
-        any(int(G.dom[x]) == e and int(G.cod[x]) in t_objs_g
-            for x in range(G.n_arrows))
-        for e in s_objs_g
-    ) and all(
-        any(int(G.dom[x]) == e and int(G.cod[x]) in s_objs_g
-            for x in range(G.n_arrows))
-        for e in t_objs_g
-    )
-    out["bipartite_objects"] = cond
-    emb_S = np.array(s_part, dtype=np.int64)
-    emb_T = np.array(t_part, dtype=np.int64)
-    B2 = biset_from_ordered_enlargement(G, B.S, B.T, emb_S, emb_T)
+    B2 = biset_from_ordered_enlargement(G, B.S, B.T, np.array(s_part, dtype=np.int64),
+                                        np.array(t_part, dtype=np.int64))
     out["roundtrip_biset"] = verify_biset(B2).passed
+    return out, G
+
+
+def enlargement_pipeline(R, S_subset, T_subset) -> dict:
+    """enlarge -> biset -> bipartite U -> semigroupoid -> ordered groupoid.
+
+    Runs every verification along the chain and reports each as a bool.
+    """
+    B = biset_from_regular_enlargement(R, S_subset, T_subset)
+    out = {"biset_axioms": verify_biset(B).passed}
+    checks, G = biset_enlargement_chain(B)
+    out.update(checks)
+    # bipartite object condition on G: each object of one part has an arrow
+    # to an object of the other
+    Rg = G.extra["sgpd"]
+    s_objs = np.unique(G.dom[list(Rg.extra["s_part"])])
+    t_objs = np.unique(G.dom[list(Rg.extra["t_part"])])
+    linked = np.zeros((G.n_objects, G.n_objects), dtype=bool)
+    linked[G.dom, G.cod] = True
+    out["bipartite_objects"] = bool(linked[np.ix_(s_objs, t_objs)].any(axis=1).all()
+                                    and linked[np.ix_(t_objs, s_objs)].any(axis=1).all())
     out["morita_equivalent"] = morita_equivalent(B.S, B.T).equivalent
     return out

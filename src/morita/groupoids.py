@@ -1,13 +1,18 @@
 """Ordered groupoids, inductive groupoids, and inverse semigroupoids.
 
 An ordered groupoid stores the arrow order as an explicit relation and
-computes restrictions by scan-plus-uniqueness rather than by a formula,
-so it also works for groupoids that do not come from semigroups.  The
-inductive groupoid of an inverse semigroup has the elements as arrows,
-the restricted product as composition, and the natural partial order.
+reads restrictions off it (the one arrow below g with the given domain)
+rather than from a formula, so it also works for groupoids that do not
+come from semigroups.  Its underlying category, `OrderedGroupoid.cat`,
+shares its arrays, so the category axioms and the functor laws are checked
+by `categories.check_category` and `categories.is_functor`.  The inductive
+groupoid of an inverse semigroup and the groupoid of an inverse
+semigroupoid are one construction: the elements as arrows, the restricted
+product as composition, and the natural partial order.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +21,9 @@ from .categories import (
     FiniteCategory,
     Functor,
     build_category,
+    check_category,
     check_weak_equivalence,
+    is_functor,
 )
 from .errors import (
     InvariantBroken,
@@ -28,7 +35,7 @@ from .errors import (
     NotUnique,
     UndefinedPseudoproduct,
 )
-from .semigroups import InverseSemigroup, idempotents, natural_leq
+from .semigroups import InverseSemigroup
 
 
 @dataclass(eq=False)
@@ -64,6 +71,39 @@ class OrderedGroupoid:
     def n_arrows(self):
         return len(self.arrows)
 
+    @cached_property
+    def cat(self) -> FiniteCategory:
+        """The underlying category, over the same read-only arrays."""
+        return FiniteCategory(self.objects, self.arrows, self.dom, self.cod,
+                              self.comp, self.identity,
+                              {"kind": "groupoid", "gpd": self})
+
+    # Restrictions and meets are read from tables built once per groupoid;
+    # the arrays they come from are read-only.
+    @cached_property
+    def _restrictions(self):
+        """By dom, then by cod: [e, g] -> the one h <= g with that end at e,
+        -1 where there are none or several."""
+        tables = []
+        for ends in (self.dom, self.cod):
+            at = (ends == np.arange(self.n_objects)[:, None]).astype(np.int64)  # [e, h]
+            count, total = at @ self.leq, (at * np.arange(self.n_arrows)) @ self.leq
+            tables.append(np.where(count == 1, total, -1))   # total = h if count = 1
+        return tables
+
+    @cached_property
+    def _meets(self):
+        """[a, b]: the first lower bound of a and b above every other, or -1."""
+        n = self.n_objects
+        up = self.obj_leq.T                                  # [a, c]: c <= a
+        outside = (~self.obj_leq).astype(np.int64)           # [c, m]: not c <= m
+        meets = np.full((n, n), -1, dtype=np.int64)
+        for rows in row_blocks(n, n * n):
+            low = up[rows, None, :] & up[None, :, :]         # [a, b, c]
+            top = low & ((low.astype(np.int64) @ outside) == 0)
+            meets[rows] = np.where(top.any(axis=2), top.argmax(axis=2), -1)
+        return meets
+
     def __repr__(self):
         return f"OrderedGroupoid(objects={self.n_objects}, arrows={self.n_arrows})"
 
@@ -79,52 +119,25 @@ def _is_partial_order(rel) -> bool:
 
 
 def validate_ordered_groupoid(G: OrderedGroupoid) -> list:
-    """All ordered-groupoid axioms; returns a list of violations."""
-    bad = []
-    na = G.n_arrows
-    dom, cod, comp, inv, leq = G.dom, G.cod, G.comp, G.inv, G.leq
-    defined = comp >= 0
-    if not np.array_equal(defined, dom[:, None] == cod[None, :]):
-        bad.append("composition not defined exactly on matching pairs")
-    for o in range(G.n_objects):
-        i = int(G.identity[o])
-        if dom[i] != o or cod[i] != o:
-            bad.append(f"identity of {o} has wrong endpoints")
-    g, f = np.nonzero(defined)
-    if g.size:
-        if not (np.all(dom[comp[g, f]] == dom[f]) and np.all(cod[comp[g, f]] == cod[g])):
-            bad.append("composite endpoints wrong")
-    ids = G.identity
-    ar = np.arange(na)
-    if na and not np.all(comp[ids[cod], ar] == ar):
-        bad.append("left identity fails")
-    if na and not np.all(comp[ar, ids[dom]] == ar):
-        bad.append("right identity fails")
-    if na and not np.all(comp[ar, inv] == ids[cod]):
+    """All ordered-groupoid axioms; returns a list of violations.
+
+    The category axioms come first, worded by `check_category`; then the
+    inverse laws and the order axioms, each one array test.
+    """
+    bad = check_category(G.cat)
+    dom, cod, comp, inv, leq, ids = G.dom, G.cod, G.comp, G.inv, G.leq, G.identity
+    ar = np.arange(G.n_arrows)
+    if not np.all(comp[ar, inv] == ids[cod]):
         bad.append("g . g^-1 != id")
-    if na and not np.all(comp[inv, ar] == ids[dom]):
+    if not np.all(comp[inv, ar] == ids[dom]):
         bad.append("g^-1 . g != id")
-    for h in range(na):
-        hg = comp[h]
-        mask = defined & (hg >= 0)[:, None]
-        if not mask.any():
-            continue
-        idx = np.where(defined, comp, 0)
-        x = comp[h, idx]
-        y = comp[np.where(hg >= 0, hg, 0)]
-        if not np.array_equal(x[mask], y[mask]):
-            bad.append("associativity fails")
-            break
-    if not _is_partial_order(G.leq):
+    if not _is_partial_order(leq):
         bad.append("arrow order is not a partial order")
     if not _is_partial_order(G.obj_leq):
         bad.append("object order is not a partial order")
-    # identities carry the object order
-    for a in range(G.n_objects):
-        for b in range(G.n_objects):
-            if G.obj_leq[a, b] != leq[int(ids[a]), int(ids[b])]:
-                bad.append("object order disagrees with identity-arrow order")
-                break
+    # identities carry the object order; one message per object whose row differs
+    rows = np.any(G.obj_leq != leq[np.ix_(ids, ids)], axis=1)
+    bad.extend(["object order disagrees with identity-arrow order"] * int(rows.sum()))
     x, y = np.nonzero(leq)
     if x.size:
         if not np.all(leq[inv[x], inv[y]]):
@@ -133,81 +146,52 @@ def validate_ordered_groupoid(G: OrderedGroupoid) -> list:
             bad.append("dom not monotone")
         if not np.all(G.obj_leq[cod[x], cod[y]]):
             bad.append("cod not monotone")
-    for (a, b) in zip(x, y):
-        for (u, v) in zip(x, y):
-            if comp[a, u] >= 0 and comp[b, v] >= 0:
-                if not leq[comp[a, u], comp[b, v]]:
-                    bad.append("composition not monotone")
-                    break
-        else:
-            continue
-        break
+    # a <= b and u <= v give au <= bv wherever both are defined; one block
+    # of (a, b) pairs against every (u, v) pair at a time
+    for block in row_blocks(x.size, x.size):
+        au = comp[x[block, None], x]
+        bv = comp[y[block, None], y]
+        both = (au >= 0) & (bv >= 0)
+        if not np.all(leq[au[both], bv[both]]):
+            bad.append("composition not monotone")
+            break
     # discrete fibration: unique restriction for every e <= dom(g)
-    for g_ in range(na):
-        dg = int(dom[g_])
-        for e in range(G.n_objects):
-            if not G.obj_leq[e, dg]:
-                continue
-            below = [h for h in range(na) if leq[h, g_] and dom[h] == e]
-            if len(below) != 1:
-                bad.append(f"restriction of arrow {g_} to object {e} not unique")
+    bad.extend(f"restriction of arrow {g} to object {e} not unique"
+               for (g, e) in np.argwhere((G.obj_leq[:, dom] & (G._restrictions[0] < 0)).T))
     return bad
 
 
 def inductive_groupoid_of(S: InverseSemigroup) -> OrderedGroupoid:
     """Arrows are the elements, composition is the restricted product."""
-    tab, star = S.table, S.star
-    E = idempotents(S)
-    obj_of = {e: i for i, e in enumerate(E)}
-    n = len(S)
-    dom = np.array([obj_of[int(tab[star[s], s])] for s in range(n)])
-    cod = np.array([obj_of[int(tab[s, star[s]])] for s in range(n)])
-    comp = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        for t in range(n):
-            if tab[star[s], s] == tab[t, star[t]]:
-                comp[s, t] = tab[s, t]
-    leq = np.zeros((n, n), dtype=bool)
-    for s in range(n):
-        for t in range(n):
-            leq[s, t] = natural_leq(S, s, t)
-    obj_leq = np.zeros((len(E), len(E)), dtype=bool)
-    for i, e in enumerate(E):
-        for j, f in enumerate(E):
-            obj_leq[i, j] = tab[e, f] == e
-    ident = np.array(E, dtype=np.int64)
-    return OrderedGroupoid(
-        tuple(S.names[e] for e in E), obj_leq, S.names, dom, cod, comp,
-        S.star.copy(), ident, leq, {"kind": "inductive", "sgrp": S},
-    )
+    return _ordered_groupoid(S.names, S.table, S.star, {"kind": "inductive", "sgrp": S})
 
 
 def restriction(G: OrderedGroupoid, e: int, g: int) -> int:
     """The unique h <= g with dom(h) = e, for e <= dom(g)."""
     if not G.obj_leq[e, int(G.dom[g])]:
         raise NotBelow(witness=(e, g))
-    below = [h for h in range(G.n_arrows) if G.leq[h, g] and G.dom[h] == e]
-    if len(below) != 1:
+    h = int(G._restrictions[0][e, g])
+    if h < 0:
+        below = np.flatnonzero(G.leq[:, g] & (G.dom == e)).tolist()
         raise NotUnique(witness=(e, g, tuple(below)))
-    return below[0]
+    return h
 
 
 def corestriction(G: OrderedGroupoid, g: int, e: int) -> int:
     """The unique h <= g with cod(h) = e, for e <= cod(g)."""
     if not G.obj_leq[e, int(G.cod[g])]:
         raise NotBelow(witness=(g, e))
-    below = [h for h in range(G.n_arrows) if G.leq[h, g] and G.cod[h] == e]
-    if len(below) != 1:
+    h = int(G._restrictions[1][e, g])
+    if h < 0:
+        below = np.flatnonzero(G.leq[:, g] & (G.cod == e)).tolist()
         raise NotUnique(witness=(g, e, tuple(below)))
-    return below[0]
+    return h
 
 
 def meet_objects(G: OrderedGroupoid, a: int, b: int):
-    lower = [c for c in range(G.n_objects) if G.obj_leq[c, a] and G.obj_leq[c, b]]
-    for m in lower:
-        if all(G.obj_leq[c, m] for c in lower):
-            return m
-    return None
+    """The greatest common lower bound of objects a and b, or None."""
+    m = int(G._meets[a, b])
+    return m if m >= 0 else None
 
 
 def pseudoproduct(G: OrderedGroupoid, g: int, h: int):
@@ -233,13 +217,9 @@ def _defined_pseudoproduct(G: OrderedGroupoid, g: int, h: int) -> int:
 
 def is_principally_inductive(G: OrderedGroupoid) -> bool:
     """Every principal downset of objects is a meet semilattice."""
-    for e in range(G.n_objects):
-        down = [f for f in range(G.n_objects) if G.obj_leq[f, e]]
-        for a in down:
-            for b in down:
-                if meet_objects(G, a, b) is None:
-                    return False
-    return True
+    leq = G.obj_leq.astype(np.int64)
+    below_one = (leq @ leq.T) > 0          # [a, b]: a, b <= e for some e
+    return not np.any(below_one & (G._meets < 0))
 
 
 def L_of_groupoid(G: OrderedGroupoid) -> FiniteCategory:
@@ -380,28 +360,15 @@ class OrderedFunctor:
 
 
 def check_ordered_functor(F: OrderedFunctor) -> bool:
+    """A functor of the underlying categories that keeps inverses and the order."""
     G, H = F.source, F.target
-    om, am = F.obj_map, F.arr_map
-    if om.shape != (G.n_objects,) or am.shape != (G.n_arrows,):
-        return False
-    if not np.all(H.dom[am] == om[G.dom]) or not np.all(H.cod[am] == om[G.cod]):
-        return False
-    if not np.all(am[G.identity] == H.identity[om]):
+    am = F.arr_map
+    if not is_functor(Functor(G.cat, H.cat, F.obj_map, am)):
         return False
     if not np.all(am[G.inv] == H.inv[am]):
         return False
-    g, f = np.nonzero(G.comp >= 0)
-    if g.size and not np.all(am[G.comp[g, f]] == H.comp[am[g], am[f]]):
-        return False
     x, y = np.nonzero(G.leq)
-    if x.size and not np.all(H.leq[am[x], am[y]]):
-        return False
-    return True
-
-
-def _groupoid_as_category(G: OrderedGroupoid) -> FiniteCategory:
-    return FiniteCategory(G.objects, G.arrows, G.dom, G.cod, G.comp,
-                          G.identity, {"kind": "groupoid", "gpd": G})
+    return bool(np.all(H.leq[am[x], am[y]]))
 
 
 def L_of_ordered_functor(F: OrderedFunctor) -> Functor:
@@ -423,22 +390,12 @@ def local_isomorphism_report(F: OrderedFunctor) -> dict:
         raise NotAnOrderedFunctor()
     G, H = F.source, F.target
     li1 = check_weak_equivalence(
-        Functor(_groupoid_as_category(G), _groupoid_as_category(H),
-                F.obj_map, F.arr_map)
+        Functor(G.cat, H.cat, F.obj_map, F.arr_map)
     )
-    li2 = True
-    for a in range(G.n_objects):
-        fa = int(F.obj_map[a])
-        for y in range(H.n_objects):
-            if not H.obj_leq[y, fa]:
-                continue
-            lifts = [b for b in range(G.n_objects)
-                     if G.obj_leq[b, a] and int(F.obj_map[b]) == y]
-            if len(lifts) != 1:
-                li2 = False
-                break
-        if not li2:
-            break
+    # (LI2): every y <= F(a) has exactly one b <= a with F(b) = y
+    om = F.obj_map
+    lifts = G.obj_leq.T.astype(np.int64) @ (om[:, None] == np.arange(H.n_objects))
+    li2 = bool(np.all(lifts[H.obj_leq[:, om].T] == 1))
     return {"li1": li1, "li2": li2, "local_isomorphism": li1 and li2}
 
 
@@ -523,13 +480,13 @@ def make_inverse_semigroupoid(names, table, extra=None) -> InverseSemigroupoid:
     return InverseSemigroupoid(tuple(names), np.asarray(table), star, dict(extra or {}))
 
 
-def ordered_groupoid_of(R: InverseSemigroupoid) -> OrderedGroupoid:
-    """Restricted product plus the natural partial order s <= t iff s = t(s*s)."""
-    bad = semigroupoid_violations(R.names, R.table)
-    if bad:
-        raise NotInverseSemigroupoid("; ".join(bad[:3]))
-    tab, star = R.table, R.star
-    n = len(R)
+def _ordered_groupoid(names, tab, star, extra) -> OrderedGroupoid:
+    """Restricted product plus the natural partial order s <= t iff s = t(s*s).
+
+    tab is a total or partial (-1 where undefined) table with unique
+    inverses star; the idempotents are the objects.
+    """
+    n = len(names)
     ar = np.arange(n)
     idem = np.flatnonzero(np.diagonal(tab) == ar)
     obj_of = np.full(n, -1, dtype=np.int64)
@@ -546,11 +503,19 @@ def ordered_groupoid_of(R: InverseSemigroupoid) -> OrderedGroupoid:
     comp = np.where(composable, tab, -1)
     leq = tab[:, rr].T == ar[:, None]        # [a, b]: b(a*a) = a
     obj_leq = tab[np.ix_(idem, idem)].T == idem[:, None]   # [e, f]: fe = e
-    G = OrderedGroupoid(
-        tuple(R.names[e] for e in idem), obj_leq, R.names, dom, cod, comp,
-        star.copy(), idem, leq,
-        {"kind": "of_semigroupoid", "sgpd": R},
+    return OrderedGroupoid(
+        tuple(names[e] for e in idem), obj_leq, names, dom, cod, comp,
+        star.copy(), idem, leq, extra,
     )
+
+
+def ordered_groupoid_of(R: InverseSemigroupoid) -> OrderedGroupoid:
+    """The ordered groupoid of R, checked against every ordered-groupoid axiom."""
+    bad = semigroupoid_violations(R.names, R.table)
+    if bad:
+        raise NotInverseSemigroupoid("; ".join(bad[:3]))
+    G = _ordered_groupoid(R.names, R.table, R.star,
+                          {"kind": "of_semigroupoid", "sgpd": R})
     bad = validate_ordered_groupoid(G)
     if bad:
         raise NotInverseSemigroupoid("ordered groupoid invariants fail: " + bad[0])

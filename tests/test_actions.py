@@ -684,3 +684,122 @@ def test_check_presheaf_matches_loop_on_samples_and_mutants(b12, bc22, sim2):
                 verdicts.add(check_presheaf(Pm))
                 assert check_presheaf(Pm) == _loop_check_presheaf(Pm)
     assert verdicts == {True, False}
+
+
+# -- the fiber transports against the per-direction loops ----------------------
+
+def _ref_presheaf_of_etale(X, L):
+    S = X.sgrp
+    obj_elt = L.extra["obj_elt"]
+    fibers = []
+    pos = []
+    for e in obj_elt:
+        pts = [x for x in range(len(X)) if X.anchor[x] == e]
+        fibers.append(tuple(X.base.carrier[x] for x in pts))
+        pos.append({x: i for i, x in enumerate(pts)})
+    fiber_pts = [sorted(p, key=p.get) for p in pos]
+    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
+    maps = []
+    for (e, s) in L.extra["payload"]:
+        co = obj_of_elt[e]
+        do = obj_of_elt[int(S.table[S.star[s], s])]
+        maps.append(np.array([pos[do][int(X.base.act[x, s])] for x in fiber_pts[co]],
+                             dtype=np.int64))
+    P = Presheaf(L, tuple(fibers), tuple(maps))
+    P.pts = tuple(tuple(f) for f in fiber_pts)
+    return P
+
+
+def _ref_Q_of(X, C):
+    obj_elt = C.extra["obj_elt"]
+    pts, pos, fibers = [], [], []
+    for e in obj_elt:
+        p = [x for x in range(len(X)) if X.act[x, e] == x]
+        pts.append(p)
+        pos.append({x: i for i, x in enumerate(p)})
+        fibers.append(tuple(X.carrier[x] for x in p))
+    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
+    maps = []
+    for (e, s, f) in C.extra["payload"]:
+        co, do = obj_of_elt[e], obj_of_elt[f]
+        maps.append(np.array([pos[do][int(X.act[x, s])] for x in pts[co]],
+                             dtype=np.int64))
+    P = Presheaf(C, tuple(fibers), tuple(maps))
+    P.pts = tuple(tuple(p) for p in pts)
+    return P
+
+
+def _ref_etale_of_presheaf(P):
+    L = P.site
+    S = L.extra["sgrp"]
+    obj_elt = L.extra["obj_elt"]
+    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
+    lidx = L.extra["index"]
+    pts = [(o, i) for o in range(L.n_objects) for i in range(P.fiber_size(o))]
+    pos = {p: i for i, p in enumerate(pts)}
+    tab, star = S.table, S.star
+    act = np.empty((len(pts), len(S)), dtype=np.int64)
+    for k, (o, i) in enumerate(pts):
+        e = obj_elt[o]
+        for s in range(len(S)):
+            es = int(tab[e, s])
+            d = int(tab[tab[star[s], e], s])
+            act[k, s] = pos[(obj_of_elt[d], int(P.maps[lidx[(e, es)]][i]))]
+    names = tuple(f"{L.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
+    base = RightAction(names, S, act, {"kind": "etale_of_presheaf", "pairs": tuple(pts)})
+    return EtaleAction(base, np.array([obj_elt[o] for (o, _i) in pts], dtype=np.int64))
+
+
+def _ref_I_star(P):
+    C = P.site
+    S = C.extra["sgrp"]
+    obj_elt = C.extra["obj_elt"]
+    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
+    cidx = C.extra["index"]
+    pts = [(o, i) for o in range(C.n_objects) for i in range(P.fiber_size(o))]
+    pos = {p: i for i, p in enumerate(pts)}
+    tab, star = S.table, S.star
+    act = np.empty((len(pts), len(S)), dtype=np.int64)
+    for k, (o, i) in enumerate(pts):
+        e = obj_elt[o]
+        for s in range(len(S)):
+            es = int(tab[e, s])
+            d = int(tab[tab[star[s], e], s])
+            act[k, s] = pos[(obj_of_elt[d], int(P.maps[cidx[(e, es, d)]][i]))]
+    names = tuple(f"{C.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
+    base = RightAction(names, S, act, {"kind": "I_star", "pairs": tuple(pts)})
+    return EtaleAction(base, np.array([obj_elt[o] for (o, _i) in pts], dtype=np.int64))
+
+
+def _assert_same_presheaf(P, ref):
+    assert P.site is ref.site and P.fibers == ref.fibers and P.pts == ref.pts
+    assert len(P.maps) == len(ref.maps)
+    assert all(a.dtype == b.dtype and a.tolist() == b.tolist()
+               for a, b in zip(P.maps, ref.maps))
+
+
+def _assert_same_etale(Y, ref):
+    assert Y.base.carrier == ref.base.carrier and Y.base.sgrp is ref.base.sgrp
+    assert Y.base.act.tolist() == ref.base.act.tolist()
+    assert Y.base.extra == ref.base.extra and Y.anchor.tolist() == ref.anchor.tolist()
+
+
+def test_fiber_transports_match_loops():
+    from morita.corpus import (
+        coproduct_presheaf,
+        sample_closed_actions,
+        sample_etale_actions,
+        sample_presheaves,
+    )
+
+    for S in _reference_cases():
+        C, L = C_of(S), L_of(S)
+        for X in sample_etale_actions(S):
+            P = presheaf_of_etale(X, L)
+            _assert_same_presheaf(P, _ref_presheaf_of_etale(X, L))
+            for Q in (P, coproduct_presheaf(L, [P, P])):
+                _assert_same_etale(etale_of_presheaf(Q), _ref_etale_of_presheaf(Q))
+        for X in sample_closed_actions(S, 3, 4) + [munn_action(S).base, empty_action(S)]:
+            _assert_same_presheaf(Q_of(X, C), _ref_Q_of(X, C))
+        for P in sample_presheaves(S, C, 3, 3):
+            _assert_same_etale(I_star(P), _ref_I_star(P))

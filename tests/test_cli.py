@@ -74,9 +74,12 @@ def test_enlarge_biset_check_and_enlargement(corpus_dir, tmp_path, capsys):
     rc, out = run(capsys, ["biset-enlarge", str(tmp_path / "b.biset"),
                            "--emit-ogpd", str(tmp_path / "g.ogpd")])
     assert rc == 0
-    for check in ("bipartite", "morita_context", "enlargement_of_S",
-                  "enlargement_of_T", "roundtrip_biset"):
-        assert f"check={check} status=ok" in out
+    lines = out.splitlines()
+    assert lines[2:11] == [f"check={check} status=ok" for check in (
+        "biset_axioms", "bipartite", "left_cancellative", "morita_context",
+        "inverse_semigroupoid", "ordered_groupoid", "enlargement_of_S",
+        "enlargement_of_T", "roundtrip_biset")]
+    assert lines[-1] == "verdict=pass"
     from morita.formats import parse_ordered_groupoid
 
     G = parse_ordered_groupoid((tmp_path / "g.ogpd").read_text(encoding="utf-8"))

@@ -316,3 +316,278 @@ def test_pseudoproduct_raises_when_the_composite_is_missing(b12):
                         G.inv, G.identity, G.leq)
     with pytest.raises(UndefinedPseudoproduct):
         pseudoproduct(H, s, t)
+
+
+# -- the ordered-groupoid layer against its interpreted reference loops -------
+
+def loop_validate_ordered_groupoid(G):
+    """The validator with its own category checks and its pair loops."""
+    from morita.groupoids import _is_partial_order
+
+    bad = []
+    na = G.n_arrows
+    dom, cod, comp, inv, leq = G.dom, G.cod, G.comp, G.inv, G.leq
+    defined = comp >= 0
+    if not np.array_equal(defined, dom[:, None] == cod[None, :]):
+        bad.append("composition not defined exactly on matching pairs")
+    for o in range(G.n_objects):
+        i = int(G.identity[o])
+        if dom[i] != o or cod[i] != o:
+            bad.append(f"identity of {o} has wrong endpoints")
+    g, f = np.nonzero(defined)
+    if g.size:
+        if not (np.all(dom[comp[g, f]] == dom[f]) and np.all(cod[comp[g, f]] == cod[g])):
+            bad.append("composite endpoints wrong")
+    ids = G.identity
+    ar = np.arange(na)
+    if na and not np.all(comp[ids[cod], ar] == ar):
+        bad.append("left identity fails")
+    if na and not np.all(comp[ar, ids[dom]] == ar):
+        bad.append("right identity fails")
+    if na and not np.all(comp[ar, inv] == ids[cod]):
+        bad.append("g . g^-1 != id")
+    if na and not np.all(comp[inv, ar] == ids[dom]):
+        bad.append("g^-1 . g != id")
+    for h in range(na):
+        hg = comp[h]
+        mask = defined & (hg >= 0)[:, None]
+        if not mask.any():
+            continue
+        idx = np.where(defined, comp, 0)
+        x = comp[h, idx]
+        y = comp[np.where(hg >= 0, hg, 0)]
+        if not np.array_equal(x[mask], y[mask]):
+            bad.append("associativity fails")
+            break
+    if not _is_partial_order(G.leq):
+        bad.append("arrow order is not a partial order")
+    if not _is_partial_order(G.obj_leq):
+        bad.append("object order is not a partial order")
+    for a in range(G.n_objects):
+        for b in range(G.n_objects):
+            if G.obj_leq[a, b] != leq[int(ids[a]), int(ids[b])]:
+                bad.append("object order disagrees with identity-arrow order")
+                break
+    x, y = np.nonzero(leq)
+    if x.size:
+        if not np.all(leq[inv[x], inv[y]]):
+            bad.append("order not stable under inverse")
+        if not np.all(G.obj_leq[dom[x], dom[y]]):
+            bad.append("dom not monotone")
+        if not np.all(G.obj_leq[cod[x], cod[y]]):
+            bad.append("cod not monotone")
+    for (a, b) in zip(x, y):
+        for (u, v) in zip(x, y):
+            if comp[a, u] >= 0 and comp[b, v] >= 0:
+                if not leq[comp[a, u], comp[b, v]]:
+                    bad.append("composition not monotone")
+                    break
+        else:
+            continue
+        break
+    for g_ in range(na):
+        dg = int(dom[g_])
+        for e in range(G.n_objects):
+            if not G.obj_leq[e, dg]:
+                continue
+            below = [h for h in range(na) if leq[h, g_] and dom[h] == e]
+            if len(below) != 1:
+                bad.append(f"restriction of arrow {g_} to object {e} not unique")
+    return bad
+
+
+_LOOP_CATEGORY_MESSAGES = (
+    "composition not defined exactly on matching pairs", "identity of ",
+    "composite endpoints wrong", "left identity fails", "right identity fails",
+    "associativity fails",
+)
+
+
+def in_loop_wording(msg):
+    """A check_category message in the words of the reference loop."""
+    msg = msg.replace("composition defined off the composable pairs",
+                      "composition not defined exactly on matching pairs")
+    msg = msg.replace("identity of object ", "identity of ").replace(" law fails", " fails")
+    return msg.split(" around morphism")[0]
+
+
+def assert_validator_matches_loop(G):
+    from morita.categories import check_category
+
+    new, old = validate_ordered_groupoid(G), loop_validate_ordered_groupoid(G)
+    cat = check_category(G.cat)
+    is_cat = [m.startswith(_LOOP_CATEGORY_MESSAGES) for m in old]
+    assert new[:len(cat)] == cat
+    assert [in_loop_wording(m) for m in cat] == [m for m, c in zip(old, is_cat) if c]
+    assert new[len(cat):] == [m for m, c in zip(old, is_cat) if not c]
+    return new
+
+
+def loop_inductive_groupoid_of(S):
+    from morita.semigroups import idempotents, natural_leq
+
+    tab, star = S.table, S.star
+    E = idempotents(S)
+    obj_of = {e: i for i, e in enumerate(E)}
+    n = len(S)
+    dom = [obj_of[int(tab[star[s], s])] for s in range(n)]
+    cod = [obj_of[int(tab[s, star[s]])] for s in range(n)]
+    comp = [[int(tab[s, t]) if tab[star[s], s] == tab[t, star[t]] else -1
+             for t in range(n)] for s in range(n)]
+    leq = [[natural_leq(S, s, t) for t in range(n)] for s in range(n)]
+    obj_leq = [[bool(tab[e, f] == e) for f in E] for e in E]
+    return (tuple(S.names[e] for e in E), obj_leq, S.names, dom, cod, comp,
+            S.star.tolist(), E, leq)
+
+
+def loop_check_ordered_functor(F):
+    G, H = F.source, F.target
+    om, am = F.obj_map, F.arr_map
+    if om.shape != (G.n_objects,) or am.shape != (G.n_arrows,):
+        return False
+    if any(H.dom[am[g]] != om[G.dom[g]] or H.cod[am[g]] != om[G.cod[g]]
+           for g in range(G.n_arrows)):
+        return False
+    if any(am[G.identity[o]] != H.identity[om[o]] for o in range(G.n_objects)):
+        return False
+    if any(am[G.inv[g]] != H.inv[am[g]] for g in range(G.n_arrows)):
+        return False
+    for g in range(G.n_arrows):
+        for f in range(G.n_arrows):
+            if G.comp[g, f] >= 0 and am[G.comp[g, f]] != H.comp[am[g], am[f]]:
+                return False
+    return all(H.leq[am[a], am[b]] for a in range(G.n_arrows)
+               for b in range(G.n_arrows) if G.leq[a, b])
+
+
+def loop_restriction(G, e, g, ends):
+    """The arrows below g whose end (dom or cod) is e, or None when e is not below."""
+    if not G.obj_leq[e, int(ends[g])]:
+        return None
+    return tuple(h for h in range(G.n_arrows) if G.leq[h, g] and ends[h] == e)
+
+
+def loop_meet_objects(G, a, b):
+    lower = [c for c in range(G.n_objects) if G.obj_leq[c, a] and G.obj_leq[c, b]]
+    return next((m for m in lower if all(G.obj_leq[c, m] for c in lower)), None)
+
+
+def loop_is_principally_inductive(G):
+    for e in range(G.n_objects):
+        down = [f for f in range(G.n_objects) if G.obj_leq[f, e]]
+        if any(loop_meet_objects(G, a, b) is None for a in down for b in down):
+            return False
+    return True
+
+
+def loop_li2(F):
+    """(LI2): every y <= F(a) has exactly one b <= a with F(b) = y."""
+    G, H, om = F.source, F.target, F.obj_map
+    return all(sum(1 for b in range(G.n_objects) if G.obj_leq[b, a] and om[b] == y) == 1
+               for a in range(G.n_objects) for y in range(H.n_objects)
+               if H.obj_leq[y, om[a]])
+
+
+def assert_restrictions_match_loop(G, rng):
+    from morita.errors import NotUnique
+
+    for _ in range(6):
+        e, a = (int(v) for v in rng.integers(0, G.n_objects, size=2))
+        g = int(rng.integers(0, G.n_arrows))
+        assert meet_objects(G, e, a) == loop_meet_objects(G, e, a)
+        for fn, ends, key in ((restriction, G.dom, lambda e, g: (e, g)),
+                              (corestriction, G.cod, lambda e, g: (g, e))):
+            below = loop_restriction(G, e, g, ends)
+            args = (G, e, g) if fn is restriction else (G, g, e)
+            if below is None:
+                with pytest.raises(NotBelow) as info:
+                    fn(*args)
+                assert info.value.witness == key(e, g)
+            elif len(below) != 1:
+                with pytest.raises(NotUnique) as info:
+                    fn(*args)
+                assert info.value.witness == key(e, g) + (below,)
+                assert all(type(h) is int for h in info.value.witness[2])
+            else:
+                assert fn(*args) == below[0] and type(below[0]) is int
+
+
+def groupoid_mutants(G, rng, count):
+    """Copies of G with up to two flipped order cells, or a changed composite or inverse."""
+    na, no = G.n_arrows, G.n_objects
+    for k in range(count):
+        leq, obj_leq = G.leq.copy(), G.obj_leq.copy()
+        comp, inv = G.comp.copy(), G.inv.copy()
+        kind = k % 4
+        if kind == 0:
+            i, j = rng.integers(0, na, size=(2, 2))
+            leq[i, j] = ~leq[i, j]
+        elif kind == 1:
+            i, j = rng.integers(0, no, size=(2, 2))
+            obj_leq[i, j] = ~obj_leq[i, j]
+        elif kind == 2:
+            i, j = rng.integers(0, na, size=2)
+            comp[i, j] = rng.integers(-1, na)
+        else:
+            inv[rng.integers(0, na)] = rng.integers(0, na)
+        yield OrderedGroupoid(G.objects, obj_leq, G.arrows, G.dom, G.cod, comp,
+                              inv, G.identity, leq)
+
+
+def test_ordered_groupoid_layer_matches_loops(local_submonoid_bisets):
+    from morita.bisets import build_R_semigroupoid
+    from morita.corpus import builtin_corpus, random_inverse_subsemigroups
+    from morita.semigroups import symmetric_inverse_monoid
+
+    semigroups = ([S for _name, S in builtin_corpus()] + [symmetric_inverse_monoid(3)]
+                  + random_inverse_subsemigroups(3, 25))
+    groupoids = []
+    for S in semigroups:
+        G = inductive_groupoid_of(S)
+        fields = (G.objects, G.obj_leq.tolist(), G.arrows, G.dom.tolist(),
+                  G.cod.tolist(), G.comp.tolist(), G.inv.tolist(),
+                  G.identity.tolist(), G.leq.tolist())
+        assert fields == loop_inductive_groupoid_of(S)
+        assert G.extra == {"kind": "inductive", "sgrp": S}
+        groupoids.append(G)
+    groupoids += [ordered_groupoid_of(build_R_semigroupoid(B))
+                  for B in local_submonoid_bisets]
+    point = OrderedGroupoid(("1",), [[True]], ("1",), [0], [0], [[0]], [0], [0], [[True]])
+    rng = np.random.default_rng(17)
+    verdicts, li2_seen = set(), set()
+    for G in groupoids:
+        assert assert_validator_matches_loop(G) == []
+        assert_restrictions_match_loop(G, rng)
+        assert is_principally_inductive(G) == loop_is_principally_inductive(G)
+        ident = OrderedFunctor(G, G, np.arange(G.n_objects), np.arange(G.n_arrows))
+        assert check_ordered_functor(ident) and loop_check_ordered_functor(ident)
+        # the local group at each o (li2 fails when anything lies below o),
+        # and the functor onto the trivial group (no lift is unique below a
+        # non-minimal object)
+        for F in [sub_ordered_groupoid(G, np.flatnonzero((G.dom == o) & (G.cod == o)))[1]
+                  for o in range(G.n_objects)] + [
+                OrderedFunctor(G, point, np.zeros(G.n_objects), np.zeros(G.n_arrows))]:
+            li2 = local_isomorphism_report(F)["li2"]
+            assert li2 is loop_li2(F)
+            li2_seen.add(li2)
+        for H in groupoid_mutants(G, rng, 8):
+            verdicts.add(bool(assert_validator_matches_loop(H)))
+            assert_restrictions_match_loop(H, rng)
+            assert is_principally_inductive(H) == loop_is_principally_inductive(H)
+            for F in (OrderedFunctor(G, H, ident.obj_map, ident.arr_map),
+                      OrderedFunctor(G, G, ident.obj_map,
+                                     rng.integers(0, G.n_arrows, size=G.n_arrows)),
+                      OrderedFunctor(G, G, rng.integers(0, G.n_objects, size=G.n_objects),
+                                     ident.arr_map)):
+                assert check_ordered_functor(F) == loop_check_ordered_functor(F)
+    assert verdicts == li2_seen == {False, True}
+
+
+def test_check_ordered_functor_rejects_out_of_range_arrow_maps(b12):
+    G = inductive_groupoid_of(b12)
+    om, am = np.arange(G.n_objects), np.arange(G.n_arrows)
+    assert check_ordered_functor(OrderedFunctor(G, G, om, am))
+    for bad in (-1, G.n_arrows):
+        wrong = am.copy()
+        wrong[0] = bad
+        assert not check_ordered_functor(OrderedFunctor(G, G, om, wrong))

@@ -14,3 +14,22 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_private_function_and_class_is_used():
+    # a module-level _name that nothing in the library reads is left over
+    # from a merge or a refactor
+    src = Path(morita.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    uses = [(name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = [f"{name}:{d.name}"
+              for name, tree in trees.items() for d in tree.body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+              and d.name.startswith("_") and not d.name.startswith("__")
+              and not any(used == d.name and not (where == name
+                                                   and d.lineno <= line <= d.end_lineno)
+                          for (where, line, used) in uses)]
+    assert unused == []
