@@ -53,7 +53,6 @@ from .actions import (
     R_of,
     RightAction,
     U_of,
-    category_of_elements,
     check_etale,
     etale_morphism_check,
     etale_of_presheaf,

@@ -82,36 +82,3 @@ def row_blocks(n, row_cells):
     step = max(1, 2**15 // max(1, row_cells))
     return [np.arange(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
-
-class UnionFind:
-    """Union-find over hashable keys, with path splitting."""
-
-    def __init__(self, items=()):
-        self.parent = {x: x for x in items}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            x, p[x] = p[x], p[p[x]]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # keep the smaller root so representatives are deterministic
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-    def classes(self):
-        """Partition as a sorted list of sorted lists."""
-        buckets = {}
-        for x in self.parent:
-            buckets.setdefault(self.find(x), []).append(x)
-        out = [sorted(v) for v in buckets.values()]
-        out.sort()
-        return out

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from ._util import components, congruence
-from .categories import C_of, FiniteCategory, Functor, L_of
+from .categories import C_of, FiniteCategory, L_of
 from .errors import InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
 from .semigroups import (
     FiniteSemigroup,
@@ -438,50 +438,6 @@ def _etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
 def etale_of_presheaf(P: Presheaf) -> EtaleAction:
     """Total space of the fiber map, with the anchor remembering the fiber."""
     return _etale_of_fibers(P, "L", "etale_of_presheaf")
-
-
-def category_of_elements(P: Presheaf):
-    """The category of elements with its discrete fibration to the site."""
-    from .categories import build_category
-
-    C = P.site
-    objs = [(o, i) for o in range(C.n_objects) for i in range(P.fiber_size(o))]
-    opos = {p: i for i, p in enumerate(objs)}
-    mors = []
-    for f in range(C.n_mor):
-        a, b = int(C.dom[f]), int(C.cod[f])
-        for i in range(P.fiber_size(b)):
-            x = int(P.maps[f][i])
-            mors.append((opos[(a, x)], opos[(b, i)],
-                         f"{C.mor_labels[f]}@{i}", (f, i)))
-
-    def compose(pg, pf):
-        (g, i2), (f, _i1) = pg, pf
-        return (int(C.comp[g, f]), i2)
-
-    def ident(oi):
-        o, i = objs[oi]
-        return (int(C.identity[o]), i)
-
-    labels = tuple(f"({C.objects[o]},{P.fibers[o][i]})" for (o, i) in objs)
-    cat = build_category(labels, mors, compose, ident,
-                         {"kind": "elements", "objs": tuple(objs)})
-    K = Functor(cat, C,
-                np.array([o for (o, _i) in objs], dtype=np.int64),
-                np.array([f for (f, _i) in cat.extra["payload"]], dtype=np.int64))
-    # verify K is a discrete fibration: unique lift of each f into K(y)
-    for f in range(C.n_mor):
-        b = int(C.cod[f])
-        for i in range(P.fiber_size(b)):
-            lifts = [
-                m
-                for m, (ff, ii) in enumerate(cat.extra["payload"])
-                if ff == f and ii == i
-            ]
-            if len(lifts) != 1:
-                raise InvariantBroken("element category lost the fibration property",
-                                      witness=(f, i))
-    return cat, K
 
 
 # -- Q and its left adjoint ----------------------------------------------------

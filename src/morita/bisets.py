@@ -24,7 +24,7 @@ from .categories import (
     Functor,
     L_of,
     SkeletonData,
-    build_category,
+    _pair_category,
     cauchy_skeleton,
     check_morita_context,
     equivalence_from_skeletons,
@@ -35,21 +35,19 @@ from .errors import (
     AssociativityFailure,
     BudgetExceeded,
     InvalidBiset,
-    InvariantBroken,
     NotAnEnlargement,
     PreconditionFailed,
-    UndefinedPseudoproduct,
 )
 from .groupoids import (
     InverseSemigroupoid,
     OrderedFunctor,
     OrderedGroupoid,
+    _defined_pseudoproducts,
     check_ordered_functor,
     inductive_groupoid_of,
     is_enlargement,
     make_inverse_semigroupoid,
     ordered_groupoid_of,
-    pseudoproduct,
     semigroupoid_violations,
 )
 from .semigroups import (
@@ -345,37 +343,18 @@ def build_bipartite_U(B: EquivalenceBiset):
     """The bipartite category [L(S), L(T)] of a biset, with both embeddings.
 
     Morphisms are pairs (c, r) with c an idempotent of the semigroupoid
-    R(S,T;X) and cr = r; this realizes the four morphism classes (the two
+    R(S,T;X) and cr = r, built as `L_of` builds L(S), on the partial table
+    of R; this realizes the four morphism classes (the two
     pair categories and the bridge morphisms (x,d), (x,e)) with the
     composition induced by the eight product rules.  Returns
     (U, S_part_objects, T_part_objects, P: L(S) -> U, Q: L(T) -> U).
     """
     Rg = build_R_semigroupoid(B)
-    tab = Rg.table
-    star = Rg.star
-    n = len(Rg)
-    idem = [e for e in range(n) if tab[e, e] == e]
-    obj_of = {e: i for i, e in enumerate(idem)}
-    rr = [int(tab[star[r], r]) for r in range(n)]
-    mors = []
-    for c in idem:
-        for r in range(n):
-            if tab[c, r] == r:
-                mors.append((obj_of[rr[r]], obj_of[c],
-                             f"({Rg.names[c]}|{Rg.names[r]})", (c, r)))
-
-    def compose(pg, pf):
-        (c1, r1), (_c2, r2) = pg, pf
-        v = int(tab[r1, r2])
-        if v < 0:
-            raise InvariantBroken("composable morphisms of U have no composite in R",
-                                  witness=(r1, r2))
-        return (c1, v)
-
-    U = build_category(tuple(Rg.names[e] for e in idem), mors, compose,
-                       lambda o: (idem[o], idem[o]),
+    U = _pair_category(Rg.table, Rg.star, Rg.names, "|",
                        {"kind": "bipartite_U", "sgpd": Rg})
     elems = Rg.extra["elems"]
+    idem = U.extra["obj_elt"]
+    obj_of = {e: i for i, e in enumerate(idem)}
     s_objs = [obj_of[e] for e in idem if elems[e][0] == "S"]
     t_objs = [obj_of[e] for e in idem if elems[e][0] == "T"]
 
@@ -415,43 +394,31 @@ def biset_from_ordered_enlargement(G: OrderedGroupoid, S: InverseSemigroup,
     if not is_enlargement(G, [int(v) for v in emb_T]):
         raise NotAnEnlargement("G is not an enlargement of the image of G(T)")
 
-    s_of_arrow = {int(a): s for s, a in enumerate(emb_S)}
-    t_of_arrow = {int(a): t for t, a in enumerate(emb_T)}
-    s_objs = {int(G.dom[int(a)]) for a in emb_S} | {int(G.cod[int(a)]) for a in emb_S}
-    t_objs = {int(G.dom[int(a)]) for a in emb_T} | {int(G.cod[int(a)]) for a in emb_T}
-    X = [x for x in range(G.n_arrows)
-         if int(G.dom[x]) in t_objs and int(G.cod[x]) in s_objs]
-    pos = {x: i for i, x in enumerate(X)}
+    s_objs = np.union1d(G.dom[emb_S], G.cod[emb_S])
+    t_objs = np.union1d(G.dom[emb_T], G.cod[emb_T])
+    X = np.flatnonzero(np.isin(G.dom, t_objs) & np.isin(G.cod, s_objs))
 
-    def pp(a, b):
-        v = pseudoproduct(G, a, b)
-        if v is None:
-            raise UndefinedPseudoproduct(witness=(a, b))
-        return v
+    def number(arrows, v, message):
+        """The position of each v in arrows; InvalidBiset if one is missing."""
+        pos = np.full(G.n_arrows, -1, dtype=np.int64)
+        pos[arrows] = np.arange(len(arrows))
+        if (pos[v] < 0).any():
+            raise InvalidBiset(message)
+        return pos[v]
 
-    nx = len(X)
-    left = np.empty((len(S), nx), dtype=np.int64)
-    right = np.empty((nx, len(T)), dtype=np.int64)
-    innS = np.empty((nx, nx), dtype=np.int64)
-    innT = np.empty((nx, nx), dtype=np.int64)
-    for i, x in enumerate(X):
-        for s in range(len(S)):
-            left[s, i] = pos[pp(int(emb_S[s]), x)]
-        for t in range(len(T)):
-            right[i, t] = pos[pp(x, int(emb_T[t]))]
-    for i, x in enumerate(X):
-        for j, y in enumerate(X):
-            v = pp(x, int(G.inv[y]))
-            if v not in s_of_arrow:
-                raise InvalidBiset("pairing <x,y> lands outside the S part")
-            innS[i, j] = s_of_arrow[v]
-            w = pp(int(G.inv[x]), y)
-            if w not in t_of_arrow:
-                raise InvalidBiset("pairing [x,y] lands outside the T part")
-            innT[i, j] = t_of_arrow[w]
+    inv = G.inv
+    left = number(X, _defined_pseudoproducts(G, emb_S[:, None], X),
+                  "action s.x lands outside X")
+    right = number(X, _defined_pseudoproducts(G, X[:, None], emb_T),
+                   "action x.t lands outside X")
+    innS = number(emb_S, _defined_pseudoproducts(G, X[:, None], inv[X]),
+                  "pairing <x,y> lands outside the S part")
+    innT = number(emb_T, _defined_pseudoproducts(G, inv[X][:, None], X),
+                  "pairing [x,y] lands outside the T part")
     B = EquivalenceBiset(S, T, tuple(G.arrows[x] for x in X),
                          left, right, innS, innT,
-                         {"kind": "from_ordered_enlargement", "arrows": tuple(X)})
+                         {"kind": "from_ordered_enlargement",
+                          "arrows": tuple(X.tolist())})
     report = verify_biset(B)
     if not report.passed:
         raise InvalidBiset(f"recovered biset fails: {report.failures()[:2]}")

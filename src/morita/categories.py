@@ -2,14 +2,15 @@
 
 A category is stored densely: morphisms are indices with dom/cod arrays
 and an m x m composition table using -1 for "not composable"; hom-sets are
-read from an index of the morphisms sorted by (dom, cod).  The two key
-constructions are the left-cancellative category of an inverse semigroup
-(pairs (e,s) with es=s) and the Cauchy completion (triples (e,s,f) with
-esf=s).  Equivalence of finite categories is decided through skeletons:
-two finite categories are equivalent iff their skeletons are isomorphic,
-and the isomorphism search is a backtracking matcher with
-invariant-refinement pruning.  Its inverse gives the backward witness, so
-each decision searches once.
+read from an index of the morphisms sorted by (dom, cod).  Every category
+built from a semigroup, a groupoid or spans comes out of one constructor,
+`_table_category`.  The two key constructions are the left-cancellative
+category of an inverse semigroup (pairs (e,s) with es=s) and the Cauchy
+completion (triples (e,s,f) with esf=s).  Equivalence of finite categories
+is decided through skeletons: two finite categories are equivalent iff
+their skeletons are isomorphic, and the isomorphism search is a
+backtracking matcher with invariant-refinement pruning.  Its inverse gives
+the backward witness, so each decision searches once.
 
 For the Cauchy completion the skeleton needs no search for isomorphisms:
 an isomorphism f -> e of C(S) is an element s with s*s = f and ss* = e, so
@@ -24,8 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from ._util import row_blocks
 from .errors import (
     CospanMismatch,
+    InvariantBroken,
     IsomorphismChainBroken,
     NoPullbacks,
     NotFullSubcategory,
@@ -62,6 +65,11 @@ class FiniteCategory:
         return len(self.mor_labels)
 
     @cached_property
+    def _spans(self):
+        """`_span_tables(self)`, built once for pullbacks and span_category."""
+        return _span_tables(self)
+
+    @cached_property
     def _hom_index(self):
         """Morphism ids sorted by (dom, cod), and where each hom-set starts.
 
@@ -96,37 +104,6 @@ class FiniteCategory:
         return f"FiniteCategory(objects={self.n_objects}, morphisms={self.n_mor})"
 
 
-def build_category(objects, mors, compose, identity_payload, extra=None):
-    """Assemble a FiniteCategory from payload-keyed morphisms.
-
-    mors: list of (dom, cod, label, payload) with hashable unique payloads.
-    compose(pg, pf) must return the payload of g.f for composable pairs.
-    """
-    index = {}
-    dom, cod, labels, payloads = [], [], [], []
-    for d, c, lab, pay in mors:
-        if pay in index:
-            raise ValueError(f"duplicate morphism payload {pay!r}")
-        index[pay] = len(payloads)
-        dom.append(d)
-        cod.append(c)
-        labels.append(lab)
-        payloads.append(pay)
-    m = len(payloads)
-    comp = np.full((m, m), -1, dtype=np.int64)
-    for g in range(m):
-        for f in range(m):
-            if dom[g] == cod[f]:
-                comp[g, f] = index[compose(payloads[g], payloads[f])]
-    ident = np.array([index[identity_payload(o)] for o in range(len(objects))],
-                     dtype=np.int64)
-    xt = dict(extra or {})
-    xt["payload"] = tuple(payloads)
-    xt["index"] = index
-    return FiniteCategory(tuple(objects), tuple(labels), np.array(dom),
-                          np.array(cod), comp, ident, xt)
-
-
 def check_category(C: FiniteCategory) -> list:
     """Return a list of axiom violations (empty when C is a category)."""
     bad = []
@@ -149,25 +126,33 @@ def check_category(C: FiniteCategory) -> list:
             bad.append("left identity law fails")
         if not np.all(comp[np.arange(m), ids[dom]] == np.arange(m)):
             bad.append("right identity law fails")
-        # associativity, vectorized per h
-        idx = np.where(defined, comp, 0)
-        for h in range(m):
-            hg = comp[h]                     # over g
-            both = defined & (hg >= 0)[:, None]
-            if not both.any():
-                continue
-            x = comp[h, idx]                 # h.(g.f)
-            y = comp[np.where(hg >= 0, hg, 0)][:, :]  # (h.g).f rows by g
-            if not np.array_equal(x[both], y[both]):
-                bad.append(f"associativity fails around morphism {h}")
-                break
+        # associativity over the triples (h, g, f) with h.g and g.f defined,
+        # one block of g with a common (dom, cod) at a time; the message
+        # names the least h that fails
+        order, start = C._hom_index
+        least = m
+        for k in range(n * n):
+            block = order[start[k]:start[k + 1]]
+            H = np.flatnonzero(defined[:, block].any(axis=1))
+            F = np.flatnonzero(defined[block].any(axis=0))
+            for rows in row_blocks(len(block), len(H) * len(F)):
+                g = block[rows]
+                hg, gf = comp[np.ix_(H, g)], comp[np.ix_(g, F)]   # [h, g], [g, f]
+                both = (hg >= 0)[:, :, None] & (gf >= 0)[None, :, :]
+                x = comp[H[:, None, None], np.maximum(gf, 0)[None]]     # h.(g.f)
+                y = comp[np.maximum(hg, 0)[:, :, None], F]             # (h.g).f
+                fails = (both & (x != y)).any(axis=(1, 2))
+                if fails.any():
+                    least = min(least, int(H[fails.argmax()]))
+        if least < m:
+            bad.append(f"associativity fails around morphism {least}")
     return bad
 
 
 # -- L(S) and C(S) -----------------------------------------------------------
 
 def _table_category(objects, dom, cod, labels, payloads, ident, composite, extra):
-    """A category of semigroup-labelled morphisms with its composition table.
+    """A category of payload-keyed morphisms with its composition table.
 
     composite(g, f) maps arrays of composable morphism ids to the ids of
     g.f; it is evaluated one block of composable pairs per middle object.
@@ -184,26 +169,42 @@ def _table_category(objects, dom, cod, labels, payloads, ident, composite, extra
     return FiniteCategory(objects, labels, dom, cod, comp, ident, xt)
 
 
-def L_of(S: InverseSemigroup) -> FiniteCategory:
-    """Left-cancellative category: morphisms (e,s) with es=s, from s*s to e."""
-    tab, star, names = S.table, S.star, S.names
-    E = idempotents(S)
-    Ea = np.array(E, dtype=np.int64)
-    k, n = len(E), len(S)
+def _pair_category(tab, star, names, sep, extra) -> FiniteCategory:
+    """Pairs (e, s) with e idempotent and es = s, from s*s to e.
+
+    (e, s).(f, t) = (e, st).  tab may be a partial table (-1 where
+    undefined) with unique inverses star; a composable pair whose product
+    is undefined raises InvariantBroken.
+    """
+    n = len(names)
+    Ea = np.flatnonzero(np.diagonal(tab) == np.arange(n))
+    k = len(Ea)
     obj_of = np.full(n, -1, dtype=np.int64)
     obj_of[Ea] = np.arange(k)
     # morphisms in (e, s) order, numbered through idx[e, s]
     ei, s = np.nonzero(tab[Ea] == np.arange(n))
     idx = np.full((k, n), -1, dtype=np.int64)
     idx[ei, s] = np.arange(len(s))
-    dom = obj_of[tab[star[s], s]]
     payloads = tuple(zip(Ea[ei].tolist(), s.tolist()))
-    labels = tuple(f"({names[e]},{names[t]})" for e, t in payloads)
+
+    def composite(g, f):
+        st = tab[s[g], s[f]]
+        if (st < 0).any():
+            g, f = np.broadcast_arrays(g, f)
+            raise InvariantBroken("composable morphisms have no composite",
+                                  witness=(int(s[g][st < 0][0]), int(s[f][st < 0][0])))
+        return idx[ei[g], st]
+
     return _table_category(
-        tuple(names[e] for e in E), dom, ei, labels, payloads,
-        idx[np.arange(k), Ea],
-        lambda g, f: idx[ei[g], tab[s[g], s[f]]],
-        {"kind": "L", "sgrp": S, "obj_elt": tuple(E)})
+        tuple(names[e] for e in Ea), obj_of[tab[star[s], s]], ei,
+        tuple(f"({names[e]}{sep}{names[t]})" for e, t in payloads), payloads,
+        idx[np.arange(k), Ea], composite,
+        {**extra, "obj_elt": tuple(Ea.tolist())})
+
+
+def L_of(S: InverseSemigroup) -> FiniteCategory:
+    """Left-cancellative category: morphisms (e,s) with es=s, from s*s to e."""
+    return _pair_category(S.table, S.star, S.names, ",", {"kind": "L", "sgrp": S})
 
 
 def C_of(S: FiniteSemigroup) -> FiniteCategory:
@@ -506,14 +507,9 @@ def is_bipartite(U: FiniteCategory, A_objs, B_objs) -> bool:
             raise NotFullSubcategory(f"object {o} is not an object of U")
     if set(A) & set(B) or set(A) | set(B) != set(range(U.n_objects)):
         return False
-    partner = iso_partner(U)
-    aset, bset = set(A), set(B)
-    for objs, other in ((A, bset), (B, aset)):
-        for o in objs:
-            if not any(partner[m] >= 0 and int(U.cod[m]) in other
-                       for m in range(U.n_mor) if U.dom[m] == o):
-                return False
-    return True
+    in_A = np.bincount(A, minlength=U.n_objects) > 0
+    crossing = (iso_partner(U) >= 0) & (in_A[U.dom] != in_A[U.cod])
+    return bool((np.bincount(U.dom[crossing], minlength=U.n_objects) > 0).all())
 
 
 # -- category isomorphism and equivalence ------------------------------------
@@ -663,8 +659,6 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
             obj_map[o] = o2
             used_obj[o2] = True
             im = int(D.identity[o2])
-            if used_mor[im]:
-                raise RuntimeError("identity image clash")
             mor_map[C.identity[o]] = im
             used_mor[im] = True
             res = assign_obj(pos + 1)
@@ -725,77 +719,94 @@ def categories_equivalent(C: FiniteCategory, D: FiniteCategory):
 
 # -- pullbacks and the span category -----------------------------------------
 
+def _span_tables(C: FiniteCategory):
+    """Canonical spans and first pullbacks of C, as m x m tables.
+
+    canon[l, r] codes the least (l.u, r.u) over the isomorphisms u into
+    dom l = dom r as l' * m + r', and is -1 elsewhere.  (pb_p, pb_q)[f, g]
+    is the first terminal cone over the cospan (f, g) in (p, q) order, or
+    -1.  A cone (p, q) with apex x is terminal iff u -> (p.u, q.u) is
+    injective on the morphisms into x and there are as many of them as cones.
+    """
+    m, n = C.n_mor, C.n_objects
+    dom, cod, comp = C.dom, C.cod, C.comp
+    iso = iso_partner(C) >= 0
+    canon = np.full((m, m), -1, dtype=np.int64)
+    monic = np.zeros((m, m), dtype=bool)   # u -> (l.u, r.u) is injective
+    for x in range(n):
+        out, into = np.flatnonzero(dom == x), np.flatnonzero(cod == x)
+        lu = comp[np.ix_(out, into)]
+        for rows in row_blocks(len(out), len(out) * len(into)):
+            cell = np.ix_(out[rows], out)
+            pairs = lu[rows, None, :] * m + lu[None, :, :]   # [l, r, u] -> (l.u, r.u)
+            canon[cell] = pairs[:, :, iso[into]].min(axis=2)
+            pairs.sort(axis=2)
+            monic[cell] = (pairs[:, :, 1:] != pairs[:, :, :-1]).all(axis=2)
+    n_into = np.bincount(cod, minlength=n)
+    pb_p = np.full((m, m), -1, dtype=np.int64)
+    pb_q = np.full((m, m), -1, dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            # spans (p, q) into (a, b) in (p, q) order, and cospans (f, g) out of it
+            P, Q = np.flatnonzero(cod == a), np.flatnonzero(cod == b)
+            i, j = np.nonzero(dom[P][:, None] == dom[Q][None, :])
+            p, q = P[i], Q[j]
+            F, G = np.flatnonzero(dom == a), np.flatnonzero(dom == b)
+            i, j = np.nonzero(cod[F][:, None] == cod[G][None, :])
+            f, g = F[i], G[j]
+            if not len(p):
+                continue   # no cone at all: these cospans have no pullback
+            for rows in row_blocks(len(f), len(p)):
+                cone = comp[f[rows, None], p] == comp[g[rows, None], q]   # [cospan, span]
+                terminal = (cone & monic[p, q]
+                            & (n_into[dom[p]] == cone.sum(axis=1)[:, None]))
+                has = terminal.any(axis=1)
+                first = terminal.argmax(axis=1)[has]
+                pb_p[f[rows][has], g[rows][has]] = p[first]
+                pb_q[f[rows][has], g[rows][has]] = q[first]
+    return canon, pb_p, pb_q
+
+
 def pullback(C: FiniteCategory, f: int, g: int):
     """Terminal cone over the cospan (f, g), or None.
 
     Returns (apex, p, q) with f.p = g.q; the first terminal cone in (p, q)
-    order.
+    order, read off the span tables of C.
     """
     if C.cod[f] != C.cod[g]:
         raise CospanMismatch(witness=(f, g))
-    # cones: p into dom f and q into dom g from a common object x, i.e. the
-    # pairs of hom(x, dom f) x hom(x, dom g), in (p, q) order
-    P = np.flatnonzero(C.cod == C.dom[f])
-    Q = np.flatnonzero(C.cod == C.dom[g])
-    i, j = np.nonzero((C.dom[P][:, None] == C.dom[Q][None, :])
-                      & (C.comp[f, P][:, None] == C.comp[g, Q][None, :]))
-    P, Q = P[i], Q[j]
-    for p0, q0 in zip(P.tolist(), Q.tolist()):
-        apex = int(C.dom[p0])
-        # every cone must factor through (p0, q0) exactly once
-        U = np.flatnonzero(C.cod == apex)
-        hits = ((C.comp[p0, U][None, :] == P[:, None])
-                & (C.comp[q0, U][None, :] == Q[:, None]))
-        if np.all(hits.sum(axis=1) == 1):
-            return apex, p0, q0
-    return None
-
-
-def _canonical_span(C, partner, l, r):
-    """The least (l.u, r.u) over the isomorphisms u into the apex."""
-    U = np.flatnonzero((partner >= 0) & (C.cod == C.dom[l]))
-    ls, rs = C.comp[l, U], C.comp[r, U]
-    best = int(ls.min())
-    return best, int(rs[ls == best].min())
+    _, pb_p, pb_q = C._spans
+    p = int(pb_p[f, g])
+    return None if p < 0 else (int(C.dom[p]), p, int(pb_q[f, g]))
 
 
 def span_category(L: FiniteCategory) -> FiniteCategory:
     """Spans in L up to span-isomorphism; composition by chosen pullbacks.
 
     A morphism from a to b is (the canonical representative of) a pair
-    (l: x -> b, r: x -> a) with a common apex.
+    (l: x -> b, r: x -> a) with a common apex.  Every cospan of L must have
+    a pullback; NoPullbacks names the first that does not, in row-major
+    order.
     """
-    partner = iso_partner(L)
-    # precondition: all cospans have pullbacks; composition reads them here
-    pullbacks = {}
-    for f in range(L.n_mor):
-        for g in range(L.n_mor):
-            if L.cod[f] == L.cod[g]:
-                pb = pullback(L, f, g)
-                if pb is None:
-                    raise NoPullbacks(witness=(f, g))
-                pullbacks[f, g] = pb
-    reps = set()
-    for l in range(L.n_mor):
-        for r in range(L.n_mor):
-            if L.dom[l] == L.dom[r]:
-                reps.add(_canonical_span(L, partner, l, r))
-    mors = []
-    for (l, r) in sorted(reps):
-        mors.append((int(L.cod[r]), int(L.cod[l]),
-                     f"[{L.mor_labels[l]};{L.mor_labels[r]}]", (l, r)))
+    canon, pb_p, pb_q = L._spans
+    missing = np.argwhere((L.cod[:, None] == L.cod[None, :]) & (pb_p < 0))
+    if missing.size:
+        raise NoPullbacks(witness=tuple(missing[0].tolist()))
+    codes = np.unique(canon[canon >= 0])
+    l, r = np.divmod(codes, L.n_mor)
+    payloads = tuple(zip(l.tolist(), r.tolist()))
 
-    def compose(pg, pf):
-        (l2, r2), (l1, r1) = pg, pf
-        _, p, q = pullbacks[r2, l1]
-        return _canonical_span(L, partner, int(L.comp[l2, p]), int(L.comp[r1, q]))
+    def composite(g, f):
+        # (l2, r2).(l1, r1) = (l2.p, r1.q) over the pullback (p, q) of (r2, l1)
+        p, q = pb_p[r[g], l[f]], pb_q[r[g], l[f]]
+        return np.searchsorted(codes, canon[L.comp[l[g], p], L.comp[r[f], q]])
 
-    def ident(o):
-        i = int(L.identity[o])
-        return _canonical_span(L, partner, i, i)
-
-    return build_category(L.objects, mors, compose, ident,
-                          {"kind": "span", "base": L})
+    ids = L.identity
+    return _table_category(
+        L.objects, L.cod[r], L.cod[l],
+        tuple(f"[{L.mor_labels[a]};{L.mor_labels[b]}]" for a, b in payloads),
+        payloads, np.searchsorted(codes, canon[ids, ids]), composite,
+        {"kind": "span", "base": L})
 
 
 def cauchy_vs_span(S: InverseSemigroup) -> bool:
@@ -811,7 +822,7 @@ def cauchy_vs_span(S: InverseSemigroup) -> bool:
     lidx = L.extra["index"]
     spidx = Sp.extra["index"]
     cidx = C.extra["index"]
-    partner = iso_partner(L)
+    canon = L._spans[0]   # built by span_category
 
     # objects of C, L, Sp are all E(S) in the same order
     if C.objects != Sp.objects:
@@ -822,7 +833,7 @@ def cauchy_vs_span(S: InverseSemigroup) -> bool:
         ss = int(tab[star[s], s])
         l = lidx[(e, s)]
         r = lidx[(d, ss)]
-        phi_m[m] = spidx[_canonical_span(L, partner, l, r)]
+        phi_m[m] = spidx[divmod(int(canon[l, r]), L.n_mor)]
     phi = Functor(C, Sp, np.arange(C.n_objects), phi_m)
 
     psi_m = np.empty(Sp.n_mor, dtype=np.int64)

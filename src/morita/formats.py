@@ -29,6 +29,13 @@ def _tokens(text: str) -> list:
     return out
 
 
+def _need(pos, name, what):
+    """pos[name], or ParseError when the file never declared the name."""
+    if name not in pos:
+        raise ParseError(f"unknown {what} {name!r}")
+    return pos[name]
+
+
 def _check_names(names):
     seen = set()
     for nm in names:
@@ -345,19 +352,18 @@ def parse_biset(text: str, base_dir=".") -> EquivalenceBiset:
     innS = np.full((nx, nx), -1, dtype=np.int64)
     innT = np.full((nx, nx), -1, dtype=np.int64)
 
-    def need(d, k, what):
-        if k not in d:
-            raise ParseError(f"unknown {what} {k!r}")
-        return d[k]
-
     for (s, x, y) in sections["lact"]:
-        left[need(spos, s, "S element"), need(ppos, x, "point")] = need(ppos, y, "point")
+        left[_need(spos, s, "S element"),
+             _need(ppos, x, "point")] = _need(ppos, y, "point")
     for (x, t, y) in sections["ract"]:
-        right[need(ppos, x, "point"), need(tpos, t, "T element")] = need(ppos, y, "point")
+        right[_need(ppos, x, "point"),
+              _need(tpos, t, "T element")] = _need(ppos, y, "point")
     for (x, y, s) in sections["innS"]:
-        innS[need(ppos, x, "point"), need(ppos, y, "point")] = need(spos, s, "S element")
+        innS[_need(ppos, x, "point"),
+             _need(ppos, y, "point")] = _need(spos, s, "S element")
     for (x, y, t) in sections["innT"]:
-        innT[need(ppos, x, "point"), need(ppos, y, "point")] = need(tpos, t, "T element")
+        innT[_need(ppos, x, "point"),
+             _need(ppos, y, "point")] = _need(tpos, t, "T element")
     for arr, nm in ((left, "lact"), (right, "ract"), (innS, "innS"), (innT, "innT")):
         if (arr < 0).any():
             raise ParseError(f"{nm} table incomplete")
@@ -449,20 +455,20 @@ def parse_ordered_groupoid(text: str) -> OrderedGroupoid:
         raise ParseError("duplicate arrow labels")
     apos = {lab: i for i, lab in enumerate(labels)}
     n, m = len(objects), len(arrows)
-    dom = np.array([opos[d] for (_l, d, _c) in arrows], dtype=np.int64)
-    cod = np.array([opos[c] for (_l, _d, c) in arrows], dtype=np.int64)
+    dom = np.array([_need(opos, d, "object") for (_l, d, _c) in arrows], dtype=np.int64)
+    cod = np.array([_need(opos, c, "object") for (_l, _d, c) in arrows], dtype=np.int64)
     obj_leq = np.eye(n, dtype=bool)
     for (a, b) in obj_leq_pairs:
-        obj_leq[opos[a], opos[b]] = True
+        obj_leq[_need(opos, a, "object"), _need(opos, b, "object")] = True
     comp = np.full((m, m), -1, dtype=np.int64)
     for (g, f, h) in comps:
-        comp[apos[g], apos[f]] = apos[h]
+        comp[_need(apos, g, "arrow"), _need(apos, f, "arrow")] = _need(apos, h, "arrow")
     leq = np.eye(m, dtype=bool)
     for (g, h) in order_pairs:
-        leq[apos[g], apos[h]] = True
+        leq[_need(apos, g, "arrow"), _need(apos, h, "arrow")] = True
     inv = np.full(m, -1, dtype=np.int64)
     for (g, h) in inv_pairs:
-        inv[apos[g]] = apos[h]
+        inv[_need(apos, g, "arrow")] = _need(apos, h, "arrow")
     if (inv < 0).any():
         raise ParseError("inverse table incomplete")
     identity = np.full(n, -1, dtype=np.int64)

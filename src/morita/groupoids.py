@@ -20,7 +20,7 @@ from ._util import inverse_relation, row_blocks
 from .categories import (
     FiniteCategory,
     Functor,
-    build_category,
+    _table_category,
     check_category,
     check_weak_equivalence,
     is_functor,
@@ -103,6 +103,19 @@ class OrderedGroupoid:
             top = low & ((low.astype(np.int64) @ outside) == 0)
             meets[rows] = np.where(top.any(axis=2), top.argmax(axis=2), -1)
         return meets
+
+    @cached_property
+    def _pseudoproducts(self):
+        """[g, h]: g o h = (g|e)(e|h) over e = dom(g) meet cod(h), or -1 where
+        there is no meet, a restriction is missing or the two do not compose."""
+        ar = np.arange(self.n_arrows)
+        e = self._meets[self.dom[:, None], self.cod[None, :]]
+        ok = e >= 0
+        e = np.maximum(e, 0)
+        gr = self._restrictions[0][e, ar[:, None]]
+        hc = self._restrictions[1][e, ar[None, :]]
+        ok &= (gr >= 0) & (hc >= 0)
+        return np.where(ok, self.comp[gr, hc], -1)
 
     def __repr__(self):
         return f"OrderedGroupoid(objects={self.n_objects}, arrows={self.n_arrows})"
@@ -196,21 +209,30 @@ def meet_objects(G: OrderedGroupoid, a: int, b: int):
 
 def pseudoproduct(G: OrderedGroupoid, g: int, h: int):
     """g o h = (g|e)(e|h) over e = dom(g) meet cod(h); None when no meet."""
+    out = int(G._pseudoproducts[g, h])
+    if out >= 0:
+        return out
     e = meet_objects(G, int(G.dom[g]), int(G.cod[h]))
     if e is None:
         return None
-    gr = restriction(G, e, g)
-    hc = corestriction(G, h, e)
-    out = int(G.comp[gr, hc])
-    if out < 0:
-        raise UndefinedPseudoproduct("restriction and corestriction do not compose",
-                                     witness=(g, h))
-    return out
+    # the table has no value here: name the factor that is missing
+    restriction(G, e, g)
+    corestriction(G, h, e)
+    raise UndefinedPseudoproduct("restriction and corestriction do not compose",
+                                 witness=(g, h))
 
 
-def _defined_pseudoproduct(G: OrderedGroupoid, g: int, h: int) -> int:
-    out = pseudoproduct(G, g, h)
-    if out is None:
+def _defined_pseudoproducts(G: OrderedGroupoid, g, h) -> np.ndarray:
+    """g o h over broadcast arrays of arrows, read off the pseudoproduct table.
+
+    A cell where it is undefined raises what `pseudoproduct` raises there,
+    or UndefinedPseudoproduct when dom(g) and cod(h) have no meet.
+    """
+    out = G._pseudoproducts[g, h]
+    if (out < 0).any():
+        g, h = np.broadcast_arrays(g, h)
+        g, h = int(g[out < 0][0]), int(h[out < 0][0])
+        pseudoproduct(G, g, h)
         raise UndefinedPseudoproduct("no meet of dom(g) and cod(h)", witness=(g, h))
     return out
 
@@ -224,127 +246,88 @@ def is_principally_inductive(G: OrderedGroupoid) -> bool:
 
 def L_of_groupoid(G: OrderedGroupoid) -> FiniteCategory:
     """Pairs (e, g) with cod(g) <= e; composition via the pseudoproduct."""
-    mors = []
-    for e in range(G.n_objects):
-        for g in range(G.n_arrows):
-            if G.obj_leq[int(G.cod[g]), e]:
-                mors.append((int(G.dom[g]), e,
-                             f"({G.objects[e]},{G.arrows[g]})", (e, g)))
-
-    def compose(pg, pf):
-        (e, g), (_f, h) = pg, pf
-        return (e, _defined_pseudoproduct(G, g, h))
-
-    return build_category(G.objects, mors, compose,
-                          lambda o: (o, int(G.identity[o])),
-                          {"kind": "L_groupoid", "gpd": G})
+    k = G.n_objects
+    # morphisms in (e, g) order, numbered through idx[e, g]
+    ei, gi = np.nonzero(G.obj_leq[G.cod].T)
+    idx = np.full((k, G.n_arrows), -1, dtype=np.int64)
+    idx[ei, gi] = np.arange(len(gi))
+    payloads = tuple(zip(ei.tolist(), gi.tolist()))
+    return _table_category(
+        G.objects, G.dom[gi], ei,
+        tuple(f"({G.objects[e]},{G.arrows[g]})" for e, g in payloads), payloads,
+        idx[np.arange(k), G.identity],
+        lambda g, f: idx[ei[g], _defined_pseudoproducts(G, gi[g], gi[f])],
+        {"kind": "L_groupoid", "gpd": G})
 
 
 def C_of_groupoid(G: OrderedGroupoid) -> FiniteCategory:
     """Triples (e, x, f) with dom(x) <= f and cod(x) <= e."""
     if not is_principally_inductive(G):
         raise NotPrincipallyInductive()
-    mors = []
-    for e in range(G.n_objects):
-        for f in range(G.n_objects):
-            for x in range(G.n_arrows):
-                if G.obj_leq[int(G.cod[x]), e] and G.obj_leq[int(G.dom[x]), f]:
-                    mors.append((f, e,
-                                 f"({G.objects[e]},{G.arrows[x]},{G.objects[f]})",
-                                 (e, x, f)))
-
-    def compose(pg, pf):
-        (e, x, f), (_f2, y, i) = pg, pf
-        return (e, _defined_pseudoproduct(G, x, y), i)
-
-    return build_category(G.objects, mors, compose,
-                          lambda o: (o, int(G.identity[o]), o),
-                          {"kind": "C_groupoid", "gpd": G})
+    k = G.n_objects
+    # morphisms in (e, f, x) order, numbered through idx[e, f, x]
+    below = G.obj_leq[G.cod].T[:, None, :] & G.obj_leq[G.dom].T[None, :, :]   # [e, f, x]
+    ei, fi, xi = np.nonzero(below)
+    idx = np.full((k, k, G.n_arrows), -1, dtype=np.int64)
+    idx[ei, fi, xi] = np.arange(len(xi))
+    payloads = tuple(zip(ei.tolist(), xi.tolist(), fi.tolist()))
+    return _table_category(
+        G.objects, fi, ei,
+        tuple(f"({G.objects[e]},{G.arrows[x]},{G.objects[f]})" for e, x, f in payloads),
+        payloads, idx[np.arange(k), np.arange(k), G.identity],
+        lambda g, f: idx[ei[g], fi[f], _defined_pseudoproducts(G, xi[g], xi[f])],
+        {"kind": "C_groupoid", "gpd": G})
 
 
-def _subgroupoid_objects(G, arrows):
-    objs = set()
-    for a in arrows:
-        objs.add(int(G.dom[a]))
-        objs.add(int(G.cod[a]))
-    return objs
+def _arrow_set(arrows) -> np.ndarray:
+    return np.array(sorted({int(a) for a in arrows}), dtype=np.int64)
+
+
+def _subgroupoid_objects(G, A) -> np.ndarray:
+    return np.union1d(G.dom[A], G.cod[A])
 
 
 def is_subgroupoid(G: OrderedGroupoid, arrows) -> bool:
-    A = set(int(a) for a in arrows)
-    if not A:
-        return False
-    for a in A:
-        if int(G.inv[a]) not in A:
-            return False
-    for a in A:
-        for b in A:
-            c = int(G.comp[a, b])
-            if c >= 0 and c not in A:
-                return False
-    for o in _subgroupoid_objects(G, A):
-        if int(G.identity[o]) not in A:
-            return False
-    return True
+    """Non-empty and closed under inverses, composition and identities."""
+    A = _arrow_set(arrows)
+    inside = np.bincount(A, minlength=G.n_arrows) > 0
+    products = G.comp[np.ix_(A, A)]
+    return bool(A.size and inside[G.inv[A]].all()
+                and inside[products[products >= 0]].all()
+                and inside[G.identity[_subgroupoid_objects(G, A)]].all())
 
 
 def is_enlargement(G: OrderedGroupoid, sub_arrows) -> bool:
     """Full order-ideal subgroupoid meeting every isomorphism class of objects."""
-    A = sorted(set(int(a) for a in sub_arrows))
+    A = _arrow_set(sub_arrows)
     if not is_subgroupoid(G, A):
-        raise NotASubgroupoid(witness=tuple(A))
-    aset = set(A)
-    objs = _subgroupoid_objects(G, A)
-    # full
-    for m in range(G.n_arrows):
-        if int(G.dom[m]) in objs and int(G.cod[m]) in objs and m not in aset:
-            return False
-    # order ideal
-    for m in range(G.n_arrows):
-        for a in A:
-            if G.leq[m, a] and m not in aset:
-                return False
-    # every object isomorphic to one in the subgroupoid
-    for o in range(G.n_objects):
-        if o in objs:
-            continue
-        if not any(int(G.dom[m]) == o and int(G.cod[m]) in objs
-                   for m in range(G.n_arrows)):
-            return False
-    return True
+        raise NotASubgroupoid(witness=tuple(A.tolist()))
+    inside = np.bincount(A, minlength=G.n_arrows) > 0
+    objs = np.bincount(_subgroupoid_objects(G, A), minlength=G.n_objects) > 0
+    full = inside[objs[G.dom] & objs[G.cod]].all()
+    ideal = inside[G.leq[:, A].any(axis=1)].all()
+    # every object outside has an arrow (an isomorphism) into the subgroupoid
+    reached = np.bincount(G.dom[objs[G.cod]], minlength=G.n_objects) > 0
+    return bool(full and ideal and (objs | reached).all())
 
 
 def sub_ordered_groupoid(G: OrderedGroupoid, arrows):
     """The ordered subgroupoid on the given arrows plus its inclusion functor."""
-    A = sorted(set(int(a) for a in arrows))
+    A = _arrow_set(arrows)
     if not is_subgroupoid(G, A):
-        raise NotASubgroupoid(witness=tuple(A))
-    objs = sorted(_subgroupoid_objects(G, A))
-    opos = {o: i for i, o in enumerate(objs)}
-    apos = {a: i for i, a in enumerate(A)}
-    k = len(A)
-    comp = np.full((k, k), -1, dtype=np.int64)
-    for i, a in enumerate(A):
-        for j, b in enumerate(A):
-            c = int(G.comp[a, b])
-            if c >= 0:
-                comp[i, j] = apos[c]
+        raise NotASubgroupoid(witness=tuple(A.tolist()))
+    objs = _subgroupoid_objects(G, A)
+    opos = np.full(G.n_objects, -1, dtype=np.int64)
+    opos[objs] = np.arange(len(objs))
+    apos = np.full(G.n_arrows, -1, dtype=np.int64)
+    apos[A] = np.arange(len(A))
+    sub = G.comp[np.ix_(A, A)]
     H = OrderedGroupoid(
-        tuple(G.objects[o] for o in objs),
-        G.obj_leq[np.ix_(objs, objs)].copy(),
-        tuple(G.arrows[a] for a in A),
-        np.array([opos[int(G.dom[a])] for a in A]),
-        np.array([opos[int(G.cod[a])] for a in A]),
-        comp,
-        np.array([apos[int(G.inv[a])] for a in A]),
-        np.array([apos[int(G.identity[o])] for o in objs]),
-        G.leq[np.ix_(A, A)].copy(),
-        {"kind": "sub", "parent": G, "arrow_of": tuple(A)},
-    )
-    incl = OrderedFunctor(H, G,
-                          np.array(objs, dtype=np.int64),
-                          np.array(A, dtype=np.int64))
-    return H, incl
+        tuple(G.objects[o] for o in objs), G.obj_leq[np.ix_(objs, objs)],
+        tuple(G.arrows[a] for a in A), opos[G.dom[A]], opos[G.cod[A]],
+        np.where(sub >= 0, apos[sub], -1), apos[G.inv[A]], apos[G.identity[objs]],
+        G.leq[np.ix_(A, A)], {"kind": "sub", "parent": G, "arrow_of": tuple(A.tolist())})
+    return H, OrderedFunctor(H, G, objs, A)
 
 
 @dataclass(eq=False)

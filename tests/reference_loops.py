@@ -1,0 +1,349 @@
+"""Interpreted reference versions of constructions the library builds with arrays.
+
+Each function here is the loop (or per-cell callback) form of a library
+construction.  The tests compare the library against them field for field;
+they are not part of the package.
+"""
+
+import numpy as np
+
+from morita.categories import FiniteCategory, Functor, iso_partner
+from morita.errors import (
+    CospanMismatch,
+    InvalidBiset,
+    InvariantBroken,
+    NoPullbacks,
+    NotPrincipallyInductive,
+    UndefinedPseudoproduct,
+)
+from morita.groupoids import (
+    corestriction,
+    is_principally_inductive,
+    meet_objects,
+    restriction,
+)
+
+
+class UnionFind:
+    """Union-find over hashable keys, with path splitting."""
+
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
+
+    def add(self, x):
+        if x not in self.parent:
+            self.parent[x] = x
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            x, p[x] = p[x], p[p[x]]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            # keep the smaller root so representatives are deterministic
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+    def classes(self):
+        """Partition as a sorted list of sorted lists."""
+        buckets = {}
+        for x in self.parent:
+            buckets.setdefault(self.find(x), []).append(x)
+        out = [sorted(v) for v in buckets.values()]
+        out.sort()
+        return out
+
+
+def build_category(objects, mors, compose, identity_payload, extra=None):
+    """Assemble a FiniteCategory from payload-keyed morphisms.
+
+    mors: list of (dom, cod, label, payload) with hashable unique payloads.
+    compose(pg, pf) must return the payload of g.f for composable pairs.
+    """
+    index = {}
+    dom, cod, labels, payloads = [], [], [], []
+    for d, c, lab, pay in mors:
+        if pay in index:
+            raise ValueError(f"duplicate morphism payload {pay!r}")
+        index[pay] = len(payloads)
+        dom.append(d)
+        cod.append(c)
+        labels.append(lab)
+        payloads.append(pay)
+    m = len(payloads)
+    comp = np.full((m, m), -1, dtype=np.int64)
+    for g in range(m):
+        for f in range(m):
+            if dom[g] == cod[f]:
+                comp[g, f] = index[compose(payloads[g], payloads[f])]
+    ident = np.array([index[identity_payload(o)] for o in range(len(objects))],
+                     dtype=np.int64)
+    xt = dict(extra or {})
+    xt["payload"] = tuple(payloads)
+    xt["index"] = index
+    return FiniteCategory(tuple(objects), tuple(labels), np.array(dom, dtype=np.int64),
+                          np.array(cod, dtype=np.int64), comp, ident, xt)
+
+
+# -- categories -----------------------------------------------------------------
+
+def loop_check_category(C: FiniteCategory) -> list:
+    """check_category with its associativity loop over every h and dense m x m rows."""
+    bad = []
+    m, n = C.n_mor, C.n_objects
+    dom, cod, comp = C.dom, C.cod, C.comp
+    defined = comp >= 0
+    should = dom[:, None] == cod[None, :]
+    if not np.array_equal(defined, should):
+        bad.append("composition defined off the composable pairs")
+    for o in range(n):
+        i = int(C.identity[o])
+        if dom[i] != o or cod[i] != o:
+            bad.append(f"identity of object {o} has wrong endpoints")
+    if m:
+        g, f = np.nonzero(defined)
+        if not (np.all(dom[comp[g, f]] == dom[f]) and np.all(cod[comp[g, f]] == cod[g])):
+            bad.append("composite endpoints wrong")
+        ids = C.identity
+        if not np.all(comp[ids[cod], np.arange(m)] == np.arange(m)):
+            bad.append("left identity law fails")
+        if not np.all(comp[np.arange(m), ids[dom]] == np.arange(m)):
+            bad.append("right identity law fails")
+        idx = np.where(defined, comp, 0)
+        for h in range(m):
+            hg = comp[h]
+            both = defined & (hg >= 0)[:, None]
+            if not both.any():
+                continue
+            x = comp[h, idx]                       # h.(g.f)
+            y = comp[np.where(hg >= 0, hg, 0)]     # (h.g).f rows by g
+            if not np.array_equal(x[both], y[both]):
+                bad.append(f"associativity fails around morphism {h}")
+                break
+    return bad
+
+
+def loop_is_bipartite(U: FiniteCategory, A, B) -> bool:
+    """is_bipartite over a partition of the objects, one morphism at a time."""
+    if set(A) & set(B) or set(A) | set(B) != set(range(U.n_objects)):
+        return False
+    partner = iso_partner(U)
+    for objs, other in ((A, set(B)), (B, set(A))):
+        for o in objs:
+            if not any(partner[m] >= 0 and int(U.cod[m]) in other
+                       for m in range(U.n_mor) if U.dom[m] == o):
+                return False
+    return True
+
+
+def loop_pullback(C: FiniteCategory, f: int, g: int):
+    """The first terminal cone over (f, g) in (p, q) order, one cone at a time."""
+    if C.cod[f] != C.cod[g]:
+        raise CospanMismatch(witness=(f, g))
+    P = np.flatnonzero(C.cod == C.dom[f])
+    Q = np.flatnonzero(C.cod == C.dom[g])
+    i, j = np.nonzero((C.dom[P][:, None] == C.dom[Q][None, :])
+                      & (C.comp[f, P][:, None] == C.comp[g, Q][None, :]))
+    P, Q = P[i], Q[j]
+    for p0, q0 in zip(P.tolist(), Q.tolist()):
+        apex = int(C.dom[p0])
+        # every cone must factor through (p0, q0) exactly once
+        U = np.flatnonzero(C.cod == apex)
+        hits = ((C.comp[p0, U][None, :] == P[:, None])
+                & (C.comp[q0, U][None, :] == Q[:, None]))
+        if np.all(hits.sum(axis=1) == 1):
+            return apex, p0, q0
+    return None
+
+
+def _canonical_span(C, partner, l, r):
+    """The least (l.u, r.u) over the isomorphisms u into the apex."""
+    U = np.flatnonzero((partner >= 0) & (C.cod == C.dom[l]))
+    ls, rs = C.comp[l, U], C.comp[r, U]
+    best = int(ls.min())
+    return best, int(rs[ls == best].min())
+
+
+def callback_span_category(L: FiniteCategory) -> FiniteCategory:
+    """span_category with one pullback call per cospan and a compose callback."""
+    partner = iso_partner(L)
+    pullbacks = {}
+    for f in range(L.n_mor):
+        for g in range(L.n_mor):
+            if L.cod[f] == L.cod[g]:
+                pb = loop_pullback(L, f, g)
+                if pb is None:
+                    raise NoPullbacks(witness=(f, g))
+                pullbacks[f, g] = pb
+    reps = set()
+    for l in range(L.n_mor):
+        for r in range(L.n_mor):
+            if L.dom[l] == L.dom[r]:
+                reps.add(_canonical_span(L, partner, l, r))
+    mors = [(int(L.cod[r]), int(L.cod[l]), f"[{L.mor_labels[l]};{L.mor_labels[r]}]", (l, r))
+            for (l, r) in sorted(reps)]
+
+    def compose(pg, pf):
+        (l2, r2), (l1, r1) = pg, pf
+        _, p, q = pullbacks[r2, l1]
+        return _canonical_span(L, partner, int(L.comp[l2, p]), int(L.comp[r1, q]))
+
+    def ident(o):
+        i = int(L.identity[o])
+        return _canonical_span(L, partner, i, i)
+
+    return build_category(L.objects, mors, compose, ident, {"kind": "span", "base": L})
+
+
+# -- ordered groupoids and the enlargement chain -------------------------------------
+
+def cell_pseudoproduct(G, g, h):
+    """g o h = (g|e)(e|h) for one pair, from the meet and restriction lookups."""
+    e = meet_objects(G, int(G.dom[g]), int(G.cod[h]))
+    if e is None:
+        return None
+    out = int(G.comp[restriction(G, e, g), corestriction(G, h, e)])
+    if out < 0:
+        raise UndefinedPseudoproduct("restriction and corestriction do not compose",
+                                     witness=(g, h))
+    return out
+
+
+def _defined_pseudoproduct(G, g, h):
+    out = cell_pseudoproduct(G, g, h)
+    if out is None:
+        raise UndefinedPseudoproduct("no meet of dom(g) and cod(h)", witness=(g, h))
+    return out
+
+
+def callback_L_of_groupoid(G) -> FiniteCategory:
+    """Pairs (e, g) with cod(g) <= e, one pseudoproduct call per composable pair."""
+    mors = [(int(G.dom[g]), e, f"({G.objects[e]},{G.arrows[g]})", (e, g))
+            for e in range(G.n_objects) for g in range(G.n_arrows)
+            if G.obj_leq[int(G.cod[g]), e]]
+    return build_category(G.objects, mors,
+                          lambda pg, pf: (pg[0], _defined_pseudoproduct(G, pg[1], pf[1])),
+                          lambda o: (o, int(G.identity[o])),
+                          {"kind": "L_groupoid", "gpd": G})
+
+
+def callback_C_of_groupoid(G) -> FiniteCategory:
+    """Triples (e, x, f) with dom(x) <= f and cod(x) <= e, composed per cell."""
+    if not is_principally_inductive(G):
+        raise NotPrincipallyInductive()
+    mors = [(f, e, f"({G.objects[e]},{G.arrows[x]},{G.objects[f]})", (e, x, f))
+            for e in range(G.n_objects) for f in range(G.n_objects)
+            for x in range(G.n_arrows)
+            if G.obj_leq[int(G.cod[x]), e] and G.obj_leq[int(G.dom[x]), f]]
+    return build_category(
+        G.objects, mors,
+        lambda pg, pf: (pg[0], _defined_pseudoproduct(G, pg[1], pf[1]), pf[2]),
+        lambda o: (o, int(G.identity[o]), o),
+        {"kind": "C_groupoid", "gpd": G})
+
+
+def callback_bipartite_U(Rg) -> FiniteCategory:
+    """The category U of pairs (c, r) with c idempotent and cr = r in R(S,T;X)."""
+    tab, star = Rg.table, Rg.star
+    n = len(Rg)
+    idem = [e for e in range(n) if tab[e, e] == e]
+    obj_of = {e: i for i, e in enumerate(idem)}
+    mors = [(obj_of[int(tab[star[r], r])], obj_of[c], f"({Rg.names[c]}|{Rg.names[r]})",
+             (c, r))
+            for c in idem for r in range(n) if tab[c, r] == r]
+
+    def compose(pg, pf):
+        (c1, r1), (_c2, r2) = pg, pf
+        v = int(tab[r1, r2])
+        if v < 0:
+            raise InvariantBroken("composable morphisms of U have no composite in R",
+                                  witness=(r1, r2))
+        return (c1, v)
+
+    return build_category(tuple(Rg.names[e] for e in idem), mors, compose,
+                          lambda o: (idem[o], idem[o]),
+                          {"kind": "bipartite_U", "sgpd": Rg})
+
+
+def loop_ordered_enlargement_tables(G, S, T, emb_S, emb_T):
+    """(X, left, right, innS, innT) of biset_from_ordered_enlargement, per cell."""
+    s_of_arrow = {int(a): s for s, a in enumerate(emb_S)}
+    t_of_arrow = {int(a): t for t, a in enumerate(emb_T)}
+    s_objs = {int(G.dom[int(a)]) for a in emb_S} | {int(G.cod[int(a)]) for a in emb_S}
+    t_objs = {int(G.dom[int(a)]) for a in emb_T} | {int(G.cod[int(a)]) for a in emb_T}
+    X = [x for x in range(G.n_arrows)
+         if int(G.dom[x]) in t_objs and int(G.cod[x]) in s_objs]
+    pos = {x: i for i, x in enumerate(X)}
+
+    def pp(a, b):
+        v = cell_pseudoproduct(G, a, b)
+        if v is None:
+            raise UndefinedPseudoproduct(witness=(a, b))
+        return v
+
+    nx = len(X)
+    left = np.empty((len(S), nx), dtype=np.int64)
+    right = np.empty((nx, len(T)), dtype=np.int64)
+    innS = np.empty((nx, nx), dtype=np.int64)
+    innT = np.empty((nx, nx), dtype=np.int64)
+    for i, x in enumerate(X):
+        for s in range(len(S)):
+            left[s, i] = pos[pp(int(emb_S[s]), x)]
+        for t in range(len(T)):
+            right[i, t] = pos[pp(x, int(emb_T[t]))]
+    for i, x in enumerate(X):
+        for j, y in enumerate(X):
+            v = pp(x, int(G.inv[y]))
+            if v not in s_of_arrow:
+                raise InvalidBiset("pairing <x,y> lands outside the S part")
+            innS[i, j] = s_of_arrow[v]
+            w = pp(int(G.inv[x]), y)
+            if w not in t_of_arrow:
+                raise InvalidBiset("pairing [x,y] lands outside the T part")
+            innT[i, j] = t_of_arrow[w]
+    return tuple(X), left, right, innS, innT
+
+
+# -- presheaves -------------------------------------------------------------------
+
+def category_of_elements(P):
+    """The category of elements with its discrete fibration to the site."""
+    C = P.site
+    objs = [(o, i) for o in range(C.n_objects) for i in range(P.fiber_size(o))]
+    opos = {p: i for i, p in enumerate(objs)}
+    mors = []
+    for f in range(C.n_mor):
+        a, b = int(C.dom[f]), int(C.cod[f])
+        for i in range(P.fiber_size(b)):
+            x = int(P.maps[f][i])
+            mors.append((opos[(a, x)], opos[(b, i)],
+                         f"{C.mor_labels[f]}@{i}", (f, i)))
+
+    def compose(pg, pf):
+        (g, i2), (f, _i1) = pg, pf
+        return (int(C.comp[g, f]), i2)
+
+    def ident(oi):
+        o, i = objs[oi]
+        return (int(C.identity[o]), i)
+
+    labels = tuple(f"({C.objects[o]},{P.fibers[o][i]})" for (o, i) in objs)
+    cat = build_category(labels, mors, compose, ident,
+                         {"kind": "elements", "objs": tuple(objs)})
+    K = Functor(cat, C,
+                np.array([o for (o, _i) in objs], dtype=np.int64),
+                np.array([f for (f, _i) in cat.extra["payload"]], dtype=np.int64))
+    # verify K is a discrete fibration: unique lift of each f into K(y)
+    for f in range(C.n_mor):
+        b = int(C.cod[f])
+        for i in range(P.fiber_size(b)):
+            lifts = [m for m, (ff, ii) in enumerate(cat.extra["payload"])
+                     if ff == f and ii == i]
+            if len(lifts) != 1:
+                raise InvariantBroken("element category lost the fibration property",
+                                      witness=(f, i))
+    return cat, K

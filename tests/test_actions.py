@@ -14,7 +14,6 @@ from morita.actions import (
     U_of,
     action_homs,
     action_isomorphic,
-    category_of_elements,
     check_action,
     check_etale,
     check_presheaf,
@@ -45,7 +44,8 @@ from morita.actions import (
 from morita.categories import C_of, L_of
 from morita.errors import InvariantBroken, NotClosed, WrongSite
 from morita.semigroups import chain_semilattice, cyclic_group, idempotents
-from morita._util import UnionFind, components
+from morita._util import components
+from reference_loops import UnionFind, category_of_elements
 
 
 def orphan_action(S):

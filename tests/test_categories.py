@@ -3,12 +3,17 @@ import random
 import numpy as np
 import pytest
 
+from morita.bisets import (
+    biset_from_ordered_enlargement,
+    biset_from_regular_enlargement,
+    build_bipartite_U,
+)
 from morita.categories import (
     C_of,
+    FiniteCategory,
     Functor,
     L_of,
     _iso_chain,
-    build_category,
     categories_equivalent,
     categories_isomorphic,
     cauchy_skeleton,
@@ -33,14 +38,32 @@ from morita.corpus import builtin_corpus, random_relabelling
 from morita.errors import (
     CospanMismatch,
     IsomorphismChainBroken,
+    NoPullbacks,
     PreconditionFailed,
     SourceTargetMismatch,
+)
+from morita.groupoids import (
+    C_of_groupoid,
+    L_of_groupoid,
+    inductive_groupoid_of,
+    ordered_groupoid_of,
 )
 from morita.semigroups import (
     cyclic_group,
     group_with_zero,
     idempotents,
     symmetric_inverse_monoid,
+)
+from reference_loops import (
+    build_category,
+    callback_bipartite_U,
+    callback_C_of_groupoid,
+    callback_L_of_groupoid,
+    callback_span_category,
+    loop_check_category,
+    loop_is_bipartite,
+    loop_ordered_enlargement_tables,
+    loop_pullback,
 )
 
 
@@ -242,6 +265,16 @@ def test_pullback(chain2, b12):
     fi = cat.mor_labels.index("f")
     gi = cat.mor_labels.index("g")
     assert pullback(cat, fi, gi) is None
+    # monoid {e, 1} with ee = e, e numbered first: the cone (e, e) over
+    # (1, 1) has as many morphisms into its apex as there are cones, but
+    # both factor through it as e, so the pullback is (1, 1)
+    cat = build_category(
+        ("*",),
+        [(0, 0, "e", "e"), (0, 0, "1", "1")],
+        lambda g, f: "e" if "e" in (g, f) else "1",
+        lambda o: "1",
+    )
+    assert pullback(cat, 1, 1) == loop_pullback(cat, 1, 1) == (0, 1, 1)
 
 
 def test_span_category_counts(chain2):
@@ -307,6 +340,14 @@ def assert_same_category(A, B):
     assert A.extra["index"] == B.extra["index"]
 
 
+def span_outcome(build, L):
+    """The span category of L, or the cospan NoPullbacks names."""
+    try:
+        return build(L)
+    except NoPullbacks as exc:
+        return exc.witness
+
+
 @pytest.mark.parametrize("S", [S for _n, S in MEMBERS], ids=[n for n, _S in MEMBERS])
 def test_constructions_match_reference(S):
     for fast, ref in ((C_of, reference_C_of), (L_of, reference_L_of)):
@@ -316,7 +357,49 @@ def test_constructions_match_reference(S):
             for b in range(A.n_objects):
                 assert A.hom(a, b) == [m for m in range(A.n_mor)
                                        if A.dom[m] == a and A.cod[m] == b]
+    # spans and pullbacks: L(S) has every pullback, C(S) often lacks some
+    L = L_of(S)
+    assert_same_category(span_category(L), callback_span_category(L))
+    for f, g in np.argwhere(L.cod[:, None] == L.cod[None, :]).tolist():
+        assert pullback(L, f, g) == loop_pullback(L, f, g)
     C = C_of(S)
+    if len(S) <= 10:
+        fast, ref = span_outcome(span_category, C), span_outcome(callback_span_category, C)
+        if isinstance(ref, tuple):
+            assert fast == ref
+        else:
+            assert_same_category(fast, ref)
+    # check_category against its dense loop, also on seeded mutants of comp
+    rng = np.random.default_rng(int(S.table.sum()))
+    for A in (L, C):
+        assert check_category(A) == loop_check_category(A) == []
+        for _ in range(6):
+            comp = A.comp.copy()
+            cells = rng.integers(0, A.n_mor, size=(int(rng.integers(1, 4)), 2))
+            comp[cells[:, 0], cells[:, 1]] = rng.integers(-1, A.n_mor, size=len(cells))
+            M = FiniteCategory(A.objects, A.mor_labels, A.dom, A.cod, comp, A.identity)
+            assert check_category(M) == loop_check_category(M)
+    # the ordered-groupoid categories, U and the biset read off the enlargement
+    B = biset_from_regular_enlargement(S, range(len(S)), range(len(S)))
+    U, s_objs, t_objs, _P, _Q = build_bipartite_U(B)
+    assert_same_category(U, callback_bipartite_U(U.extra["sgpd"]))
+    splits = [(s_objs, t_objs), (s_objs[1:], t_objs + s_objs[:1])]
+    splits += [(list(np.flatnonzero(side)), list(np.flatnonzero(~side)))
+               for side in rng.random((4, U.n_objects)) < 0.5]
+    for A, B_objs in splits:
+        assert is_bipartite(U, A, B_objs) == loop_is_bipartite(U, A, B_objs)
+    G = ordered_groupoid_of(U.extra["sgpd"])
+    emb_S, emb_T = (np.array(U.extra["sgpd"].extra[k], dtype=np.int64)
+                    for k in ("s_part", "t_part"))
+    B2 = biset_from_ordered_enlargement(G, B.S, B.T, emb_S, emb_T)
+    X, *tables = loop_ordered_enlargement_tables(G, B.S, B.T, emb_S, emb_T)
+    assert B2.extra["arrows"] == X
+    for name, table in zip(("left_act", "right_act", "inner_S", "inner_T"), tables):
+        assert np.array_equal(getattr(B2, name), table), name
+    if len(S) <= 10:
+        IG = inductive_groupoid_of(S)
+        assert_same_category(L_of_groupoid(IG), callback_L_of_groupoid(IG))
+        assert_same_category(C_of_groupoid(IG), callback_C_of_groupoid(IG))
     fast, ref = cauchy_skeleton(C), skeleton_with_maps(C)
     for name in ("objects", "mor_labels", "dom", "cod", "comp", "identity"):
         assert np.array_equal(getattr(fast.cat, name), getattr(ref.cat, name)), name

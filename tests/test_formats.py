@@ -116,3 +116,19 @@ def test_ogpd_roundtrip(b12, chain3):
         assert np.array_equal(G2.comp, G.comp)
         assert np.array_equal(G2.leq, G.leq)
         assert np.array_equal(G2.inv, G.inv)
+
+
+def test_ogpd_line_mutations_parse_or_raise_parse_error(b12, chain3,
+                                                       local_submonoid_bisets):
+    # an arrow or object that the file never declares is an input error
+    from morita.bisets import biset_enlargement_chain
+
+    _checks, R = biset_enlargement_chain(local_submonoid_bisets[0])
+    for G in (inductive_groupoid_of(b12), inductive_groupoid_of(chain3), R):
+        lines = dump_ordered_groupoid(G).splitlines()
+        for i in range(len(lines)):
+            for mutated in (lines[:i] + lines[i + 1:], lines[:i + 1] + lines[i:]):
+                try:
+                    parse_ordered_groupoid("\n".join(mutated) + "\n")
+                except ParseError:
+                    pass

@@ -7,6 +7,7 @@ from morita.errors import (
     NotASubgroupoid,
     NotBelow,
     NotPrincipallyInductive,
+    NotUnique,
     UndefinedPseudoproduct,
 )
 from morita.groupoids import (
@@ -21,6 +22,7 @@ from morita.groupoids import (
     is_enlargement,
     is_local_isomorphism,
     is_principally_inductive,
+    is_subgroupoid,
     local_isomorphism_report,
     make_inverse_semigroupoid,
     meet_objects,
@@ -489,8 +491,6 @@ def loop_li2(F):
 
 
 def assert_restrictions_match_loop(G, rng):
-    from morita.errors import NotUnique
-
     for _ in range(6):
         e, a = (int(v) for v in rng.integers(0, G.n_objects, size=2))
         g = int(rng.integers(0, G.n_arrows))
@@ -510,6 +510,100 @@ def assert_restrictions_match_loop(G, rng):
                 assert all(type(h) is int for h in info.value.witness[2])
             else:
                 assert fn(*args) == below[0] and type(below[0]) is int
+
+
+def loop_pseudoproduct(G, g, h):
+    """g o h from the loop meet and restrictions: an arrow, None where there is
+    no meet, or the type of the error pseudoproduct raises."""
+    e = loop_meet_objects(G, int(G.dom[g]), int(G.cod[h]))
+    if e is None:
+        return None
+    gr, hc = loop_restriction(G, e, g, G.dom), loop_restriction(G, e, h, G.cod)
+    if len(gr) != 1 or len(hc) != 1:
+        return NotUnique
+    out = int(G.comp[gr[0], hc[0]])
+    return out if out >= 0 else UndefinedPseudoproduct
+
+
+def assert_pseudoproducts_match_loop(G, cells):
+    for g, h in cells:
+        expected = loop_pseudoproduct(G, g, h)
+        try:
+            got = pseudoproduct(G, g, h)
+        except (NotUnique, UndefinedPseudoproduct) as exc:
+            got = type(exc)
+        assert got == expected
+        assert G._pseudoproducts[g, h] == (expected if type(expected) is int else -1)
+
+
+def loop_is_subgroupoid(G, arrows):
+    A = set(int(a) for a in arrows)
+    if not A:
+        return False
+    if any(int(G.inv[a]) not in A for a in A):
+        return False
+    for a in A:
+        for b in A:
+            c = int(G.comp[a, b])
+            if c >= 0 and c not in A:
+                return False
+    objs = {int(G.dom[a]) for a in A} | {int(G.cod[a]) for a in A}
+    return all(int(G.identity[o]) in A for o in objs)
+
+
+def loop_is_enlargement(G, A):
+    """None where A is not a subgroupoid, else the three enlargement conditions."""
+    if not loop_is_subgroupoid(G, A):
+        return None
+    A = set(int(a) for a in A)
+    objs = {int(G.dom[a]) for a in A} | {int(G.cod[a]) for a in A}
+    for m in range(G.n_arrows):
+        if int(G.dom[m]) in objs and int(G.cod[m]) in objs and m not in A:
+            return False
+        if m not in A and any(G.leq[m, a] for a in A):
+            return False
+    return all(o in objs or any(int(G.dom[m]) == o and int(G.cod[m]) in objs
+                                for m in range(G.n_arrows))
+               for o in range(G.n_objects))
+
+
+def loop_sub_ordered_groupoid_fields(G, arrows):
+    A = sorted(set(int(a) for a in arrows))
+    objs = sorted({int(G.dom[a]) for a in A} | {int(G.cod[a]) for a in A})
+    opos = {o: i for i, o in enumerate(objs)}
+    apos = {a: i for i, a in enumerate(A)}
+    comp = [[apos[int(G.comp[a, b])] if G.comp[a, b] >= 0 else -1 for b in A] for a in A]
+    return (tuple(G.objects[o] for o in objs), G.obj_leq[np.ix_(objs, objs)].tolist(),
+            tuple(G.arrows[a] for a in A), [opos[int(G.dom[a])] for a in A],
+            [opos[int(G.cod[a])] for a in A], comp, [apos[int(G.inv[a])] for a in A],
+            [apos[int(G.identity[o])] for o in objs], G.leq[np.ix_(A, A)].tolist())
+
+
+def assert_subgroupoids_match_loops(G, rng):
+    """Subgroupoid, enlargement and sub-groupoid construction on arrow sets of G:
+    everything, each local group, each full subgroupoid on a set of objects
+    (down-closed or not) and random sets."""
+    objects = [np.ones(G.n_objects, dtype=bool)]
+    objects += [np.arange(G.n_objects) == o for o in range(G.n_objects)]
+    objects += [rng.random(G.n_objects) < 0.5 for _ in range(4)]
+    objects += [G.obj_leq[:, o] for o in range(G.n_objects)]
+    sets = [np.flatnonzero(O[G.dom] & O[G.cod]) for O in objects]
+    sets += [np.flatnonzero((G.dom == o) & (G.cod == o)) for o in range(G.n_objects)]
+    sets += [np.flatnonzero(rng.random(G.n_arrows) < 0.3) for _ in range(4)]
+    for A in sets:
+        expected = loop_is_enlargement(G, A)
+        assert is_subgroupoid(G, A) == (expected is not None)
+        if expected is None:
+            with pytest.raises(NotASubgroupoid):
+                is_enlargement(G, A)
+            continue
+        assert is_enlargement(G, A) == expected
+        H, incl = sub_ordered_groupoid(G, A)
+        fields = (H.objects, H.obj_leq.tolist(), H.arrows, H.dom.tolist(),
+                  H.cod.tolist(), H.comp.tolist(), H.inv.tolist(),
+                  H.identity.tolist(), H.leq.tolist())
+        assert fields == loop_sub_ordered_groupoid_fields(G, A)
+        assert incl.arr_map.tolist() == sorted(set(A.tolist()))
 
 
 def groupoid_mutants(G, rng, count):
@@ -554,10 +648,13 @@ def test_ordered_groupoid_layer_matches_loops(local_submonoid_bisets):
                   for B in local_submonoid_bisets]
     point = OrderedGroupoid(("1",), [[True]], ("1",), [0], [0], [[0]], [0], [0], [[True]])
     rng = np.random.default_rng(17)
+    extra_rng = np.random.default_rng(23)   # the subgroupoid and pseudoproduct samples
     verdicts, li2_seen = set(), set()
     for G in groupoids:
         assert assert_validator_matches_loop(G) == []
         assert_restrictions_match_loop(G, rng)
+        assert_subgroupoids_match_loops(G, extra_rng)
+        assert_pseudoproducts_match_loop(G, np.argwhere(np.ones((G.n_arrows,) * 2)))
         assert is_principally_inductive(G) == loop_is_principally_inductive(G)
         ident = OrderedFunctor(G, G, np.arange(G.n_objects), np.arange(G.n_arrows))
         assert check_ordered_functor(ident) and loop_check_ordered_functor(ident)
@@ -573,6 +670,8 @@ def test_ordered_groupoid_layer_matches_loops(local_submonoid_bisets):
         for H in groupoid_mutants(G, rng, 8):
             verdicts.add(bool(assert_validator_matches_loop(H)))
             assert_restrictions_match_loop(H, rng)
+            cells = extra_rng.integers(0, H.n_arrows, size=(20, 2))
+            assert_pseudoproducts_match_loop(H, cells)
             assert is_principally_inductive(H) == loop_is_principally_inductive(H)
             for F in (OrderedFunctor(G, H, ident.obj_map, ident.arr_map),
                       OrderedFunctor(G, G, ident.obj_map,
