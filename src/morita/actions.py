@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from ._util import components, congruence
 from .categories import C_of, FiniteCategory, L_of
 from .errors import InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
@@ -100,7 +99,16 @@ class Presheaf:
 
 
 def action_law_witness(X: RightAction):
-    return _kernels.action_witness(X.act, X.sgrp.table)
+    """First (x, s, t) with (xs)t != x(st), or None; one numpy pass per point."""
+    act, table = X.act, X.sgrp.table
+    for x in range(act.shape[0]):
+        left = act[act[x], :]           # [s, t] -> (xs)t
+        right = act[x][table]           # [s, t] -> x(st)
+        bad = np.argwhere(left != right)
+        if bad.size:
+            s, t = bad[0]
+            return (x, int(s), int(t))
+    return None
 
 
 def check_action(X: RightAction) -> bool:

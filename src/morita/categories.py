@@ -24,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from ._util import row_blocks
 from .errors import (
     CospanMismatch,
@@ -227,12 +226,33 @@ def C_of(S: FiniteSemigroup) -> FiniteCategory:
         {"kind": "C", "sgrp": S, "obj_elt": tuple(E)})
 
 
+def _first_repeat(comp):
+    """First (row, c1, c2) with comp[row, c1] == comp[row, c2] defined and
+    c1 < c2, or None; one numpy pass per row."""
+    for g in range(comp.shape[0]):
+        row = comp[g]
+        defined = np.flatnonzero(row >= 0)
+        vals = row[defined]
+        if np.unique(vals).size == vals.size:
+            continue
+        # rare: recover the first repeat in column order
+        seen = {}
+        for f in defined:
+            v = int(row[f])
+            if v in seen:
+                return (g, seen[v], int(f))
+            seen[v] = int(f)
+    return None
+
+
 def left_cancellation_witness(C: FiniteCategory):
-    return _kernels.left_cancellation_witness(C.comp)
+    """First (g, f1, f2) with g.f1 == g.f2 defined and f1 != f2, or None."""
+    return _first_repeat(C.comp)
 
 
 def right_cancellation_witness(C: FiniteCategory):
-    return _kernels.right_cancellation_witness(C.comp)
+    """First (f, g1, g2) with g1.f == g2.f defined and g1 != g2, or None."""
+    return _first_repeat(np.ascontiguousarray(C.comp.T))
 
 
 def is_left_cancellative(C: FiniteCategory) -> bool:

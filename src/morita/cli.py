@@ -374,8 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the least value each numeric flag accepts
+_LEAST = {"budget": 0, "max_points": 1, "samples": 0}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, least in _LEAST.items():
+        if getattr(args, name, least) < least:
+            parser.error(f"--{name.replace('_', '-')} must be at least {least}")
     t0 = time.perf_counter()
     try:
         report = args.fn(args)

@@ -3,6 +3,12 @@
 All formats are line-oriented, UTF-8, with # comments.  Names match
 [A-Za-z0-9_()',]+ so they can be whitespace-separated.  Parsers validate
 structure on load; dumpers are deterministic.
+
+Every format but .smg is a list of `key: value` header lines and `name:`
+sections, each section holding lines of one shape (`g . f = h`, `a <= b`,
+`x -> e`, `f : a -> b`).  One reader (`_read`) splits such a text into rows,
+one filler (`_fill`) turns a section into a table, and one writer
+(`_cells`) writes a table back in row-major order.
 """
 
 import re
@@ -10,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .actions import EtaleAction, RightAction, check_action, check_etale
 from .bisets import EquivalenceBiset
-from .categories import FiniteCategory
-from .actions import EtaleAction, RightAction
+from .categories import FiniteCategory, check_category
 from .errors import NotAssociative, ParseError
-from .groupoids import OrderedGroupoid
-from .semigroups import FiniteSemigroup
+from .groupoids import OrderedGroupoid, validate_ordered_groupoid
+from .semigroups import FiniteSemigroup, as_inverse
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_()',]+$")
 
@@ -102,51 +108,139 @@ def load_semigroup(path) -> FiniteSemigroup:
     return parse_semigroup(Path(path).read_text(encoding="utf-8"))
 
 
-# -- .cat ------------------------------------------------------------------------
+# -- sectioned formats -------------------------------------------------------------
 
-def dump_category(C: FiniteCategory) -> str:
-    lines = ["objects: " + " ".join(str(o) for o in C.objects), "morphisms:"]
-    for m in range(C.n_mor):
-        lines.append(f"{C.mor_labels[m]} : {C.objects[int(C.dom[m])]}"
-                     f" -> {C.objects[int(C.cod[m])]}")
-    lines.append("compose:")
-    for g in range(C.n_mor):
-        for f in range(C.n_mor):
-            h = int(C.comp[g, f])
-            if h >= 0:
-                lines.append(f"{C.mor_labels[g]} . {C.mor_labels[f]}"
-                             f" = {C.mor_labels[h]}")
-    return "\n".join(lines) + "\n"
+# the line shapes of the sections
+_ARROW = re.compile(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")      # f : a -> b
+_PRODUCT = re.compile(r"^(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)$")    # g . f = h
+_PAIRING = re.compile(r"^(\S+)\s*[.,]\s*(\S+)\s*=\s*(\S+)$")  # x , y = s
+_LEQ = re.compile(r"^(\S+)\s*<=\s*(\S+)$")                    # a <= b
+_MAPSTO = re.compile(r"^(\S+)\s*->\s*(\S+)$")                 # x -> e
 
 
-def parse_category(text: str) -> FiniteCategory:
-    objects, mors, comps = [], [], []
-    section = None
+def _read(text, head, headers, sections, section=None, opener=":"):
+    """The rows of a sectioned text, by section name.
+
+    Comments and blank lines are skipped.  A line `key: value` with key in
+    headers sets head[key] = headers[key](value) at once (and opens the
+    section named key, if there is one); a line of a section name followed
+    by `opener` opens that section.  Every other line must match the pattern
+    of the open section, sections[name] = (pattern, what), and its groups
+    become a row of that section; otherwise ParseError ("unexpected line"
+    before any section, "bad {what} line" after one).
+    """
+    rows = {name: [] for name in sections}
+    keys = tuple(key + ":" for key in headers)
+    opens = re.compile(f"({'|'.join(sections)}){opener}")
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("objects:"):
-            objects = line[len("objects:"):].split()
+        if line.startswith(keys):
+            key = next(k for k in headers if line.startswith(k + ":"))
+            head[key] = headers[key](line[len(key) + 1:])
+            if key in sections:
+                section = key
             continue
-        if line == "morphisms:":
-            section = "morphisms"
+        opened = opens.fullmatch(line)
+        if opened:
+            section = opened[1]
             continue
-        if line == "compose:":
-            section = "compose"
-            continue
-        if section == "morphisms":
-            m = re.match(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", line)
-            if not m:
-                raise ParseError(f"bad morphism line {line!r}")
-            mors.append(m.groups())
-        elif section == "compose":
-            m = re.match(r"^(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)$", line)
-            if not m:
-                raise ParseError(f"bad compose line {line!r}")
-            comps.append(m.groups())
-        else:
+        if section is None:
             raise ParseError(f"unexpected line {line!r}")
+        pattern, what = sections[section]
+        m = pattern.match(line)
+        if m is None:
+            raise ParseError(f"bad {what} line {line!r}")
+        rows[section].append(m.groups())
+    return rows
+
+
+def _fill(table, rows, keys, check=None):
+    """table[a, b] = c for each row (a, b, c), or True for each row (a, b)
+    of a bool table; a 1-d table takes rows (a, c).
+
+    keys[i] = (pos, what) numbers the names of column i.  When a row names
+    something undeclared, the first such row raises ParseError: check(*row)
+    when given, else `_need` on its names in the order `table[a, b] = c`
+    evaluates them (c, then a, then b).
+    """
+    if not rows:
+        return table
+    try:
+        idx = [[pos[name] for name in col] for (pos, _what), col in zip(keys, zip(*rows))]
+    except KeyError:
+        if check is None:
+            order = list(range(len(keys)))
+            if table.dtype != bool:
+                order = order[-1:] + order[:-1]
+
+            def check(*row):
+                for k in order:
+                    _need(keys[k][0], row[k], keys[k][1])
+
+        for row in rows:
+            check(*row)
+        raise
+    if table.dtype == bool:
+        idx.append(True)
+    table[tuple(idx[:-1])] = idx[-1]
+    return table
+
+
+def _cells(table, rows, op, cols, vals=None):
+    """`a op b = c` for each defined cell table[a, b] = c, or `a op b` for
+    each true cell of a bool table (vals None), in row-major order."""
+    a, b = np.nonzero(table if vals is None else table >= 0)
+    if vals is None:
+        return [f"{rows[i]} {op} {cols[j]}" for i, j in zip(a.tolist(), b.tolist())]
+    return [f"{rows[i]} {op} {cols[j]} = {vals[k]}"
+            for i, j, k in zip(a.tolist(), b.tolist(), table[a, b].tolist())]
+
+
+def _category_lines(objects, labels, dom, cod, comp, section):
+    """The arrow section (`morphisms:` or `arrows:`) and `compose:` of .cat/.ogpd."""
+    return ([section + ":"]
+            + [f"{lab} : {objects[d]} -> {objects[c]}"
+               for lab, d, c in zip(labels, dom.tolist(), cod.tolist())]
+            + ["compose:"] + _cells(comp, labels, ".", labels, labels))
+
+
+def _identities(objects, dom, cod, comp, what):
+    """Per object, its first endomorphism that is a two-sided unit.
+
+    ParseError naming the first object without one.
+    """
+    everything = np.arange(len(dom))
+    endo = np.flatnonzero(dom == cod)
+    o = dom[endo]
+    left = ((comp[endo] == everything) | (cod != o[:, None])).all(axis=1)
+    right = ((comp[:, endo] == everything[:, None]) | (dom[:, None] != o)).all(axis=0)
+    units = endo[left & right]
+    objs, first = np.unique(dom[units], return_index=True)
+    identity = np.full(len(objects), -1, dtype=np.int64)
+    identity[objs] = units[first]
+    missing = np.flatnonzero(identity < 0)
+    if missing.size:
+        raise ParseError(f"object {objects[missing[0]]!r} has no identity {what}")
+    return identity
+
+
+# -- .cat ------------------------------------------------------------------------
+
+_CAT = {"morphisms": (_ARROW, "morphism"), "compose": (_PRODUCT, "compose")}
+
+
+def dump_category(C: FiniteCategory) -> str:
+    lines = ["objects: " + " ".join(str(o) for o in C.objects)]
+    lines += _category_lines(C.objects, C.mor_labels, C.dom, C.cod, C.comp, "morphisms")
+    return "\n".join(lines) + "\n"
+
+
+def parse_category(text: str) -> FiniteCategory:
+    head = {"objects": []}
+    rows = _read(text, head, {"objects": str.split}, _CAT)
+    objects, mors = head["objects"], rows["morphisms"]
     if not objects:
         raise ParseError("no objects")
     opos = {o: i for i, o in enumerate(objects)}
@@ -161,28 +255,16 @@ def parse_category(text: str) -> FiniteCategory:
             raise ParseError(f"morphism {lab!r} uses unknown object")
         dom[i] = opos[d]
         cod[i] = opos[c]
-    comp = np.full((len(mors), len(mors)), -1, dtype=np.int64)
-    for (g, f, h) in comps:
-        for lab in (g, f, h):
+
+    def unknown(*row):
+        for lab in row:
             if lab not in mpos:
                 raise ParseError(f"unknown morphism {lab!r} in compose")
-        comp[mpos[g], mpos[f]] = mpos[h]
-    # identities: the unique endomorphism acting as a unit
-    identity = np.full(len(objects), -1, dtype=np.int64)
-    for o in range(len(objects)):
-        for m in range(len(mors)):
-            if dom[m] != o or cod[m] != o:
-                continue
-            left = all(comp[m, f] == f for f in range(len(mors)) if cod[f] == o)
-            right = all(comp[g, m] == g for g in range(len(mors)) if dom[g] == o)
-            if left and right:
-                identity[o] = m
-                break
-        if identity[o] < 0:
-            raise ParseError(f"object {objects[o]!r} has no identity morphism")
-    C = FiniteCategory(tuple(objects), tuple(labels), dom, cod, comp, identity)
-    from .categories import check_category
 
+    comp = _fill(np.full((len(mors), len(mors)), -1, dtype=np.int64),
+                 rows["compose"], [(mpos, "morphism")] * 3, unknown)
+    identity = _identities(objects, dom, cod, comp, "morphism")
+    C = FiniteCategory(tuple(objects), tuple(labels), dom, cod, comp, identity)
     bad = check_category(C)
     if bad:
         raise ParseError("not a category: " + bad[0])
@@ -191,85 +273,60 @@ def parse_category(text: str) -> FiniteCategory:
 
 # -- .act ------------------------------------------------------------------------
 
+_ACT = {"act": (_PRODUCT, "act"), "anchor": (_MAPSTO, "anchor")}
+
+
 def dump_action(X: RightAction, smg_path: str, anchor=None) -> str:
     S = X.sgrp
     lines = [f"semigroup: {smg_path}", "points: " + " ".join(X.carrier), "act:"]
-    for x in range(len(X)):
-        for s in range(len(S)):
-            lines.append(f"{X.carrier[x]} . {S.names[s]}"
-                         f" = {X.carrier[int(X.act[x, s])]}")
+    lines += _cells(X.act, X.carrier, ".", S.names, X.carrier)
     if anchor is not None:
         lines.append("anchor:")
-        for x in range(len(X)):
-            lines.append(f"{X.carrier[x]} -> {S.names[int(anchor[x])]}")
+        lines += [f"{x} -> {S.names[e]}"
+                  for x, e in zip(X.carrier, np.asarray(anchor).tolist())]
     return "\n".join(lines) + "\n"
 
 
 def parse_action(text: str, base_dir=".", semigroup: FiniteSemigroup = None):
     """Returns RightAction or EtaleAction (when anchor lines are present)."""
-    points, acts, anchors = [], [], []
-    S = semigroup
-    section = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("semigroup:"):
-            ref = line[len("semigroup:"):].strip()
-            if S is None:
-                S = load_semigroup(Path(base_dir) / ref)
-            continue
-        if line.startswith("points:"):
-            points = line[len("points:"):].split()
-            continue
-        if line == "act:":
-            section = "act"
-            continue
-        if line == "anchor:":
-            section = "anchor"
-            continue
-        if section == "act":
-            m = re.match(r"^(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)$", line)
-            if not m:
-                raise ParseError(f"bad act line {line!r}")
-            acts.append(m.groups())
-        elif section == "anchor":
-            m = re.match(r"^(\S+)\s*->\s*(\S+)$", line)
-            if not m:
-                raise ParseError(f"bad anchor line {line!r}")
-            anchors.append(m.groups())
-        else:
-            raise ParseError(f"unexpected line {line!r}")
+    head = {"semigroup": semigroup, "points": []}
+
+    def load(ref):  # the first reference only, and none when semigroup is given
+        S = head["semigroup"]
+        return load_semigroup(Path(base_dir) / ref.strip()) if S is None else S
+
+    rows = _read(text, head, {"semigroup": load, "points": str.split}, _ACT)
+    S, points = head["semigroup"], head["points"]
     if S is None:
         raise ParseError("no semigroup reference")
     _check_names(points)
     ppos = {p: i for i, p in enumerate(points)}
     spos = {nm: i for i, nm in enumerate(S.names)}
-    act = np.full((len(points), len(S)), -1, dtype=np.int64)
-    for (x, s, y) in acts:
+
+    def unknown(x, s, y):
         if x not in ppos or y not in ppos:
             raise ParseError(f"unknown point in act line {x!r}/{y!r}")
-        if s not in spos:
-            raise ParseError(f"unknown semigroup element {s!r}")
-        act[ppos[x], spos[s]] = ppos[y]
+        _need(spos, s, "semigroup element")
+
+    point, element = (ppos, "point"), (spos, "semigroup element")
+    act = _fill(np.full((len(points), len(S)), -1, dtype=np.int64), rows["act"],
+                (point, element, point), unknown)
     if (act < 0).any():
         raise ParseError("action table incomplete")
     X = RightAction(tuple(points), S, act)
-    from .actions import check_action, check_etale
-
     if not check_action(X):
         raise ParseError("action law fails")
-    if not anchors:
+    if not rows["anchor"]:
         return X
-    anchor = np.full(len(points), -1, dtype=np.int64)
-    for (x, e) in anchors:
+
+    def bad_anchor(x, e):
         if x not in ppos or e not in spos:
             raise ParseError(f"bad anchor line {x!r} -> {e!r}")
-        anchor[ppos[x]] = spos[e]
+
+    anchor = _fill(np.full(len(points), -1, dtype=np.int64), rows["anchor"],
+                   (point, element), bad_anchor)
     if (anchor < 0).any():
         raise ParseError("anchor incomplete")
-    from .semigroups import as_inverse
-
     E = EtaleAction(RightAction(tuple(points), as_inverse(S), act), anchor)
     if not check_etale(E):
         raise ParseError("etale axioms fail")
@@ -283,91 +340,46 @@ def load_action(path, semigroup=None):
 
 # -- .biset ----------------------------------------------------------------------
 
+_BISET = {name: (_PAIRING, "table") for name in ("lact", "ract", "innS", "innT")}
+
+
 def dump_biset(B: EquivalenceBiset, s_path: str, t_path: str) -> str:
-    S, T = B.S, B.T
-    lines = [f"S: {s_path}", f"T: {t_path}", "points: " + " ".join(B.points)]
-    lines.append("lact:")
-    for s in range(len(S)):
-        for x in range(len(B)):
-            lines.append(f"{S.names[s]} . {B.points[x]}"
-                         f" = {B.points[int(B.left_act[s, x])]}")
-    lines.append("ract:")
-    for x in range(len(B)):
-        for t in range(len(T)):
-            lines.append(f"{B.points[x]} . {T.names[t]}"
-                         f" = {B.points[int(B.right_act[x, t])]}")
-    lines.append("innS:")
-    for x in range(len(B)):
-        for y in range(len(B)):
-            lines.append(f"{B.points[x]} , {B.points[y]}"
-                         f" = {S.names[int(B.inner_S[x, y])]}")
-    lines.append("innT:")
-    for x in range(len(B)):
-        for y in range(len(B)):
-            lines.append(f"{B.points[x]} , {B.points[y]}"
-                         f" = {T.names[int(B.inner_T[x, y])]}")
+    S, T, P = B.S, B.T, B.points
+    lines = [f"S: {s_path}", f"T: {t_path}", "points: " + " ".join(P)]
+    lines += ["lact:"] + _cells(B.left_act, S.names, ".", P, P)
+    lines += ["ract:"] + _cells(B.right_act, P, ".", T.names, P)
+    lines += ["innS:"] + _cells(B.inner_S, P, ",", P, S.names)
+    lines += ["innT:"] + _cells(B.inner_T, P, ",", P, T.names)
     return "\n".join(lines) + "\n"
 
 
 def parse_biset(text: str, base_dir=".") -> EquivalenceBiset:
-    from .semigroups import as_inverse
+    def load(ref):
+        return as_inverse(load_semigroup(Path(base_dir) / ref.strip()))
 
-    S = T = None
-    points = []
-    sections = {"lact": [], "ract": [], "innS": [], "innT": []}
-    section = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("S:"):
-            S = as_inverse(load_semigroup(Path(base_dir) / line[2:].strip()))
-            continue
-        if line.startswith("T:"):
-            T = as_inverse(load_semigroup(Path(base_dir) / line[2:].strip()))
-            continue
-        if line.startswith("points:"):
-            points = line[len("points:"):].split()
-            continue
-        if line.rstrip(":") in sections and line.endswith(":"):
-            section = line.rstrip(":")
-            continue
-        if section is None:
-            raise ParseError(f"unexpected line {line!r}")
-        m = re.match(r"^(\S+)\s*[.,]\s*(\S+)\s*=\s*(\S+)$", line)
-        if not m:
-            raise ParseError(f"bad table line {line!r}")
-        sections[section].append(m.groups())
+    head = {"S": None, "T": None, "points": []}
+    rows = _read(text, head, {"S": load, "T": load, "points": str.split}, _BISET,
+                 opener=":+")
+    S, T, points = head["S"], head["T"], head["points"]
     if S is None or T is None:
         raise ParseError("biset needs S: and T: references")
     if not points:
         raise ParseError("biset needs points")
     _check_names(points)
-    ppos = {p: i for i, p in enumerate(points)}
-    spos = {nm: i for i, nm in enumerate(S.names)}
-    tpos = {nm: i for i, nm in enumerate(T.names)}
     nx = len(points)
-    left = np.full((len(S), nx), -1, dtype=np.int64)
-    right = np.full((nx, len(T)), -1, dtype=np.int64)
-    innS = np.full((nx, nx), -1, dtype=np.int64)
-    innT = np.full((nx, nx), -1, dtype=np.int64)
-
-    for (s, x, y) in sections["lact"]:
-        left[_need(spos, s, "S element"),
-             _need(ppos, x, "point")] = _need(ppos, y, "point")
-    for (x, t, y) in sections["ract"]:
-        right[_need(ppos, x, "point"),
-              _need(tpos, t, "T element")] = _need(ppos, y, "point")
-    for (x, y, s) in sections["innS"]:
-        innS[_need(ppos, x, "point"),
-             _need(ppos, y, "point")] = _need(spos, s, "S element")
-    for (x, y, t) in sections["innT"]:
-        innT[_need(ppos, x, "point"),
-             _need(ppos, y, "point")] = _need(tpos, t, "T element")
-    for arr, nm in ((left, "lact"), (right, "ract"), (innS, "innS"), (innT, "innT")):
+    point = ({p: i for i, p in enumerate(points)}, "point")
+    s_elt = ({nm: i for i, nm in enumerate(S.names)}, "S element")
+    t_elt = ({nm: i for i, nm in enumerate(T.names)}, "T element")
+    tables = {}
+    for name, shape, keys in (("lact", (len(S), nx), (s_elt, point, point)),
+                              ("ract", (nx, len(T)), (point, t_elt, point)),
+                              ("innS", (nx, nx), (point, point, s_elt)),
+                              ("innT", (nx, nx), (point, point, t_elt))):
+        tables[name] = _fill(np.full(shape, -1, dtype=np.int64), rows[name], keys)
+    for name, arr in tables.items():
         if (arr < 0).any():
-            raise ParseError(f"{nm} table incomplete")
-    return EquivalenceBiset(S, T, tuple(points), left, right, innS, innT)
+            raise ParseError(f"{name} table incomplete")
+    return EquivalenceBiset(S, T, tuple(points), *tables.values())
 
 
 def load_biset(path) -> EquivalenceBiset:
@@ -377,76 +389,27 @@ def load_biset(path) -> EquivalenceBiset:
 
 # -- .ogpd -----------------------------------------------------------------------
 
+_OGPD = {"objects": (_LEQ, "object order"), "arrows": (_ARROW, "arrow"),
+         "compose": (_PRODUCT, "compose"), "order": (_LEQ, "order"),
+         "inverse": (_MAPSTO, "inverse")}
+
+
 def dump_ordered_groupoid(G: OrderedGroupoid) -> str:
     lines = ["objects: " + " ".join(str(o) for o in G.objects)]
-    for a in range(G.n_objects):
-        for b in range(G.n_objects):
-            if a != b and G.obj_leq[a, b]:
-                lines.append(f"{G.objects[a]} <= {G.objects[b]}")
-    lines.append("arrows:")
-    for g in range(G.n_arrows):
-        lines.append(f"{G.arrows[g]} : {G.objects[int(G.dom[g])]}"
-                     f" -> {G.objects[int(G.cod[g])]}")
-    lines.append("compose:")
-    for g in range(G.n_arrows):
-        for f in range(G.n_arrows):
-            h = int(G.comp[g, f])
-            if h >= 0:
-                lines.append(f"{G.arrows[g]} . {G.arrows[f]} = {G.arrows[h]}")
-    lines.append("order:")
-    for g in range(G.n_arrows):
-        for h in range(G.n_arrows):
-            if g != h and G.leq[g, h]:
-                lines.append(f"{G.arrows[g]} <= {G.arrows[h]}")
-    lines.append("inverse:")
-    for g in range(G.n_arrows):
-        lines.append(f"{G.arrows[g]} -> {G.arrows[int(G.inv[g])]}")
+    lines += _cells(G.obj_leq & ~np.eye(G.n_objects, dtype=bool),
+                    G.objects, "<=", G.objects)
+    lines += _category_lines(G.objects, G.arrows, G.dom, G.cod, G.comp, "arrows")
+    lines += ["order:"] + _cells(G.leq & ~np.eye(G.n_arrows, dtype=bool),
+                                 G.arrows, "<=", G.arrows)
+    lines += ["inverse:"] + [f"{g} -> {G.arrows[h]}"
+                             for g, h in zip(G.arrows, G.inv.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def parse_ordered_groupoid(text: str) -> OrderedGroupoid:
-    objects, obj_leq_pairs = [], []
-    arrows, comps, order_pairs, inv_pairs = [], [], [], []
-    section = "objects"
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("objects:"):
-            objects = line[len("objects:"):].split()
-            section = "objects"
-            continue
-        for name in ("arrows", "compose", "order", "inverse"):
-            if line == name + ":":
-                section = name
-                break
-        else:
-            if section == "objects":
-                m = re.match(r"^(\S+)\s*<=\s*(\S+)$", line)
-                if not m:
-                    raise ParseError(f"bad object order line {line!r}")
-                obj_leq_pairs.append(m.groups())
-            elif section == "arrows":
-                m = re.match(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", line)
-                if not m:
-                    raise ParseError(f"bad arrow line {line!r}")
-                arrows.append(m.groups())
-            elif section == "compose":
-                m = re.match(r"^(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)$", line)
-                if not m:
-                    raise ParseError(f"bad compose line {line!r}")
-                comps.append(m.groups())
-            elif section == "order":
-                m = re.match(r"^(\S+)\s*<=\s*(\S+)$", line)
-                if not m:
-                    raise ParseError(f"bad order line {line!r}")
-                order_pairs.append(m.groups())
-            elif section == "inverse":
-                m = re.match(r"^(\S+)\s*->\s*(\S+)$", line)
-                if not m:
-                    raise ParseError(f"bad inverse line {line!r}")
-                inv_pairs.append(m.groups())
-            continue
+    head = {"objects": []}
+    rows = _read(text, head, {"objects": str.split}, _OGPD, section="objects")
+    objects, arrows = head["objects"], rows["arrows"]
     if not objects:
         raise ParseError("no objects")
     opos = {o: i for i, o in enumerate(objects)}
@@ -457,36 +420,16 @@ def parse_ordered_groupoid(text: str) -> OrderedGroupoid:
     n, m = len(objects), len(arrows)
     dom = np.array([_need(opos, d, "object") for (_l, d, _c) in arrows], dtype=np.int64)
     cod = np.array([_need(opos, c, "object") for (_l, _d, c) in arrows], dtype=np.int64)
-    obj_leq = np.eye(n, dtype=bool)
-    for (a, b) in obj_leq_pairs:
-        obj_leq[_need(opos, a, "object"), _need(opos, b, "object")] = True
-    comp = np.full((m, m), -1, dtype=np.int64)
-    for (g, f, h) in comps:
-        comp[_need(apos, g, "arrow"), _need(apos, f, "arrow")] = _need(apos, h, "arrow")
-    leq = np.eye(m, dtype=bool)
-    for (g, h) in order_pairs:
-        leq[_need(apos, g, "arrow"), _need(apos, h, "arrow")] = True
-    inv = np.full(m, -1, dtype=np.int64)
-    for (g, h) in inv_pairs:
-        inv[_need(apos, g, "arrow")] = _need(apos, h, "arrow")
+    obj, arrow = (opos, "object"), (apos, "arrow")
+    obj_leq = _fill(np.eye(n, dtype=bool), rows["objects"], (obj, obj))
+    comp = _fill(np.full((m, m), -1, dtype=np.int64), rows["compose"], (arrow,) * 3)
+    leq = _fill(np.eye(m, dtype=bool), rows["order"], (arrow, arrow))
+    inv = _fill(np.full(m, -1, dtype=np.int64), rows["inverse"], (arrow, arrow))
     if (inv < 0).any():
         raise ParseError("inverse table incomplete")
-    identity = np.full(n, -1, dtype=np.int64)
-    for o in range(n):
-        for g in range(m):
-            if dom[g] != o or cod[g] != o:
-                continue
-            left = all(comp[g, f] == f for f in range(m) if cod[f] == o)
-            right = all(comp[h, g] == h for h in range(m) if dom[h] == o)
-            if left and right:
-                identity[o] = g
-                break
-        if identity[o] < 0:
-            raise ParseError(f"object {objects[o]!r} has no identity arrow")
+    identity = _identities(objects, dom, cod, comp, "arrow")
     G = OrderedGroupoid(tuple(objects), obj_leq, tuple(labels), dom, cod,
                         comp, inv, identity, leq)
-    from .groupoids import validate_ordered_groupoid
-
     bad = validate_ordered_groupoid(G)
     if bad:
         raise ParseError("not an ordered groupoid: " + bad[0])

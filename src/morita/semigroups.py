@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from ._util import inverse_relation
 from .errors import (
     IdempotentsDontCommute,
@@ -67,8 +66,19 @@ class InverseSemigroup(FiniteSemigroup):
 
 
 def assoc_witness(S: FiniteSemigroup):
-    """First triple breaking associativity, or None."""
-    return _kernels.assoc_witness(S.table)
+    """First triple (i, j, k) with (ij)k != i(jk), or None.
+
+    One numpy pass per row i, so the first failure in index order is found.
+    """
+    table = S.table
+    for i in range(table.shape[0]):
+        left = table[table[i], :]       # [j, k] -> (ij)k
+        right = table[i, table]         # [j, k] -> i(jk)
+        bad = np.argwhere(left != right)
+        if bad.size:
+            j, k = bad[0]
+            return (i, int(j), int(k))
+    return None
 
 
 def idempotents(S: FiniteSemigroup) -> list:

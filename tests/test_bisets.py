@@ -100,6 +100,18 @@ def test_preconditions(b12, chain2):
         biset_from_regular_enlargement(b12, [b12.index("(1,2)")], range(len(b12)))
 
 
+def test_only_library_errors_become_preconditions(b12, monkeypatch):
+    # a programming error inside restrict_inverse is not a bad subset
+    from morita import bisets
+
+    def broken(R, subset):
+        raise IndexError("broken")
+
+    monkeypatch.setattr(bisets, "restrict_inverse", broken)
+    with pytest.raises(IndexError):
+        biset_from_regular_enlargement(b12, [b12.index("(1,1)")], range(len(b12)))
+
+
 def test_derived_pairing_identities(b12):
     # <x,x>x = x, x[x,x] = x, <sx,y> = s<x,y>, and s = <x, s*x> when ds = s
     for B in (b12_enlargement_biset(b12), group_self_biset(cyclic_group(3))):

@@ -30,6 +30,7 @@ from morita.categories import (
     is_right_cancellative,
     left_cancellation_witness,
     pullback,
+    right_cancellation_witness,
     skeleton,
     skeleton_with_maps,
     span_category,
@@ -141,6 +142,19 @@ def test_cancellativity(small_corpus, chain3, b12):
     assert w is not None
     g, f1, f2 = w
     assert C.comp[g, f1] == C.comp[g, f2] and f1 != f2
+
+
+def test_cancellation_witness_semantics():
+    def category(comp):
+        comp = np.array(comp, dtype=np.int64)
+        zero = np.zeros(len(comp), dtype=np.int64)
+        labels = tuple(f"m{i}" for i in range(len(comp)))
+        return FiniteCategory(("a",), labels, zero, zero, comp, [0])
+
+    assert left_cancellation_witness(category([[0, 0, -1], [-1, 1, 1], [-1, -1, 2]])) \
+        == (0, 0, 1)
+    assert right_cancellation_witness(category(np.eye(3))) is not None
+    assert left_cancellation_witness(category([[0, -1], [-1, 1]])) is None
 
 
 def test_idempotents_split(small_corpus, b12):

@@ -109,5 +109,21 @@ def test_corpus_manifest(corpus_dir):
     assert (corpus_dir / "syminv2.smg").exists()
 
 
+def test_bad_numeric_flags_exit_2(corpus_dir, capsys):
+    chain2 = str(corpus_dir / "chain2.smg")
+    for argv in (["--max-points", "0", "morita", chain2, chain2, "--oracle"],
+                 ["--budget", "-5", "morita", chain2, chain2, "--oracle"],
+                 ["psh-equiv", chain2, "--samples", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+    # the least accepted values still run
+    rc, out = run(capsys, ["--budget", "0", "--max-points", "1", "morita", chain2, chain2])
+    assert rc == 0 and "verdict=true" in out
+    rc, out = run(capsys, ["psh-equiv", chain2, "--samples", "0"])
+    assert rc == 0 and "verdict=pass" in out
+
+
 def test_exit_code_missing_file():
     assert main(["validate", "/nonexistent/path.smg"]) == 2

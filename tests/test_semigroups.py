@@ -235,6 +235,12 @@ def test_builders_are_inverse(small_corpus, b13, bc22):
         assert np.array_equal(rebuilt.star, S.star)
 
 
+def test_assoc_witness_valid_tables():
+    for S in (cyclic_group(5), brandt(cyclic_group(2), 2),
+              symmetric_inverse_monoid(3)):
+        assert assoc_witness(S) is None
+
+
 def test_subsemigroup_closure(sim2):
     full = subsemigroup_closure(sim2, range(len(sim2)))
     assert full == list(range(len(sim2)))
