@@ -14,6 +14,7 @@ seven compatibility axioms (M1)-(M7).  This module can
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .errors import (
     InvalidBiset,
     MoritaError,
     NotAnEnlargement,
+    NotInverseSemigroupoid,
     PreconditionFailed,
 )
 from .groupoids import (
@@ -47,9 +49,7 @@ from .groupoids import (
     check_ordered_functor,
     inductive_groupoid_of,
     is_enlargement,
-    make_inverse_semigroupoid,
     ordered_groupoid_of,
-    semigroupoid_violations,
 )
 from .semigroups import (
     InverseSemigroup,
@@ -87,6 +87,11 @@ class EquivalenceBiset:
     def __len__(self):
         return len(self.points)
 
+    @cached_property
+    def _report(self):
+        """`_biset_report(self)`, computed once: the tables are read-only."""
+        return _biset_report(self)
+
     def __repr__(self):
         return (f"EquivalenceBiset(|X|={len(self)}, "
                 f"|S|={len(self.S)}, |T|={len(self.T)})")
@@ -119,6 +124,16 @@ def _first_failure(n, row_cells, holds):
 
 def verify_biset(B: EquivalenceBiset) -> BisetReport:
     """Check the action laws, (M1)-(M7), and pairing surjectivity.
+
+    The report is computed on the first call and kept on B, so every later
+    check of the same biset reads it.  A failure is a report entry with its
+    witness; nothing raises.
+    """
+    return B._report
+
+
+def _biset_report(B: EquivalenceBiset) -> BisetReport:
+    """The axiom checks behind `verify_biset`.
 
     Array pass, first witness in the loop index order: each axiom is one
     array comparison with its outer index first (the pair (s1, s2) or
@@ -310,19 +325,20 @@ def build_R_semigroupoid(B: EquivalenceBiset) -> InverseSemigroupoid:
     table[sl_Y, sl_S] = B.left_act[S.star].T + oY      # y s = (s* y)
     table[sl_Y, sl_X] = B.inner_T + oT                 # y x = [y, x]
     table[sl_X, sl_Y] = B.inner_S                      # x y = <x, y>
-    bad = semigroupoid_violations(names, table)
-    assoc_bad = [m for m in bad if "associativity" in m or "definedness" in m]
-    if assoc_bad:
-        raise AssociativityFailure(assoc_bad[0])
-    if bad:
-        raise InvalidBiset("semigroupoid checks fail: " + bad[0])
-    Rg = make_inverse_semigroupoid(
-        names, table,
-        {"kind": "R_semigroupoid", "biset": B, "elems": tuple(elems),
-         "pos": pos,
-         "s_part": tuple(pos[("S", s)] for s in range(len(S))),
-         "t_part": tuple(pos[("T", t)] for t in range(len(T)))},
-    )
+    try:
+        Rg = InverseSemigroupoid(
+            names, table,
+            {"kind": "R_semigroupoid", "biset": B, "elems": tuple(elems),
+             "pos": pos,
+             "s_part": tuple(pos[("S", s)] for s in range(len(S))),
+             "t_part": tuple(pos[("T", t)] for t in range(len(T)))},
+        )
+    except NotInverseSemigroupoid as exc:
+        # the associativity and definedness messages come first
+        first = exc.witness
+        if "associativity" in first or "definedness" in first:
+            raise AssociativityFailure(first)
+        raise InvalidBiset("semigroupoid checks fail: " + first)
     # enlargement identities: S' = S'RS', R = RS'R, T' = T'RT', R = RT'R
     def pset(A, Bset):
         v = table[np.ix_(A, Bset)]
@@ -787,9 +803,13 @@ def biset_enlargement_chain(B: EquivalenceBiset):
     Runs every verification that follows a verified biset and reports each
     as a bool; returns (checks, G) with G the ordered groupoid of R(S,T;X).
     The semigroupoid, enlargement and round-trip entries come from checks
-    made on the way: `build_R_semigroupoid` raises unless R(S,T;X) passes
-    `semigroupoid_violations`, and `biset_from_ordered_enlargement` unless
-    G enlarges both parts and the recovered biset verifies.
+    made on the way: R(S,T;X) is checked once, when `build_R_semigroupoid`
+    makes it (it raises unless the table passes `semigroupoid_violations`),
+    and `biset_from_ordered_enlargement` raises unless G enlarges both parts
+    and the recovered biset verifies.  Every structure is checked once: B
+    keeps its `verify_biset` report and U its isomorphisms, so a chain
+    computes two biset reports (B and the recovered biset), one
+    `semigroupoid_violations` pass and one isomorphism table of U.
     """
     out = {}
     U, s_objs, t_objs, Pf, Qf = build_bipartite_U(B)

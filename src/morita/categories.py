@@ -69,6 +69,11 @@ class FiniteCategory:
         return _span_tables(self)
 
     @cached_property
+    def _partners(self):
+        """`_iso_table(self)`, built once for iso_partner."""
+        return _iso_table(self)
+
+    @cached_property
     def _hom_index(self):
         """Morphism ids sorted by (dom, cod), and where each hom-set starts.
 
@@ -288,7 +293,11 @@ def idempotents_split(C: FiniteCategory) -> bool:
 # -- isomorphisms of objects and skeletons -----------------------------------
 
 def iso_partner(C: FiniteCategory) -> np.ndarray:
-    """For each morphism, its two-sided inverse or -1."""
+    """For each morphism, its two-sided inverse or -1; built once per category."""
+    return C._partners
+
+
+def _iso_table(C: FiniteCategory) -> np.ndarray:
     out = np.full(C.n_mor, -1, dtype=np.int64)
     for a in range(C.n_objects):
         for b in range(C.n_objects):
@@ -299,6 +308,7 @@ def iso_partner(C: FiniteCategory) -> np.ndarray:
                   & (C.comp[np.ix_(W, M)].T == C.identity[a]))
             has = ok.any(axis=1)
             out[M[has]] = W[ok.argmax(axis=1)[has]]
+    out.setflags(write=False)
     return out
 
 
@@ -365,45 +375,11 @@ def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
                 from_rep[o] = partner[m]
                 break
         if to_rep[o] < 0:
-            # objects in one class are connected by a chain of isos; compose
-            # along the chain (two hops suffice after the union pass above
-            # only if a direct iso exists, so fall back to a search)
-            to_rep[o], from_rep[o] = _iso_chain(C, partner, o, r)
+            # a composite of isomorphisms is an isomorphism, so in a category
+            # the union pass leaves one in hom(o, rep o)
+            raise IsomorphismChainBroken("object class without connecting isomorphism",
+                                         witness=(o, r))
     return _skeleton_data(C, rep, to_rep, from_rep)
-
-
-def _iso_chain(C, partner, o, r):
-    """BFS for an iso o -> r through intermediate objects."""
-    from collections import deque
-
-    prev = {o: None}
-    q = deque([o])
-    while q:
-        a = q.popleft()
-        if a == r:
-            break
-        for m in range(C.n_mor):
-            if partner[m] >= 0 and C.dom[m] == a:
-                b = int(C.cod[m])
-                if b not in prev:
-                    prev[b] = (a, m)
-                    q.append(b)
-    if r not in prev:
-        raise IsomorphismChainBroken("object class without connecting isomorphism",
-                                     witness=(o, r))
-    path = []
-    cur = r
-    while prev[cur] is not None:
-        a, m = prev[cur]
-        path.append(m)
-        cur = a
-    fwd = path[-1]
-    for m in reversed(path[:-1]):
-        fwd = int(C.comp[m, fwd])
-    if partner[fwd] < 0:
-        raise IsomorphismChainBroken("a composite of isomorphisms is not an isomorphism",
-                                     witness=(o, r, fwd))
-    return fwd, int(partner[fwd])
 
 
 def cauchy_skeleton(C: FiniteCategory) -> SkeletonData:
@@ -486,27 +462,26 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
 
 
 def check_weak_equivalence(F: Functor) -> bool:
-    """Full + faithful + essentially surjective, each checked exhaustively."""
+    """Full + faithful + essentially surjective, each one array test.
+
+    F is faithful when the triples (dom, cod, image) of the morphisms of C
+    are distinct, and then full when every hom-set of C is as large as the
+    one it maps into.  Every object of D must be hit, or be the codomain of
+    an isomorphism out of an object that is.
+    """
     if not is_functor(F):
         return False
     C, D = F.source, F.target
-    for a in range(C.n_objects):
-        for b in range(C.n_objects):
-            image = [int(F.mor_map[m]) for m in C.hom(a, b)]
-            if len(set(image)) != len(image):
-                return False  # not faithful
-            target_hom = D.hom(int(F.obj_map[a]), int(F.obj_map[b]))
-            if set(image) != set(target_hom):
-                return False  # not full
-    partner = iso_partner(D)
-    hit = set()
-    for a in range(C.n_objects):
-        hit.add(int(F.obj_map[a]))
-    reachable = set(hit)
-    for m in range(D.n_mor):
-        if partner[m] >= 0 and int(D.dom[m]) in hit:
-            reachable.add(int(D.cod[m]))
-    return reachable == set(range(D.n_objects))
+    om, mm = F.obj_map, F.mor_map
+    triples = (C.dom * C.n_objects + C.cod) * D.n_mor + mm
+    if (np.unique(triples).size != C.n_mor
+            or not np.array_equal(C.hom_sizes(), D.hom_sizes()[np.ix_(om, om)])):
+        return False
+    hit = np.zeros(D.n_objects, dtype=bool)
+    hit[om] = True
+    reached = hit.copy()
+    reached[D.cod[(iso_partner(D) >= 0) & hit[D.dom]]] = True
+    return bool(reached.all())
 
 
 def check_morita_context(A, B, U, P: Functor, Q: Functor) -> bool:

@@ -265,8 +265,9 @@ def cmd_psh_equiv(args) -> Report:
     C = C_of(S)
     E = C.extra["obj_elt"]
     tab = S.table
+    principal = {e: principal_action(S, e) for e in E}
     for e in E:
-        P = Q_of(principal_action(S, e), C)
+        P = Q_of(principal[e], C)
         rep.add(f"unit_iso_representable_{S.names[e]}",
                 "ok" if unit_iso_check(P) else "fail")
     presheaves = corpus.sample_presheaves(S, C, args.seed, args.samples)
@@ -279,7 +280,7 @@ def cmd_psh_equiv(args) -> Report:
                 "ok" if fullness_faithfulness_check(X, Y) else "fail")
     for d in E:
         for e in E:
-            homs = action_homs(principal_action(S, d), principal_action(S, e))
+            homs = action_homs(principal[d], principal[e])
             eSd = [s for s in range(len(S)) if tab[tab[e, s], d] == s]
             rep.add(f"hom_count_{S.names[d]}_{S.names[e]}",
                     "ok" if len(homs) == len(eSd) else "fail",

@@ -395,17 +395,27 @@ def is_local_isomorphism(F: OrderedFunctor) -> bool:
 
 @dataclass(eq=False)
 class InverseSemigroupoid:
+    """A partial table (-1 where undefined), checked once, when it is made.
+
+    Raises NotInverseSemigroupoid, witnessed by the first message of
+    `semigroupoid_violations`, unless the table is an inverse semigroupoid;
+    `star` is then read off its unique inverses.
+    """
     names: tuple
     table: np.ndarray  # -1 where undefined
-    star: np.ndarray
     extra: dict = field(default_factory=dict, repr=False)
+    star: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.names = tuple(self.names)
         t = np.ascontiguousarray(self.table, dtype=np.int64)
         t.setflags(write=False)
         self.table = t
-        s = np.ascontiguousarray(self.star, dtype=np.int64)
+        bad = semigroupoid_violations(self.names, t)
+        if bad:
+            raise NotInverseSemigroupoid("not an inverse semigroupoid", witness=bad[0])
+        # the checks leave one inverse per row: its column is the star
+        s = np.nonzero(inverse_relation(t))[1]
         s.setflags(write=False)
         self.star = s
 
@@ -454,15 +464,6 @@ def semigroupoid_violations(names, table) -> list:
     return bad
 
 
-def make_inverse_semigroupoid(names, table, extra=None) -> InverseSemigroupoid:
-    bad = semigroupoid_violations(names, table)
-    if bad:
-        raise NotInverseSemigroupoid("; ".join(bad[:3]))
-    # the checks above leave one inverse per row: its column is the star
-    star = np.nonzero(inverse_relation(table))[1]
-    return InverseSemigroupoid(tuple(names), np.asarray(table), star, dict(extra or {}))
-
-
 def _ordered_groupoid(names, tab, star, extra) -> OrderedGroupoid:
     """Restricted product plus the natural partial order s <= t iff s = t(s*s).
 
@@ -493,10 +494,11 @@ def _ordered_groupoid(names, tab, star, extra) -> OrderedGroupoid:
 
 
 def ordered_groupoid_of(R: InverseSemigroupoid) -> OrderedGroupoid:
-    """The ordered groupoid of R, checked against every ordered-groupoid axiom."""
-    bad = semigroupoid_violations(R.names, R.table)
-    if bad:
-        raise NotInverseSemigroupoid("; ".join(bad[:3]))
+    """The ordered groupoid of R, checked against every ordered-groupoid axiom.
+
+    R passed `semigroupoid_violations` when it was made, so only the
+    ordered-groupoid axioms are checked here.
+    """
     G = _ordered_groupoid(R.names, R.table, R.star,
                           {"kind": "of_semigroupoid", "sgpd": R})
     bad = validate_ordered_groupoid(G)

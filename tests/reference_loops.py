@@ -12,7 +12,13 @@ import numpy as np
 
 from morita.actions import EtaleAction, RightAction, check_action, check_etale
 from morita.bisets import EquivalenceBiset
-from morita.categories import FiniteCategory, Functor, check_category, iso_partner
+from morita.categories import (
+    FiniteCategory,
+    Functor,
+    check_category,
+    is_functor,
+    iso_partner,
+)
 from morita.errors import (
     CospanMismatch,
     InvalidBiset,
@@ -135,6 +141,30 @@ def loop_check_category(C: FiniteCategory) -> list:
                 bad.append(f"associativity fails around morphism {h}")
                 break
     return bad
+
+
+def loop_check_weak_equivalence(F: Functor) -> bool:
+    """check_weak_equivalence, one hom-set and one morphism at a time."""
+    if not is_functor(F):
+        return False
+    C, D = F.source, F.target
+    for a in range(C.n_objects):
+        for b in range(C.n_objects):
+            image = [int(F.mor_map[m]) for m in C.hom(a, b)]
+            if len(set(image)) != len(image):
+                return False  # not faithful
+            target_hom = D.hom(int(F.obj_map[a]), int(F.obj_map[b]))
+            if set(image) != set(target_hom):
+                return False  # not full
+    partner = iso_partner(D)
+    hit = set()
+    for a in range(C.n_objects):
+        hit.add(int(F.obj_map[a]))
+    reachable = set(hit)
+    for m in range(D.n_mor):
+        if partner[m] >= 0 and int(D.dom[m]) in hit:
+            reachable.add(int(D.cod[m]))
+    return reachable == set(range(D.n_objects))
 
 
 def loop_is_bipartite(U: FiniteCategory, A, B) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morita.bisets import (
+    BisetReport,
     EquivalenceBiset,
     biset_from_ordered_enlargement,
     biset_from_regular_enlargement,
@@ -22,7 +23,9 @@ from morita.categories import (
     is_left_cancellative,
 )
 from morita.errors import (
+    AssociativityFailure,
     BudgetExceeded,
+    InvalidBiset,
     NotAnEnlargement,
     PreconditionFailed,
 )
@@ -34,7 +37,7 @@ from morita.groupoids import (
     semigroupoid_violations,
     validate_ordered_groupoid,
 )
-from morita.semigroups import cyclic_group, symmetric_inverse_monoid
+from morita.semigroups import chain_semilattice, cyclic_group, symmetric_inverse_monoid
 
 
 def group_self_biset(G):
@@ -318,6 +321,49 @@ def test_pipeline(b12, bc22):
     assert all(out.values()), out
 
 
+def test_chain_checks_each_structure_once(tmp_path, monkeypatch):
+    # count the real work: biset reports, semigroupoid passes, U's isomorphisms
+    from collections import Counter
+
+    from morita import bisets, categories, cli, formats, groupoids
+    from morita.semigroups import brandt
+
+    counts = Counter()
+
+    def count(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[key(*args)] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(bisets, "_biset_report", lambda B: "biset reports")
+    count(groupoids, "semigroupoid_violations", lambda *a: "semigroupoid passes")
+    count(categories, "_iso_table", lambda C: C.extra.get("kind"))
+
+    def work():
+        out = {k: counts[k] for k in ("biset reports", "semigroupoid passes",
+                                      "bipartite_U")}
+        counts.clear()
+        return out
+
+    T = brandt(cyclic_group(1), 3)
+    e = T.index("(1,1)")
+    eTe = [s for s in range(len(T)) if T.mul(T.mul(e, s), e) == s]
+    assert all(enlargement_pipeline(T, eTe, range(len(T))).values())
+    assert work() == {"biset reports": 2, "semigroupoid passes": 1, "bipartite_U": 1}
+
+    (tmp_path / "T.smg").write_text(formats.dump_semigroup(T))
+    biset = str(tmp_path / "T.biset")
+    assert cli.main(["enlarge", str(tmp_path / "T.smg"), "--left",
+                     " ".join(T.names[s] for s in eTe), "--right", "all",
+                     "--emit-biset", biset]) == 0
+    assert work() == {"biset reports": 1, "semigroupoid passes": 0, "bipartite_U": 0}
+    assert cli.main(["biset-enlarge", biset]) == 0
+    assert work() == {"biset reports": 2, "semigroupoid passes": 1, "bipartite_U": 1}
+
+
 # -- the array checks against interpreted reference loops ---------------------
 
 def loop_verify_biset(B):
@@ -423,6 +469,37 @@ def test_verify_biset_and_R_table_match_loops_on_mutants(b12, local_submonoid_bi
     # the mutants reach every axiom that a single table can break
     assert failed >= {"left_action_law", "right_action_law", "biset_compatibility",
                       "M1", "M2", "M3", "M4", "M5", "M6", "M7"}
+
+
+def test_R_semigroupoid_failures_keep_their_errors(monkeypatch):
+    # let every biset pass verification, so that build_R_semigroupoid meets
+    # random tables; the semigroupoid's first failure picks the error
+    from morita import bisets
+
+    monkeypatch.setattr(bisets, "_biset_report", lambda B: BisetReport([]))
+    rng = np.random.default_rng(3)
+    seen = set()
+    for S in (cyclic_group(1), chain_semilattice(2)):
+        ns = len(S)
+        for nx in (1, 2):
+            for _ in range(60):
+                B = EquivalenceBiset(S, S, tuple(f"x{i}" for i in range(nx)),
+                                     rng.integers(0, nx, (ns, nx)),
+                                     rng.integers(0, nx, (nx, ns)),
+                                     rng.integers(0, ns, (nx, nx)),
+                                     rng.integers(0, ns, (nx, nx)))
+                table = loop_R_table(B)
+                bad = semigroupoid_violations(range(len(table)), table)
+                if not bad:
+                    continue
+                assoc = [m for m in bad if "associativity" in m or "definedness" in m]
+                error, message = ((AssociativityFailure, assoc[0]) if assoc else
+                                  (InvalidBiset, "semigroupoid checks fail: " + bad[0]))
+                with pytest.raises(error) as exc:
+                    build_R_semigroupoid(B)
+                assert str(exc.value) == message
+                seen.add(error)
+    assert seen == {AssociativityFailure, InvalidBiset}
 
 
 def test_biset_check_report_names_the_loop_witness(tmp_path, capsys, local_submonoid_bisets):

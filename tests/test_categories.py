@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -7,13 +8,14 @@ from morita.bisets import (
     biset_from_ordered_enlargement,
     biset_from_regular_enlargement,
     build_bipartite_U,
+    morita_equivalent,
 )
 from morita.categories import (
     C_of,
     FiniteCategory,
     Functor,
     L_of,
-    _iso_chain,
+    _skeleton_data,
     categories_equivalent,
     categories_isomorphic,
     cauchy_skeleton,
@@ -35,7 +37,7 @@ from morita.categories import (
     skeleton_with_maps,
     span_category,
 )
-from morita.corpus import builtin_corpus, random_relabelling
+from morita.corpus import builtin_corpus, expected_morita_pairs, random_relabelling
 from morita.errors import (
     CospanMismatch,
     IsomorphismChainBroken,
@@ -62,6 +64,7 @@ from reference_loops import (
     callback_L_of_groupoid,
     callback_span_category,
     loop_check_category,
+    loop_check_weak_equivalence,
     loop_is_bipartite,
     loop_ordered_enlargement_tables,
     loop_pullback,
@@ -237,6 +240,44 @@ def test_weak_equivalence_checks(b12):
     incl = Functor(L, C, om, mm)
     assert is_functor(incl)
     assert not check_weak_equivalence(incl)
+
+
+def _all_functors(C, D):
+    """Every functor C -> D, by trying each map of each hom-set."""
+    for om in itertools.product(range(D.n_objects), repeat=C.n_objects):
+        choices = [D.hom(om[C.dom[m]], om[C.cod[m]]) for m in range(C.n_mor)]
+        for mm in itertools.product(*choices):
+            F = Functor(C, D, om, mm)
+            if is_functor(F):
+                yield F
+
+
+def test_weak_equivalence_matches_the_loop(chain2, b12):
+    functors = []
+    # the decision witnesses, both ways, on the true curated pairs
+    members = dict(builtin_corpus())
+    for a, b, expected, _why in expected_morita_pairs():
+        if expected:
+            d = morita_equivalent(members[a], members[b])
+            functors += [d.forward, d.backward]
+    assert len(functors) >= 20 and all(map(check_weak_equivalence, functors))
+    # each breaks one property: faithful, full, essentially surjective
+    G1, G2 = C_of(cyclic_group(1)), C_of(cyclic_group(2))
+    C = C_of(chain2)
+    top = _skeleton_data(C, np.zeros(2, dtype=np.int64), None, None)   # full on object 0
+    broken = [Functor(G2, G1, [0], [0, 0]),
+              Functor(G1, G2, [0], G2.identity),
+              Functor(top.cat, C, top.obj_of_sk, top.cmor_of_smor)]
+    # not faithful on a hom-set as large as its image's, so not full either
+    broken.append(Functor(G2, G2, [0], [int(G2.identity[0])] * 2))
+    assert all(map(is_functor, broken))
+    assert not any(map(check_weak_equivalence, broken))
+    functors += broken
+    small = [G1, G2, C_of(cyclic_group(3)), C, L_of(chain2), L_of(b12), skeleton(C_of(b12))]
+    for A, B in itertools.product(small, small + [C_of(b12)]):
+        functors += _all_functors(A, B)
+    for F in functors:
+        assert check_weak_equivalence(F) == loop_check_weak_equivalence(F)
 
 
 def test_morita_context_endpoint_check(b12):
@@ -430,8 +471,20 @@ def test_cauchy_skeleton_needs_a_cauchy_completion(b12):
         cauchy_skeleton(L_of(b12))
 
 
-def test_iso_chain_raises_typed_error(chain2):
-    # the two objects of C(2-chain) are not isomorphic
-    C = C_of(chain2)
+def test_iso_chain_raises_typed_error():
+    # isomorphisms a: 0 -> 1 and b: 1 -> 2 with inverses, but no composite
+    # b.a: 0 -> 2, so this is not a category and no iso joins 2 to 0, the
+    # representative of its class
+    ids, a, a_, b, b_ = (0, 1, 2), 3, 4, 5, 6
+    dom = [0, 1, 2, 0, 1, 1, 2]
+    cod = [0, 1, 2, 1, 0, 2, 1]
+    comp = np.full((7, 7), -1)
+    for f in range(7):
+        comp[ids[cod[f]], f] = comp[f, ids[dom[f]]] = f
+    comp[a_, a], comp[a, a_] = 0, 1
+    comp[b_, b], comp[b, b_] = 1, 2
+    C = FiniteCategory((0, 1, 2), ("1", "1'", "1''", "a", "a*", "b", "b*"),
+                       dom, cod, comp, ids)
+    assert check_category(C) != []
     with pytest.raises(IsomorphismChainBroken):
-        _iso_chain(C, np.full(C.n_mor, -1), 0, 1)
+        skeleton_with_maps(C)

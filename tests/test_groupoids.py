@@ -6,12 +6,14 @@ from morita.categories import categories_isomorphic, check_weak_equivalence, Fun
 from morita.errors import (
     NotASubgroupoid,
     NotBelow,
+    NotInverseSemigroupoid,
     NotPrincipallyInductive,
     NotUnique,
     UndefinedPseudoproduct,
 )
 from morita.groupoids import (
     C_of_groupoid,
+    InverseSemigroupoid,
     L_of_groupoid,
     L_of_ordered_functor,
     OrderedFunctor,
@@ -24,7 +26,6 @@ from morita.groupoids import (
     is_principally_inductive,
     is_subgroupoid,
     local_isomorphism_report,
-    make_inverse_semigroupoid,
     meet_objects,
     ordered_groupoid_of,
     pseudoproduct,
@@ -176,13 +177,26 @@ def test_ordered_groupoid_of_semigroup(b12, chain3):
     # an inverse semigroup, viewed as an everywhere-defined semigroupoid,
     # yields its inductive groupoid
     for S in (b12, chain3):
-        R = make_inverse_semigroupoid(S.names, S.table)
+        R = InverseSemigroupoid(S.names, S.table)
         assert np.array_equal(R.star, S.star)
         G = ordered_groupoid_of(R)
         H = inductive_groupoid_of(S)
         assert np.array_equal(G.comp, H.comp)
         assert np.array_equal(G.leq, H.leq)
         assert G.objects == H.objects
+
+
+def test_inverse_semigroupoid_is_checked_when_made():
+    # a left-zero band (its idempotents do not commute), a null semigroup
+    # (1 has no inverse) and a partial table that is not associative
+    tables = ([[0, 0], [1, 1]], [[0, 0], [0, 0]], [[1, -1], [-1, 1]])
+    for table in tables:
+        names = tuple(str(i) for i in range(len(table)))
+        bad = semigroupoid_violations(names, np.array(table))
+        assert bad
+        with pytest.raises(NotInverseSemigroupoid) as exc:
+            InverseSemigroupoid(names, table)
+        assert exc.value.witness == bad[0]
 
 
 def test_sub_ordered_groupoid_enlargement_inclusion(b12):
@@ -250,7 +264,7 @@ def assert_matches_loop(table):
     bad = semigroupoid_violations(names, table)
     assert bad == loop_semigroupoid_violations(names, table)
     if not bad:
-        R = make_inverse_semigroupoid(names, table)
+        R = InverseSemigroupoid(names, table)
         assert R.star.tolist() == loop_star(table)
 
 
