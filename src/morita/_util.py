@@ -34,6 +34,17 @@ def components(n, a, b):
     return root, cls
 
 
+def ragged(lens):
+    """(run, pos) over consecutive runs of the given lengths.
+
+    Entry k of the concatenated runs is entry pos[k] of run run[k], so a
+    pass over every entry of every run is one array pass.
+    """
+    lens = np.asarray(lens, dtype=np.int64)
+    run = np.repeat(np.arange(len(lens)), lens)
+    return run, np.arange(len(run)) - np.repeat(np.cumsum(lens) - lens, lens)
+
+
 def congruence(n, a, b, move):
     """Least partition joining each a[k] to b[k] that the maps move[:, l] respect.
 

@@ -20,10 +20,11 @@ deterministic.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._util import components, congruence
+from ._util import components, congruence, ragged, row_blocks
 from .categories import C_of, FiniteCategory, L_of
 from .errors import InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
 from .semigroups import (
@@ -99,15 +100,19 @@ class Presheaf:
 
 
 def action_law_witness(X: RightAction):
-    """First (x, s, t) with (xs)t != x(st), or None; one numpy pass per point."""
+    """First (x, s, t) with (xs)t != x(st), or None.
+
+    One numpy pass per block of points, each block about 2**15 cells.
+    """
     act, table = X.act, X.sgrp.table
-    for x in range(act.shape[0]):
-        left = act[act[x], :]           # [s, t] -> (xs)t
-        right = act[x][table]           # [s, t] -> x(st)
+    ns = table.shape[0]
+    for rows in row_blocks(act.shape[0], ns * ns):
+        left = act[act[rows]]                    # [x, s, t] -> (xs)t
+        right = act[rows][:, table]              # [x, s, t] -> x(st)
         bad = np.argwhere(left != right)
         if bad.size:
-            s, t = bad[0]
-            return (x, int(s), int(t))
+            x, s, t = bad[0]
+            return (int(rows[x]), int(s), int(t))
     return None
 
 
@@ -132,9 +137,8 @@ def check_presheaf(P: Presheaf) -> bool:
             return False
     # functoriality P(g.f) = P(f) o P(g), one comparison per g over all its f,
     # reading the maps from one concatenated array at their offsets
-    size = np.array([len(m) for m in P.maps], dtype=np.int64)
-    off = np.concatenate([[0], np.cumsum(size)])
-    flat = np.concatenate((*P.maps, np.zeros(0, dtype=np.int64)))
+    flat, off = _flatten(P)[3:]
+    size = np.diff(off)
     for g in range(C.n_mor):
         f = np.flatnonzero(C.comp[g] >= 0)
         if not f.size:
@@ -154,14 +158,18 @@ def check_presheaf(P: Presheaf) -> bool:
 # -- basic action constructions ----------------------------------------------
 
 def principal_action(S: FiniteSemigroup, e: int) -> RightAction:
-    """The right ideal eS = {s : es = s} with right multiplication."""
+    """The right ideal eS = {s : es = s} with right multiplication.
+
+    One gather: xs lies in eS for x in eS, so the point of xs is read from
+    an element -> point array.
+    """
     tab = S.table
-    pts = [s for s in range(len(S)) if tab[e, s] == s]
+    elts = np.flatnonzero(tab[e] == np.arange(len(S)))
+    point = np.full(len(S), -1, dtype=np.int64)
+    point[elts] = np.arange(len(elts))
+    pts = elts.tolist()
     pos = {s: i for i, s in enumerate(pts)}
-    act = np.empty((len(pts), len(S)), dtype=np.int64)
-    for i, x in enumerate(pts):
-        for s in range(len(S)):
-            act[i, s] = pos[int(tab[x, s])]
+    act = point[tab[elts]]
     return RightAction(
         tuple(S.names[s] for s in pts), S, act,
         {"kind": "principal", "e": e, "elt_of_point": tuple(pts), "point_of_elt": pos},
@@ -393,16 +401,26 @@ def _fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Presheaf:
     member[o, x] says that point x lies in the fiber over object o.  A site
     morphism m with payload (e, s, ...) maps the fiber over cod(m) = e into
     the fiber over dom(m) by acting with s.  P.pts keeps the point indices
-    of each fiber.
+    of each fiber.  All the maps come from one gather over (m, point of the
+    fiber over cod m) and are cut from it with slices.
     """
-    pts = [np.flatnonzero(row).tolist() for row in member]
-    pos = [{x: i for i, x in enumerate(p)} for p in pts]
-    maps = tuple(
-        np.array([pos[d][int(X.act[x, pay[1]])] for x in pts[c]], dtype=np.int64)
-        for d, c, pay in zip(site.dom.tolist(), site.cod.tolist(), site.extra["payload"])
-    )
+    flat = np.nonzero(member)[1]                   # the fibers, concatenated
+    size = member.sum(axis=1)
+    off = np.concatenate([[0], np.cumsum(size)])
+    rank = np.cumsum(member, axis=1) - 1           # rank[o, x]: index of x over o
+    s_of = site._payload_array[:, 1]
+    lens = size[site.cod]
+    moff = np.concatenate([[0], np.cumsum(lens)])
+    m, i = ragged(lens)
+    x = flat[off[site.cod[m]] + i]
+    xs = X.act[x, s_of[m]]
+    if not member[site.dom[m], xs].all():
+        raise InvariantBroken("a site morphism moves a point out of its fiber")
+    vals = rank[site.dom[m], xs]
+    maps = tuple(vals[moff[k]:moff[k + 1]] for k in range(site.n_mor))
+    pts = tuple(tuple(flat[off[o]:off[o + 1]].tolist()) for o in range(len(size)))
     P = Presheaf(site, tuple(tuple(X.carrier[x] for x in p) for p in pts), maps)
-    P.pts = tuple(tuple(p) for p in pts)
+    P.pts = pts
     return P
 
 
@@ -464,8 +482,36 @@ def Q_of(X: RightAction, site: FiniteCategory = None) -> Presheaf:
 
 @dataclass(eq=False)
 class ColimitActionResult:
+    """Q_!(P) with its unit P -> Q(Q_!(P)) as an array.
+
+    points[k] is the image of element k of P, in (o, i) order; elements is
+    `_flatten(P)`.
+    """
     action: RightAction
-    unit: dict  # (object index of site, fiber element index) -> carrier point
+    points: np.ndarray
+    elements: tuple = field(repr=False)
+
+    @cached_property
+    def unit(self) -> dict:
+        """(object index of site, fiber element index) -> carrier point."""
+        obj, idx = self.elements[:2]
+        return dict(zip(zip(obj.tolist(), idx.tolist()), self.points.tolist()))
+
+
+def _flatten(P: Presheaf):
+    """The elements (o, i) of P in (o, i) order and its maps, as flat arrays.
+
+    Returns (obj, idx, fib_off, flat, map_off): element k is (obj[k],
+    idx[k]) and (o, i) is element fib_off[o] + i; P.maps[m] is
+    flat[map_off[m]:map_off[m + 1]].
+    """
+    nfib = np.array([len(f) for f in P.fibers], dtype=np.int64)
+    fib_off = np.concatenate([[0], np.cumsum(nfib)])
+    obj, idx = ragged(nfib)
+    lens = np.array([len(m) for m in P.maps], dtype=np.int64)
+    map_off = np.concatenate([[0], np.cumsum(lens)])
+    flat = np.concatenate((*P.maps, np.zeros(0, dtype=np.int64)))
+    return obj, idx, fib_off, flat, map_off
 
 
 def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
@@ -474,7 +520,8 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     A node is a pair (element i of P(o), u in eS) for e the idempotent of o,
     numbered node_off[o] + i * |eS| + (rank of u in eS), which is the
     (element, u) order.  Each site morphism a: f -> e joins
-    (i, au) to (P(a)(i), u) for every i in P(e) and u in fS.
+    (i, au) to (P(a)(i), u) for every i in P(e) and u in fS; the edges of
+    all the morphisms come from one pass over (m, i, rank of u).
     """
     S = _expect_site(P, "C")
     C = P.site
@@ -484,18 +531,20 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     rank = np.cumsum(ideal, axis=1) - 1        # rank of u in eS
     elt = np.argsort(~ideal, axis=1, kind="stable")  # elt[o, rank] = u
     size = ideal.sum(axis=1)
-    nfib = np.array([P.fiber_size(o) for o in range(C.n_objects)], dtype=np.int64)
+    elements = _flatten(P)
+    obj, idx, fib_off, flat, map_off = elements
+    nfib = np.diff(fib_off)
     node_off = np.concatenate([[0], np.cumsum(nfib * size)])
-    a_parts, b_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for m, (_e, a, _f) in enumerate(C.extra["payload"]):
-        co, do = int(C.cod[m]), int(C.dom[m])
-        us = np.flatnonzero(ideal[do])
-        i = np.arange(nfib[co])[:, None]
-        a_parts.append((node_off[co] + i * size[co] + rank[co, tab[a, us]]).ravel())
-        b_parts.append((node_off[do] + P.maps[m][:, None] * size[do]
-                        + rank[do, us]).ravel())
+    co, do = C.cod, C.dom
+    a_of = C._payload_array[:, 1]
+    lens = nfib[co] * size[do]
+    m, k = ragged(lens)
+    i, r = np.divmod(k, size[do[m]])
+    cm, dm = co[m], do[m]
+    a = node_off[cm] + i * size[cm] + rank[cm, tab[a_of[m], elt[dm, r]]]
+    b = node_off[dm] + flat[map_off[m] + i] * size[dm] + r
     n = int(node_off[-1])
-    root, cls = components(n, np.concatenate(a_parts), np.concatenate(b_parts))
+    root, cls = components(n, a, b)
     reps = np.flatnonzero(root == np.arange(n))
     o = np.searchsorted(node_off, reps, side="right") - 1
     i, j = np.divmod(reps - node_off[o], size[o])
@@ -506,11 +555,8 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     w = action_law_witness(X)
     if w is not None:
         raise InvariantBroken("Q_! colimit breaks the action law", witness=w)
-    unit = {}
-    for o, e in enumerate(Ea):
-        at_e = cls[node_off[o] + np.arange(nfib[o]) * size[o] + rank[o, e]]
-        unit.update(((o, i), c) for i, c in enumerate(at_e.tolist()))
-    return ColimitActionResult(X, unit)
+    unit = cls[node_off[obj] + idx * size[obj] + rank[obj, Ea[obj]]]
+    return ColimitActionResult(X, unit, elements)
 
 
 def Q_shriek(P: Presheaf) -> RightAction:
@@ -524,71 +570,74 @@ def Q_shriek(P: Presheaf) -> RightAction:
 
 
 def unit_iso_check(P: Presheaf) -> bool:
-    """The unit P -> Q(Q_!(P)) is a natural bijection."""
-    S = _expect_site(P, "C")
+    """The unit P -> Q(Q_!(P)) is a natural bijection.
+
+    Bijective onto each Xe: over every object o with idempotent e, each
+    point w is hit by the unit exactly as often as the mask we = w says
+    (once or never).  Natural: unit(P(m)(i)) = unit(i) . s for every site
+    morphism m with payload (e, s, f) and i in P(e), one gather over all
+    (m, i).
+    """
     C = P.site
-    obj_elt = C.extra["obj_elt"]
     res = q_shriek_with_unit(P)
-    X = res.action
-    for o, e in enumerate(obj_elt):
-        fixed = [w for w in range(len(X)) if X.act[w, e] == w]
-        image = [res.unit[(o, i)] for i in range(P.fiber_size(o))]
-        if len(set(image)) != len(image) or set(image) != set(fixed):
-            return False
-    for m, (e, s, f) in enumerate(C.extra["payload"]):
-        co = obj_elt.index(e)
-        do = obj_elt.index(f)
-        for i in range(P.fiber_size(co)):
-            lhs = res.unit[(do, int(P.maps[m][i]))]
-            rhs = int(X.act[res.unit[(co, i)], s])
-            if lhs != rhs:
-                return False
-    return True
+    X, unit = res.action, res.points
+    obj, _idx, fib_off, flat, map_off = res.elements
+    n = len(X)
+    Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
+    hits = np.bincount(obj * n + unit, minlength=C.n_objects * n)
+    if not np.array_equal(hits.reshape(C.n_objects, n),
+                          X.act[:, Ea].T == np.arange(n)):
+        return False
+    s_of = C._payload_array[:, 1]
+    lens = np.diff(fib_off)[C.cod]
+    m, i = ragged(lens)
+    lhs = unit[fib_off[C.dom[m]] + flat[map_off[m] + i]]
+    rhs = X.act[unit[fib_off[C.cod[m]] + i], s_of[m]]
+    return bool(np.array_equal(lhs, rhs))
 
 
 # -- morphism enumeration (for fullness/faithfulness) ---------------------------
 
 def action_homs(X: RightAction, Y: RightAction) -> list:
-    """All equivariant maps X -> Y, as tuples, by propagating backtracking."""
+    """All equivariant maps X -> Y, as tuples, by backtracking over orbits.
+
+    Choosing f(x0) = y fixes f on the whole orbit x0 u x0.S at once:
+    f(x0.s) = y.s for every s, read from X.act[x0] and Y.act[y].  The orbit
+    is closed under the action, (x0.s).t = x0.(st), and on it the law
+    f(x0.s).t = (y.s).t = y.(st) = f(x0.(st)) already holds, so propagating
+    further from x0.s, one point and one s at a time, would assign nothing
+    new: on valid actions this finds the same maps.  A choice of y survives
+    when it gives every point of the orbit one value, agreeing with the
+    values set by earlier orbits; all y are tested in one array pass.
+    """
     if X.sgrp is not Y.sgrp:
         raise ValueError("homs need a common semigroup")
-    n, ns = len(X), len(X.sgrp)
-    out = []
-    f = [-1] * n
-
-    def propagate(assigned):
-        stack = list(assigned)
-        changes = []
-        while stack:
-            x = stack.pop()
-            for s in range(ns):
-                xs = int(X.act[x, s])
-                want = int(Y.act[f[x], s])
-                if f[xs] == -1:
-                    f[xs] = want
-                    changes.append(xs)
-                    stack.append(xs)
-                elif f[xs] != want:
-                    return changes, False
-        return changes, True
-
-    def rec():
-        try:
-            x0 = f.index(-1)
-        except ValueError:
-            out.append(tuple(f))
-            return
-        for y in range(len(Y)):
-            f[x0] = y
-            changes, ok = propagate([x0])
-            if ok:
-                rec()
-            for c in changes:
-                f[c] = -1
-            f[x0] = -1
-
+    n = len(X)
     if n == 0:
         return [()]
+    out = []
+    f = np.full(n, -1, dtype=np.int64)
+    # candidate values of the orbit points, one row per choice of y
+    value = np.hstack([np.arange(len(Y))[:, None], Y.act])
+
+    def rec():
+        free = np.flatnonzero(f < 0)
+        if not free.size:
+            out.append(tuple(f.tolist()))
+            return
+        x0 = int(free[0])
+        orbit = np.concatenate([[x0], X.act[x0]])
+        _pts, first, inv = np.unique(orbit, return_index=True, return_inverse=True)
+        cols = first[inv]                  # the first column holding each point
+        before = f[orbit]
+        ok = ((value == value[:, cols]).all(axis=1)
+              & ((before < 0) | (value == before)).all(axis=1))
+        new = orbit[before < 0]
+        for y in np.flatnonzero(ok).tolist():
+            f[orbit] = value[y]
+            rec()
+            f[new] = -1
+
     rec()
     return sorted(out)
 
@@ -637,10 +686,13 @@ def presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
     return sorted(out)
 
 
-def fullness_faithfulness_check(X: RightAction, Y: RightAction) -> bool:
-    """hom(X, Y) and Nat(Q(X), Q(Y)) match bijectively under restriction."""
-    S = X.sgrp
-    C = C_of(S)
+def fullness_faithfulness_check(X: RightAction, Y: RightAction,
+                                site: FiniteCategory = None) -> bool:
+    """hom(X, Y) and Nat(Q(X), Q(Y)) match bijectively under restriction.
+
+    site is C(S), built here when not given.
+    """
+    C = site if site is not None else C_of(X.sgrp)
     PX = Q_of(X, C)
     PY = Q_of(Y, C)
     homs = action_homs(X, Y)
@@ -783,18 +835,18 @@ def i_shriek_with_maps(X: EtaleAction, site: FiniteCategory = None) -> IShriekRe
     order, start = C._hom_index
     hom_pos = np.empty(nm, dtype=np.int64)
     hom_pos[order] = np.arange(nm) - start[C.dom[order] * k + C.cod[order]]
-    payload_s = np.array([p[1] for p in C.extra["payload"]], dtype=np.int64)
+    payload_s = C._payload_array[:, 1]
     sizes = C.hom_sizes()
     fibers, betas = [], []
     for eo in range(k):
         hl = sizes[eo, px]
         off = np.concatenate([[0], np.cumsum(hl)])
         total = int(off[-1])
-        node_x = np.repeat(np.arange(n), hl)
-        node_m = order[start[eo * k + px[node_x]] + np.arange(total) - off[node_x]]
+        node_x, r = ragged(hl)
+        node_m = order[start[eo * k + px[node_x]] + r]
         lens = hl[xs]
-        t = np.repeat(np.arange(len(xs)), lens)
-        a = off[xs[t]] + np.arange(len(t)) - np.repeat(np.cumsum(lens) - lens, lens)
+        t, pos = ragged(lens)
+        a = off[xs[t]] + pos
         b = off[ys[t]] + hom_pos[C.comp[smor[t], node_m[a]]]
         root, cls = components(total, a, b)
         val = act[node_x, payload_s[node_m]]

@@ -334,9 +334,11 @@ def build_R_semigroupoid(B: EquivalenceBiset) -> InverseSemigroupoid:
              "t_part": tuple(pos[("T", t)] for t in range(len(T)))},
         )
     except NotInverseSemigroupoid as exc:
-        # the associativity and definedness messages come first
+        # the associativity messages come first.  R(S,T;X) defines ab exactly
+        # when the blocks of a and b compose, so a defined ab with a defined
+        # (ab)c always has bc defined: no definedness message can arise
         first = exc.witness
-        if "associativity" in first or "definedness" in first:
+        if "associativity" in first:
             raise AssociativityFailure(first)
         raise InvalidBiset("semigroupoid checks fail: " + first)
     # enlargement identities: S' = S'RS', R = RS'R, T' = T'RT', R = RT'R

@@ -87,6 +87,14 @@ class FiniteCategory:
         start = np.searchsorted(key[order], np.arange(n * n + 1))
         return order, start
 
+    @cached_property
+    def _payload_array(self):
+        """extra["payload"] as an (n_mor, width) array, for payloads of ints.
+
+        Cached once: the payloads are fixed when the category is made.
+        """
+        return np.array(self.extra["payload"], dtype=np.int64).reshape(self.n_mor, -1)
+
     def _hom(self, a: int, b: int) -> np.ndarray:
         order, start = self._hom_index
         k = a * self.n_objects + b

@@ -8,6 +8,7 @@ stderr so reports stay byte-identical across runs.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -277,7 +278,7 @@ def cmd_psh_equiv(args) -> Report:
     for i, X in enumerate(actions):
         Y = actions[(i + 1) % len(actions)]
         rep.add(f"full_faithful_sample_{i}",
-                "ok" if fullness_faithfulness_check(X, Y) else "fail")
+                "ok" if fullness_faithfulness_check(X, Y, C) else "fail")
     for d in E:
         for e in E:
             homs = action_homs(principal[d], principal[e])
@@ -313,7 +314,13 @@ def cmd_corpus(args) -> Report:
 
 # -- entry point --------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the `morita` command, built once per process.
+
+    Parsing reads the parser and never changes it, so every call of `main`
+    can share one.
+    """
     p = argparse.ArgumentParser(
         prog="morita",
         description="Finite inverse semigroups and their Morita equivalence.",

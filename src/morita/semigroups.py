@@ -7,6 +7,7 @@ is pure.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class FiniteSemigroup:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
+
+    @cached_property
+    def _local_unit_flags(self):
+        """`local_unit_flags(self)`, computed once: the table is read-only."""
+        return _unit_flags(self)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={len(self)})"
@@ -147,6 +153,10 @@ def _product_set(table, A, B):
 
 def local_unit_flags(S: FiniteSemigroup) -> LocalUnitFlags:
     """SE(S)=S, E(S)S=S, both, and the sandwich condition SE(S)S=S."""
+    return S._local_unit_flags
+
+
+def _unit_flags(S: FiniteSemigroup) -> LocalUnitFlags:
     n = len(S)
     E = idempotents(S)
     full = np.arange(n)

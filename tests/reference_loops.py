@@ -10,7 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from morita.actions import EtaleAction, RightAction, check_action, check_etale
+from morita.actions import (
+    EtaleAction,
+    Presheaf,
+    RightAction,
+    _expect_site,
+    check_action,
+    check_etale,
+    q_shriek_with_unit,
+)
 from morita.bisets import EquivalenceBiset
 from morita.categories import (
     FiniteCategory,
@@ -387,6 +395,116 @@ def category_of_elements(P):
                 raise InvariantBroken("element category lost the fibration property",
                                       witness=(f, i))
     return cat, K
+
+
+def loop_action_law_witness(X: RightAction):
+    """First (x, s, t) with (xs)t != x(st), or None; one numpy pass per point."""
+    act, table = X.act, X.sgrp.table
+    for x in range(act.shape[0]):
+        left = act[act[x], :]           # [s, t] -> (xs)t
+        right = act[x][table]           # [s, t] -> x(st)
+        bad = np.argwhere(left != right)
+        if bad.size:
+            s, t = bad[0]
+            return (x, int(s), int(t))
+    return None
+
+
+def loop_principal_action(S: FiniteSemigroup, e: int) -> RightAction:
+    """The right ideal eS, one cell of the action at a time."""
+    tab = S.table
+    pts = [s for s in range(len(S)) if tab[e, s] == s]
+    pos = {s: i for i, s in enumerate(pts)}
+    act = np.empty((len(pts), len(S)), dtype=np.int64)
+    for i, x in enumerate(pts):
+        for s in range(len(S)):
+            act[i, s] = pos[int(tab[x, s])]
+    return RightAction(
+        tuple(S.names[s] for s in pts), S, act,
+        {"kind": "principal", "e": e, "elt_of_point": tuple(pts), "point_of_elt": pos},
+    )
+
+
+def loop_fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Presheaf:
+    """The presheaf of the fibers of X, one map per site morphism."""
+    pts = [np.flatnonzero(row).tolist() for row in member]
+    pos = [{x: i for i, x in enumerate(p)} for p in pts]
+    maps = tuple(
+        np.array([pos[d][int(X.act[x, pay[1]])] for x in pts[c]], dtype=np.int64)
+        for d, c, pay in zip(site.dom.tolist(), site.cod.tolist(), site.extra["payload"])
+    )
+    P = Presheaf(site, tuple(tuple(X.carrier[x] for x in p) for p in pts), maps)
+    P.pts = tuple(tuple(p) for p in pts)
+    return P
+
+
+def loop_unit_iso_check(P: Presheaf) -> bool:
+    """The unit P -> Q(Q_!(P)) is a natural bijection, read from the unit dict."""
+    _expect_site(P, "C")
+    C = P.site
+    obj_elt = C.extra["obj_elt"]
+    res = q_shriek_with_unit(P)
+    X = res.action
+    for o, e in enumerate(obj_elt):
+        fixed = [w for w in range(len(X)) if X.act[w, e] == w]
+        image = [res.unit[(o, i)] for i in range(P.fiber_size(o))]
+        if len(set(image)) != len(image) or set(image) != set(fixed):
+            return False
+    for m, (e, s, f) in enumerate(C.extra["payload"]):
+        co = obj_elt.index(e)
+        do = obj_elt.index(f)
+        for i in range(P.fiber_size(co)):
+            lhs = res.unit[(do, int(P.maps[m][i]))]
+            rhs = int(X.act[res.unit[(co, i)], s])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def loop_action_homs(X: RightAction, Y: RightAction) -> list:
+    """All equivariant maps X -> Y: backtracking that propagates one point
+    and one s at a time."""
+    if X.sgrp is not Y.sgrp:
+        raise ValueError("homs need a common semigroup")
+    n, ns = len(X), len(X.sgrp)
+    out = []
+    f = [-1] * n
+
+    def propagate(assigned):
+        stack = list(assigned)
+        changes = []
+        while stack:
+            x = stack.pop()
+            for s in range(ns):
+                xs = int(X.act[x, s])
+                want = int(Y.act[f[x], s])
+                if f[xs] == -1:
+                    f[xs] = want
+                    changes.append(xs)
+                    stack.append(xs)
+                elif f[xs] != want:
+                    return changes, False
+        return changes, True
+
+    def rec():
+        try:
+            x0 = f.index(-1)
+        except ValueError:
+            out.append(tuple(f))
+            return
+        for y in range(len(Y)):
+            f[x0] = y
+            changes, ok = propagate([x0])
+            if ok:
+                rec()
+            for c in changes:
+                f[c] = -1
+            f[x0] = -1
+
+    if n == 0:
+        return [()]
+    rec()
+    return sorted(out)
 
 
 # -- .cat, .act, .biset, .ogpd: one loop and one pattern per section ------------

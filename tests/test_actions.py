@@ -803,3 +803,99 @@ def test_fiber_transports_match_loops():
             _assert_same_presheaf(Q_of(X, C), _ref_Q_of(X, C))
         for P in sample_presheaves(S, C, 3, 3):
             _assert_same_etale(I_star(P), _ref_I_star(P))
+
+
+# -- the array passes of psh-equiv against their loop forms ---------------------
+
+def _outcome(fn, *args):
+    """The value fn returns, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the two forms must fail alike
+        return type(exc)
+
+
+def test_psh_equiv_array_passes_match_loops():
+    import random
+
+    from morita.actions import _fiber_presheaf
+    from morita.corpus import (
+        builtin_corpus,
+        random_inverse_subsemigroups,
+        sample_closed_actions,
+        sample_etale_actions,
+        sample_presheaves,
+    )
+    from morita.semigroups import symmetric_inverse_monoid
+    from reference_loops import (
+        loop_action_homs,
+        loop_fiber_presheaf,
+        loop_principal_action,
+        loop_unit_iso_check,
+    )
+
+    rng = random.Random(9)
+    cases = ([S for _name, S in builtin_corpus()] + [symmetric_inverse_monoid(3)]
+             + random_inverse_subsemigroups(11, 10))
+    hom_counts, verdicts = set(), set()
+    for S in cases:
+        C, L = C_of(S), L_of(S)
+        obj_elt = list(C.extra["obj_elt"])
+        big = len(obj_elt) > 4
+        for e in range(len(S)):
+            X, ref = principal_action(S, e), loop_principal_action(S, e)
+            assert X.carrier == ref.carrier and X.act.tolist() == ref.act.tolist()
+            assert X.extra == ref.extra
+        actions = sample_closed_actions(S, 5, 3 if big else 5) + [empty_action(S)]
+        for X in actions:
+            member = X.act[:, obj_elt].T == np.arange(len(X))
+            _assert_same_presheaf(_fiber_presheaf(C, X, member),
+                                  loop_fiber_presheaf(C, X, member))
+            for Y in actions:
+                homs = action_homs(X, Y)
+                assert homs == loop_action_homs(X, Y)
+                hom_counts.add(min(len(homs), 2))
+        for X in sample_etale_actions(S)[:3 if big else None]:
+            member = X.anchor[None, :] == np.array(L.extra["obj_elt"])[:, None]
+            _assert_same_presheaf(_fiber_presheaf(L, X.base, member),
+                                  loop_fiber_presheaf(L, X.base, member))
+        for P in sample_presheaves(S, C, 5, 2 if big else 4):
+            assert unit_iso_check(P) is loop_unit_iso_check(P) is True
+            movable = [m for m in range(C.n_mor)
+                       if len(P.maps[m]) and P.fiber_size(int(C.dom[m])) >= 2]
+            for _ in range(3 if movable else 0):
+                maps = [m.copy() for m in P.maps]
+                m = rng.choice(movable)
+                i = rng.randrange(len(maps[m]))
+                maps[m][i] = (maps[m][i] + rng.randrange(1, P.fiber_size(int(C.dom[m])))
+                              ) % P.fiber_size(int(C.dom[m]))
+                Pm = Presheaf(C, P.fibers, tuple(maps))
+                got = _outcome(unit_iso_check, Pm)
+                assert got == _outcome(loop_unit_iso_check, Pm)
+                verdicts.add(got)
+    assert hom_counts == {0, 1, 2}
+    assert False in verdicts
+
+
+def test_action_law_witness_matches_the_loop_across_blocks():
+    import random
+
+    from morita.actions import action_law_witness
+    from morita.semigroups import symmetric_inverse_monoid
+    from reference_loops import loop_action_law_witness
+
+    rng = random.Random(4)
+    I3 = symmetric_inverse_monoid(3)
+    # 34 points of 34 x 34 cells each span two blocks of about 2**15 cells
+    X = coproduct_action([regular_action(I3), munn_action(I3).base])
+    assert action_law_witness(X) is None
+    witnesses = set()
+    for x in (0, 1, len(X) - 1, len(X) // 2, *rng.sample(range(len(X)), 6)):
+        act = X.act.copy()
+        s = rng.randrange(len(I3))
+        act[x, s] = (act[x, s] + 1) % len(X)
+        Xm = RightAction(X.carrier, I3, act)
+        w = action_law_witness(Xm)
+        assert w is not None and w == loop_action_law_witness(Xm)
+        witnesses.add(w[0])
+    assert max(witnesses) >= 2**15 // len(I3) ** 2      # one past the first block

@@ -125,5 +125,21 @@ def test_bad_numeric_flags_exit_2(corpus_dir, capsys):
     assert rc == 0 and "verdict=pass" in out
 
 
+def test_repeated_main_calls_share_one_parser(corpus_dir, capsys):
+    from morita.cli import build_parser
+
+    brandt = str(corpus_dir / "brandt_1_2.smg")
+    argv = ["--seed", "3", "psh-equiv", brandt, "--samples", "4"]
+    rc, first = run(capsys, argv)
+    assert rc == 0 and "verdict=pass" in first
+    with pytest.raises(SystemExit) as exc:
+        main(["psh-equiv", brandt, "--samples", "-1"])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+    rc, last = run(capsys, argv)
+    assert rc == 0 and last == first
+    assert build_parser() is build_parser()
+
+
 def test_exit_code_missing_file():
     assert main(["validate", "/nonexistent/path.smg"]) == 2

@@ -183,6 +183,8 @@ def test_local_unit_flags(small_corpus):
     null = FiniteSemigroup(("a", "z"), np.array([[1, 1], [1, 1]]))
     flags = local_unit_flags(null)
     assert not flags.right_local_units and not flags.sandwich
+    # computed once per semigroup: the table is read-only
+    assert local_unit_flags(null) is flags
 
 
 def test_enlargement_identity_case():
