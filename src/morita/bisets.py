@@ -478,6 +478,16 @@ def morita_equivalent(S: InverseSemigroup, T: InverseSemigroup) -> MoritaDecisio
 
 # -- exhaustive biset search (independent oracle) --------------------------------
 
+# Kinds of compiled constraint instance, the two equate kinds first.  A cell
+# an instance writes is fixed or `base + value * stride`, with the value read
+# from a watched cell.
+_EQ1 = 0  # (kind, a, base, stride, c): cell base + val[a]*stride equals cell c
+_EQ2 = 1  # (kind, a, b, base, stride, base2, stride2): cells base + val[a]*stride
+#           and base2 + val[b]*stride2 are equal
+_SET = 2  # (kind, a, b, base, stride, row): cell base + val[a]*stride is row[val[b]]
+_INV = 3  # (kind, a, b, star): val[b] = star[val[a]] and val[a] = star[val[b]]
+
+
 class _BisetSearch:
     """DFS with watched-constraint propagation over the four biset tables.
 
@@ -485,19 +495,27 @@ class _BisetSearch:
     and Q[x,y] -> T.  Point relabelling symmetry is broken by requiring
     the diagonal signatures (P[x,x], Q[x,x]) to be non-decreasing in x.
     The budget counts cell assignments.
+
+    The constraint instances are compiled once per (S, T, nx) into flat
+    tuples of ints (see `_EQ1` .. `_INV`), held only in the watch lists.
+    Which cells get assigned, and in what order, follows from four orders:
+    the instance order, the order within each watch list (instances in the
+    order they are made), the DFS cell and value order, and the LIFO queue.
+    Keeping all four fixed keeps the meaning of the budget fixed: the same
+    inputs stop at the same assignment, so a pair "skipped on budget" stays
+    the same pair when the search gets faster.
     """
 
     def __init__(self, S, T, nx, budget, counter):
         self.S, self.T, self.nx = S, T, nx
-        self.tS, self.sS = S.table, S.star
-        self.tT, self.sT = T.table, T.star
         ns, nt = len(S), len(T)
         self.ns, self.nt = ns, nt
         self.off_R = ns * nx
         self.off_P = self.off_R + nx * nt
         self.off_Q = self.off_P + nx * nx
-        self.ncells = self.off_Q + nx * nx
-        self.val = [-1] * self.ncells
+        self.val = [-1] * (self.off_Q + nx * nx)
+        self.diagonal = [(self.off_P + x * (nx + 1), self.off_Q + x * (nx + 1))
+                         for x in range(nx)]
         self.trail = []
         self.queue = []
         self.budget = budget
@@ -505,102 +523,100 @@ class _BisetSearch:
         self._build_instances()
         self._build_order()
 
-    # cell ids
-    def L(self, s, x):
-        return s * self.nx + x
-
-    def R(self, x, t):
-        return self.off_R + x * self.nt + t
-
-    def P(self, x, y):
-        return self.off_P + x * self.nx + y
-
-    def Q(self, x, y):
-        return self.off_Q + x * self.nx + y
-
     def _build_instances(self):
+        """Watch lists of the compiled instances of the axioms.
+
+        In order: left action law (s1 s2) x, right action law x (t1 t2),
+        biset law (s x) t, (M1), (M2) beside (M5), (M3) beside (M6), (M4),
+        (M7).  Each instance watches every cell whose value it reads or
+        whose cell it may write.
+        """
         nx, ns, nt = self.nx, self.ns, self.nt
-        watch = [[] for _ in range(self.ncells)]
-        insts = []
+        oR, oP, oQ = self.off_R, self.off_P, self.off_Q
+        tS, sS = self.S.table.tolist(), self.S.star.tolist()
+        tT, sT = self.T.table.tolist(), self.T.star.tolist()
+        colT = self.T.table.T.tolist()
+        X = range(nx)
+        watch = [[] for _ in self.val]
 
         def add(inst, cells):
-            k = len(insts)
-            insts.append(inst)
             for c in set(cells):
-                watch[c].append(k)
+                watch[c].append(inst)
 
         for s1 in range(ns):
+            row_L = range(s1 * nx, s1 * nx + nx)
             for s2 in range(ns):
-                for x in range(nx):
-                    add(("ll", s1, s2, x),
-                        [self.L(s2, x), self.L(int(self.tS[s1, s2]), x)]
-                        + [self.L(s1, v) for v in range(nx)])
-        for x in range(nx):
+                s12 = tS[s1][s2]
+                for x in X:
+                    a, c = s2 * nx + x, s12 * nx + x
+                    add((_EQ1, a, s1 * nx, 1, c), [a, c, *row_L])
+        for x in X:
             for t1 in range(nt):
+                a = oR + x * nt + t1
                 for t2 in range(nt):
-                    add(("rl", x, t1, t2),
-                        [self.R(x, t1), self.R(x, int(self.tT[t1, t2]))]
-                        + [self.R(v, t2) for v in range(nx)])
+                    c = oR + x * nt + tT[t1][t2]
+                    add((_EQ1, a, oR + t2, nt, c), [a, c, *range(oR + t2, oP, nt)])
         for s in range(ns):
-            for x in range(nx):
+            for x in X:
+                a = s * nx + x
                 for t in range(nt):
-                    add(("cp", s, x, t),
-                        [self.L(s, x), self.R(x, t)]
-                        + [self.R(v, t) for v in range(nx)]
-                        + [self.L(s, w) for w in range(nx)])
+                    b = oR + x * nt + t
+                    add((_EQ2, a, b, oR + t, nt, s * nx, 1),
+                        [a, b, *range(oR + t, oP, nt), *range(s * nx, s * nx + nx)])
         for s in range(ns):
-            for x in range(nx):
-                for y in range(nx):
-                    add(("m1", s, x, y),
-                        [self.L(s, x), self.P(x, y)]
-                        + [self.P(v, y) for v in range(nx)])
-        for x in range(nx):
+            for x in X:
+                a = s * nx + x
+                for y in X:
+                    b = oP + x * nx + y
+                    add((_SET, a, b, oP + y, nx, tS[s]), [a, b, *range(oP + y, oQ, nx)])
+        for x in X:
             for y in range(x, nx):
-                add(("m2", x, y), [self.P(x, y), self.P(y, x)])
-                add(("m5", x, y), [self.Q(x, y), self.Q(y, x)])
-        for x in range(nx):
-            add(("m3", x), [self.P(x, x)])
-            add(("m6", x), [self.Q(x, x)])
-        for x in range(nx):
-            for y in range(nx):
+                add((_INV, oP + x * nx + y, oP + y * nx + x, sS),
+                    [oP + x * nx + y, oP + y * nx + x])
+                add((_INV, oQ + x * nx + y, oQ + y * nx + x, sT),
+                    [oQ + x * nx + y, oQ + y * nx + x])
+        for x in X:
+            # (M3) and (M6) read one cell: a constant row
+            p, q = oP + x * nx + x, oQ + x * nx + x
+            add((_SET, p, p, x, nx, [x] * ns), [p])
+            add((_SET, q, q, oR + x * nt, 1, [x] * nt), [q])
+        for x in X:
+            for y in X:
+                b = oQ + x * nx + y
                 for t in range(nt):
-                    add(("m4", x, y, t),
-                        [self.R(y, t), self.Q(x, y)]
-                        + [self.Q(x, v) for v in range(nx)])
-        for x in range(nx):
-            for y in range(nx):
-                for z in range(nx):
-                    add(("m7", x, y, z),
-                        [self.P(x, y), self.Q(y, z)]
-                        + [self.L(v, z) for v in range(self.ns)]
-                        + [self.R(x, w) for w in range(self.nt)])
-        self.insts = insts
+                    a = oR + y * nt + t
+                    add((_SET, a, b, oQ + x * nx, 1, colT[t]),
+                        [a, b, *range(oQ + x * nx, oQ + x * nx + nx)])
+        for x in X:
+            row_R = range(oR + x * nt, oR + x * nt + nt)
+            for y in X:
+                a = oP + x * nx + y
+                for z in X:
+                    b = oQ + y * nx + z
+                    add((_EQ2, a, b, z, nx, oR + x * nt, 1),
+                        [a, b, *range(z, oR, nx), *row_R])
         self.watch = watch
 
     def _build_order(self):
-        order = []
-        for x in range(self.nx):
-            order.append(self.P(x, x))
-            order.append(self.Q(x, x))
-            for s in range(self.ns):
-                order.append(self.L(s, x))
-            for t in range(self.nt):
-                order.append(self.R(x, t))
+        """DFS cell order, point by point, and each cell's domain size."""
+        nx, ns, nt = self.nx, self.ns, self.nt
+        oR, oP, oQ = self.off_R, self.off_P, self.off_Q
+        order, domain = [], []
+        for x in range(nx):
+            order += [oP + x * nx + x, oQ + x * nx + x]
+            order += range(x, oR, nx)
+            order += range(oR + x * nt, oR + x * nt + nt)
             for y in range(x):
-                order.extend([self.P(x, y), self.P(y, x),
-                              self.Q(x, y), self.Q(y, x)])
-        self.order = order
-        dom = []
-        for c in order:
-            if c < self.off_R:
-                dom.append(self.nx)
-            elif c < self.off_P:
-                dom.append(self.nx)
-            elif c < self.off_Q:
-                dom.append(self.ns)
-            else:
-                dom.append(self.nt)
-        self.domain_of = dict(zip(order, dom))
+                order += [oP + x * nx + y, oP + y * nx + x,
+                          oQ + x * nx + y, oQ + y * nx + x]
+            domain += [ns, nt] + [nx] * (ns + nt) + [ns, ns, nt, nt] * x
+        self.order, self.domain = order, domain
+
+    def _over_budget(self):
+        return BudgetExceeded(
+            f"exhaustive biset search for |S|={self.ns}, |T|={self.nt} used up"
+            f" its budget of {self.budget} cell assignments at carrier size"
+            f" {self.nx}")
 
     def assign(self, cell, v):
         cur = self.val[cell]
@@ -608,131 +624,96 @@ class _BisetSearch:
             return cur == v
         self.counter[0] += 1
         if self.counter[0] > self.budget:
-            raise BudgetExceeded(f"biset search exceeded {self.budget} cells")
+            raise self._over_budget()
         self.val[cell] = v
         self.trail.append(cell)
         self.queue.append(cell)
         return True
 
-    def equate(self, c1, c2):
-        v1, v2 = self.val[c1], self.val[c2]
-        if v1 == -1 and v2 == -1:
-            return True
-        if v1 == -1:
-            return self.assign(c1, v2)
-        if v2 == -1:
-            return self.assign(c2, v1)
-        return v1 == v2
-
-    def eval_inst(self, k):
-        inst = self.insts[k]
-        kind = inst[0]
-        val = self.val
-        if kind == "ll":
-            _, s1, s2, x = inst
-            va = val[self.L(s2, x)]
-            if va == -1:
-                return True
-            return self.equate(self.L(s1, va), self.L(int(self.tS[s1, s2]), x))
-        if kind == "rl":
-            _, x, t1, t2 = inst
-            va = val[self.R(x, t1)]
-            if va == -1:
-                return True
-            return self.equate(self.R(va, t2), self.R(x, int(self.tT[t1, t2])))
-        if kind == "cp":
-            _, s, x, t = inst
-            va = val[self.L(s, x)]
-            vb = val[self.R(x, t)]
-            if va == -1 or vb == -1:
-                return True
-            return self.equate(self.R(va, t), self.L(s, vb))
-        if kind == "m1":
-            _, s, x, y = inst
-            va = val[self.L(s, x)]
-            vp = val[self.P(x, y)]
-            if va == -1 or vp == -1:
-                return True
-            lhs = self.P(va, y)
-            want = int(self.tS[s, vp])
-            return self.assign(lhs, want) if val[lhs] == -1 else val[lhs] == want
-        if kind == "m2":
-            _, x, y = inst
-            vxy, vyx = val[self.P(x, y)], val[self.P(y, x)]
-            if vxy != -1:
-                want = int(self.sS[vxy])
-                c = self.P(y, x)
-                return self.assign(c, want) if val[c] == -1 else val[c] == want
-            if vyx != -1:
-                return self.assign(self.P(x, y), int(self.sS[vyx]))
-            return True
-        if kind == "m3":
-            _, x = inst
-            ve = val[self.P(x, x)]
-            if ve == -1:
-                return True
-            c = self.L(ve, x)
-            return self.assign(c, x) if val[c] == -1 else val[c] == x
-        if kind == "m4":
-            _, x, y, t = inst
-            vb = val[self.R(y, t)]
-            vq = val[self.Q(x, y)]
-            if vb == -1 or vq == -1:
-                return True
-            lhs = self.Q(x, vb)
-            want = int(self.tT[vq, t])
-            return self.assign(lhs, want) if val[lhs] == -1 else val[lhs] == want
-        if kind == "m5":
-            _, x, y = inst
-            vxy, vyx = val[self.Q(x, y)], val[self.Q(y, x)]
-            if vxy != -1:
-                want = int(self.sT[vxy])
-                c = self.Q(y, x)
-                return self.assign(c, want) if val[c] == -1 else val[c] == want
-            if vyx != -1:
-                return self.assign(self.Q(x, y), int(self.sT[vyx]))
-            return True
-        if kind == "m6":
-            _, x = inst
-            vf = val[self.Q(x, x)]
-            if vf == -1:
-                return True
-            c = self.R(x, vf)
-            return self.assign(c, x) if val[c] == -1 else val[c] == x
-        # m7
-        _, x, y, z = inst
-        va = val[self.P(x, y)]
-        vb = val[self.Q(y, z)]
-        if va == -1 or vb == -1:
-            return True
-        return self.equate(self.L(va, z), self.R(x, vb))
-
     def propagate(self):
-        while self.queue:
-            c = self.queue.pop()
-            for k in self.watch[c]:
-                if not self.eval_inst(k):
-                    self.queue.clear()
-                    return False
-        return True
+        """Evaluate the instances watching each queued cell, newest cell first.
+
+        An instance that forces a cell assigns it (and queues it) at once;
+        returns False at the first instance that cannot hold.
+        """
+        val, trail, queue, watch = self.val, self.trail, self.queue, self.watch
+        budget, count = self.budget, self.counter[0]
+        try:
+            while queue:
+                for inst in watch[queue.pop()]:
+                    kind = inst[0]
+                    if kind <= _EQ2:
+                        if kind == _EQ1:
+                            _, a, base, stride, c2 = inst
+                            va = val[a]
+                            if va < 0:
+                                continue
+                        else:
+                            _, a, b, base, stride, base2, stride2 = inst
+                            va, vb = val[a], val[b]
+                            if va < 0 or vb < 0:
+                                continue
+                            c2 = base2 + vb * stride2
+                        c1 = base + va * stride
+                        v1, v2 = val[c1], val[c2]
+                        if v1 < 0:
+                            if v2 < 0:
+                                continue
+                            c, v = c1, v2
+                        elif v2 < 0:
+                            c, v = c2, v1
+                        elif v1 == v2:
+                            continue
+                        else:
+                            queue.clear()
+                            return False
+                    else:
+                        if kind == _SET:
+                            _, a, b, base, stride, row = inst
+                            va, vb = val[a], val[b]
+                            if va < 0 or vb < 0:
+                                continue
+                            c, v = base + va * stride, row[vb]
+                        else:
+                            _, a, b, star = inst
+                            va = val[a]
+                            if va >= 0:
+                                c, v = b, star[va]
+                            else:
+                                vb = val[b]
+                                if vb < 0:
+                                    continue
+                                c, v = a, star[vb]
+                        cur = val[c]
+                        if cur >= 0:
+                            if cur == v:
+                                continue
+                            queue.clear()
+                            return False
+                    count += 1
+                    if count > budget:
+                        raise self._over_budget()
+                    val[c] = v
+                    trail.append(c)
+                    queue.append(c)
+            return True
+        finally:
+            self.counter[0] = count
 
     def prune(self):
-        val, nx = self.val, self.nx
+        val = self.val
         # diagonal signature symmetry break
-        for x in range(1, nx):
-            a = (val[self.P(x - 1, x - 1)], val[self.Q(x - 1, x - 1)])
-            b = (val[self.P(x, x)], val[self.Q(x, x)])
+        sigs = [(val[p], val[q]) for p, q in self.diagonal]
+        for a, b in zip(sigs, sigs[1:]):
             if -1 not in a and -1 not in b and a > b:
                 return False
         # surjectivity is still reachable
-        pvals = [val[self.P(x, y)] for x in range(nx) for y in range(nx)]
-        missing = self.ns - len(set(v for v in pvals if v != -1))
-        if missing > sum(1 for v in pvals if v == -1):
-            return False
-        qvals = [val[self.Q(x, y)] for x in range(nx) for y in range(nx)]
-        missing = self.nt - len(set(v for v in qvals if v != -1))
-        if missing > sum(1 for v in qvals if v == -1):
-            return False
+        for vals, n in ((val[self.off_P:self.off_Q], self.ns),
+                        (val[self.off_Q:], self.nt)):
+            seen = set(vals)
+            seen.discard(-1)
+            if n - len(seen) > vals.count(-1):
+                return False
         return True
 
     def solve(self):
@@ -745,7 +726,7 @@ class _BisetSearch:
         if pos == len(order):
             return self._extract()
         cell = order[pos]
-        for v in range(self.domain_of[cell]):
+        for v in range(self.domain[pos]):
             mark = len(self.trail)
             ok = self.assign(cell, v) and self.propagate() and self.prune()
             if ok:
@@ -760,17 +741,13 @@ class _BisetSearch:
 
     def _extract(self):
         nx, ns, nt = self.nx, self.ns, self.nt
-        left = np.array([[self.val[self.L(s, x)] for x in range(nx)]
-                         for s in range(ns)], dtype=np.int64)
-        right = np.array([[self.val[self.R(x, t)] for t in range(nt)]
-                          for x in range(nx)], dtype=np.int64)
-        innS = np.array([[self.val[self.P(x, y)] for y in range(nx)]
-                         for x in range(nx)], dtype=np.int64)
-        innT = np.array([[self.val[self.Q(x, y)] for y in range(nx)]
-                         for x in range(nx)], dtype=np.int64)
+        val = np.array(self.val, dtype=np.int64)
+        cut = np.split(val, [self.off_R, self.off_P, self.off_Q])
         B = EquivalenceBiset(self.S, self.T,
                              tuple(f"x{i}" for i in range(nx)),
-                             left, right, innS, innT, {"kind": "searched"})
+                             cut[0].reshape(ns, nx), cut[1].reshape(nx, nt),
+                             cut[2].reshape(nx, nx), cut[3].reshape(nx, nx),
+                             {"kind": "searched"})
         if verify_biset(B).passed:
             return B
         return None

@@ -19,7 +19,7 @@ from morita.actions import (
     check_etale,
     q_shriek_with_unit,
 )
-from morita.bisets import EquivalenceBiset
+from morita.bisets import EquivalenceBiset, verify_biset
 from morita.categories import (
     FiniteCategory,
     Functor,
@@ -28,6 +28,7 @@ from morita.categories import (
     iso_partner,
 )
 from morita.errors import (
+    BudgetExceeded,
     CospanMismatch,
     InvalidBiset,
     InvariantBroken,
@@ -249,7 +250,7 @@ def callback_span_category(L: FiniteCategory) -> FiniteCategory:
 
 # -- ordered groupoids and the enlargement chain -------------------------------------
 
-def cell_pseudoproduct(G, g, h):
+def _cell_pseudoproduct(G, g, h):
     """g o h = (g|e)(e|h) for one pair, from the meet and restriction lookups."""
     e = meet_objects(G, int(G.dom[g]), int(G.cod[h]))
     if e is None:
@@ -262,7 +263,7 @@ def cell_pseudoproduct(G, g, h):
 
 
 def _defined_pseudoproduct(G, g, h):
-    out = cell_pseudoproduct(G, g, h)
+    out = _cell_pseudoproduct(G, g, h)
     if out is None:
         raise UndefinedPseudoproduct("no meet of dom(g) and cod(h)", witness=(g, h))
     return out
@@ -328,7 +329,7 @@ def loop_ordered_enlargement_tables(G, S, T, emb_S, emb_T):
     pos = {x: i for i, x in enumerate(X)}
 
     def pp(a, b):
-        v = cell_pseudoproduct(G, a, b)
+        v = _cell_pseudoproduct(G, a, b)
         if v is None:
             raise UndefinedPseudoproduct(witness=(a, b))
         return v
@@ -876,3 +877,306 @@ def loop_parse_ordered_groupoid(text: str) -> OrderedGroupoid:
     if bad:
         raise ParseError("not an ordered groupoid: " + bad[0])
     return G
+
+
+class LoopBisetSearch:
+    """DFS with watched-constraint propagation over the four biset tables.
+
+    The loop form of `bisets._BisetSearch`: named tuple instances, each
+    evaluated by one `eval_inst` call.  The library compiles the same
+    instances, in the same order, into flat int tuples; both make the same
+    sequence of cell assignments.
+
+    Cells: left action L[s,x], right action R[x,t], pairings P[x,y] -> S
+    and Q[x,y] -> T.  Point relabelling symmetry is broken by requiring
+    the diagonal signatures (P[x,x], Q[x,x]) to be non-decreasing in x.
+    The budget counts cell assignments.
+    """
+
+    def __init__(self, S, T, nx, budget, counter):
+        self.S, self.T, self.nx = S, T, nx
+        self.tS, self.sS = S.table, S.star
+        self.tT, self.sT = T.table, T.star
+        ns, nt = len(S), len(T)
+        self.ns, self.nt = ns, nt
+        self.off_R = ns * nx
+        self.off_P = self.off_R + nx * nt
+        self.off_Q = self.off_P + nx * nx
+        self.ncells = self.off_Q + nx * nx
+        self.val = [-1] * self.ncells
+        self.trail = []
+        self.queue = []
+        self.budget = budget
+        self.counter = counter
+        self._build_instances()
+        self._build_order()
+
+    # cell ids
+    def L(self, s, x):
+        return s * self.nx + x
+
+    def R(self, x, t):
+        return self.off_R + x * self.nt + t
+
+    def P(self, x, y):
+        return self.off_P + x * self.nx + y
+
+    def Q(self, x, y):
+        return self.off_Q + x * self.nx + y
+
+    def _build_instances(self):
+        nx, ns, nt = self.nx, self.ns, self.nt
+        watch = [[] for _ in range(self.ncells)]
+        insts = []
+
+        def add(inst, cells):
+            k = len(insts)
+            insts.append(inst)
+            for c in set(cells):
+                watch[c].append(k)
+
+        for s1 in range(ns):
+            for s2 in range(ns):
+                for x in range(nx):
+                    add(("ll", s1, s2, x),
+                        [self.L(s2, x), self.L(int(self.tS[s1, s2]), x)]
+                        + [self.L(s1, v) for v in range(nx)])
+        for x in range(nx):
+            for t1 in range(nt):
+                for t2 in range(nt):
+                    add(("rl", x, t1, t2),
+                        [self.R(x, t1), self.R(x, int(self.tT[t1, t2]))]
+                        + [self.R(v, t2) for v in range(nx)])
+        for s in range(ns):
+            for x in range(nx):
+                for t in range(nt):
+                    add(("cp", s, x, t),
+                        [self.L(s, x), self.R(x, t)]
+                        + [self.R(v, t) for v in range(nx)]
+                        + [self.L(s, w) for w in range(nx)])
+        for s in range(ns):
+            for x in range(nx):
+                for y in range(nx):
+                    add(("m1", s, x, y),
+                        [self.L(s, x), self.P(x, y)]
+                        + [self.P(v, y) for v in range(nx)])
+        for x in range(nx):
+            for y in range(x, nx):
+                add(("m2", x, y), [self.P(x, y), self.P(y, x)])
+                add(("m5", x, y), [self.Q(x, y), self.Q(y, x)])
+        for x in range(nx):
+            add(("m3", x), [self.P(x, x)])
+            add(("m6", x), [self.Q(x, x)])
+        for x in range(nx):
+            for y in range(nx):
+                for t in range(nt):
+                    add(("m4", x, y, t),
+                        [self.R(y, t), self.Q(x, y)]
+                        + [self.Q(x, v) for v in range(nx)])
+        for x in range(nx):
+            for y in range(nx):
+                for z in range(nx):
+                    add(("m7", x, y, z),
+                        [self.P(x, y), self.Q(y, z)]
+                        + [self.L(v, z) for v in range(self.ns)]
+                        + [self.R(x, w) for w in range(self.nt)])
+        self.insts = insts
+        self.watch = watch
+
+    def _build_order(self):
+        order = []
+        for x in range(self.nx):
+            order.append(self.P(x, x))
+            order.append(self.Q(x, x))
+            for s in range(self.ns):
+                order.append(self.L(s, x))
+            for t in range(self.nt):
+                order.append(self.R(x, t))
+            for y in range(x):
+                order.extend([self.P(x, y), self.P(y, x),
+                              self.Q(x, y), self.Q(y, x)])
+        self.order = order
+        dom = []
+        for c in order:
+            if c < self.off_R:
+                dom.append(self.nx)
+            elif c < self.off_P:
+                dom.append(self.nx)
+            elif c < self.off_Q:
+                dom.append(self.ns)
+            else:
+                dom.append(self.nt)
+        self.domain_of = dict(zip(order, dom))
+
+    def assign(self, cell, v):
+        cur = self.val[cell]
+        if cur != -1:
+            return cur == v
+        self.counter[0] += 1
+        if self.counter[0] > self.budget:
+            raise BudgetExceeded(f"biset search exceeded {self.budget} cells")
+        self.val[cell] = v
+        self.trail.append(cell)
+        self.queue.append(cell)
+        return True
+
+    def equate(self, c1, c2):
+        v1, v2 = self.val[c1], self.val[c2]
+        if v1 == -1 and v2 == -1:
+            return True
+        if v1 == -1:
+            return self.assign(c1, v2)
+        if v2 == -1:
+            return self.assign(c2, v1)
+        return v1 == v2
+
+    def eval_inst(self, k):
+        inst = self.insts[k]
+        kind = inst[0]
+        val = self.val
+        if kind == "ll":
+            _, s1, s2, x = inst
+            va = val[self.L(s2, x)]
+            if va == -1:
+                return True
+            return self.equate(self.L(s1, va), self.L(int(self.tS[s1, s2]), x))
+        if kind == "rl":
+            _, x, t1, t2 = inst
+            va = val[self.R(x, t1)]
+            if va == -1:
+                return True
+            return self.equate(self.R(va, t2), self.R(x, int(self.tT[t1, t2])))
+        if kind == "cp":
+            _, s, x, t = inst
+            va = val[self.L(s, x)]
+            vb = val[self.R(x, t)]
+            if va == -1 or vb == -1:
+                return True
+            return self.equate(self.R(va, t), self.L(s, vb))
+        if kind == "m1":
+            _, s, x, y = inst
+            va = val[self.L(s, x)]
+            vp = val[self.P(x, y)]
+            if va == -1 or vp == -1:
+                return True
+            lhs = self.P(va, y)
+            want = int(self.tS[s, vp])
+            return self.assign(lhs, want) if val[lhs] == -1 else val[lhs] == want
+        if kind == "m2":
+            _, x, y = inst
+            vxy, vyx = val[self.P(x, y)], val[self.P(y, x)]
+            if vxy != -1:
+                want = int(self.sS[vxy])
+                c = self.P(y, x)
+                return self.assign(c, want) if val[c] == -1 else val[c] == want
+            if vyx != -1:
+                return self.assign(self.P(x, y), int(self.sS[vyx]))
+            return True
+        if kind == "m3":
+            _, x = inst
+            ve = val[self.P(x, x)]
+            if ve == -1:
+                return True
+            c = self.L(ve, x)
+            return self.assign(c, x) if val[c] == -1 else val[c] == x
+        if kind == "m4":
+            _, x, y, t = inst
+            vb = val[self.R(y, t)]
+            vq = val[self.Q(x, y)]
+            if vb == -1 or vq == -1:
+                return True
+            lhs = self.Q(x, vb)
+            want = int(self.tT[vq, t])
+            return self.assign(lhs, want) if val[lhs] == -1 else val[lhs] == want
+        if kind == "m5":
+            _, x, y = inst
+            vxy, vyx = val[self.Q(x, y)], val[self.Q(y, x)]
+            if vxy != -1:
+                want = int(self.sT[vxy])
+                c = self.Q(y, x)
+                return self.assign(c, want) if val[c] == -1 else val[c] == want
+            if vyx != -1:
+                return self.assign(self.Q(x, y), int(self.sT[vyx]))
+            return True
+        if kind == "m6":
+            _, x = inst
+            vf = val[self.Q(x, x)]
+            if vf == -1:
+                return True
+            c = self.R(x, vf)
+            return self.assign(c, x) if val[c] == -1 else val[c] == x
+        # m7
+        _, x, y, z = inst
+        va = val[self.P(x, y)]
+        vb = val[self.Q(y, z)]
+        if va == -1 or vb == -1:
+            return True
+        return self.equate(self.L(va, z), self.R(x, vb))
+
+    def propagate(self):
+        while self.queue:
+            c = self.queue.pop()
+            for k in self.watch[c]:
+                if not self.eval_inst(k):
+                    self.queue.clear()
+                    return False
+        return True
+
+    def prune(self):
+        val, nx = self.val, self.nx
+        # diagonal signature symmetry break
+        for x in range(1, nx):
+            a = (val[self.P(x - 1, x - 1)], val[self.Q(x - 1, x - 1)])
+            b = (val[self.P(x, x)], val[self.Q(x, x)])
+            if -1 not in a and -1 not in b and a > b:
+                return False
+        # surjectivity is still reachable
+        pvals = [val[self.P(x, y)] for x in range(nx) for y in range(nx)]
+        missing = self.ns - len(set(v for v in pvals if v != -1))
+        if missing > sum(1 for v in pvals if v == -1):
+            return False
+        qvals = [val[self.Q(x, y)] for x in range(nx) for y in range(nx)]
+        missing = self.nt - len(set(v for v in qvals if v != -1))
+        if missing > sum(1 for v in qvals if v == -1):
+            return False
+        return True
+
+    def solve(self):
+        return self._dfs(0)
+
+    def _dfs(self, pos):
+        order, val = self.order, self.val
+        while pos < len(order) and val[order[pos]] != -1:
+            pos += 1
+        if pos == len(order):
+            return self._extract()
+        cell = order[pos]
+        for v in range(self.domain_of[cell]):
+            mark = len(self.trail)
+            ok = self.assign(cell, v) and self.propagate() and self.prune()
+            if ok:
+                res = self._dfs(pos + 1)
+                if res is not None:
+                    return res
+            for c in self.trail[mark:]:
+                val[c] = -1
+            del self.trail[mark:]
+            self.queue.clear()
+        return None
+
+    def _extract(self):
+        nx, ns, nt = self.nx, self.ns, self.nt
+        left = np.array([[self.val[self.L(s, x)] for x in range(nx)]
+                         for s in range(ns)], dtype=np.int64)
+        right = np.array([[self.val[self.R(x, t)] for t in range(nt)]
+                          for x in range(nx)], dtype=np.int64)
+        innS = np.array([[self.val[self.P(x, y)] for y in range(nx)]
+                         for x in range(nx)], dtype=np.int64)
+        innT = np.array([[self.val[self.Q(x, y)] for y in range(nx)]
+                         for x in range(nx)], dtype=np.int64)
+        B = EquivalenceBiset(self.S, self.T,
+                             tuple(f"x{i}" for i in range(nx)),
+                             left, right, innS, innT, {"kind": "searched"})
+        if verify_biset(B).passed:
+            return B
+        return None

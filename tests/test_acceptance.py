@@ -92,37 +92,37 @@ def test_criterion_1_axiom_suite():
 
 def test_criterion_2_morita_decision():
     by_name = corpus.corpus_by_name()
-    b12, b13 = by_name["brandt_1_2"], by_name["brandt_1_3"]
-    bc22, c2z = by_name["brandt_c2_2"], by_name["c2_zero"]
-    ch2, ch3 = by_name["chain2"], by_name["chain3"]
-    c2, c3 = by_name["cyclic2"], by_name["cyclic3"]
-    positives = [(b12, b13), (b12, ch2), (bc22, c2z)]
-    positives += [(S, S) for _n, S in _corpus()]
-    negatives = [(c2, c3), (ch2, ch3), (c2, ch2)]
+    positives = [("brandt_1_2", "brandt_1_3"), ("brandt_1_2", "chain2"),
+                 ("brandt_c2_2", "c2_zero")]
+    positives += [(name, name) for name, _S in _corpus()]
+    negatives = [("cyclic2", "cyclic3"), ("chain2", "chain3"), ("cyclic2", "chain2")]
     skipped = []
-    for S, T in positives:
-        d = morita_equivalent(S, T)
+    for a, b in positives:
+        d = morita_equivalent(by_name[a], by_name[b])
         assert d.equivalent
         assert check_weak_equivalence(d.forward)
         assert check_weak_equivalence(d.backward)
-    for S, T in negatives:
-        assert not morita_equivalent(S, T).equivalent
+    for a, b in negatives:
+        assert not morita_equivalent(by_name[a], by_name[b]).equivalent
     # oracle cross-check wherever the budget permits (sizes <= 7)
-    for (S, T), expected in (
-        [((S, T), True) for (S, T) in positives]
-        + [((S, T), False) for (S, T) in negatives]
+    for (a, b), expected in (
+        [(pair, True) for pair in positives]
+        + [(pair, False) for pair in negatives]
     ):
+        S, T = by_name[a], by_name[b]
         if len(S) > 7 or len(T) > 7:
             continue
         try:
             found = exhaustive_biset_search(
                 S, T, max_points=6 if expected else 4, budget=ORACLE_BUDGET)
         except BudgetExceeded:
-            skipped.append((len(S), len(T)))
+            skipped.append((a, b))
             continue
         assert (found is not None) == expected, (len(S), len(T))
         if found is not None:
             assert verify_biset(found).passed
+    for a, b in skipped:
+        print(f"ACCEPTANCE 2: oracle skipped {a} vs {b} on budget ({ORACLE_BUDGET} cells)")
     print(f"ACCEPTANCE 2 (morita decision): PASS (oracle skipped {len(skipped)}"
           f" pair(s) on budget)")
 

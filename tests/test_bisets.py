@@ -2,11 +2,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from morita import corpus
 from morita.bisets import (
     BisetReport,
     EquivalenceBiset,
+    _BisetSearch,
     biset_from_ordered_enlargement,
     biset_from_regular_enlargement,
     build_bipartite_U,
@@ -38,6 +40,7 @@ from morita.groupoids import (
     validate_ordered_groupoid,
 )
 from morita.semigroups import chain_semilattice, cyclic_group, symmetric_inverse_monoid
+from reference_loops import LoopBisetSearch
 
 
 def group_self_biset(G):
@@ -297,6 +300,63 @@ def test_exhaustive_search_penalties(b12, chain2):
     with pytest.raises(BudgetExceeded):
         exhaustive_biset_search(symmetric_inverse_monoid(2),
                                 symmetric_inverse_monoid(2), 7, budget=10_000)
+
+
+def _search_outcomes(search_class, S, T, budget):
+    """(nx, assignments so far, tables found / None / "budget") per carrier
+    size, run as `exhaustive_biset_search` runs them: one counter, smallest
+    carrier first, up to 6 points, stopping at the first biset or budget."""
+    out, counter = [], [0]
+    for nx in range(1, 7):
+        if nx * nx < max(len(S), len(T)):
+            continue
+        try:
+            found = search_class(S, T, nx, budget, counter).solve()
+        except BudgetExceeded:
+            out.append((nx, counter[0], "budget"))
+            break
+        if found is not None:
+            out.append((nx, counter[0], [a.tolist() for a in (
+                found.left_act, found.right_act, found.inner_S, found.inner_T)]))
+            break
+        out.append((nx, counter[0], None))
+    return out
+
+
+def test_compiled_biset_search_matches_the_loop():
+    # the compiled instances must make the loop search's assignments in the
+    # loop's order: same counters, same biset, same budget stops
+    by_name = corpus.corpus_by_name()
+    pairs = [(S, S) for _n, S in corpus.builtin_corpus() if len(S) <= 7]
+    pairs += [(by_name[a], by_name[b]) for a, b in (
+        ("brandt_1_2", "chain2"), ("cyclic2", "cyclic3"), ("chain2", "chain3"),
+        ("cyclic2", "chain2"), ("c2_zero", "brandt_1_1"))]
+    rng = random.Random(3)
+    subs = [S for S in corpus.random_inverse_subsemigroups(5, 40) if len(S) <= 5][:6]
+    for i, S in enumerate(subs):
+        pairs.append((S, corpus.random_relabelling(S, rng)))
+        pairs.append((S, subs[i - 1]))
+    for S, T in pairs:
+        for budget in (50, 500, 3_000):
+            assert (_search_outcomes(_BisetSearch, S, T, budget)
+                    == _search_outcomes(LoopBisetSearch, S, T, budget)), (S.names, T.names, budget)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), relabel_seed=st.integers(0, 2**32 - 1))
+def test_oracle_agrees_with_the_decision_on_small_random_semigroups(seed, relabel_seed):
+    small = [S for S in corpus.random_inverse_subsemigroups(seed, 30) if len(S) <= 4]
+    assume(len(small) >= 2)
+    S, T = small[:2]
+    # S and a relabelled copy of S are Morita equivalent
+    copy = corpus.random_relabelling(S, random.Random(relabel_seed))
+    found = exhaustive_biset_search(S, copy, 4, budget=200_000)
+    assert found is not None and verify_biset(found).passed
+    try:
+        found = exhaustive_biset_search(S, T, 4, budget=200_000)
+    except BudgetExceeded:
+        return
+    assert (found is not None) == morita_equivalent(S, T).equivalent
 
 
 def test_manifest_expectations_hold():

@@ -125,6 +125,17 @@ def test_bad_numeric_flags_exit_2(corpus_dir, capsys):
     assert rc == 0 and "verdict=pass" in out
 
 
+def test_oracle_budget_exhaustion_names_the_search(corpus_dir, capsys):
+    syminv2 = str(corpus_dir / "syminv2.smg")
+    rc = main(["--budget", "500", "--max-points", "6",
+               "morita", syminv2, syminv2, "--oracle"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == (
+        "budget exceeded: exhaustive biset search for |S|=7, |T|=7 used up its"
+        " budget of 500 cell assignments at carrier size 3\n")
+
+
 def test_repeated_main_calls_share_one_parser(corpus_dir, capsys):
     from morita.cli import build_parser
 

@@ -33,3 +33,18 @@ def test_every_private_function_and_class_is_used():
                                                    and d.lineno <= line <= d.end_lineno)
                           for (where, line, used) in uses)]
     assert unused == []
+
+
+def test_every_reference_is_read_by_a_test():
+    # a public function or class of tests/reference_loops.py that no other
+    # test file reads is a reference left behind when its test moved or went
+    tests = Path(__file__).parent
+    refs = tests / "reference_loops.py"
+    public = [d.name for d in ast.parse(refs.read_text(encoding="utf-8")).body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+              and not d.name.startswith("_")]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in sorted(tests.glob("*.py")) if path != refs
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert [name for name in public if name not in read] == []
