@@ -522,6 +522,12 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     (element, u) order.  Each site morphism a: f -> e joins
     (i, au) to (P(a)(i), u) for every i in P(e) and u in fS; the edges of
     all the morphisms come from one pass over (m, i, rank of u).
+
+    The class action is an action whatever the maps of P are, so it is not
+    checked: the edge (i, au) ~ (P(a)(i), u) gives, for t in S, the edge
+    (i, aut) ~ (P(a)(i), ut) of the same morphism, since ut lies in fS.  The
+    components are therefore a right congruence, and acting on classes by
+    acting on a node is well defined and satisfies the action law.
     """
     S = _expect_site(P, "C")
     C = P.site
@@ -552,9 +558,6 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     act = cls[base[:, None] + rank[o[:, None], tab[elt[o, j]]]]
     X = RightAction(tuple(f"q{c}" for c in range(len(reps))), S, act,
                     {"kind": "q_shriek"})
-    w = action_law_witness(X)
-    if w is not None:
-        raise InvariantBroken("Q_! colimit breaks the action law", witness=w)
     unit = cls[node_off[obj] + idx * size[obj] + rank[obj, Ea[obj]]]
     return ColimitActionResult(X, unit, elements)
 
@@ -574,26 +577,22 @@ def unit_iso_check(P: Presheaf) -> bool:
 
     Bijective onto each Xe: over every object o with idempotent e, each
     point w is hit by the unit exactly as often as the mask we = w says
-    (once or never).  Natural: unit(P(m)(i)) = unit(i) . s for every site
-    morphism m with payload (e, s, f) and i in P(e), one gather over all
-    (m, i).
+    (once or never).
+
+    Naturality holds by construction and is not tested: for a site
+    morphism m with payload (e, s, f), the colimit edge of m at u = f joins
+    (i, sf) = (i, s) to (P(m)(i), f), so unit(P(m)(i)) = [P(m)(i), f] =
+    [i, s] = unit(i) . s for every i in P(e).
     """
     C = P.site
     res = q_shriek_with_unit(P)
     X, unit = res.action, res.points
-    obj, _idx, fib_off, flat, map_off = res.elements
+    obj = res.elements[0]
     n = len(X)
     Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
     hits = np.bincount(obj * n + unit, minlength=C.n_objects * n)
-    if not np.array_equal(hits.reshape(C.n_objects, n),
-                          X.act[:, Ea].T == np.arange(n)):
-        return False
-    s_of = C._payload_array[:, 1]
-    lens = np.diff(fib_off)[C.cod]
-    m, i = ragged(lens)
-    lhs = unit[fib_off[C.dom[m]] + flat[map_off[m] + i]]
-    rhs = X.act[unit[fib_off[C.cod[m]] + i], s_of[m]]
-    return bool(np.array_equal(lhs, rhs))
+    return bool(np.array_equal(hits.reshape(C.n_objects, n),
+                               X.act[:, Ea].T == np.arange(n)))
 
 
 # -- morphism enumeration (for fullness/faithfulness) ---------------------------
@@ -687,14 +686,13 @@ def presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
 
 
 def fullness_faithfulness_check(X: RightAction, Y: RightAction,
-                                site: FiniteCategory = None) -> bool:
+                                PX: Presheaf, PY: Presheaf) -> bool:
     """hom(X, Y) and Nat(Q(X), Q(Y)) match bijectively under restriction.
 
-    site is C(S), built here when not given.
+    PX and PY are Q(X) and Q(Y) on C(S); the caller builds each once,
+    however many pairs it checks.
     """
-    C = site if site is not None else C_of(X.sgrp)
-    PX = Q_of(X, C)
-    PY = Q_of(Y, C)
+    C = PX.site
     homs = action_homs(X, Y)
     nats = presheaf_nats(PX, PY)
     if len(homs) != len(nats):

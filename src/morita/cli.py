@@ -23,7 +23,7 @@ from .actions import (
     unit_iso_check,
     fullness_faithfulness_check,
 )
-from .categories import C_of, L_of
+from .categories import C_of, L_of, check_weak_equivalence
 from .errors import BudgetExceeded, MoritaError, NotAssociative, ParseError
 from .semigroups import (
     as_inverse,
@@ -156,8 +156,6 @@ def cmd_morita(args) -> Report:
     rep.add("skeleton_t_morphisms", "info", str(d.skeleton_T.cat.n_mor))
     rep.verdict = "true" if d.equivalent else "false"
     if d.equivalent:
-        from .categories import check_weak_equivalence
-
         if not (check_weak_equivalence(d.forward)
                 and check_weak_equivalence(d.backward)):
             rep.fail("witness_functors")
@@ -267,18 +265,20 @@ def cmd_psh_equiv(args) -> Report:
     E = C.extra["obj_elt"]
     tab = S.table
     principal = {e: principal_action(S, e) for e in E}
-    for e in E:
-        P = Q_of(principal[e], C)
+    representables = [Q_of(principal[e], C) for e in E]
+    for e, P in zip(E, representables):
         rep.add(f"unit_iso_representable_{S.names[e]}",
                 "ok" if unit_iso_check(P) else "fail")
-    presheaves = corpus.sample_presheaves(S, C, args.seed, args.samples)
+    presheaves = corpus.sample_presheaves(representables, args.seed, args.samples)
     actions = corpus.sample_closed_actions(S, args.seed, args.samples)
     for i, P in enumerate(presheaves):
         rep.add(f"unit_iso_sample_{i}", "ok" if unit_iso_check(P) else "fail")
+    Q = [Q_of(X, C) for X in actions]
     for i, X in enumerate(actions):
-        Y = actions[(i + 1) % len(actions)]
+        j = (i + 1) % len(actions)
         rep.add(f"full_faithful_sample_{i}",
-                "ok" if fullness_faithfulness_check(X, Y, C) else "fail")
+                "ok" if fullness_faithfulness_check(X, actions[j], Q[i], Q[j])
+                else "fail")
     for d in E:
         for e in E:
             homs = action_homs(principal[d], principal[e])

@@ -11,6 +11,7 @@ import numpy as np
 from ._util import congruence
 from .actions import (
     Presheaf,
+    R_of,
     coproduct_action,
     empty_action,
     munn_action,
@@ -20,15 +21,18 @@ from .actions import (
     regular_action,
 )
 from .categories import FiniteCategory
-from .errors import InvariantBroken
+from .errors import InvariantBroken, MoritaError
 from .semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
+    as_inverse,
+    assoc_witness,
     brandt,
     chain_semilattice,
     cyclic_group,
     group_with_zero,
     idempotents,
+    natural_leq,
     restrict_inverse,
     subsemigroup_closure,
     symmetric_inverse_monoid,
@@ -102,14 +106,6 @@ def seeded_mutants(seed: int, count: int) -> list:
 
 def axiom_violations(S: FiniteSemigroup, star=None) -> list:
     """Names of the axiom checks a (possibly corrupted) table fails."""
-    from .semigroups import (
-        as_inverse,
-        assoc_witness,
-        idempotents as idem_of,
-        natural_leq,
-    )
-    from .errors import MoritaError
-
     bad = []
     if assoc_witness(S) is not None:
         bad.append("associativity")
@@ -193,22 +189,19 @@ def sample_closed_actions(S: InverseSemigroup, seed: int, count: int) -> list:
 
 def sample_etale_actions(S: InverseSemigroup) -> list:
     """Munn action, every principal etale eS, and their unions via R."""
-    from .actions import R_of
-
     out = [munn_action(S)]
     out.extend(principal_etale(S, e) for e in idempotents(S))
     out.append(R_of(regular_action(S)))
     return out
 
 
-def sample_presheaves(S: InverseSemigroup, site: FiniteCategory,
-                      seed: int, count: int) -> list:
-    """Seeded presheaves on C(S): representables and quotients of coproducts."""
-    from .actions import Q_of
+def sample_presheaves(reps: list, seed: int, count: int) -> list:
+    """Seeded presheaves on C(S): coproducts of 1-3 representables, some quotiented.
 
+    reps are the representables Q(eS), one per object of C(S) in object order.
+    """
     rng = random.Random(seed)
-    E = site.extra["obj_elt"]
-    reps = [Q_of(principal_action(S, e), site) for e in E]
+    site = reps[0].site
     out = []
     while len(out) < count:
         k = rng.randint(1, 3)

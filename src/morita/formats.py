@@ -21,7 +21,7 @@ from .bisets import EquivalenceBiset
 from .categories import FiniteCategory, check_category
 from .errors import NotAssociative, ParseError
 from .groupoids import OrderedGroupoid, validate_ordered_groupoid
-from .semigroups import FiniteSemigroup, as_inverse
+from .semigroups import FiniteSemigroup, as_inverse, assoc_witness
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_()',]+$")
 
@@ -84,8 +84,6 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
                 raise ParseError(f"unknown element {nm!r} in row {i}")
             table[i, j] = pos[nm]
     S = FiniteSemigroup(tuple(names), table)
-    from .semigroups import assoc_witness
-
     w = assoc_witness(S)
     if w is not None:
         i, j, k = w

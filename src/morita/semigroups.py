@@ -8,6 +8,7 @@ is pure.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -95,12 +96,7 @@ def idempotents(S: FiniteSemigroup) -> list:
 
 def inverses_of(S: FiniteSemigroup, s: int) -> list:
     """All t with sts = s and tst = t, sorted."""
-    tab = S.table
-    return [
-        t
-        for t in range(len(S))
-        if tab[tab[s, t], s] == s and tab[tab[t, s], t] == t
-    ]
+    return np.flatnonzero(inverse_relation(S.table)[s]).tolist()
 
 
 def as_inverse(S: FiniteSemigroup) -> InverseSemigroup:
@@ -321,8 +317,6 @@ def group_with_zero(G: InverseSemigroup) -> InverseSemigroup:
 
 
 def _partial_injections(n: int):
-    from itertools import combinations, permutations
-
     elems = []
     for k in range(n + 1):
         for dom in combinations(range(n), k):

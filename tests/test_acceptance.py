@@ -147,14 +147,14 @@ def test_criterion_4_closed_actions_vs_presheaves():
     for S in members:
         C = C_of(S)
         E = C.extra["obj_elt"]
-        for e in E:
-            assert unit_iso_check(Q_of(principal_action(S, e), C))
-        for P in corpus.sample_presheaves(S, C, SAMPLE_SEED, 20):
+        reps = [Q_of(principal_action(S, e), C) for e in E]
+        for P in reps + corpus.sample_presheaves(reps, SAMPLE_SEED, 20):
             assert unit_iso_check(P)
         actions = corpus.sample_closed_actions(S, SAMPLE_SEED, 21)
+        Q = [Q_of(X, C) for X in actions]
         for i in range(20):
-            X, Y = actions[i], actions[i + 1]
-            assert fullness_faithfulness_check(X, Y)
+            assert fullness_faithfulness_check(actions[i], actions[i + 1],
+                                               Q[i], Q[i + 1])
         tab = S.table
         for d in E:
             for e in E:

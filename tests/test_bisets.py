@@ -39,7 +39,12 @@ from morita.groupoids import (
     semigroupoid_violations,
     validate_ordered_groupoid,
 )
-from morita.semigroups import chain_semilattice, cyclic_group, symmetric_inverse_monoid
+from morita.semigroups import (
+    FiniteSemigroup,
+    chain_semilattice,
+    cyclic_group,
+    symmetric_inverse_monoid,
+)
 from reference_loops import LoopBisetSearch
 
 
@@ -104,6 +109,11 @@ def test_preconditions(b12, chain2):
     with pytest.raises(PreconditionFailed):
         # not a subsemigroup at all
         biset_from_regular_enlargement(b12, [b12.index("(1,2)")], range(len(b12)))
+    # the null semigroup on {0, a, b}: a and b have no inverse; a is the witness
+    null = FiniteSemigroup(("0", "a", "b"), np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(PreconditionFailed, match="R is not regular") as exc:
+        biset_from_regular_enlargement(null, [0], [0])
+    assert exc.value.witness == 1
 
 
 def test_only_library_errors_become_preconditions(b12, monkeypatch):

@@ -93,6 +93,26 @@ def test_psh_equiv(corpus_dir, capsys):
     assert "unit_iso_sample_3 status=ok" in out
 
 
+def test_psh_equiv_builds_each_Q_once(corpus_dir, capsys, monkeypatch):
+    # psh-equiv reaches `_fiber_presheaf` only through Q_of: it must build
+    # Q(eS) once per idempotent e and Q(X) once per sampled action X
+    from morita import actions
+
+    real, built = actions._fiber_presheaf, []
+
+    def counted(*args):
+        built.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(actions, "_fiber_presheaf", counted)
+    for samples in (0, 3):
+        built.clear()
+        rc, out = run(capsys, ["psh-equiv", str(corpus_dir / "brandt_c2_2.smg"),
+                               "--samples", str(samples)])
+        assert rc == 0 and "verdict=pass" in out
+        n_E = out.count("check=unit_iso_representable_")
+        assert n_E == 3 and len(built) == n_E + samples
+
+
 def test_json_format(corpus_dir, capsys):
     rc, out = run(capsys, ["--format", "json", "analyze",
                            str(corpus_dir / "chain2.smg")])

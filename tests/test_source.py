@@ -48,3 +48,16 @@ def test_every_reference_is_read_by_a_test():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, (ast.Name, ast.Attribute))}
     assert [name for name in public if name not in read] == []
+
+
+def test_library_has_no_function_local_imports():
+    # every module's dependencies are read at its top; none of them needs a
+    # late import to break a cycle
+    src = Path(morita.__file__).parent
+    found = sorted({f"{path.name}:{node.lineno}"
+                    for path in sorted(src.glob("*.py"))
+                    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert found == []
