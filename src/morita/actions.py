@@ -320,21 +320,18 @@ def principal_etale(S: InverseSemigroup, e: int) -> EtaleAction:
 
 
 def check_etale(X: EtaleAction) -> bool:
-    """Action law, x.p(x) = x, and p(xs) = s*p(x)s."""
+    """Action law, p(x) idempotent with x.p(x) = x, and p(xs) = s*p(x)s."""
     S = X.sgrp
     if not isinstance(S, InverseSemigroup):
         return False
     if not check_action(X.base):
         return False
-    act, anchor, tab, star = X.base.act, X.anchor, S.table, S.star
-    for x in range(len(X)):
-        e = int(anchor[x])
-        if tab[e, e] != e or act[x, e] != x:
-            return False
-        for s in range(len(S)):
-            if anchor[int(act[x, s])] != tab[tab[star[s], e], s]:
-                return False
-    return True
+    act, e, tab = X.base.act, X.anchor, S.table
+    if e.shape != (len(X),) or (len(X) and (e.min() < 0 or e.max() >= len(S))):
+        return False
+    return bool((tab[e, e] == e).all()
+                and (act[np.arange(len(X)), e] == np.arange(len(X))).all()
+                and (e[act] == tab[tab[S.star, e[:, None]], np.arange(len(S))]).all())
 
 
 def etale_morphism_check(f, X: EtaleAction, Y: EtaleAction) -> bool:
@@ -344,13 +341,8 @@ def etale_morphism_check(f, X: EtaleAction, Y: EtaleAction) -> bool:
         return False
     if len(X) and (f.min() < 0 or f.max() >= len(Y)):
         return False
-    for x in range(len(X)):
-        if Y.anchor[int(f[x])] != X.anchor[x]:
-            return False
-        for s in range(len(X.sgrp)):
-            if f[int(X.base.act[x, s])] != Y.base.act[int(f[x]), s]:
-                return False
-    return True
+    return bool((Y.anchor[f] == X.anchor).all()
+                and (f[X.base.act] == Y.base.act[f]).all())
 
 
 def R_of(X: RightAction) -> EtaleAction:
@@ -595,7 +587,46 @@ def unit_iso_check(P: Presheaf) -> bool:
                                X.act[:, Ea].T == np.arange(n)))
 
 
-# -- morphism enumeration (for fullness/faithfulness) ---------------------------
+# -- maps between actions and presheaves, by one orbit search -------------------
+
+def _orbit_maps(n: int, orbit, values):
+    """Every map f on range(n) that the orbit constraints allow, as arrays.
+
+    orbit(x0) lists the points fixed by the choice at x0, x0 among them,
+    and values(x0, f) has one row per candidate: a row gives the images of
+    those points.  f is the partial map so far (-1 where unassigned), for a
+    caller that offers fewer candidates as it fills; it is only read.  The
+    search picks the least unassigned x0 and keeps a row when it gives
+    every point of the orbit one value, agreeing with the values set by
+    earlier orbits; all rows are tested in one array pass.  The callers say
+    why the maps found are exactly the maps they want.
+    """
+    f = np.full(n, -1, dtype=np.int64)
+
+    def rec():
+        free = f < 0
+        if not free.any():
+            yield f.copy()
+            return
+        x0 = int(free.argmax())
+        pts, value = orbit(x0), values(x0, f)
+        cols = (pts[:, None] == pts).argmax(axis=1)  # first column with each point
+        before = f[pts]
+        ok = ((value == value[:, cols]).all(axis=1)
+              & ((before < 0) | (value == before)).all(axis=1))
+        new = pts[before < 0]
+        for y in np.flatnonzero(ok).tolist():
+            f[pts] = value[y]
+            yield from rec()
+            f[new] = -1
+
+    yield from rec()
+
+
+def _orbit_table(X: RightAction) -> np.ndarray:
+    """Row x is the orbit [x, *x.S] of x, in the order of the elements of S."""
+    return np.concatenate((np.arange(len(X))[:, None], X.act), axis=1)
+
 
 def action_homs(X: RightAction, Y: RightAction) -> list:
     """All equivariant maps X -> Y, as tuples, by backtracking over orbits.
@@ -605,84 +636,48 @@ def action_homs(X: RightAction, Y: RightAction) -> list:
     is closed under the action, (x0.s).t = x0.(st), and on it the law
     f(x0.s).t = (y.s).t = y.(st) = f(x0.(st)) already holds, so propagating
     further from x0.s, one point and one s at a time, would assign nothing
-    new: on valid actions this finds the same maps.  A choice of y survives
-    when it gives every point of the orbit one value, agreeing with the
-    values set by earlier orbits; all y are tested in one array pass.
+    new: on valid actions this finds the same maps.
     """
     if X.sgrp is not Y.sgrp:
         raise ValueError("homs need a common semigroup")
-    n = len(X)
-    if n == 0:
-        return [()]
-    out = []
-    f = np.full(n, -1, dtype=np.int64)
-    # candidate values of the orbit points, one row per choice of y
-    value = np.hstack([np.arange(len(Y))[:, None], Y.act])
-
-    def rec():
-        free = np.flatnonzero(f < 0)
-        if not free.size:
-            out.append(tuple(f.tolist()))
-            return
-        x0 = int(free[0])
-        orbit = np.concatenate([[x0], X.act[x0]])
-        _pts, first, inv = np.unique(orbit, return_index=True, return_inverse=True)
-        cols = first[inv]                  # the first column holding each point
-        before = f[orbit]
-        ok = ((value == value[:, cols]).all(axis=1)
-              & ((before < 0) | (value == before)).all(axis=1))
-        new = orbit[before < 0]
-        for y in np.flatnonzero(ok).tolist():
-            f[orbit] = value[y]
-            rec()
-            f[new] = -1
-
-    rec()
-    return sorted(out)
+    value = _orbit_table(Y)
+    maps = _orbit_maps(len(X), _orbit_table(X).__getitem__, lambda _x0, _f: value)
+    return sorted(tuple(f.tolist()) for f in maps)
 
 
 def presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
-    """All natural transformations P1 -> P2 over a common site."""
+    """All natural transformations P1 -> P2 over a common site, as tuples.
+
+    alpha maps the elements of P1, in the (o, i) order of `_flatten`, to
+    indices into the fibers of P2.  Choosing alpha_b(i) = y fixes alpha on
+    the orbit of (b, i): the elements (dom m, P1(m)(i)) over the m with
+    cod m = b, (b, i) itself by the identity, take the values P2(m)(y), as
+    naturality along m demands.  When P1 and P2 are functorial, as Q(X)
+    and Q(Y) are, that is all of naturality: a point (a, j) =
+    (dom m0, P1(m0)(i)) of the orbit gets P2(m0)(y), and for each m with
+    cod m = a the point (dom m, P1(m)(j)) = (dom m0.m, P1(m0.m)(i)) lies in
+    the same orbit with the value P2(m0.m)(y) = P2(m)(P2(m0)(y)), so
+    naturality at (a, j) already holds.  A point reached from two orbits
+    is forced to one value by the agreement test of `_orbit_maps`.
+    """
     C = P1.site
     if P2.site is not C:
         raise WrongSite("natural transformations need a common site")
-    vars_ = [(o, i) for o in range(C.n_objects) for i in range(P1.fiber_size(o))]
-    pos = {v: k for k, v in enumerate(vars_)}
-    # each morphism m: a -> b forces alpha_a(P1(m)(i)) = P2(m)(alpha_b(i))
-    insts = []
-    for m in range(C.n_mor):
-        a, b = int(C.dom[m]), int(C.cod[m])
-        for i in range(P1.fiber_size(b)):
-            insts.append((pos[(a, int(P1.maps[m][i]))], pos[(b, i)], m))
-    watch = {}
-    for t in insts:
-        watch.setdefault(t[0], []).append(t)
-        watch.setdefault(t[1], []).append(t)
-    out = []
-    alpha = [-1] * len(vars_)
+    obj, idx, off1, flat1, moff1 = _flatten(P1)
+    off2, flat2, moff2 = _flatten(P2)[2:]
+    into = np.argsort(C.cod, kind="stable")      # the morphisms into each object
+    cut = np.searchsorted(C.cod[into], np.arange(C.n_objects + 1))
+    ms = [into[cut[b]:cut[b + 1]] for b in range(C.n_objects)]
+    rows = [off2[C.dom[m]] + flat2[moff2[m] + np.arange(off2[b + 1] - off2[b])[:, None]]
+            for b, m in enumerate(ms)]
 
-    def rec(k):
-        if k == len(vars_):
-            for (dst, src, m) in insts:
-                if alpha[dst] != int(P2.maps[m][alpha[src]]):
-                    return
-            out.append(tuple(alpha))
-            return
-        o = vars_[k][0]
-        for y in range(P2.fiber_size(o)):
-            alpha[k] = y
-            ok = True
-            for (dst, src, m) in watch.get(k, ()):
-                if alpha[src] != -1 and alpha[dst] != -1:
-                    if alpha[dst] != int(P2.maps[m][alpha[src]]):
-                        ok = False
-                        break
-            if ok:
-                rec(k + 1)
-            alpha[k] = -1
+    def orbit(k):
+        m = ms[obj[k]]
+        return off1[C.dom[m]] + flat1[moff1[m] + idx[k]]
 
-    rec(0)
-    return sorted(out)
+    shift = off2[obj]
+    return sorted(tuple((f - shift).tolist())
+                  for f in _orbit_maps(len(obj), orbit, lambda k, _f: rows[obj[k]]))
 
 
 def fullness_faithfulness_check(X: RightAction, Y: RightAction,
@@ -690,85 +685,54 @@ def fullness_faithfulness_check(X: RightAction, Y: RightAction,
     """hom(X, Y) and Nat(Q(X), Q(Y)) match bijectively under restriction.
 
     PX and PY are Q(X) and Q(Y) on C(S); the caller builds each once,
-    however many pairs it checks.
+    however many pairs it checks.  Every hom is restricted by one gather
+    over (hom, element of PX); Q(Y) numbers the points of each Ye in
+    increasing order, so the index of y in its fiber is a running count.
     """
     C = PX.site
     homs = action_homs(X, Y)
     nats = presheaf_nats(PX, PY)
     if len(homs) != len(nats):
         return False
-    obj_elt = C.extra["obj_elt"]
-    vars_ = [(o, i) for o in range(C.n_objects) for i in range(PX.fiber_size(o))]
-    restricted = set()
-    for h in homs:
-        alpha = []
-        for (o, i) in vars_:
-            x = PX.pts[o][i]
-            y = int(h[x])
-            if Y.act[y, obj_elt[o]] != y:
-                raise InvariantBroken("hom does not map Xe into Ye", witness=(o, y))
-            alpha.append(PY.pts[o].index(y))
-        restricted.add(tuple(alpha))
+    obj = np.repeat(np.arange(C.n_objects), [len(p) for p in PX.pts])
+    x = np.array([x for pts in PX.pts for x in pts], dtype=np.int64)
+    y = np.array(homs, dtype=np.int64).reshape(len(homs), len(X))[:, x]
+    member = Y.act[:, list(C.extra["obj_elt"])].T == np.arange(len(Y))  # Ye
+    bad = np.argwhere(~member[obj, y])
+    if bad.size:
+        h, k = bad[0]
+        raise InvariantBroken("hom does not map Xe into Ye",
+                              witness=(int(obj[k]), int(y[h, k])))
+    rank = np.cumsum(member, axis=1) - 1
+    restricted = set(map(tuple, rank[obj, y].tolist()))
     return len(restricted) == len(homs) and restricted == set(nats)
 
 
 def action_isomorphic(X: RightAction, Y: RightAction):
-    """An equivariant bijection X -> Y, or None; orbit-signature pruning."""
+    """An equivariant bijection X -> Y as a list, or None.
+
+    The orbit search of `action_homs`, offered only the rows y that keep
+    the map injective: one value per point of the orbit of x0, none of them
+    taken by an earlier orbit.  With |X| = |Y| every map it finds is then a
+    bijection, and the first one is returned.
+    """
     if X.sgrp is not Y.sgrp or len(X) != len(Y):
         return None
+    orbit, value = _orbit_table(X), _orbit_table(Y)
+    # a row that gives each point one value is injective on the orbit when
+    # it has as many distinct values as the orbit has points
+    srt = np.sort(value, axis=1)
+    distinct = 1 + (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
 
-    def sigs(Z):
-        indeg = [0] * len(Z)
-        for x in range(len(Z)):
-            for s in range(len(Z.sgrp)):
-                indeg[int(Z.act[x, s])] += 1
-        return [
-            (indeg[x], sum(1 for s in range(len(Z.sgrp)) if Z.act[x, s] == x))
-            for x in range(len(Z))
-        ]
+    def values(x0, f):
+        taken = np.zeros(len(Y), dtype=bool)
+        taken[f[f >= 0]] = True
+        pts = orbit[x0]
+        return value[(distinct == len(np.unique(pts)))
+                     & ~taken[value[:, f[pts] < 0]].any(axis=1)]
 
-    sx, sy = sigs(X), sigs(Y)
-    if sorted(sx) != sorted(sy):
-        return None
-    n, ns = len(X), len(X.sgrp)
-    f = [-1] * n
-    used = [False] * n
-
-    def rec(x0):
-        while x0 < n and f[x0] != -1:
-            x0 += 1
-        if x0 == n:
-            return list(f)
-        for y in range(n):
-            if used[y] or sy[y] != sx[x0]:
-                continue
-            stack = [(x0, y)]
-            trail = []
-            ok = True
-            while stack and ok:
-                a, b = stack.pop()
-                if f[a] == b:
-                    continue
-                if f[a] != -1 or used[b]:
-                    ok = False
-                    break
-                f[a] = b
-                used[b] = True
-                trail.append((a, b))
-                for s in range(ns):
-                    stack.append((int(X.act[a, s]), int(Y.act[b, s])))
-            if ok:
-                res = rec(x0 + 1)
-                if res is not None:
-                    return res
-            for (a, b) in trail:
-                f[a] = -1
-                used[b] = False
-        return None
-
-    if n == 0:
-        return []
-    return rec(0)
+    f = next(_orbit_maps(len(X), orbit.__getitem__, values), None)
+    return None if f is None else f.tolist()
 
 
 def is_indecomposable(X: RightAction) -> bool:

@@ -329,7 +329,7 @@ class SkeletonData:
     to_rep: np.ndarray         # C-object -> iso morphism o -> rep(o)
     from_rep: np.ndarray       # C-object -> iso morphism rep(o) -> o
     cmor_of_smor: tuple        # skeleton morphism -> C morphism
-    smor_of_cmor: dict         # C morphism between reps -> skeleton morphism
+    smor_of_cmor: np.ndarray   # C morphism -> skeleton morphism, -1 off the skeleton
 
 
 def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
@@ -351,10 +351,8 @@ def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
         smor[C.identity[reps]],
         {"kind": "skeleton", "parent": C},
     )
-    keep = keep.tolist()
     return SkeletonData(cat, rep, sk_index[rep], tuple(reps.tolist()),
-                        to_rep, from_rep, tuple(keep),
-                        {m: i for i, m in enumerate(keep)})
+                        to_rep, from_rep, tuple(keep.tolist()), smor)
 
 
 def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
@@ -690,9 +688,8 @@ def _extend(src, src_sk, dst_sk, iso, dst) -> Functor:
     om = np.array(dst_sk.obj_of_sk, dtype=np.int64)[iso.obj_map[src_sk.sk_of_obj]]
     t = src.comp[src_sk.to_rep[src.cod], np.arange(src.n_mor)]
     t = src.comp[t, src_sk.from_rep[src.dom]]
-    smor = np.full(src.n_mor, -1, dtype=np.int64)
-    smor[list(src_sk.cmor_of_smor)] = np.arange(len(src_sk.cmor_of_smor))
-    mm = np.array(dst_sk.cmor_of_smor, dtype=np.int64)[iso.mor_map[smor[t]]]
+    smor = iso.mor_map[src_sk.smor_of_cmor[t]]
+    mm = np.array(dst_sk.cmor_of_smor, dtype=np.int64)[smor]
     return Functor(src, dst, om, mm)
 
 

@@ -112,13 +112,14 @@ def as_inverse(S: FiniteSemigroup) -> InverseSemigroup:
     if (count == 0).any():
         s = int(np.argmax(count == 0))
         raise NotRegular(f"element {S.names[s]} has no inverse", witness=s)
-    E = idempotents(S)
-    for i, e in enumerate(E):
-        for f in E[i + 1:]:
-            if tab[e, f] != tab[f, e]:
-                raise IdempotentsDontCommute(
-                    f"{S.names[e]} and {S.names[f]} do not commute", witness=(e, f)
-                )
+    E = np.array(idempotents(S), dtype=np.int64)
+    ef = tab[np.ix_(E, E)]
+    bad = np.argwhere(np.triu(ef != ef.T, 1))     # row-major: the least (e, f), e < f
+    if bad.size:
+        e, f = E[bad[0]].tolist()
+        raise IdempotentsDontCommute(
+            f"{S.names[e]} and {S.names[f]} do not commute", witness=(e, f)
+        )
     if (count != 1).any():
         # reachable only for a table that is not associative
         s = int(np.argmax(count != 1))

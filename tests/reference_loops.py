@@ -15,8 +15,10 @@ from morita.actions import (
     Presheaf,
     RightAction,
     _expect_site,
+    action_homs,
     check_action,
     check_etale,
+    presheaf_nats,
     q_shriek_with_unit,
 )
 from morita.bisets import EquivalenceBiset, verify_biset
@@ -36,6 +38,7 @@ from morita.errors import (
     NotPrincipallyInductive,
     ParseError,
     UndefinedPseudoproduct,
+    WrongSite,
 )
 from morita.formats import _check_names, _need, load_semigroup
 from morita.groupoids import (
@@ -46,7 +49,7 @@ from morita.groupoids import (
     restriction,
     validate_ordered_groupoid,
 )
-from morita.semigroups import FiniteSemigroup, as_inverse
+from morita.semigroups import FiniteSemigroup, InverseSemigroup, as_inverse
 
 
 class UnionFind:
@@ -506,6 +509,167 @@ def loop_action_homs(X: RightAction, Y: RightAction) -> list:
         return [()]
     rec()
     return sorted(out)
+
+
+def loop_presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
+    """All natural transformations P1 -> P2, one element at a time, each
+    choice tested against the naturality squares it completes."""
+    C = P1.site
+    if P2.site is not C:
+        raise WrongSite("natural transformations need a common site")
+    vars_ = [(o, i) for o in range(C.n_objects) for i in range(P1.fiber_size(o))]
+    pos = {v: k for k, v in enumerate(vars_)}
+    # each morphism m: a -> b forces alpha_a(P1(m)(i)) = P2(m)(alpha_b(i))
+    insts = []
+    for m in range(C.n_mor):
+        a, b = int(C.dom[m]), int(C.cod[m])
+        for i in range(P1.fiber_size(b)):
+            insts.append((pos[(a, int(P1.maps[m][i]))], pos[(b, i)], m))
+    watch = {}
+    for t in insts:
+        watch.setdefault(t[0], []).append(t)
+        watch.setdefault(t[1], []).append(t)
+    out = []
+    alpha = [-1] * len(vars_)
+
+    def rec(k):
+        if k == len(vars_):
+            for (dst, src, m) in insts:
+                if alpha[dst] != int(P2.maps[m][alpha[src]]):
+                    return
+            out.append(tuple(alpha))
+            return
+        o = vars_[k][0]
+        for y in range(P2.fiber_size(o)):
+            alpha[k] = y
+            ok = True
+            for (dst, src, m) in watch.get(k, ()):
+                if alpha[src] != -1 and alpha[dst] != -1:
+                    if alpha[dst] != int(P2.maps[m][alpha[src]]):
+                        ok = False
+                        break
+            if ok:
+                rec(k + 1)
+            alpha[k] = -1
+
+    rec(0)
+    return sorted(out)
+
+
+def loop_fullness_faithfulness_check(X: RightAction, Y: RightAction,
+                                     PX: Presheaf, PY: Presheaf) -> bool:
+    """hom(X, Y) against Nat(PX, PY), restricting one hom and one point at a time."""
+    C = PX.site
+    homs = action_homs(X, Y)
+    nats = presheaf_nats(PX, PY)
+    if len(homs) != len(nats):
+        return False
+    obj_elt = C.extra["obj_elt"]
+    vars_ = [(o, i) for o in range(C.n_objects) for i in range(PX.fiber_size(o))]
+    restricted = set()
+    for h in homs:
+        alpha = []
+        for (o, i) in vars_:
+            y = int(h[PX.pts[o][i]])
+            if Y.act[y, obj_elt[o]] != y:
+                raise InvariantBroken("hom does not map Xe into Ye", witness=(o, y))
+            alpha.append(PY.pts[o].index(y))
+        restricted.add(tuple(alpha))
+    return len(restricted) == len(homs) and restricted == set(nats)
+
+
+def loop_action_isomorphic(X: RightAction, Y: RightAction):
+    """An equivariant bijection X -> Y, or None: orbit-signature pruning and
+    propagation along the action one pair at a time."""
+    if X.sgrp is not Y.sgrp or len(X) != len(Y):
+        return None
+
+    def sigs(Z):
+        indeg = [0] * len(Z)
+        for x in range(len(Z)):
+            for s in range(len(Z.sgrp)):
+                indeg[int(Z.act[x, s])] += 1
+        return [
+            (indeg[x], sum(1 for s in range(len(Z.sgrp)) if Z.act[x, s] == x))
+            for x in range(len(Z))
+        ]
+
+    sx, sy = sigs(X), sigs(Y)
+    if sorted(sx) != sorted(sy):
+        return None
+    n, ns = len(X), len(X.sgrp)
+    f = [-1] * n
+    used = [False] * n
+
+    def rec(x0):
+        while x0 < n and f[x0] != -1:
+            x0 += 1
+        if x0 == n:
+            return list(f)
+        for y in range(n):
+            if used[y] or sy[y] != sx[x0]:
+                continue
+            stack = [(x0, y)]
+            trail = []
+            ok = True
+            while stack and ok:
+                a, b = stack.pop()
+                if f[a] == b:
+                    continue
+                if f[a] != -1 or used[b]:
+                    ok = False
+                    break
+                f[a] = b
+                used[b] = True
+                trail.append((a, b))
+                for s in range(ns):
+                    stack.append((int(X.act[a, s]), int(Y.act[b, s])))
+            if ok:
+                res = rec(x0 + 1)
+                if res is not None:
+                    return res
+            for (a, b) in trail:
+                f[a] = -1
+                used[b] = False
+        return None
+
+    if n == 0:
+        return []
+    return rec(0)
+
+
+def loop_check_etale(X: EtaleAction) -> bool:
+    """Action law, x.p(x) = x, and p(xs) = s*p(x)s, one point and one s at a time."""
+    S = X.sgrp
+    if not isinstance(S, InverseSemigroup):
+        return False
+    if not check_action(X.base):
+        return False
+    act, anchor, tab, star = X.base.act, X.anchor, S.table, S.star
+    for x in range(len(X)):
+        e = int(anchor[x])
+        if tab[e, e] != e or act[x, e] != x:
+            return False
+        for s in range(len(S)):
+            if anchor[int(act[x, s])] != tab[tab[star[s], e], s]:
+                return False
+    return True
+
+
+def loop_etale_morphism_check(f, X: EtaleAction, Y: EtaleAction) -> bool:
+    """f commutes with the actions and preserves anchors, point by point."""
+    f = np.ascontiguousarray(f, dtype=np.int64)
+    if f.shape != (len(X),):
+        return False
+    if len(X) and (f.min() < 0 or f.max() >= len(Y)):
+        return False
+    for x in range(len(X)):
+        if Y.anchor[int(f[x])] != X.anchor[x]:
+            return False
+        for s in range(len(X.sgrp)):
+            if f[int(X.base.act[x, s])] != Y.base.act[int(f[x]), s]:
+                return False
+    return True
 
 
 # -- .cat, .act, .biset, .ogpd: one loop and one pattern per section ------------

@@ -901,3 +901,138 @@ def test_action_law_witness_matches_the_loop_across_blocks():
         assert w is not None and w == loop_action_law_witness(Xm)
         witnesses.add(w[0])
     assert max(witnesses) >= 2**15 // len(I3) ** 2      # one past the first block
+
+
+# -- the orbit search against the searches it replaced ------------------------
+
+def _relabel(X, perm):
+    """X with point x renamed perm[x]."""
+    perm = np.asarray(perm, dtype=np.int64)
+    act = np.empty_like(X.act)
+    act[perm] = perm[X.act]
+    carrier = [None] * len(X)
+    for x, p in enumerate(perm.tolist()):
+        carrier[p] = X.carrier[x]
+    return RightAction(carrier, X.sgrp, act)
+
+
+def test_presheaf_nats_matches_the_loop():
+    from morita.actions import presheaf_nats
+    from morita.corpus import (
+        builtin_corpus,
+        random_inverse_subsemigroups,
+        sample_closed_actions,
+        sample_presheaves,
+    )
+    from reference_loops import loop_presheaf_nats
+
+    counts = set()
+    for S in [S for _name, S in builtin_corpus()] + random_inverse_subsemigroups(5, 12):
+        C = C_of(S)
+        big = C.n_objects > 3
+        zero = Presheaf(C, [()] * C.n_objects, [()] * C.n_mor)
+        Ps = ([zero] + sample_presheaves(_representables(S, C), 7, 1 if big else 3)
+              + [Q_of(X, C) for X in sample_closed_actions(S, 7, 1 if big else 3)
+                 + [empty_action(S)]])
+        for P1 in Ps:
+            for P2 in Ps:
+                nats = presheaf_nats(P1, P2)
+                assert nats == loop_presheaf_nats(P1, P2)
+                counts.add(min(len(nats), 2))
+    assert counts == {0, 1, 2}
+
+
+def test_action_isomorphic_matches_the_loop():
+    import random
+
+    from morita.corpus import (
+        builtin_corpus,
+        random_inverse_subsemigroups,
+        sample_closed_actions,
+    )
+    from reference_loops import loop_action_isomorphic
+
+    rng = random.Random(12)
+    verdicts = set()
+    for S in [S for _name, S in builtin_corpus()] + random_inverse_subsemigroups(6, 12):
+        actions = sample_closed_actions(S, 3, 4) + [empty_action(S)]
+        actions += [_relabel(X, rng.sample(range(len(X)), len(X))) for X in actions]
+        for X in actions:
+            for Y in actions:
+                f = action_isomorphic(X, Y)
+                assert (f is None) == (loop_action_isomorphic(X, Y) is None)
+                if f is not None:
+                    assert sorted(f) == list(range(len(Y)))
+                    assert np.array_equal(np.asarray(f, dtype=np.int64)[X.act],
+                                          Y.act[f])
+                verdicts.add(f is None)
+    assert verdicts == {False, True}
+
+
+def test_fullness_faithfulness_witness_is_the_first_in_hom_element_order(b12):
+    from morita.corpus import sample_closed_actions
+    from reference_loops import loop_fullness_faithfulness_check
+
+    C = C_of(b12)
+    actions = sample_closed_actions(b12, 4, 6)
+    raised = 0
+    for X in actions:
+        for Y in actions:
+            PX, PY = Q_of(X, C), Q_of(Y, C)
+            assert fullness_faithfulness_check(X, Y, PX, PY) is True
+            # homs out of a relabelled X, restricted along the points of PX
+            Xr = _relabel(X, np.arange(len(X))[::-1])
+            try:
+                want = loop_fullness_faithfulness_check(Xr, Y, PX, PY)
+            except InvariantBroken as exc:
+                with pytest.raises(InvariantBroken) as got:
+                    fullness_faithfulness_check(Xr, Y, PX, PY)
+                assert got.value.witness == exc.witness
+                raised += 1
+            else:
+                assert fullness_faithfulness_check(Xr, Y, PX, PY) is want
+    assert raised
+
+
+def test_etale_checks_match_the_loops():
+    import random
+
+    from morita.corpus import builtin_corpus, sample_etale_actions
+    from reference_loops import loop_check_etale, loop_etale_morphism_check
+
+    rng = random.Random(5)
+    verdicts = set()
+    for _name, S in builtin_corpus():
+        C = C_of(S)
+        obj_elt = C.extra["obj_elt"]
+        for X in sample_etale_actions(S):
+            # the etale actions and maps of acceptance criterion 5
+            res = i_shriek_with_maps(X, C)
+            IS, RU = I_star(res.presheaf), R_of(U_of(X))
+            pos = {p: i for i, p in enumerate(RU.base.extra["pairs"])}
+            fwd = np.array([pos[(obj_elt[o], res.beta[o][ci])]
+                            for (o, ci) in IS.base.extra["pairs"]], dtype=np.int64)
+            for Z in (X, IS, RU):
+                assert check_etale(Z) is loop_check_etale(Z) is True
+            assert etale_morphism_check(fwd, IS, RU) is True
+            assert loop_etale_morphism_check(fwd, IS, RU) is True
+            # an anchor of the wrong length or out of range is no anchor
+            for anchor in (X.anchor[:-1], np.append(X.anchor, X.anchor[0]),
+                           np.where(np.arange(len(X)) == 0, len(S), X.anchor)):
+                assert check_etale(EtaleAction(X.base, anchor)) is False
+            RUX, unit = unit_UR(X)
+            assert etale_morphism_check(unit, X, RUX) is True
+            assert loop_etale_morphism_check(unit, X, RUX) is True
+            for _ in range(3):
+                anchor = X.anchor.copy()
+                anchor[rng.randrange(len(X))] = rng.randrange(len(S))
+                Xm = EtaleAction(X.base, anchor)
+                got = check_etale(Xm)
+                assert got is loop_check_etale(Xm)
+                verdicts.add(got)
+                f = unit.copy()
+                f[rng.randrange(len(X))] = rng.randrange(len(RUX))
+                got = etale_morphism_check(f, X, RUX)
+                assert got is loop_etale_morphism_check(f, X, RUX)
+                verdicts.add(got)
+    assert verdicts == {False, True}

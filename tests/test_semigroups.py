@@ -274,8 +274,18 @@ def _ref_as_inverse(S):
 def test_as_inverse_errors_match_reference():
     from morita.corpus import seeded_mutants
 
+    # two left-zero bands {a, b} and {c, d} and a zero z, with products
+    # across the bands z: a, b and c, d are the only pairs that do not
+    # commute, and in index order (a, b) = (0, 3) comes before (c, d) = (1, 2)
+    bands = FiniteSemigroup(("a", "c", "d", "b", "z"),
+                            np.array([[0, 4, 4, 0, 4],
+                                      [4, 1, 1, 4, 4],
+                                      [4, 2, 2, 4, 4],
+                                      [3, 4, 4, 3, 4],
+                                      [4, 4, 4, 4, 4]]))
+    assert _ref_as_inverse(bands) == ("IdempotentsDontCommute", (0, 3))
     cases = [FiniteSemigroup(("a", "b"), np.array([[0, 0], [1, 1]])),
-             FiniteSemigroup(("a", "z"), np.array([[1, 1], [1, 1]]))]
+             FiniteSemigroup(("a", "z"), np.array([[1, 1], [1, 1]])), bands]
     cases += [M for (_name, M, _cell) in seeded_mutants(8, 120)]
     kinds = set()
     for S in cases:
