@@ -93,3 +93,18 @@ def row_blocks(n, row_cells):
     step = max(1, 2**15 // max(1, row_cells))
     return [np.arange(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
+
+def failures(n, row_cells, fails):
+    """The index tuples, in C order, at which a law over range(n) fails.
+
+    fails(rows) marks the failures as one boolean array whose first axis
+    runs over `rows`, one `row_blocks` block of range(n); a block with none
+    costs one `.any()`.  Blocks are evaluated lazily, so next(...) gives the
+    first witness and evaluates no later block.
+    """
+    for rows in row_blocks(n, row_cells):
+        bad = fails(rows)
+        if bad.any():
+            rows = rows.tolist()
+            for i, *rest in np.argwhere(bad).tolist():
+                yield (rows[i], *rest)

@@ -24,12 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import components, congruence, ragged, row_blocks
+from ._util import components, congruence, ragged
 from .categories import C_of, FiniteCategory, L_of
 from .errors import InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
 from .semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
+    _action_law_witness,
     idempotents,
     local_unit_flags,
 )
@@ -100,20 +101,8 @@ class Presheaf:
 
 
 def action_law_witness(X: RightAction):
-    """First (x, s, t) with (xs)t != x(st), or None.
-
-    One numpy pass per block of points, each block about 2**15 cells.
-    """
-    act, table = X.act, X.sgrp.table
-    ns = table.shape[0]
-    for rows in row_blocks(act.shape[0], ns * ns):
-        left = act[act[rows]]                    # [x, s, t] -> (xs)t
-        right = act[rows][:, table]              # [x, s, t] -> x(st)
-        bad = np.argwhere(left != right)
-        if bad.size:
-            x, s, t = bad[0]
-            return (int(rows[x]), int(s), int(t))
-    return None
+    """First (x, s, t) with (xs)t != x(st), or None."""
+    return _action_law_witness(X.act, X.sgrp.table)
 
 
 def check_action(X: RightAction) -> bool:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import inverse_relation, row_blocks
+from ._util import failures, inverse_relation
 from .categories import (
     C_of,
     FiniteCategory,
@@ -108,19 +108,6 @@ class BisetReport:
         return [(n, w) for (n, ok, w) in self.entries if not ok]
 
 
-def _first_failure(n, row_cells, holds):
-    """First index, in C order, at which the axiom fails; None when it holds.
-
-    holds(rows) evaluates the axiom as one boolean array whose first axis
-    runs over `rows`, a block of range(n) sized by `row_blocks`.
-    """
-    for rows in row_blocks(n, row_cells):
-        bad = np.argwhere(~holds(rows))
-        if bad.size:
-            return (int(rows[bad[0, 0]]), *map(int, bad[0, 1:]))
-    return None
-
-
 def verify_biset(B: EquivalenceBiset) -> BisetReport:
     """Check the action laws, (M1)-(M7), and pairing surjectivity.
 
@@ -134,11 +121,11 @@ def verify_biset(B: EquivalenceBiset) -> BisetReport:
 def _biset_report(B: EquivalenceBiset) -> BisetReport:
     """The axiom checks behind `verify_biset`.
 
-    Array pass, first witness in the loop index order: each axiom is one
-    array comparison with its outer index first (the pair (s1, s2) or
-    (s, t) for the action laws), so the first failure np.argwhere finds is
-    the one a nested loop over the indices would meet.  A failure becomes a
-    report entry with that witness; nothing raises.
+    Each axiom marks its failures as one array with its outer index first
+    (the pair (s1, s2) or (s, t) for the action laws) and is scanned by
+    `failures`, so its witness is the first failure a nested loop over the
+    indices would meet; a whole-table axiom is one block, with outer index
+    0.  A failure becomes a report entry with that witness; nothing raises.
     """
     S, T = B.S, B.T
     L, R, P, Q = B.left_act, B.right_act, B.inner_S, B.inner_T
@@ -149,50 +136,40 @@ def _biset_report(B: EquivalenceBiset) -> BisetReport:
     xs = np.arange(nx)
     entries = []
 
-    def add(name, w):
+    def add(name, n, row_cells, fails, pair=False):
+        w = next(failures(n, row_cells, fails), None)
+        if w is not None and pair:
+            w = (w[:2], w[2])      # the action laws name their witness ((i, j), x)
         entries.append((name, w is None, "" if w is None else str(w)))
 
-    def pair_first(w):
-        # the action laws name their witness ((i, j), x)
-        return None if w is None else (w[:2], w[2])
+    def whole(name, bad):
+        add(name, 1, bad.size, lambda r: bad[None])
 
-    def whole(cond):
-        bad = np.argwhere(~cond)
-        return (0, *map(int, bad[0])) if bad.size else None
-
-    if nx == 0:
-        for name in ("left_action_law", "right_action_law", "biset_compatibility",
-                     "M1", "M2", "M3", "M4", "M5", "M6", "M7"):
-            entries.append((name, True, ""))
-    else:
-        x3 = xs[None, None, :]
-        tt = np.arange(nt)
-        # [s1, s2, x]: (s1 s2)x = s1(s2 x)
-        add("left_action_law", pair_first(_first_failure(
-            ns, ns * nx, lambda r: L[tS[r]] == L[r[:, None, None], L[None]])))
-        # [t1, t2, x]: x(t1 t2) = (x t1)t2
-        add("right_action_law", pair_first(_first_failure(
-            nt, nt * nx, lambda r: R[x3, tT[r][:, :, None]]
-            == R[R[x3, r[:, None, None]], tt[None, :, None]])))
-        # [s, t, x]: (sx)t = s(xt)
-        add("biset_compatibility", pair_first(_first_failure(
-            ns, nt * nx, lambda r: R[L[r][:, None, :], tt[None, :, None]]
-            == L[r[:, None, None], R.T[None]])))
-        # [s, x, y]: <sx, y> = s<x, y>
-        add("M1", _first_failure(
-            ns, nx * nx, lambda r: P[L[r]] == tS[r[:, None, None], P[None]]))
-        add("M2", whole(P.T == sS[P]))
-        add("M3", whole(L[P[xs, xs], xs] == xs))
-        # [t, x, y]: [x, yt] = [x, y]t
-        add("M4", _first_failure(
-            nt, nx * nx, lambda r: Q[xs[None, :, None], R.T[r][:, None, :]]
-            == tT[Q[None], r[:, None, None]]))
-        add("M5", whole(Q == sT[Q.T]))
-        add("M6", whole(R[xs, Q[xs, xs]] == xs))
-        # [z, x, y]: <x, y>z = x[y, z]
-        add("M7", _first_failure(
-            nx, nx * nx, lambda r: L[P[None], r[:, None, None]]
-            == R[xs[None, :, None], Q.T[r][:, None, :]]))
+    x3 = xs[None, None, :]
+    tt = np.arange(nt)
+    # [s1, s2, x]: (s1 s2)x = s1(s2 x)
+    add("left_action_law", ns, ns * nx,
+        lambda r: L[tS[r]] != L[r[:, None, None], L[None]], pair=True)
+    # [t1, t2, x]: x(t1 t2) = (x t1)t2
+    add("right_action_law", nt, nt * nx,
+        lambda r: R[x3, tT[r][:, :, None]]
+        != R[R[x3, r[:, None, None]], tt[None, :, None]], pair=True)
+    # [s, t, x]: (sx)t = s(xt)
+    add("biset_compatibility", ns, nt * nx,
+        lambda r: R[L[r][:, None, :], tt[None, :, None]]
+        != L[r[:, None, None], R.T[None]], pair=True)
+    # [s, x, y]: <sx, y> = s<x, y>
+    add("M1", ns, nx * nx, lambda r: P[L[r]] != tS[r[:, None, None], P[None]])
+    whole("M2", P.T != sS[P])
+    whole("M3", L[P[xs, xs], xs] != xs)
+    # [t, x, y]: [x, yt] = [x, y]t
+    add("M4", nt, nx * nx, lambda r: Q[xs[None, :, None], R.T[r][:, None, :]]
+        != tT[Q[None], r[:, None, None]])
+    whole("M5", Q != sT[Q.T])
+    whole("M6", R[xs, Q[xs, xs]] != xs)
+    # [z, x, y]: <x, y>z = x[y, z]
+    add("M7", nx, nx * nx, lambda r: L[P[None], r[:, None, None]]
+        != R[xs[None, :, None], Q.T[r][:, None, :]])
     surj_S = set(int(v) for v in P.ravel()) == set(range(ns))
     entries.append(("inner_S_surjective", surj_S,
                     "" if surj_S else "some element of S is not an inner product"))

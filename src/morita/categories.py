@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import row_blocks
+from ._util import failures, row_blocks
 from .errors import (
     CospanMismatch,
     InvariantBroken,
@@ -139,23 +139,26 @@ def check_category(C: FiniteCategory) -> list:
         if not np.all(comp[np.arange(m), ids[dom]] == np.arange(m)):
             bad.append("right identity law fails")
         # associativity over the triples (h, g, f) with h.g and g.f defined,
-        # one block of g with a common (dom, cod) at a time; the message
-        # names the least h that fails
+        # one hom-set of g at a time, so the rows h and f are those that
+        # compose with it; the message names the least h that fails
         order, start = C._hom_index
         least = m
         for k in range(n * n):
-            block = order[start[k]:start[k + 1]]
-            H = np.flatnonzero(defined[:, block].any(axis=1))
-            F = np.flatnonzero(defined[block].any(axis=0))
-            for rows in row_blocks(len(block), len(H) * len(F)):
-                g = block[rows]
-                hg, gf = comp[np.ix_(H, g)], comp[np.ix_(g, F)]   # [h, g], [g, f]
-                both = (hg >= 0)[:, :, None] & (gf >= 0)[None, :, :]
-                x = comp[H[:, None, None], np.maximum(gf, 0)[None]]     # h.(g.f)
+            g = order[start[k]:start[k + 1]]
+            H = np.flatnonzero(defined[:, g].any(axis=1))
+            F = np.flatnonzero(defined[g].any(axis=0))
+            gf = comp[np.ix_(g, F)]                                    # [g, f]
+
+            def fails(rows):
+                h = H[rows]
+                hg = comp[np.ix_(h, g)]                                # [h, g]
+                x = comp[h[:, None, None], np.maximum(gf, 0)[None]]    # h.(g.f)
                 y = comp[np.maximum(hg, 0)[:, :, None], F]             # (h.g).f
-                fails = (both & (x != y)).any(axis=(1, 2))
-                if fails.any():
-                    least = min(least, int(H[fails.argmax()]))
+                return (hg >= 0)[:, :, None] & (gf >= 0)[None] & (x != y)
+
+            w = next(failures(len(H), len(g) * len(F), fails), None)
+            if w is not None:
+                least = min(least, int(H[w[0]]))
         if least < m:
             bad.append(f"associativity fails around morphism {least}")
     return bad
@@ -306,16 +309,16 @@ def iso_partner(C: FiniteCategory) -> np.ndarray:
 
 
 def _iso_table(C: FiniteCategory) -> np.ndarray:
+    """[m]: the least w with w.m = 1_dom(m) and m.w = 1_cod(m), or -1.
+
+    In a category such a w lies in hom(cod m, dom m), so one test over every
+    (w, m) finds the same inverse as a search of that hom-set.
+    """
+    ids, comp = C.identity, C.comp
+    ok = (comp == ids[C.dom]) & (comp.T == ids[C.cod])      # [w, m]
     out = np.full(C.n_mor, -1, dtype=np.int64)
-    for a in range(C.n_objects):
-        for b in range(C.n_objects):
-            M, W = C._hom(a, b), C._hom(b, a)
-            if not (len(M) and len(W)):
-                continue
-            ok = ((C.comp[np.ix_(M, W)] == C.identity[b])
-                  & (C.comp[np.ix_(W, M)].T == C.identity[a]))
-            has = ok.any(axis=1)
-            out[M[has]] = W[ok.argmax(axis=1)[has]]
+    if C.n_mor:
+        out = np.where(ok.any(axis=0), ok.argmax(axis=0), -1)
     out.setflags(write=False)
     return out
 
@@ -619,11 +622,7 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
         f = f[mor_map[line[f]] >= 0]
         return mor_map[f], mor_map[line[f]]
 
-    def assign_mor(pos):
-        if pos == len(non_id):
-            F = Functor(C, D, obj_map.copy(), mor_map.copy())
-            return F if is_functor(F) else None
-        m = non_id[pos]
+    def place_mor(m):
         a, b = int(obj_map[C.dom[m]]), int(obj_map[C.cod[m]])
         # w must send m.f to w.F(f) and f.m to F(f).w wherever both are placed
         right, right_to = placed(C.comp[m])
@@ -636,24 +635,17 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
                 continue
             mor_map[m] = w
             used_mor[w] = True
-            res = assign_mor(pos + 1)
-            if res is not None:
-                return res
+            yield
             mor_map[m] = -1
             used_mor[w] = False
-        return None
 
-    def assign_obj(pos):
-        if pos == len(obj_order):
-            return assign_mor(0)
+    def place_obj(pos):
         o = obj_order[pos]
+        done = obj_order[:pos]
+        images = obj_map[done]
         for o2 in obj_candidates[o]:
-            if used_obj[o2]:
-                continue
             # hom-size profile against already-placed objects
-            done = obj_order[:pos]
-            images = obj_map[done]
-            if (hsC[o, o] != hsD[o2, o2]
+            if (used_obj[o2] or hsC[o, o] != hsD[o2, o2]
                     or not np.array_equal(hsC[o, done], hsD[o2, images])
                     or not np.array_equal(hsC[done, o], hsD[images, o2])):
                 continue
@@ -662,16 +654,31 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
             im = int(D.identity[o2])
             mor_map[C.identity[o]] = im
             used_mor[im] = True
-            res = assign_obj(pos + 1)
-            if res is not None:
-                return res
+            yield
             used_mor[im] = False
             mor_map[C.identity[o]] = -1
             obj_map[o] = -1
             used_obj[o2] = False
-        return None
 
-    return assign_obj(0)
+    # depth-first over the objects, then the non-identities: one generator of
+    # choices per level on an explicit stack, so the depth is not capped by
+    # Python's recursion limit; a complete map that is no functor backtracks
+    levels = len(obj_order) + len(non_id)
+    stack = []
+    while True:
+        depth = len(stack)
+        if depth == levels:
+            F = Functor(C, D, obj_map.copy(), mor_map.copy())
+            if is_functor(F):
+                return F
+        elif depth < len(obj_order):
+            stack.append(place_obj(depth))
+        else:
+            stack.append(place_mor(non_id[depth - len(obj_order)]))
+        while stack and next(stack[-1], True):
+            stack.pop()
+        if not stack:
+            return None
 
 
 def inverse_functor(F: Functor) -> Functor:

@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import bisets, corpus, formats
 from .actions import (
     Q_of,
@@ -30,7 +32,7 @@ from .semigroups import (
     idempotents,
     is_locally_E_unitary,
     local_unit_flags,
-    natural_leq,
+    natural_order,
 )
 
 
@@ -130,17 +132,9 @@ def cmd_analyze(args) -> Report:
 
 
 def _hasse_edges(S) -> list:
-    n = len(S)
-    leq = [[natural_leq(S, a, b) for b in range(n)] for a in range(n)]
-    edges = []
-    for a in range(n):
-        for b in range(n):
-            if a == b or not leq[a][b]:
-                continue
-            if any(leq[a][c] and leq[c][b] and c not in (a, b) for c in range(n)):
-                continue
-            edges.append((a, b))
-    return edges
+    """The covering pairs a < b of the natural order, in row-major order."""
+    lt = natural_order(S.table, S.star) & ~np.eye(len(S), dtype=bool)
+    return [tuple(e) for e in np.argwhere(lt & ~(lt @ lt)).tolist()]
 
 
 def cmd_morita(args) -> Report:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import inverse_relation, row_blocks
+from ._util import failures, inverse_relation, row_blocks
 from .categories import (
     FiniteCategory,
     Functor,
@@ -35,7 +35,7 @@ from .errors import (
     NotUnique,
     UndefinedPseudoproduct,
 )
-from .semigroups import InverseSemigroup
+from .semigroups import InverseSemigroup, natural_order
 
 
 @dataclass(eq=False)
@@ -159,15 +159,14 @@ def validate_ordered_groupoid(G: OrderedGroupoid) -> list:
             bad.append("dom not monotone")
         if not np.all(G.obj_leq[cod[x], cod[y]]):
             bad.append("cod not monotone")
-    # a <= b and u <= v give au <= bv wherever both are defined; one block
-    # of (a, b) pairs against every (u, v) pair at a time
-    for block in row_blocks(x.size, x.size):
-        au = comp[x[block, None], x]
-        bv = comp[y[block, None], y]
-        both = (au >= 0) & (bv >= 0)
-        if not np.all(leq[au[both], bv[both]]):
-            bad.append("composition not monotone")
-            break
+    # a <= b and u <= v give au <= bv wherever both are defined, over
+    # [(a, b), (u, v)]
+    def unordered(rows):
+        au, bv = comp[x[rows, None], x], comp[y[rows, None], y]
+        return (au >= 0) & (bv >= 0) & ~leq[au, bv]
+
+    if next(failures(x.size, x.size, unordered), None) is not None:
+        bad.append("composition not monotone")
     # discrete fibration: unique restriction for every e <= dom(g)
     bad.extend(f"restriction of arrow {g} to object {e} not unique"
                for (g, e) in np.argwhere((G.obj_leq[:, dom] & (G._restrictions[0] < 0)).T))
@@ -431,25 +430,23 @@ def semigroupoid_violations(names, table) -> list:
 
     Array pass, first witness in the loop index order: the messages come
     out in the order of nested loops over (a, b, c), then a, then pairs of
-    idempotents (e, f), then a.  Associativity and definedness run over
-    blocks of rows a, so each (rows, n, n) temporary stays near 2**15 cells.
+    idempotents (e, f), then a.  Associativity and definedness are one
+    `failures` scan over (a, b, c) with ab defined: with bc defined,
+    (ab)c and a(bc) must be defined and equal; with bc undefined, (ab)c
+    must be undefined.
     """
-    bad = []
     n = len(names)
     tab = np.asarray(table, dtype=np.int64).reshape(n, n)
     d = tab >= 0
     safe = np.where(d, tab, 0)
-    for rows in row_blocks(n, n * n):
-        dab = d[rows][:, :, None]               # ab defined, [a, b, c]
-        ab_c = tab[safe[rows]]                  # (ab)c
+
+    def fails(rows):
+        ab_c = tab[safe[rows]]                  # (ab)c, [a, b, c]
         a_bc = tab[rows[:, None, None], safe]   # a(bc)
-        assoc = dab & d & ((ab_c < 0) | (ab_c != a_bc))
-        incoherent = dab & ~d & (ab_c >= 0)
-        for k in np.flatnonzero(assoc | incoherent):
-            i, b, c = np.unravel_index(k, assoc.shape)
-            kind = ("associativity fails" if assoc.flat[k]
-                    else "definedness incoherent")
-            bad.append(f"{kind} at ({rows[i]},{b},{c})")
+        return d[rows][:, :, None] & np.where(d, (ab_c < 0) | (ab_c != a_bc), ab_c >= 0)
+
+    bad = [("associativity fails" if d[b, c] else "definedness incoherent")
+           + f" at ({a},{b},{c})" for a, b, c in failures(n, n * n, fails)]
     inv = inverse_relation(tab)
     count = inv.sum(axis=1)
     bad.extend(f"element {a} has no inverse" for a in np.flatnonzero(count == 0))
@@ -485,7 +482,7 @@ def _ordered_groupoid(names, tab, star, extra) -> OrderedGroupoid:
         raise NotInverseSemigroupoid(
             f"restricted product undefined at ({a},{b})", witness=(a, b))
     comp = np.where(composable, tab, -1)
-    leq = tab[:, rr].T == ar[:, None]        # [a, b]: b(a*a) = a
+    leq = natural_order(tab, star)
     obj_leq = tab[np.ix_(idem, idem)].T == idem[:, None]   # [e, f]: fe = e
     return OrderedGroupoid(
         tuple(names[e] for e in idem), obj_leq, names, dom, cod, comp,

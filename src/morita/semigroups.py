@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from ._util import inverse_relation
+from ._util import failures, inverse_relation
 from .errors import (
     IdempotentsDontCommute,
     NonUniqueInverse,
@@ -75,17 +75,20 @@ class InverseSemigroup(FiniteSemigroup):
 def assoc_witness(S: FiniteSemigroup):
     """First triple (i, j, k) with (ij)k != i(jk), or None.
 
-    One numpy pass per row i, so the first failure in index order is found.
+    Associativity is the action law of S on itself.
     """
-    table = S.table
-    for i in range(table.shape[0]):
-        left = table[table[i], :]       # [j, k] -> (ij)k
-        right = table[i, table]         # [j, k] -> i(jk)
-        bad = np.argwhere(left != right)
-        if bad.size:
-            j, k = bad[0]
-            return (i, int(j), int(k))
-    return None
+    return _action_law_witness(S.table, S.table)
+
+
+def _action_law_witness(act, table):
+    """First (x, s, t), in C order, with (xs)t != x(st), or None.
+
+    act[x, s] is xs and table[s, t] is st; one `failures` block of points at
+    a time.
+    """
+    ns = table.shape[0]
+    return next(failures(act.shape[0], ns * ns,
+                         lambda r: act[act[r]] != act[r][:, table]), None)
 
 
 def idempotents(S: FiniteSemigroup) -> list:
@@ -132,6 +135,15 @@ def natural_leq(S: InverseSemigroup, s: int, t: int) -> bool:
     """Natural partial order: s <= t iff s = t(s*s)."""
     tab = S.table
     return tab[t, tab[S.star[s], s]] == s
+
+
+def natural_order(tab, star) -> np.ndarray:
+    """leq[a, b]: a <= b in the natural partial order, i.e. b(a*a) = a.
+
+    tab may be partial (-1 where undefined), with unique inverses star.
+    """
+    ar = np.arange(len(tab))
+    return tab[:, tab[star, ar]].T == ar[:, None]
 
 
 @dataclass(frozen=True)
@@ -194,19 +206,10 @@ def is_locally_E_unitary(S: InverseSemigroup) -> bool:
     with d <= s, s must itself be idempotent.
     """
     tab = S.table
-    E = idempotents(S)
-    for e in E:
-        for s in range(len(S)):
-            if tab[tab[e, s], e] != s:
-                continue
-            if tab[s, s] == s:
-                continue
-            for d in E:
-                if tab[tab[e, d], e] != d:
-                    continue
-                if tab[s, d] == d:  # d <= s for idempotent d
-                    return False
-    return True
+    ar, E = np.arange(len(S)), np.array(idempotents(S), dtype=np.int64)
+    local = tab[tab[E], E[:, None]] == ar                 # [e, s]: ese = s
+    below = local[:, E] @ natural_order(tab, S.star)[E]   # [e, s]: some d <= s in eSe
+    return not (local & below & (np.diagonal(tab) != ar)).any()
 
 
 def restrict(S: FiniteSemigroup, subset):

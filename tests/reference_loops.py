@@ -25,6 +25,7 @@ from morita.bisets import EquivalenceBiset, verify_biset
 from morita.categories import (
     FiniteCategory,
     Functor,
+    _joint_invariants,
     check_category,
     is_functor,
     iso_partner,
@@ -49,7 +50,13 @@ from morita.groupoids import (
     restriction,
     validate_ordered_groupoid,
 )
-from morita.semigroups import FiniteSemigroup, InverseSemigroup, as_inverse
+from morita.semigroups import (
+    FiniteSemigroup,
+    InverseSemigroup,
+    as_inverse,
+    idempotents,
+    natural_leq,
+)
 
 
 class UnionFind:
@@ -115,6 +122,51 @@ def build_category(objects, mors, compose, identity_payload, extra=None):
     xt["index"] = index
     return FiniteCategory(tuple(objects), tuple(labels), np.array(dom, dtype=np.int64),
                           np.array(cod, dtype=np.int64), comp, ident, xt)
+
+
+# -- the natural order --------------------------------------------------------------
+
+def loop_hasse_edges(S: InverseSemigroup) -> list:
+    """The covering pairs a < b of the natural order, one natural_leq call per cell."""
+    n = len(S)
+    leq = [[natural_leq(S, a, b) for b in range(n)] for a in range(n)]
+    edges = []
+    for a in range(n):
+        for b in range(n):
+            if a == b or not leq[a][b]:
+                continue
+            if any(leq[a][c] and leq[c][b] and c not in (a, b) for c in range(n)):
+                continue
+            edges.append((a, b))
+    return edges
+
+
+def loop_is_locally_E_unitary(S: InverseSemigroup) -> bool:
+    """is_locally_E_unitary over every (e, s, d) in turn."""
+    tab = S.table
+    E = idempotents(S)
+    for e in E:
+        for s in range(len(S)):
+            if tab[tab[e, s], e] != s:
+                continue
+            if tab[s, s] == s:
+                continue
+            for d in E:
+                if tab[tab[e, d], e] != d:
+                    continue
+                if tab[s, d] == d:  # d <= s for idempotent d
+                    return False
+    return True
+
+
+def loop_order_is_antisymmetric(S: InverseSemigroup) -> bool:
+    """No s != t with s <= t and t <= s, one pair at a time."""
+    n = len(S)
+    for s in range(n):
+        for t in range(n):
+            if natural_leq(S, s, t) and natural_leq(S, t, s) and s != t:
+                return False
+    return True
 
 
 # -- categories -----------------------------------------------------------------
@@ -190,6 +242,105 @@ def loop_is_bipartite(U: FiniteCategory, A, B) -> bool:
                        for m in range(U.n_mor) if U.dom[m] == o):
                 return False
     return True
+
+
+def loop_iso_table(C: FiniteCategory) -> np.ndarray:
+    """The two-sided inverse of each morphism or -1, one pair of objects at a time."""
+    out = np.full(C.n_mor, -1, dtype=np.int64)
+    for a in range(C.n_objects):
+        for b in range(C.n_objects):
+            M, W = np.array(C.hom(a, b), dtype=np.int64), np.array(C.hom(b, a), dtype=np.int64)
+            if not (len(M) and len(W)):
+                continue
+            ok = ((C.comp[np.ix_(M, W)] == C.identity[b])
+                  & (C.comp[np.ix_(W, M)].T == C.identity[a]))
+            has = ok.any(axis=1)
+            out[M[has]] = W[ok.argmax(axis=1)[has]]
+    return out
+
+
+def loop_categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
+    """categories_isomorphic as two mutual recursions, one level per placement.
+
+    The recursion depth grows with the number of morphisms, so this form
+    stops at Python's recursion limit on skeletons of about 1 000 morphisms.
+    """
+    if C.n_objects != D.n_objects or C.n_mor != D.n_mor:
+        return None
+    invC, invD, ocC, ocD = _joint_invariants(C, D)
+    if (not np.array_equal(np.sort(invC), np.sort(invD))
+            or not np.array_equal(np.sort(ocC), np.sort(ocD)) or -1 in ocD):
+        return None
+    obj_map = np.full(C.n_objects, -1, dtype=np.int64)
+    mor_map = np.full(C.n_mor, -1, dtype=np.int64)
+    used_obj = np.zeros(D.n_objects, dtype=bool)
+    used_mor = np.zeros(D.n_mor, dtype=bool)
+    hsC, hsD = C.hom_sizes(), D.hom_sizes()
+    obj_candidates = [np.flatnonzero(ocD == ocC[o1]).tolist()
+                      for o1 in range(C.n_objects)]
+    obj_order = sorted(range(C.n_objects), key=lambda o: (len(obj_candidates[o]), o))
+    is_id = np.zeros(C.n_mor, dtype=bool)
+    is_id[C.identity] = True
+    class_size = np.bincount(invD, minlength=int(invC.max(initial=0)) + 1)
+    non_id = sorted(np.flatnonzero(~is_id).tolist(),
+                    key=lambda m: (int(class_size[invC[m]]), m))
+
+    def placed(line):
+        f = np.flatnonzero((mor_map >= 0) & (line >= 0))
+        f = f[mor_map[line[f]] >= 0]
+        return mor_map[f], mor_map[line[f]]
+
+    def assign_mor(pos):
+        if pos == len(non_id):
+            F = Functor(C, D, obj_map.copy(), mor_map.copy())
+            return F if is_functor(F) else None
+        m = non_id[pos]
+        a, b = int(obj_map[C.dom[m]]), int(obj_map[C.cod[m]])
+        right, right_to = placed(C.comp[m])
+        left, left_to = placed(C.comp[:, m])
+        for w in D.hom(a, b):
+            if used_mor[w] or invD[w] != invC[m]:
+                continue
+            if not (np.array_equal(D.comp[w, right], right_to)
+                    and np.array_equal(D.comp[left, w], left_to)):
+                continue
+            mor_map[m] = w
+            used_mor[w] = True
+            res = assign_mor(pos + 1)
+            if res is not None:
+                return res
+            mor_map[m] = -1
+            used_mor[w] = False
+        return None
+
+    def assign_obj(pos):
+        if pos == len(obj_order):
+            return assign_mor(0)
+        o = obj_order[pos]
+        for o2 in obj_candidates[o]:
+            if used_obj[o2]:
+                continue
+            done = obj_order[:pos]
+            images = obj_map[done]
+            if (hsC[o, o] != hsD[o2, o2]
+                    or not np.array_equal(hsC[o, done], hsD[o2, images])
+                    or not np.array_equal(hsC[done, o], hsD[images, o2])):
+                continue
+            obj_map[o] = o2
+            used_obj[o2] = True
+            im = int(D.identity[o2])
+            mor_map[C.identity[o]] = im
+            used_mor[im] = True
+            res = assign_obj(pos + 1)
+            if res is not None:
+                return res
+            used_mor[im] = False
+            mor_map[C.identity[o]] = -1
+            obj_map[o] = -1
+            used_obj[o2] = False
+        return None
+
+    return assign_obj(0)
 
 
 def loop_pullback(C: FiniteCategory, f: int, g: int):

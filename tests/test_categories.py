@@ -15,6 +15,7 @@ from morita.categories import (
     FiniteCategory,
     Functor,
     L_of,
+    _iso_table,
     _skeleton_data,
     categories_equivalent,
     categories_isomorphic,
@@ -63,9 +64,11 @@ from reference_loops import (
     callback_C_of_groupoid,
     callback_L_of_groupoid,
     callback_span_category,
+    loop_categories_isomorphic,
     loop_check_category,
     loop_check_weak_equivalence,
     loop_is_bipartite,
+    loop_iso_table,
     loop_ordered_enlargement_tables,
     loop_pullback,
 )
@@ -488,3 +491,39 @@ def test_iso_chain_raises_typed_error():
     assert check_category(C) != []
     with pytest.raises(IsomorphismChainBroken):
         skeleton_with_maps(C)
+
+
+def test_iso_table_matches_the_loop():
+    cats = []
+    for _name, S in builtin_corpus():
+        C, L = C_of(S), L_of(S)
+        cats += [C, L, cauchy_skeleton(C).cat, span_category(L)]
+    cats.append(C_of(symmetric_inverse_monoid(4)))
+    for C in cats:
+        assert np.array_equal(_iso_table(C), loop_iso_table(C))
+    # the tables hold -1 entries, not only inverses
+    assert sum(int((_iso_table(C) >= 0).sum()) < C.n_mor for C in cats) >= 17
+
+
+def test_iso_search_keeps_the_witnesses_of_its_recursive_form():
+    members = dict(builtin_corpus())
+    rng = random.Random(12)
+    pairs = [(members[a], members[b]) for a, b, _expected, _why in expected_morita_pairs()]
+    pairs += [(S, random_relabelling(S, rng)) for S in members.values()]
+    found = 0
+    for S, T in pairs:
+        A, B = cauchy_skeleton(C_of(S)).cat, cauchy_skeleton(C_of(T)).cat
+        F, G = categories_isomorphic(A, B), loop_categories_isomorphic(A, B)
+        assert (F is None) == (G is None)
+        if F is not None:
+            found += 1
+            assert np.array_equal(F.obj_map, G.obj_map)
+            assert np.array_equal(F.mor_map, G.mor_map)
+    assert found == len(pairs) - 5
+
+
+def test_iso_search_is_not_capped_by_the_recursion_limit():
+    # the skeleton of C(C_1100) has 1 099 non-identities, one search level each
+    d = morita_equivalent(cyclic_group(1100), cyclic_group(1100))
+    assert d.equivalent
+    assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)

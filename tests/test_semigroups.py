@@ -296,3 +296,36 @@ def test_as_inverse_errors_match_reference():
         assert got == _ref_as_inverse(S)
         kinds.add(got[0])
     assert kinds == {"ok", "NotRegular", "IdempotentsDontCommute", "NonUniqueInverse"}
+
+
+def test_natural_order_passes_match_loops():
+    from morita.cli import _hasse_edges
+    from morita.corpus import (
+        axiom_violations,
+        builtin_corpus,
+        random_inverse_subsemigroups,
+        seeded_mutants,
+    )
+    from morita.semigroups import InverseSemigroup
+    from reference_loops import (
+        loop_hasse_edges,
+        loop_is_locally_E_unitary,
+        loop_order_is_antisymmetric,
+    )
+
+    members = dict(builtin_corpus())
+    samples = list(members.values())
+    samples += random_inverse_subsemigroups(2, 30)
+    samples += random_inverse_subsemigroups(4, 6, symmetric_inverse_monoid(4))
+    # tables that are no longer semigroups, read with the star of their source
+    samples += [InverseSemigroup(M.names, M.table, members[name.split("[")[0]].star)
+                for name, M, _cell in seeded_mutants(3, 60)]
+    unitary, antisymmetric = set(), set()
+    for S in samples:
+        assert _hasse_edges(S) == loop_hasse_edges(S)
+        unitary.add(is_locally_E_unitary(S))
+        assert is_locally_E_unitary(S) == loop_is_locally_E_unitary(S)
+        antisymmetric.add(loop_order_is_antisymmetric(S))
+        if not axiom_violations(S):
+            assert loop_order_is_antisymmetric(S)
+    assert unitary == antisymmetric == {True, False}

@@ -61,3 +61,24 @@ def test_library_has_no_function_local_imports():
                     for node in ast.walk(fn)
                     if isinstance(node, (ast.Import, ast.ImportFrom))})
     assert found == []
+
+
+def test_only_the_util_pass_and_two_table_builders_call_row_blocks():
+    # a law is scanned for its witness by `_util.failures`; a hand-written
+    # loop over `row_blocks` elsewhere would bring back its own block sizing,
+    # witness order and exit rule
+    src = Path(morita.__file__).parent
+    users = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if getattr(node, "id", getattr(node, "attr", None)) == "row_blocks":
+            users.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    outside = {u for u in users if not u.startswith("_util")}
+    assert outside == {"categories._span_tables", "groupoids._meets"}
