@@ -243,9 +243,10 @@ def coequalizer_action(f, g, X: RightAction, Y: RightAction) -> RightAction:
 # -- unitary / closed ----------------------------------------------------------
 
 def is_unitary(X: RightAction) -> bool:
-    """Every point is in the image of the action."""
-    hit = set(int(v) for v in X.act.ravel())
-    return hit == set(range(len(X)))
+    """Every point is in the image of the action, and the image has no other value."""
+    a = X.act.ravel()
+    inside = ((a >= 0) & (a < len(X))).all()
+    return bool(inside and np.bincount(a, minlength=len(X)).all())
 
 
 @dataclass(eq=False)
@@ -279,7 +280,30 @@ def tensor_with_S(X: RightAction) -> TensorResult:
 
 
 def is_closed(X: RightAction) -> bool:
-    """mu : X (x) S -> X is a bijection."""
+    """mu : X (x) S -> X, x (x) s |-> xs, is a bijection.
+
+    On an inverse semigroup mu is always injective, so an action is closed
+    exactly when it is unitary, and no colimit is built:
+    - the edge (xs, s*s) ~ (x, s.s*s) = (x, s) puts the node (z, f) =
+      (xs, s*s) in the class of (x, s), and zf = z by the action law;
+    - if zf = z = zf', then (z, f) = (zf', f) ~ (z, f'f) and
+      (z, f') = (zf, f') ~ (z, ff'); idempotents commute, so
+      (z, f) ~ (z, f').
+    So every class over z holds a node (z, f) with zf = z, and all of those
+    are one class.  The argument needs the action law, which is checked
+    first: a non-action raises `InvariantBroken` with its first failing
+    (x, s, t).
+
+    Other semigroups with right local units go through `tensor_with_S`,
+    since there closed and unitary differ: on S with table
+    [[0,0,0],[0,1,2],[0,1,2]] the action [[0,0,0],[0,1,1]] is unitary, but
+    mu is not injective.
+    """
+    if isinstance(X.sgrp, InverseSemigroup):
+        bad = action_law_witness(X)
+        if bad is not None:
+            raise InvariantBroken("not an action: (xs)t != x(st)", witness=bad)
+        return is_unitary(X)
     t = tensor_with_S(X)
     return t.surjective and t.injective
 
@@ -287,14 +311,12 @@ def is_closed(X: RightAction) -> bool:
 # -- etale actions -------------------------------------------------------------
 
 def munn_action(S: InverseSemigroup) -> EtaleAction:
-    """E(S) with e.s = s*es and the identity anchor."""
+    """E(S) with e.s = s*es and the identity anchor, as one gather."""
     E = idempotents(S)
-    pos = {e: i for i, e in enumerate(E)}
-    tab, star = S.table, S.star
-    act = np.empty((len(E), len(S)), dtype=np.int64)
-    for i, e in enumerate(E):
-        for s in range(len(S)):
-            act[i, s] = pos[int(tab[tab[star[s], e], s])]
+    tab = S.table
+    pos = np.full(len(S), -1, dtype=np.int64)
+    pos[E] = np.arange(len(E))
+    act = pos[tab[tab[S.star, np.array(E, dtype=np.int64)[:, None]], np.arange(len(S))]]
     base = RightAction(tuple(S.names[e] for e in E), S, act,
                        {"kind": "munn", "elt_of_point": tuple(E)})
     return EtaleAction(base, np.array(E, dtype=np.int64))

@@ -276,10 +276,9 @@ def cmd_psh_equiv(args) -> Report:
     for d in E:
         for e in E:
             homs = action_homs(principal[d], principal[e])
-            eSd = [s for s in range(len(S)) if tab[tab[e, s], d] == s]
+            eSd = int((tab[tab[e], d] == np.arange(len(S))).sum())
             rep.add(f"hom_count_{S.names[d]}_{S.names[e]}",
-                    "ok" if len(homs) == len(eSd) else "fail",
-                    f"{len(homs)}={len(eSd)}")
+                    "ok" if len(homs) == eSd else "fail", f"{len(homs)}={eSd}")
     if any(s == "fail" for (_c, s, _v) in rep.details):
         rep.verdict = "fail"
     return rep

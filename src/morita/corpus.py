@@ -8,10 +8,11 @@ import random
 
 import numpy as np
 
-from ._util import congruence
+from ._util import congruence, ragged
 from .actions import (
     Presheaf,
     R_of,
+    _flatten,
     coproduct_action,
     empty_action,
     munn_action,
@@ -32,7 +33,6 @@ from .semigroups import (
     cyclic_group,
     group_with_zero,
     idempotents,
-    natural_order,
     restrict_inverse,
     subsemigroup_closure,
     symmetric_inverse_monoid,
@@ -105,7 +105,12 @@ def seeded_mutants(seed: int, count: int) -> list:
 
 
 def axiom_violations(S: FiniteSemigroup, star=None) -> list:
-    """Names of the axiom checks a (possibly corrupted) table fails."""
+    """Names of the axiom checks a (possibly corrupted) table fails.
+
+    The natural order is not tested: once the table is associative and
+    `as_inverse` accepts it, it is an inverse semigroup, whose natural order
+    is always a partial order.
+    """
     bad = []
     if assoc_witness(S) is not None:
         bad.append("associativity")
@@ -117,9 +122,6 @@ def axiom_violations(S: FiniteSemigroup, star=None) -> list:
         return bad
     if star is not None and not np.array_equal(inv.star, star):
         bad.append("inverse_uniqueness")
-    leq = natural_order(inv.table, inv.star)
-    if (leq & leq.T & ~np.eye(len(S), dtype=bool)).any():
-        bad.append("natural_order_antisymmetry")
     return bad
 
 
@@ -214,42 +216,47 @@ def sample_presheaves(reps: list, seed: int, count: int) -> list:
 
 
 def coproduct_presheaf(site: FiniteCategory, parts) -> Presheaf:
-    fibers, maps = [], []
-    for o in range(site.n_objects):
-        fib = []
-        for k, P in enumerate(parts):
-            fib.extend(f"c{k}_{lbl}" for lbl in P.fibers[o])
-        fibers.append(tuple(fib))
-    for m in range(site.n_mor):
-        co, do = int(site.cod[m]), int(site.dom[m])
-        arr = []
-        off_d = 0
-        for P in parts:
-            arr.extend(int(v) + off_d for v in P.maps[m])
-            off_d += P.fiber_size(do)
-        maps.append(np.array(arr, dtype=np.int64))
-    return Presheaf(site, tuple(fibers), tuple(maps))
+    """The disjoint union of presheaves on one site, part by part in each fiber.
+
+    Each part's values are shifted past the earlier parts' fibers over dom m;
+    the entries, read as runs in (part, m, i) order, are put in (m, part, i)
+    order by one stable sort on m and cut by per-morphism counts.
+    """
+    flats = [_flatten(P) for P in parts]
+    nfib = np.array([np.diff(f[2]) for f in flats], dtype=np.int64)
+    nfib = nfib.reshape(len(parts), site.n_objects)
+    shift = np.cumsum(nfib, axis=0) - nfib    # the earlier parts' fibers over o
+    lens = nfib[:, site.cod]                  # P(m) maps the fiber over cod m
+    part, m = np.divmod(ragged(lens.ravel())[0], site.n_mor)
+    vals = np.concatenate([f[3] for f in flats] + [np.zeros(0, dtype=np.int64)])
+    vals = (vals + shift[part, site.dom[m]])[np.argsort(m, kind="stable")]
+    cut = np.cumsum(lens.sum(axis=0))[:-1]
+    fibers = tuple(tuple(f"c{k}_{lbl}" for k, P in enumerate(parts) for lbl in P.fibers[o])
+                   for o in range(site.n_objects))
+    return Presheaf(site, fibers, tuple(np.split(vals, cut)))
 
 
 def quotient_presheaf(P: Presheaf, idents) -> Presheaf:
     """Quotient by identifications (object, i, j), closed under transitions.
 
-    Element i of P(o) is node off[o] + i, which is the (o, i) order.
+    Element i of P(o) is node off[o] + i, which is the (o, i) order.  Every
+    entry (m, i) of the maps is one step of `move`, and the transitions of
+    the quotient are read, and tested for well-definedness, over all of
+    them at once.
     """
     site = P.site
     k = site.n_objects
-    nfib = np.array([P.fiber_size(o) for o in range(k)], dtype=np.int64)
-    off = np.concatenate([[0], np.cumsum(nfib)])
+    obj, _idx, off, flat, map_off = _flatten(P)
     n = int(off[-1])
+    m, i = ragged(np.diff(map_off))
+    v = off[site.cod[m]] + i                  # the node moved by entry (m, i)
+    image = off[site.dom[m]] + flat
     # move[v, m]: the image of node v under P(m), -1 off the fiber over cod m
     move = np.full((n, site.n_mor), -1, dtype=np.int64)
-    for m in range(site.n_mor):
-        co, do = int(site.cod[m]), int(site.dom[m])
-        move[off[co]:off[co + 1], m] = off[do] + P.maps[m]
+    move[v, m] = image
     idents = np.asarray(idents, dtype=np.int64).reshape(-1, 3)
     base = off[idents[:, 0]]
     root, cls = congruence(n, base + idents[:, 1], base + idents[:, 2], move)
-    obj = np.repeat(np.arange(k), nfib)
     across = np.flatnonzero(obj[root] != obj)
     if len(across):
         raise InvariantBroken("identified elements across fibers",
@@ -262,11 +269,11 @@ def quotient_presheaf(P: Presheaf, idents) -> Presheaf:
         tuple(P.fibers[o][r] for r in (reps[first[o]:first[o + 1]] - off[o]).tolist())
         for o in range(k)
     )
-    maps = []
-    for m in range(site.n_mor):
-        co = int(site.cod[m])
-        val = local[move[off[co]:off[co + 1], m]]
-        if not np.array_equal(val, val[root[off[co]:off[co + 1]] - off[co]]):
-            raise InvariantBroken("quotient transition not well-defined", witness=m)
-        maps.append(val[reps[first[co]:first[co + 1]] - off[co]])
-    return Presheaf(site, fibers, tuple(maps))
+    val = local[image]
+    bad = np.flatnonzero(val != local[move[root[v], m]])
+    if len(bad):
+        raise InvariantBroken("quotient transition not well-defined",
+                              witness=int(m[bad[0]]))
+    keep = root[v] == v
+    cut = np.cumsum(np.bincount(m[keep], minlength=site.n_mor))[:-1]
+    return Presheaf(site, fibers, tuple(np.split(val[keep], cut)))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from morita._util import congruence
 from morita.actions import (
     EtaleAction,
     Presheaf,
@@ -614,6 +615,87 @@ def loop_unit_iso_check(P: Presheaf) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def loop_is_unitary(X: RightAction) -> bool:
+    """Every point is in the image of the action, read into a Python set."""
+    hit = set(int(v) for v in X.act.ravel())
+    return hit == set(range(len(X)))
+
+
+def loop_munn_action(S: InverseSemigroup) -> EtaleAction:
+    """E(S) with e.s = s*es, one cell of the action at a time."""
+    E = idempotents(S)
+    pos = {e: i for i, e in enumerate(E)}
+    tab, star = S.table, S.star
+    act = np.empty((len(E), len(S)), dtype=np.int64)
+    for i, e in enumerate(E):
+        for s in range(len(S)):
+            act[i, s] = pos[int(tab[tab[star[s], e], s])]
+    base = RightAction(tuple(S.names[e] for e in E), S, act,
+                       {"kind": "munn", "elt_of_point": tuple(E)})
+    return EtaleAction(base, np.array(E, dtype=np.int64))
+
+
+def loop_eSd(S: FiniteSemigroup, e: int, d: int) -> list:
+    """The elements s with (es)d = s, the set `psh-equiv` counts homs dS -> eS by."""
+    tab = S.table
+    return [s for s in range(len(S)) if tab[tab[e, s], d] == s]
+
+
+def loop_coproduct_presheaf(site: FiniteCategory, parts) -> Presheaf:
+    """The disjoint union of presheaves, one morphism and one value at a time."""
+    fibers, maps = [], []
+    for o in range(site.n_objects):
+        fib = []
+        for k, P in enumerate(parts):
+            fib.extend(f"c{k}_{lbl}" for lbl in P.fibers[o])
+        fibers.append(tuple(fib))
+    for m in range(site.n_mor):
+        do = int(site.dom[m])
+        arr = []
+        off_d = 0
+        for P in parts:
+            arr.extend(int(v) + off_d for v in P.maps[m])
+            off_d += P.fiber_size(do)
+        maps.append(np.array(arr, dtype=np.int64))
+    return Presheaf(site, tuple(fibers), tuple(maps))
+
+
+def loop_quotient_presheaf(P: Presheaf, idents) -> Presheaf:
+    """Quotient by identifications (object, i, j), one morphism at a time."""
+    site = P.site
+    k = site.n_objects
+    nfib = np.array([P.fiber_size(o) for o in range(k)], dtype=np.int64)
+    off = np.concatenate([[0], np.cumsum(nfib)])
+    n = int(off[-1])
+    move = np.full((n, site.n_mor), -1, dtype=np.int64)
+    for m in range(site.n_mor):
+        co, do = int(site.cod[m]), int(site.dom[m])
+        move[off[co]:off[co + 1], m] = off[do] + P.maps[m]
+    idents = np.asarray(idents, dtype=np.int64).reshape(-1, 3)
+    base = off[idents[:, 0]]
+    root, cls = congruence(n, base + idents[:, 1], base + idents[:, 2], move)
+    obj = np.repeat(np.arange(k), nfib)
+    across = np.flatnonzero(obj[root] != obj)
+    if len(across):
+        raise InvariantBroken("identified elements across fibers",
+                              witness=(int(root[across[0]]), int(across[0])))
+    reps = np.flatnonzero(root == np.arange(n))
+    first = np.searchsorted(reps, off)
+    local = cls - first[obj]
+    fibers = tuple(
+        tuple(P.fibers[o][r] for r in (reps[first[o]:first[o + 1]] - off[o]).tolist())
+        for o in range(k)
+    )
+    maps = []
+    for m in range(site.n_mor):
+        co = int(site.cod[m])
+        val = local[move[off[co]:off[co + 1], m]]
+        if not np.array_equal(val, val[root[off[co]:off[co + 1]] - off[co]]):
+            raise InvariantBroken("quotient transition not well-defined", witness=m)
+        maps.append(val[reps[first[co]:first[co + 1]] - off[co]])
+    return Presheaf(site, fibers, tuple(maps))
 
 
 def loop_action_homs(X: RightAction, Y: RightAction) -> list:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -61,19 +63,87 @@ def test_unitary(chain2, b12):
     assert not is_unitary(orphan_action(chain2))
 
 
-def test_tensor_and_closed(chain2, b12, small_corpus):
+def test_tensor_and_closed(chain2, b12):
     for e in idempotents(b12):
         t = tensor_with_S(principal_action(b12, e))
         assert t.surjective and t.injective
     t = tensor_with_S(orphan_action(chain2))
     assert not t.surjective
     assert not is_closed(orphan_action(chain2))
-    # for inverse semigroups closed and unitary agree on every sample
-    from morita.corpus import sample_closed_actions
 
-    for S in small_corpus:
-        for X in sample_closed_actions(S, 3, 6) + [orphan_action(S)]:
-            assert is_closed(X) == is_unitary(X)
+
+def _sub_action(X, x):
+    """The sub-action of X on x and its orbit x.S."""
+    pts = np.unique(np.concatenate(([x], X.act[x])))
+    point = np.full(len(X), -1, dtype=np.int64)
+    point[pts] = np.arange(len(pts))
+    return RightAction(tuple(X.carrier[p] for p in pts), X.sgrp, point[X.act[pts]])
+
+
+def _all_actions(S, n):
+    """Every action of S on n points: the tables that satisfy the action law."""
+    ns = len(S)
+    tables = np.array(list(itertools.product(range(n), repeat=n * ns)),
+                      dtype=np.int64).reshape(-1, n, ns)
+    k = np.arange(len(tables))[:, None, None, None]
+    law = tables[k, tables[..., None], np.arange(ns)] == tables[:, :, S.table]
+    return [RightAction(tuple(range(n)), S, a) for a in tables[law.all(axis=(1, 2, 3))]]
+
+
+def test_closed_is_the_tensor_test_on_inverse_semigroups():
+    # is_closed reads unitarity on an inverse semigroup; the tensor decides
+    # closedness from its definition, on closed and non-unitary actions alike
+    from morita.corpus import (
+        builtin_corpus,
+        random_inverse_subsemigroups,
+        sample_closed_actions,
+    )
+
+    members = [S for _name, S in builtin_corpus()]
+    randoms = random_inverse_subsemigroups(5, 8)
+    outcomes, exhaustive = set(), 0
+    for k, S in enumerate(members + randoms):
+        samples = sample_closed_actions(S, 3, 4) + [orphan_action(S), empty_action(S)]
+        samples.append(coproduct_action([samples[0], orphan_action(S)]))
+        samples += [_sub_action(X, x) for X in samples for x in range(len(X))]
+        if k < len(members) and len(S) <= 3:
+            small = [X for n in (1, 2, 3) for X in _all_actions(S, n)]
+            exhaustive += len(small)
+            samples += small
+        for X in samples:
+            t, closed = tensor_with_S(X), is_closed(X)
+            assert closed == (t.surjective and t.injective) == is_unitary(X)
+            outcomes.add(closed)
+    # every action on 1 to 3 points of the 9 members of order at most 3
+    assert outcomes == {True, False} and exhaustive == 291
+
+
+def test_is_closed_raises_on_a_non_action(b12):
+    from morita.actions import action_law_witness
+
+    X = regular_action(b12)
+    act = X.act.copy()
+    act[1, 2] = (act[1, 2] + 1) % len(X)
+    Xm = RightAction(X.carrier, b12, act)
+    bad = action_law_witness(Xm)
+    assert bad is not None
+    with pytest.raises(InvariantBroken) as exc:
+        is_closed(Xm)
+    assert exc.value.witness == bad
+
+
+def test_closed_differs_from_unitary_without_inverses():
+    # a and b are left identities, so no edge joins q (x) a or q (x) b to
+    # another node: two classes over q
+    from morita.semigroups import FiniteSemigroup, local_unit_flags
+
+    S = FiniteSemigroup(("z", "a", "b"), np.array([[0, 0, 0], [0, 1, 2], [0, 1, 2]]))
+    X = RightAction(("p", "q"), S, np.array([[0, 0, 0], [0, 1, 1]]))
+    assert local_unit_flags(S).right_local_units
+    assert check_action(X) and is_unitary(X)
+    t = tensor_with_S(X)
+    assert t.surjective and not t.injective
+    assert not is_closed(X)
 
 
 def test_munn(chain2, b12):
@@ -621,6 +691,39 @@ def test_colimits_match_union_find_reference():
             assert list(res.beta) == betas
 
 
+def test_presheaf_coproduct_and_quotient_match_loops():
+    import random
+
+    from morita.corpus import coproduct_presheaf, quotient_presheaf, sample_presheaves
+    from reference_loops import loop_coproduct_presheaf, loop_quotient_presheaf
+
+    def outcome(P):
+        return (P.fibers, [m.tolist() for m in P.maps], [m.dtype for m in P.maps])
+
+    rng = random.Random(6)
+    for S in _reference_cases():
+        C = C_of(S)
+        reps = _representables(S, C)
+        for P in sample_presheaves(reps, 4, 2):
+            parts = [P] + [reps[rng.randrange(len(reps))] for _ in range(2)]
+            Q = coproduct_presheaf(C, parts)
+            assert outcome(Q) == outcome(loop_coproduct_presheaf(C, parts))
+            # the presheaf and mutants of it with 1 to 3 entries changed
+            for changes in range(4):
+                maps = [m.copy() for m in Q.maps]
+                for _ in range(changes):
+                    m = rng.randrange(C.n_mor)
+                    if len(maps[m]):
+                        size = len(Q.fibers[int(C.dom[m])])
+                        maps[m][rng.randrange(len(maps[m]))] = rng.randrange(size)
+                Qm = Presheaf(C, Q.fibers, tuple(maps))
+                idents = [(o, rng.randrange(len(Q.fibers[o])), rng.randrange(len(Q.fibers[o])))
+                          for o in (rng.randrange(C.n_objects) for _ in range(2))
+                          if Q.fibers[o]]
+                assert (outcome(quotient_presheaf(Qm, idents))
+                        == outcome(loop_quotient_presheaf(Qm, idents)))
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(0, 20))
@@ -827,6 +930,8 @@ def test_psh_equiv_array_passes_match_loops():
     from reference_loops import (
         loop_action_homs,
         loop_fiber_presheaf,
+        loop_is_unitary,
+        loop_munn_action,
         loop_principal_action,
         loop_unit_iso_check,
     )
@@ -843,7 +948,10 @@ def test_psh_equiv_array_passes_match_loops():
             X, ref = principal_action(S, e), loop_principal_action(S, e)
             assert X.carrier == ref.carrier and X.act.tolist() == ref.act.tolist()
             assert X.extra == ref.extra
+        _assert_same_etale(munn_action(S), loop_munn_action(S))
         actions = sample_closed_actions(S, 5, 3 if big else 5) + [empty_action(S)]
+        for X in actions + [orphan_action(S)]:
+            assert is_unitary(X) is loop_is_unitary(X)
         for X in actions:
             member = X.act[:, obj_elt].T == np.arange(len(X))
             _assert_same_presheaf(_fiber_presheaf(C, X, member),

@@ -113,6 +113,38 @@ def test_psh_equiv_builds_each_Q_once(corpus_dir, capsys, monkeypatch):
         assert n_E == 3 and len(built) == n_E + samples
 
 
+def test_psh_equiv_never_builds_the_tensor(corpus_dir, capsys, monkeypatch):
+    # an action of an inverse semigroup is closed when it is unitary, so
+    # no Q_of reaches the colimit X (x) S
+    from morita import actions
+
+    def refuse(X):
+        raise RuntimeError("tensor_with_S called on an inverse semigroup")
+    monkeypatch.setattr(actions, "tensor_with_S", refuse)
+    for name in ("brandt_c2_2", "syminv2"):
+        rc, out = run(capsys, ["psh-equiv", str(corpus_dir / f"{name}.smg"),
+                               "--samples", "5"])
+        assert rc == 0 and "verdict=pass" in out
+
+
+def test_psh_equiv_hom_counts_match_the_loop(tmp_path, capsys):
+    import re
+
+    from morita import corpus, formats
+    from morita.categories import C_of
+    from reference_loops import loop_eSd
+
+    cases = corpus.builtin_corpus() + [
+        (f"random{i}", S) for i, S in enumerate(corpus.random_inverse_subsemigroups(11, 6))]
+    for name, S in cases:
+        path = tmp_path / f"{name}.smg"
+        path.write_text(formats.dump_semigroup(S), encoding="utf-8")
+        rc, out = run(capsys, ["psh-equiv", str(path), "--samples", "0"])
+        E = C_of(S).extra["obj_elt"]
+        counts = re.findall(r"check=hom_count_\S+ status=ok value=\d+=(\d+)", out)
+        assert rc == 0 and counts == [str(len(loop_eSd(S, e, d))) for d in E for e in E]
+
+
 def test_json_format(corpus_dir, capsys):
     rc, out = run(capsys, ["--format", "json", "analyze",
                            str(corpus_dir / "chain2.smg")])
