@@ -64,6 +64,7 @@ from .actions import (
     principal_action,
     tensor_with_S,
     unit_iso_check,
+    unit_iso_checks,
 )
 from .groupoids import (
     InverseSemigroupoid,

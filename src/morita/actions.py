@@ -82,15 +82,41 @@ class EtaleAction:
         return f"EtaleAction(points={len(self.base)}, sgrp_n={len(self.sgrp)})"
 
 
-@dataclass(eq=False)
 class Presheaf:
-    site: FiniteCategory
-    fibers: tuple               # per object: tuple of element labels
-    maps: tuple                 # per morphism f: P(cod f) -> P(dom f), as arrays
+    """A presheaf on a finite site: per object a fiber of element labels,
+    per morphism f a map P(f): P(cod f) -> P(dom f).
 
-    def __post_init__(self):
-        self.fibers = tuple(tuple(f) for f in self.fibers)
-        self.maps = tuple(np.ascontiguousarray(m, dtype=np.int64) for m in self.maps)
+    The maps are stored flat and read-only: P(f) is
+    values[map_off[f]:map_off[f + 1]].  `Presheaf(site, fibers, maps)` takes
+    one array per morphism and concatenates them; the constructions of this
+    module build the flat form directly with `from_flat`, and `maps` cuts
+    the per-morphism arrays from it only when it is read.
+    """
+
+    def __init__(self, site: FiniteCategory, fibers, maps):
+        maps = [np.asarray(m, dtype=np.int64).ravel() for m in maps]
+        map_off = np.concatenate([[0], np.cumsum([len(m) for m in maps], dtype=np.int64)])
+        self._set(site, fibers, np.concatenate([*maps, np.zeros(0, dtype=np.int64)]),
+                  map_off)
+
+    @classmethod
+    def from_flat(cls, site: FiniteCategory, fibers, values, map_off) -> "Presheaf":
+        P = cls.__new__(cls)
+        P._set(site, fibers, values, map_off)
+        return P
+
+    def _set(self, site, fibers, values, map_off):
+        self.site = site
+        self.fibers = tuple(tuple(f) for f in fibers)
+        self.values = np.ascontiguousarray(values, dtype=np.int64)
+        self.map_off = np.ascontiguousarray(map_off, dtype=np.int64)
+        self.values.setflags(write=False)
+        self.map_off.setflags(write=False)
+
+    @cached_property
+    def maps(self) -> tuple:
+        off = self.map_off.tolist()
+        return tuple(self.values[a:b] for a, b in zip(off, off[1:]))
 
     def fiber_size(self, o: int) -> int:
         return len(self.fibers[o])
@@ -109,31 +135,37 @@ def check_action(X: RightAction) -> bool:
     return action_law_witness(X) is None
 
 
+def _out_of_fiber(P: Presheaf):
+    """The first morphism f with a value of P(f) outside P(dom f), or None.
+
+    One array test over the flat values; P has a fiber per object of its
+    site and a map per morphism.
+    """
+    nfib = np.array([len(f) for f in P.fibers], dtype=np.int64)
+    f = ragged(np.diff(P.map_off))[0]
+    bad = np.flatnonzero((P.values < 0) | (P.values >= nfib[P.site.dom[f]]))
+    return int(f[bad[0]]) if len(bad) else None
+
+
 def check_presheaf(P: Presheaf) -> bool:
     C = P.site
-    if len(P.fibers) != C.n_objects or len(P.maps) != C.n_mor:
+    if len(P.fibers) != C.n_objects or len(P.map_off) != C.n_mor + 1:
         return False
-    for m in range(C.n_mor):
-        arr = P.maps[m]
-        if len(arr) != P.fiber_size(int(C.cod[m])):
-            return False
-        if len(arr) and (arr.min() < 0
-                         or arr.max() >= P.fiber_size(int(C.dom[m]))):
-            return False
-    for o in range(C.n_objects):
-        m = P.maps[int(C.identity[o])]
-        if not np.array_equal(m, np.arange(len(m))):
-            return False
-    # functoriality P(g.f) = P(f) o P(g), one comparison per g over all its f,
-    # reading the maps from one concatenated array at their offsets
-    flat, off = _flatten(P)[3:]
+    obj, idx, fib_off, flat, off = _flatten(P)
     size = np.diff(off)
+    if not np.array_equal(size, np.diff(fib_off)[C.cod]):
+        return False
+    if _out_of_fiber(P) is not None:
+        return False
+    if not np.array_equal(flat[off[C.identity[obj]] + idx], idx):
+        return False
+    # functoriality P(g.f) = P(f) o P(g), one comparison per g over all its f
     for g in range(C.n_mor):
         f = np.flatnonzero(C.comp[g] >= 0)
         if not f.size:
             continue
         h = C.comp[g, f]
-        mg = P.maps[g]
+        mg = flat[off[g]:off[g + 1]]
         # on a site whose composites have the wrong endpoints the shapes differ
         if np.any(size[h] != len(mg)) or (len(mg) and mg.max() >= size[f].min()):
             return False
@@ -405,7 +437,7 @@ def _fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Presheaf:
     morphism m with payload (e, s, ...) maps the fiber over cod(m) = e into
     the fiber over dom(m) by acting with s.  P.pts keeps the point indices
     of each fiber.  All the maps come from one gather over (m, point of the
-    fiber over cod m) and are cut from it with slices.
+    fiber over cod m), which is the flat form of the presheaf.
     """
     flat = np.nonzero(member)[1]                   # the fibers, concatenated
     size = member.sum(axis=1)
@@ -419,10 +451,9 @@ def _fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Presheaf:
     xs = X.act[x, s_of[m]]
     if not member[site.dom[m], xs].all():
         raise InvariantBroken("a site morphism moves a point out of its fiber")
-    vals = rank[site.dom[m], xs]
-    maps = tuple(vals[moff[k]:moff[k + 1]] for k in range(site.n_mor))
     pts = tuple(tuple(flat[off[o]:off[o + 1]].tolist()) for o in range(len(size)))
-    P = Presheaf(site, tuple(tuple(X.carrier[x] for x in p) for p in pts), maps)
+    P = Presheaf.from_flat(site, tuple(tuple(X.carrier[x] for x in p) for p in pts),
+                           rank[site.dom[m], xs], moff)
     P.pts = pts
     return P
 
@@ -487,11 +518,13 @@ def Q_of(X: RightAction, site: FiniteCategory = None) -> Presheaf:
 class ColimitActionResult:
     """Q_!(P) with its unit P -> Q(Q_!(P)) as an array.
 
-    points[k] is the image of element k of P, in (o, i) order; elements is
+    points[k] is the image of element k of P, in (o, i) order; origin[w] is
+    the element of P under the least node of point w; elements is
     `_flatten(P)`.
     """
     action: RightAction
     points: np.ndarray
+    origin: np.ndarray
     elements: tuple = field(repr=False)
 
     @cached_property
@@ -502,19 +535,16 @@ class ColimitActionResult:
 
 
 def _flatten(P: Presheaf):
-    """The elements (o, i) of P in (o, i) order and its maps, as flat arrays.
+    """The elements (o, i) of P in (o, i) order and its flat maps.
 
-    Returns (obj, idx, fib_off, flat, map_off): element k is (obj[k],
+    Returns (obj, idx, fib_off, values, map_off): element k is (obj[k],
     idx[k]) and (o, i) is element fib_off[o] + i; P.maps[m] is
-    flat[map_off[m]:map_off[m + 1]].
+    values[map_off[m]:map_off[m + 1]].
     """
     nfib = np.array([len(f) for f in P.fibers], dtype=np.int64)
     fib_off = np.concatenate([[0], np.cumsum(nfib)])
     obj, idx = ragged(nfib)
-    lens = np.array([len(m) for m in P.maps], dtype=np.int64)
-    map_off = np.concatenate([[0], np.cumsum(lens)])
-    flat = np.concatenate((*P.maps, np.zeros(0, dtype=np.int64)))
-    return obj, idx, fib_off, flat, map_off
+    return obj, idx, fib_off, P.values, P.map_off
 
 
 def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
@@ -523,8 +553,10 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     A node is a pair (element i of P(o), u in eS) for e the idempotent of o,
     numbered node_off[o] + i * |eS| + (rank of u in eS), which is the
     (element, u) order.  Each site morphism a: f -> e joins
-    (i, au) to (P(a)(i), u) for every i in P(e) and u in fS; the edges of
-    all the morphisms come from one pass over (m, i, rank of u).
+    (i, au) to (P(a)(i), u) for every i in P(e) and u in fS.  The edges come
+    in (a, i, rank of u) order from one pass over the entries (a, i) of the
+    flat maps; the rank of au in eS depends on (a, u) alone and is read from
+    a table with one row per morphism.
 
     The class action is an action whatever the maps of P are, so it is not
     checked: the edge (i, au) ~ (P(a)(i), u) gives, for t in S, the edge
@@ -545,13 +577,20 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     nfib = np.diff(fib_off)
     node_off = np.concatenate([[0], np.cumsum(nfib * size)])
     co, do = C.cod, C.dom
-    a_of = C._payload_array[:, 1]
-    lens = nfib[co] * size[do]
-    m, k = ragged(lens)
-    i, r = np.divmod(k, size[do[m]])
-    cm, dm = co[m], do[m]
-    a = node_off[cm] + i * size[cm] + rank[cm, tab[a_of[m], elt[dm, r]]]
-    b = node_off[dm] + flat[map_off[m] + i] * size[dm] + r
+    # rank of au in eS for each site morphism a: f -> e and u in fS, at
+    # au_off[a] + (rank of u in fS)
+    m, r = ragged(size[do])
+    au_off = np.concatenate([[0], np.cumsum(size[do])])
+    au = rank[co[m], tab[C._payload_array[m, 1], elt[do[m], r]]]
+    # the edges of entry (m, i) of the maps, one per rank r of u in fS
+    m, i = ragged(nfib[co])
+    a_base = node_off[co[m]] + i * size[co[m]]
+    b_base = node_off[do[m]] + flat[map_off[m] + i] * size[do[m]]
+    entry, r = ragged(size[do[m]])
+    a = a_base[entry] + au[au_off[m][entry] + r]
+    b = b_base[entry] + r
+    # the per-edge temporaries go before the components pass, the peak
+    del entry, r
     n = int(node_off[-1])
     root, cls = components(n, a, b)
     reps = np.flatnonzero(root == np.arange(n))
@@ -562,7 +601,7 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     X = RightAction(tuple(f"q{c}" for c in range(len(reps))), S, act,
                     {"kind": "q_shriek"})
     unit = cls[node_off[obj] + idx * size[obj] + rank[obj, Ea[obj]]]
-    return ColimitActionResult(X, unit, elements)
+    return ColimitActionResult(X, unit, fib_off[o] + i, elements)
 
 
 def Q_shriek(P: Presheaf) -> RightAction:
@@ -575,27 +614,101 @@ def Q_shriek(P: Presheaf) -> RightAction:
     return res.action
 
 
+def coproduct_presheaf(site: FiniteCategory, parts) -> Presheaf:
+    """The disjoint union of presheaves on one site, part by part in each fiber.
+
+    Each part's values are shifted past the earlier parts' fibers over dom m;
+    the entries, read as runs in (part, m, i) order, are put in (m, part, i)
+    order by one stable sort on m, which is the flat form of the union.  A
+    value outside its fiber would land in another part once shifted, so it
+    raises `InvariantBroken` naming its morphism.
+    """
+    parts = list(parts)
+    for P in parts:
+        bad = _out_of_fiber(P)
+        if bad is not None:
+            raise InvariantBroken("a presheaf map leaves the fiber over its domain",
+                                  witness=bad)
+    nfib = np.array([[len(f) for f in P.fibers] for P in parts], dtype=np.int64)
+    nfib = nfib.reshape(len(parts), site.n_objects)
+    shift = np.cumsum(nfib, axis=0) - nfib    # the earlier parts' fibers over o
+    lens = np.array([np.diff(P.map_off) for P in parts], dtype=np.int64)
+    lens = lens.reshape(len(parts), site.n_mor)
+    part, m = np.divmod(ragged(lens.ravel())[0], site.n_mor)
+    vals = np.concatenate([P.values for P in parts] + [np.zeros(0, dtype=np.int64)])
+    vals = (vals + shift[part, site.dom[m]])[np.argsort(m, kind="stable")]
+    fibers = tuple(tuple(f"c{k}_{lbl}" for k, P in enumerate(parts) for lbl in P.fibers[o])
+                   for o in range(site.n_objects))
+    return Presheaf.from_flat(site, fibers, vals,
+                              np.concatenate([[0], np.cumsum(lens.sum(axis=0))]))
+
+
+# the most colimit edges one pass of `unit_iso_checks` joins: the pass's
+# arrays grow with them, and a presheaf with more is a pass of its own
+_PASS_EDGES = 2**20
+
+
+def unit_iso_checks(presheaves) -> list:
+    """`unit_iso_check` of each presheaf on one site C(S), one colimit per pass.
+
+    A pass runs `q_shriek_with_unit` once on the coproduct of consecutive
+    presheaves, with at most _PASS_EDGES colimit edges between them.  No
+    edge crosses parts: an edge joins a node over element i of P(e) to a
+    node over P(a)(i), and the coproduct keeps P(a)(i) in i's part
+    (`coproduct_presheaf` refuses values outside their fibers).  So each
+    point of the colimit lies over exactly one part, the colimit is the
+    coproduct of the parts' colimits, and the unit of the coproduct is the
+    unit of each part.  A part passes exactly when no point over it fails
+    the test of `unit_iso_check`.
+    """
+    presheaves = list(presheaves)
+    if not presheaves:
+        return []
+    C = presheaves[0].site
+    S = _expect_site(presheaves[0], "C")
+    if any(P.site is not C for P in presheaves):
+        raise WrongSite("unit checks in one pass need a common site")
+    Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
+    size = (S.table[Ea] == np.arange(len(S))).sum(axis=1)
+    nfib = np.array([[len(f) for f in P.fibers] for P in presheaves], dtype=np.int64)
+    # P joins |P(e)| * |fS| edges for each site morphism f -> e
+    edges = (nfib.reshape(len(presheaves), C.n_objects)[:, C.cod] * size[C.dom]).sum(axis=1)
+    passes, total = [[]], 0
+    for P, k in zip(presheaves, edges.tolist()):
+        if passes[-1] and total + k > _PASS_EDGES:
+            passes.append([])
+            total = 0
+        passes[-1].append(P)
+        total += k
+    return [v for parts in passes for v in _unit_iso_pass(C, Ea, parts)]
+
+
+def _unit_iso_pass(C: FiniteCategory, Ea, parts) -> list:
+    """The verdicts of `unit_iso_checks` on parts, from one colimit."""
+    res = q_shriek_with_unit(coproduct_presheaf(C, parts))
+    X, unit = res.action, res.points
+    n = len(X)
+    hits = np.bincount(res.elements[0] * n + unit, minlength=C.n_objects * n)
+    bad = (hits.reshape(C.n_objects, n) != (X.act[:, Ea].T == np.arange(n))).any(axis=0)
+    # the coproduct's elements run over (o, part, i)
+    nfib = np.array([[len(f) for f in P.fibers] for P in parts], dtype=np.int64)
+    part = ragged(nfib.T.ravel())[0] % len(parts)
+    return (np.bincount(part[res.origin[bad]], minlength=len(parts)) == 0).tolist()
+
+
 def unit_iso_check(P: Presheaf) -> bool:
     """The unit P -> Q(Q_!(P)) is a natural bijection.
 
     Bijective onto each Xe: over every object o with idempotent e, each
     point w is hit by the unit exactly as often as the mask we = w says
-    (once or never).
+    (once or never).  This is the one-presheaf case of `unit_iso_checks`.
 
     Naturality holds by construction and is not tested: for a site
     morphism m with payload (e, s, f), the colimit edge of m at u = f joins
     (i, sf) = (i, s) to (P(m)(i), f), so unit(P(m)(i)) = [P(m)(i), f] =
     [i, s] = unit(i) . s for every i in P(e).
     """
-    C = P.site
-    res = q_shriek_with_unit(P)
-    X, unit = res.action, res.points
-    obj = res.elements[0]
-    n = len(X)
-    Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
-    hits = np.bincount(obj * n + unit, minlength=C.n_objects * n)
-    return bool(np.array_equal(hits.reshape(C.n_objects, n),
-                               X.act[:, Ea].T == np.arange(n)))
+    return unit_iso_checks([P])[0]
 
 
 # -- maps between actions and presheaves, by one orbit search -------------------

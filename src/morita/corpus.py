@@ -13,7 +13,9 @@ from .actions import (
     Presheaf,
     R_of,
     _flatten,
+    _out_of_fiber,
     coproduct_action,
+    coproduct_presheaf,
     empty_action,
     munn_action,
     principal_action,
@@ -21,7 +23,6 @@ from .actions import (
     quotient_action,
     regular_action,
 )
-from .categories import FiniteCategory
 from .errors import InvariantBroken, MoritaError
 from .semigroups import (
     FiniteSemigroup,
@@ -215,35 +216,26 @@ def sample_presheaves(reps: list, seed: int, count: int) -> list:
     return out[:count]
 
 
-def coproduct_presheaf(site: FiniteCategory, parts) -> Presheaf:
-    """The disjoint union of presheaves on one site, part by part in each fiber.
-
-    Each part's values are shifted past the earlier parts' fibers over dom m;
-    the entries, read as runs in (part, m, i) order, are put in (m, part, i)
-    order by one stable sort on m and cut by per-morphism counts.
-    """
-    flats = [_flatten(P) for P in parts]
-    nfib = np.array([np.diff(f[2]) for f in flats], dtype=np.int64)
-    nfib = nfib.reshape(len(parts), site.n_objects)
-    shift = np.cumsum(nfib, axis=0) - nfib    # the earlier parts' fibers over o
-    lens = nfib[:, site.cod]                  # P(m) maps the fiber over cod m
-    part, m = np.divmod(ragged(lens.ravel())[0], site.n_mor)
-    vals = np.concatenate([f[3] for f in flats] + [np.zeros(0, dtype=np.int64)])
-    vals = (vals + shift[part, site.dom[m]])[np.argsort(m, kind="stable")]
-    cut = np.cumsum(lens.sum(axis=0))[:-1]
-    fibers = tuple(tuple(f"c{k}_{lbl}" for k, P in enumerate(parts) for lbl in P.fibers[o])
-                   for o in range(site.n_objects))
-    return Presheaf(site, fibers, tuple(np.split(vals, cut)))
-
-
 def quotient_presheaf(P: Presheaf, idents) -> Presheaf:
     """Quotient by identifications (object, i, j), closed under transitions.
 
     Element i of P(o) is node off[o] + i, which is the (o, i) order.  Every
     entry (m, i) of the maps is one step of `move`, and the transitions of
-    the quotient are read, and tested for well-definedness, over all of
-    them at once.
+    the quotient are read over all of them at once, in the flat form.
+
+    A map value outside the fiber over its domain raises `InvariantBroken`
+    naming its morphism before `congruence` runs.  Past that test and the
+    test for identifications across fibers, the transitions are well
+    defined and are not tested again: a node v and its root r share a fiber,
+    so every P(m) that moves v moves r, and `congruence` returns only at a
+    partition that joins move[v, m] to move[r, m].  Identifications that
+    name an element past the end of a fiber still reach another fiber, and
+    the across-fibers test catches them.
     """
+    bad = _out_of_fiber(P)
+    if bad is not None:
+        raise InvariantBroken("a presheaf map leaves the fiber over its domain",
+                              witness=bad)
     site = P.site
     k = site.n_objects
     obj, _idx, off, flat, map_off = _flatten(P)
@@ -269,11 +261,6 @@ def quotient_presheaf(P: Presheaf, idents) -> Presheaf:
         tuple(P.fibers[o][r] for r in (reps[first[o]:first[o + 1]] - off[o]).tolist())
         for o in range(k)
     )
-    val = local[image]
-    bad = np.flatnonzero(val != local[move[root[v], m]])
-    if len(bad):
-        raise InvariantBroken("quotient transition not well-defined",
-                              witness=int(m[bad[0]]))
     keep = root[v] == v
-    cut = np.cumsum(np.bincount(m[keep], minlength=site.n_mor))[:-1]
-    return Presheaf(site, fibers, tuple(np.split(val[keep], cut)))
+    map_off = np.concatenate([[0], np.cumsum(np.bincount(m[keep], minlength=site.n_mor))])
+    return Presheaf.from_flat(site, fibers, local[image[keep]], map_off)

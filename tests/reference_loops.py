@@ -20,10 +20,12 @@ from morita.actions import (
     check_action,
     check_etale,
     presheaf_nats,
+    principal_action,
     q_shriek_with_unit,
 )
 from morita.bisets import EquivalenceBiset, verify_biset
 from morita.categories import (
+    C_of,
     FiniteCategory,
     Functor,
     _joint_invariants,
@@ -615,6 +617,29 @@ def loop_unit_iso_check(P: Presheaf) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def loop_unit_iso_checks(presheaves) -> list:
+    """`unit_iso_check` of each presheaf, one colimit per presheaf."""
+    out = []
+    for P in presheaves:
+        C = P.site
+        res = q_shriek_with_unit(P)
+        X, unit = res.action, res.points
+        n = len(X)
+        Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
+        hits = np.bincount(res.elements[0] * n + unit, minlength=C.n_objects * n)
+        out.append(bool(np.array_equal(hits.reshape(C.n_objects, n),
+                                       X.act[:, Ea].T == np.arange(n))))
+    return out
+
+
+def loop_hom_counts(S: InverseSemigroup) -> list:
+    """|hom(dS, eS)| for the objects d, e of C(S) in (d, e) order, one
+    orbit search per pair."""
+    E = C_of(S).extra["obj_elt"]
+    principal = {e: principal_action(S, e) for e in E}
+    return [len(action_homs(principal[d], principal[e])) for d in E for e in E]
 
 
 def loop_is_unitary(X: RightAction) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -42,6 +43,7 @@ from morita.actions import (
     tensor_with_S,
     unit_UR,
     unit_iso_check,
+    unit_iso_checks,
 )
 from morita.categories import C_of, L_of
 from morita.errors import InvariantBroken, NotClosed, WrongSite
@@ -985,6 +987,137 @@ def test_psh_equiv_array_passes_match_loops():
                 verdicts.add(got)
     assert hom_counts == {0, 1, 2}
     assert verdicts == {False, True}
+
+
+# -- unit checks: one colimit per pass against one per presheaf -----------------
+
+@functools.cache
+def _unit_check_cases():
+    """(S, C(S), the representables) for the corpus and random subsemigroups of I_3."""
+    from morita.corpus import builtin_corpus, random_inverse_subsemigroups
+
+    out = []
+    for S in ([S for _name, S in builtin_corpus()]
+              + random_inverse_subsemigroups(13, 12)):
+        C = C_of(S)
+        out.append((S, C, _representables(S, C)))
+    return out
+
+
+def _moved(P, rng, changes):
+    """P with `changes` entries moved to another element of their fiber, or None."""
+    C = P.site
+    movable = [m for m in range(C.n_mor)
+               if len(P.maps[m]) and P.fiber_size(int(C.dom[m])) >= 2]
+    if not movable:
+        return None
+    maps = [m.copy() for m in P.maps]
+    for _ in range(changes):
+        m = rng.choice(movable)
+        i = rng.randrange(len(maps[m]))
+        size = P.fiber_size(int(C.dom[m]))
+        maps[m][i] = (maps[m][i] + rng.randrange(1, size)) % size
+    return Presheaf(C, P.fibers, tuple(maps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, 2**16), seed=st.integers(0, 2**16), samples=st.integers(0, 5),
+       changes=st.integers(1, 6), where=st.integers(0, 2**16),
+       budget=st.sampled_from([1, 300, 2**20]))
+def test_unit_iso_checks_match_one_colimit_per_presheaf(case, seed, samples, changes,
+                                                        where, budget):
+    import random
+    from unittest import mock
+
+    from morita import actions
+    from morita.corpus import sample_presheaves
+    from reference_loops import loop_unit_iso_checks
+
+    cases = _unit_check_cases()
+    _S, C, reps = cases[case % len(cases)]
+    rng = random.Random(seed)
+    batch = reps + sample_presheaves(reps, seed, samples)
+    mutant = _moved(batch[where % len(batch)], rng, changes)
+    with mock.patch.object(actions, "_PASS_EDGES", budget):
+        assert unit_iso_checks(batch) == loop_unit_iso_checks(batch) == [True] * len(batch)
+        if mutant is None:
+            return
+        # one mutant among valid presheaves: only its own verdict can fail,
+        # and alone it is the one-presheaf check
+        alone = loop_unit_iso_checks([mutant])
+        k = where % (len(batch) + 1)
+        mixed = batch[:k] + [mutant] + batch[k:]
+        assert unit_iso_checks(mixed) == [True] * k + alone + [True] * (len(batch) - k)
+        assert unit_iso_checks([mutant]) == alone
+        assert unit_iso_check(mutant) is alone[0]
+
+
+def test_a_failing_mutant_fails_only_itself_in_its_pass():
+    import random
+
+    from morita.corpus import sample_presheaves
+    from reference_loops import loop_unit_iso_checks
+
+    rng = random.Random(17)
+    failed = 0
+    for _S, _C, reps in _unit_check_cases():
+        batch = reps + sample_presheaves(reps, 3, 3)
+        for _ in range(3):
+            mutant = _moved(batch[rng.randrange(len(batch))], rng, rng.randint(1, 6))
+            if mutant is None or loop_unit_iso_checks([mutant]) != [False]:
+                continue
+            assert not check_presheaf(mutant)
+            k = rng.randrange(len(batch) + 1)
+            verdicts = unit_iso_checks(batch[:k] + [mutant] + batch[k:])
+            assert verdicts == [True] * k + [False] + [True] * (len(batch) - k)
+            failed += 1
+    assert failed >= 10
+
+
+def test_maps_leaving_their_fiber_raise_before_the_closure():
+    # a map value past the end of its fiber names a node of another fiber;
+    # `congruence` could loop on it, raise IndexError or return a quotient,
+    # so the alarm turns a hang into a failure
+    import random
+    import signal
+
+    from morita.corpus import (
+        coproduct_presheaf,
+        quotient_presheaf,
+        random_inverse_subsemigroups,
+        sample_presheaves,
+    )
+
+    def hung(_signum, _frame):
+        raise TimeoutError("quotient_presheaf did not return")
+
+    rng = random.Random(15)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        for S in random_inverse_subsemigroups(3, 30):
+            C = C_of(S)
+            reps = _representables(S, C)
+            for P in sample_presheaves(reps, 1, 3):
+                Q = coproduct_presheaf(C, [P] + rng.sample(reps, min(2, len(reps))))
+                n = sum(len(f) for f in Q.fibers)
+                m = rng.choice([m for m in range(C.n_mor) if len(Q.maps[m])])
+                size = Q.fiber_size(int(C.dom[m]))
+                maps = [a.copy() for a in Q.maps]
+                past = size + rng.randrange(max(1, n - size))
+                maps[m][rng.randrange(len(maps[m]))] = rng.choice([-1, past])
+                Qm = Presheaf(C, Q.fibers, tuple(maps))
+                assert not check_presheaf(Qm)
+                o = rng.choice([o for o in range(C.n_objects) if Q.fibers[o]])
+                idents = [(o, rng.randrange(Q.fiber_size(o)), rng.randrange(Q.fiber_size(o)))]
+                for build in (lambda: quotient_presheaf(Qm, idents),
+                              lambda: coproduct_presheaf(C, [P, Qm])):
+                    with pytest.raises(InvariantBroken, match="leaves the fiber") as err:
+                        build()
+                    assert err.value.witness == m
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_action_law_witness_matches_the_loop_across_blocks():

@@ -128,11 +128,13 @@ def test_psh_equiv_never_builds_the_tensor(corpus_dir, capsys, monkeypatch):
 
 
 def test_psh_equiv_hom_counts_match_the_loop(tmp_path, capsys):
+    # one search per d over the sum of the eS, counted by summand, against
+    # one search per pair (d, e) and against |eSd|
     import re
 
     from morita import corpus, formats
     from morita.categories import C_of
-    from reference_loops import loop_eSd
+    from reference_loops import loop_eSd, loop_hom_counts
 
     cases = corpus.builtin_corpus() + [
         (f"random{i}", S) for i, S in enumerate(corpus.random_inverse_subsemigroups(11, 6))]
@@ -141,8 +143,59 @@ def test_psh_equiv_hom_counts_match_the_loop(tmp_path, capsys):
         path.write_text(formats.dump_semigroup(S), encoding="utf-8")
         rc, out = run(capsys, ["psh-equiv", str(path), "--samples", "0"])
         E = C_of(S).extra["obj_elt"]
-        counts = re.findall(r"check=hom_count_\S+ status=ok value=\d+=(\d+)", out)
-        assert rc == 0 and counts == [str(len(loop_eSd(S, e, d))) for d in E for e in E]
+        counts = re.findall(r"check=hom_count_\S+ status=ok value=(\d+)=(\d+)", out)
+        assert rc == 0
+        assert [int(n) for n, _eSd in counts] == loop_hom_counts(S)
+        assert [int(eSd) for _n, eSd in counts] == [len(loop_eSd(S, e, d))
+                                                    for d in E for e in E]
+
+
+def test_psh_equiv_makes_one_colimit_and_one_hom_search_per_idempotent(
+        corpus_dir, capsys, monkeypatch):
+    # every unit check of the command shares one colimit, and the hom counts
+    # take one search per principal action dS (|E| + samples colimits and
+    # |E|**2 searches before)
+    from morita import actions, cli
+
+    calls = {"colimits": 0, "hom_searches": 0}
+    real_colimit, real_homs = actions.q_shriek_with_unit, cli.action_homs
+
+    def colimit(P):
+        calls["colimits"] += 1
+        return real_colimit(P)
+
+    def homs(X, Y):
+        calls["hom_searches"] += 1
+        return real_homs(X, Y)
+    monkeypatch.setattr(actions, "q_shriek_with_unit", colimit)
+    monkeypatch.setattr(cli, "action_homs", homs)
+    rc, out = run(capsys, ["psh-equiv", str(corpus_dir / "brandt_c2_2.smg"),
+                           "--samples", "3"])
+    n_E = out.count("check=unit_iso_representable_")
+    assert rc == 0 and "verdict=pass" in out and n_E == 3
+    assert calls == {"colimits": 1, "hom_searches": n_E}
+
+
+def test_psh_equiv_report_does_not_depend_on_the_pass_size(corpus_dir, capsys, monkeypatch):
+    from morita import actions
+
+    argv = ["--seed", "2", "psh-equiv", str(corpus_dir / "brandt_c2_2.smg"),
+            "--samples", "5"]
+    whole = run(capsys, argv)
+    real, passes = actions.q_shriek_with_unit, []
+
+    def counted(P):
+        passes.append(P)
+        return real(P)
+    monkeypatch.setattr(actions, "q_shriek_with_unit", counted)
+    # the 8 presheaves join 197, 197, 73, 197, 146, 197, 197 and 467 edges:
+    # a budget of 1 gives each a pass of its own, 300 and 1000 put some
+    # passes together
+    for budget, n_passes in ((1, 8), (300, 7), (1000, 2)):
+        passes.clear()
+        monkeypatch.setattr(actions, "_PASS_EDGES", budget)
+        assert run(capsys, argv) == whole
+        assert len(passes) == n_passes
 
 
 def test_json_format(corpus_dir, capsys):

@@ -82,3 +82,16 @@ def test_only_the_util_pass_and_two_table_builders_call_row_blocks():
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     outside = {u for u in users if not u.startswith("_util")}
     assert outside == {"categories._span_tables", "groupoids._meets"}
+
+
+def test_presheaf_maps_are_never_cut_with_np_split():
+    # a presheaf keeps its maps as one flat array with offsets, and the
+    # presheaf constructions build that form directly; cutting it into
+    # per-morphism arrays only to concatenate them again is what it replaced
+    src = Path(morita.__file__).parent
+    found = [f"{name}:{node.lineno}"
+             for name in ("actions.py", "corpus.py")
+             for node in ast.walk(ast.parse((src / name).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "split"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert found == []
