@@ -84,6 +84,35 @@ def inverse_relation(tab):
     return (aba == ar[:, None]) & (aba.T == ar[None, :])
 
 
+def positions(members, queries, error):
+    """The index in `members` of each key of `queries`, in the queries' shape.
+
+    A key is a non-negative int, or a row of them given as a tuple of columns
+    (members' 1-d and distinct by row, queries' broadcast together), made
+    one int by `np.ravel_multi_index`.  One stable argsort and one
+    `searchsorted` place every key.  A missing key raises error(at), at the
+    index tuple of the first one in C order.
+    """
+    if not isinstance(members, tuple):
+        members, queries = (members,), (queries,)
+    cols = [np.asarray(c, dtype=np.int64) for c in members]
+    dims = [int(c.max()) + 1 if c.size else 1 for c in cols]
+    keys = np.ravel_multi_index(cols, dims)
+    order = keys.argsort(kind="stable")
+    # a query outside the ranges of members' columns is clipped into them,
+    # and then fails the column test
+    found = at = keys.searchsorted(np.ravel_multi_index(queries, dims, mode="clip"),
+                                   sorter=order)
+    hit = at < len(keys)
+    if len(keys):
+        found = order.take(at, mode="clip")
+        for c, q in zip(cols, queries):
+            hit &= c.take(found) == q
+    if not hit.all():
+        raise error(tuple(int(i) for i in np.unravel_index(np.argmin(hit), hit.shape)))
+    return found
+
+
 def row_blocks(n, row_cells):
     """Consecutive blocks of range(n), each holding about 2**15 cells.
 

@@ -16,7 +16,10 @@ connected components of its zig-zag relation by `_util.components` (or
 that integer order is the order of their (component, index) pairs, e.g.
 x * |S| + s for the pair (x, s); a class is represented by its least point
 and classes are numbered in order of it, so every construction is
-deterministic.
+deterministic.  The constructions on composite points (the pairs of a
+product or of R(X), the fibers of I*) find the point each action value
+lands on with `_util.positions`, and raise InvariantBroken, naming the
+first point and element, where it is no point.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import components, congruence, ragged
+from ._util import components, congruence, positions, ragged
 from .categories import C_of, FiniteCategory, L_of
 from .errors import InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
 from .semigroups import (
@@ -242,27 +245,22 @@ def product_action(X: RightAction, Y: RightAction) -> RightAction:
     if Y.sgrp is not S:
         raise ValueError("product needs a common semigroup")
     E = idempotents(S)
-    pts = [
-        (x, y)
-        for x in range(len(X))
-        for y in range(len(Y))
-        if any(X.act[x, e] == x and Y.act[y, e] == y for e in E)
-    ]
-    pos = {p: i for i, p in enumerate(pts)}
-    act = np.empty((len(pts), len(S)), dtype=np.int64)
-    for i, (x, y) in enumerate(pts):
-        for s in range(len(S)):
-            act[i, s] = pos[(int(X.act[x, s]), int(Y.act[y, s]))]
-    names = tuple(f"({X.carrier[x]},{Y.carrier[y]})" for (x, y) in pts)
-    return RightAction(names, S, act, {"kind": "product", "pairs": tuple(pts)})
+    fixes = [(A.act[:, E] == np.arange(len(A))[:, None]).astype(np.int64) for A in (X, Y)]
+    x, y = np.nonzero(fixes[0] @ fixes[1].T)
+    act = positions((x, y), (X.act[x], Y.act[y]), lambda at: InvariantBroken(
+        "not an action: a pair leaves the product",
+        witness=((int(x[at[0]]), int(y[at[0]])), at[1])))
+    pts = tuple(zip(x.tolist(), y.tolist()))
+    names = tuple(f"({X.carrier[a]},{Y.carrier[b]})" for (a, b) in pts)
+    return RightAction(names, S, act, {"kind": "product", "pairs": pts})
 
 
 def equalizer_action(f, g, X: RightAction) -> RightAction:
     """Equalizer of two equivariant maps out of X, created in sets."""
-    pts = [x for x in range(len(X)) if f[x] == g[x]]
-    pos = {x: i for i, x in enumerate(pts)}
-    act = np.array([[pos[int(X.act[x, s])] for s in range(len(X.sgrp))] for x in pts],
-                   dtype=np.int64).reshape(len(pts), len(X.sgrp))
+    pts = np.flatnonzero(np.asarray(f) == np.asarray(g))
+    act = positions(pts, X.act[pts], lambda at: InvariantBroken(
+        "f and g are not equivariant: a point leaves the equalizer",
+        witness=(int(pts[at[0]]), at[1])))
     return RightAction(tuple(X.carrier[x] for x in pts), X.sgrp, act,
                        {"kind": "equalizer"})
 
@@ -357,9 +355,8 @@ def munn_action(S: InverseSemigroup) -> EtaleAction:
 def principal_etale(S: InverseSemigroup, e: int) -> EtaleAction:
     """eS -> E(S), s |-> s*s."""
     base = principal_action(S, e)
-    elts = base.extra["elt_of_point"]
-    anchor = np.array([int(S.table[S.star[s], s]) for s in elts], dtype=np.int64)
-    return EtaleAction(base, anchor)
+    elts = np.array(base.extra["elt_of_point"], dtype=np.int64)
+    return EtaleAction(base, S.table[S.star[elts], elts])
 
 
 def check_etale(X: EtaleAction) -> bool:
@@ -391,17 +388,19 @@ def etale_morphism_check(f, X: EtaleAction, Y: EtaleAction) -> bool:
 def R_of(X: RightAction) -> EtaleAction:
     """Right adjoint of the forgetful U: carrier {(e,x) : xe = x}."""
     S = X.sgrp
-    E = idempotents(S)
-    pts = [(e, x) for e in E for x in range(len(X)) if X.act[x, e] == x]
-    pos = {p: i for i, p in enumerate(pts)}
     tab, star = S.table, S.star
-    act = np.empty((len(pts), len(S)), dtype=np.int64)
-    for i, (e, x) in enumerate(pts):
-        for s in range(len(S)):
-            act[i, s] = pos[(int(tab[tab[star[s], e], s]), int(X.act[x, s]))]
-    names = tuple(f"({S.names[e]},{X.carrier[x]})" for (e, x) in pts)
-    base = RightAction(names, S, act, {"kind": "R", "pairs": tuple(pts)})
-    return EtaleAction(base, np.array([e for (e, _x) in pts], dtype=np.int64))
+    E = np.array(idempotents(S), dtype=np.int64)
+    i, x = np.nonzero(X.act[:, E].T == np.arange(len(X)))
+    e = E[i]
+    # (e, x)s = (s*es, xs)
+    act = positions((e, x), (tab[tab[star, e[:, None]], np.arange(len(S))], X.act[x]),
+                    lambda at: InvariantBroken(
+                        "not an action: a point leaves R(X)",
+                        witness=((int(e[at[0]]), int(x[at[0]])), at[1])))
+    pts = tuple(zip(e.tolist(), x.tolist()))
+    names = tuple(f"({S.names[a]},{X.carrier[b]})" for (a, b) in pts)
+    base = RightAction(names, S, act, {"kind": "R", "pairs": pts})
+    return EtaleAction(base, e)
 
 
 def U_of(X: EtaleAction) -> RightAction:
@@ -411,15 +410,15 @@ def U_of(X: EtaleAction) -> RightAction:
 def counit_UR(X: RightAction):
     """(e, x) -> x from UR(X) to X; surjective iff X is unitary."""
     RX = R_of(X)
-    return RX, np.array([x for (_e, x) in RX.base.extra["pairs"]], dtype=np.int64)
+    return RX, np.array(RX.base.extra["pairs"], dtype=np.int64).reshape(-1, 2)[:, 1]
 
 
 def unit_UR(X: EtaleAction):
     """x -> (p(x), x) from X to RU(X); always an etale morphism."""
     RU = R_of(X.base)
-    pos = {p: i for i, p in enumerate(RU.base.extra["pairs"])}
-    return RU, np.array([pos[(int(X.anchor[x]), x)] for x in range(len(X))],
-                        dtype=np.int64)
+    e, x = np.array(RU.base.extra["pairs"], dtype=np.int64).reshape(-1, 2).T
+    return RU, positions((e, x), (X.anchor, np.arange(len(X))), lambda at: InvariantBroken(
+        "the anchor of a point is not an idempotent fixing it", witness=at[0]))
 
 
 # -- presheaves on L(S) <-> etale actions --------------------------------------
@@ -476,23 +475,22 @@ def _etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
     """
     S = _expect_site(P, kind)
     site = P.site
-    obj_elt = site.extra["obj_elt"]
-    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
-    idx = site.extra["index"]
-    pts = [(o, i) for o in range(site.n_objects) for i in range(P.fiber_size(o))]
-    pos = {p: i for i, p in enumerate(pts)}
     tab, star = S.table, S.star
-    act = np.empty((len(pts), len(S)), dtype=np.int64)
-    for k, (o, i) in enumerate(pts):
-        e = obj_elt[o]
-        for s in range(len(S)):
-            es = int(tab[e, s])
-            d = int(tab[tab[star[s], e], s])  # s*es
-            m = idx[(e, es, d) if kind == "C" else (e, es)]
-            act[k, s] = pos[(obj_of_elt[d], int(P.maps[m][i]))]
+    obj, idx, _fib_off, values, map_off = _flatten(P)
+    e = np.array(site.extra["obj_elt"], dtype=np.int64)[obj][:, None]
+    s = np.arange(len(S))
+    es, d = tab[e, s], tab[tab[star[s], e], s]     # d = s*es, the object of dom m
+    m = site.mor_of(e, es, d) if kind == "C" else site.mor_of(e, es)
+    # P(m)(i), or -1 past the end of a map shorter than its codomain fiber
+    inside = idx[:, None] < np.diff(map_off)[m]
+    value = np.append(values, -1)[np.where(inside, map_off[m] + idx[:, None], -1)]
+    act = positions((obj, idx), (site.dom[m], value), lambda at: InvariantBroken(
+        "a presheaf map leaves the fiber over its domain",
+        witness=((int(obj[at[0]]), int(idx[at[0]])), at[1])))
+    pts = tuple(zip(obj.tolist(), idx.tolist()))
     names = tuple(f"{site.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
-    base = RightAction(names, S, act, {"kind": tag, "pairs": tuple(pts)})
-    return EtaleAction(base, np.array([obj_elt[o] for (o, _i) in pts], dtype=np.int64))
+    base = RightAction(names, S, act, {"kind": tag, "pairs": pts})
+    return EtaleAction(base, e[:, 0])
 
 
 def etale_of_presheaf(P: Presheaf) -> EtaleAction:
@@ -904,19 +902,16 @@ def i_shriek_with_maps(X: EtaleAction, site: FiniteCategory = None) -> IShriekRe
     if C.extra.get("kind") != "C" or C.extra.get("sgrp") is not S:
         raise WrongSite("site must be C(S) for the semigroup of the action")
     k, nm = C.n_objects, C.n_mor
-    cidx = C.extra["index"]
     tab, star = S.table, S.star
     act, anchor = X.base.act, X.anchor
-    n, ns = len(X), len(S)
-    obj_of = np.full(ns, -1, dtype=np.int64)
-    obj_of[list(C.extra["obj_elt"])] = np.arange(k)
-    px = obj_of[anchor]
+    ns = len(S)
+    px = positions(np.array(C.extra["obj_elt"], dtype=np.int64), anchor,
+                   lambda at: InvariantBroken("an anchor is not an idempotent", witness=at[0]))
     # morphisms x -> y of the indexing category, with their site morphisms
     ys, ss = np.nonzero((tab[anchor] == np.arange(ns))
                         & (anchor[act] == tab[star, np.arange(ns)]))
     xs = act[ys, ss]
-    smor = np.array([cidx[key] for key in zip(anchor[ys].tolist(), ss.tolist(),
-                                              anchor[xs].tolist())], dtype=np.int64)
+    smor = C.mor_of(anchor[ys], ss, anchor[xs])
     # rank of each site morphism in its hom-set
     order, start = C._hom_index
     hom_pos = np.empty(nm, dtype=np.int64)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import failures, inverse_relation
+from ._util import failures, inverse_relation, positions
 from .categories import (
     C_of,
     FiniteCategory,
@@ -36,6 +36,7 @@ from .errors import (
     AssociativityFailure,
     BudgetExceeded,
     InvalidBiset,
+    InvariantBroken,
     MoritaError,
     NotAnEnlargement,
     NotInverseSemigroupoid,
@@ -207,49 +208,44 @@ def biset_from_regular_enlargement(R, S_subset, T_subset) -> EquivalenceBiset:
 
     tab = R.table
     full = np.arange(len(R))
-    SR = np.unique(tab[np.ix_(S_subset, full)])
-    SRT = set(int(v) for v in np.unique(tab[np.ix_(SR, T_subset)]))
-    TR = np.unique(tab[np.ix_(T_subset, full)])
-    TRS = set(int(v) for v in np.unique(tab[np.ix_(TR, S_subset)]))
 
-    points = [(x, xp) for x in sorted(SRT)
-              for xp in np.flatnonzero(inverse[x]).tolist() if xp in TRS]
-    pos = {p: i for i, p in enumerate(points)}
-    s_new = {a: i for i, a in enumerate(s_old)}
-    t_new = {a: i for i, a in enumerate(t_old)}
+    def products(A, B):
+        """[r]: r lies in the product set ARB."""
+        inside = np.zeros(len(R), dtype=bool)
+        inside[tab[np.ix_(np.unique(tab[np.ix_(A, full)]), B)]] = True
+        return inside
 
-    nx = len(points)
-    left = np.empty((len(S), nx), dtype=np.int64)
-    right = np.empty((nx, len(T)), dtype=np.int64)
-    innS = np.empty((nx, nx), dtype=np.int64)
-    innT = np.empty((nx, nx), dtype=np.int64)
-    for i, (x, xp) in enumerate(points):
-        for si, a in enumerate(s_old):
-            astar = s_old[int(S.star[si])]
-            key = (int(tab[a, x]), int(tab[xp, astar]))
-            if key not in pos:
-                raise InvalidBiset(f"left action leaves X at {key}")
-            left[si, i] = pos[key]
-        for ti, b in enumerate(t_old):
-            bstar = t_old[int(T.star[ti])]
-            key = (int(tab[x, b]), int(tab[bstar, xp]))
-            if key not in pos:
-                raise InvalidBiset(f"right action leaves X at {key}")
-            right[i, ti] = pos[key]
-    for i, (x, xp) in enumerate(points):
-        for j, (y, yp) in enumerate(points):
-            v = int(tab[x, yp])
-            if v not in s_new:
-                raise InvalidBiset(f"inner product <{i},{j}> lands outside S")
-            innS[i, j] = s_new[v]
-            w = int(tab[xp, y])
-            if w not in t_new:
-                raise InvalidBiset(f"inner product [{i},{j}] lands outside T")
-            innT[i, j] = t_new[w]
+    x, xp = np.nonzero(inverse & products(S_subset, T_subset)[:, None]
+                       & products(T_subset, S_subset))
+    a, b = np.array(s_old, dtype=np.int64), np.array(t_old, dtype=np.int64)
+    ns = len(a)
+    # point by point: s(x, x') = (sx, x's*) for each s of S, then
+    # (x, x')t = (xt, t*x') for each t of T
+    key = (np.concatenate([tab[a, x[:, None]], tab[x[:, None], b]], axis=1),
+           np.concatenate([tab[xp[:, None], a[S.star]], tab[b[T.star], xp[:, None]]], axis=1))
+
+    def leaves(at):
+        side = "left" if at[1] < ns else "right"
+        return InvalidBiset(f"{side} action leaves X at {(int(key[0][at]), int(key[1][at]))}")
+
+    acts = positions((x, xp), key, leaves)
+    left, right = acts[:, :ns].T, acts[:, ns:]
+    # over (i, j): <i, j> = xy' must lie in S (part 0), then [i, j] = x'y in T (part 1)
+    value = np.stack([tab[x[:, None], xp], tab[xp[:, None], x]], axis=2)
+
+    def outside(at):
+        i, j, part = at
+        return InvalidBiset(f"inner product <{i},{j}> lands outside S" if part == 0
+                            else f"inner product [{i},{j}] lands outside T")
+
+    inner = positions((np.repeat([0, 1], [ns, len(b)]), np.concatenate([a, b])),
+                      (np.array([0, 1]), value), outside)
+    innS, innT = inner[:, :, 0], inner[:, :, 1] - ns
+    points = tuple(zip(x.tolist(), xp.tolist()))
     names = tuple(f"({R.names[x]},{R.names[xp]})" for (x, xp) in points)
     B = EquivalenceBiset(S, T, names, left, right, innS, innT,
-                         {"kind": "from_enlargement", "pairs": tuple(points),
-                          "ambient": R, "s_old": tuple(s_old), "t_old": tuple(t_old)})
+                         {"kind": "from_enlargement", "pairs": points, "ambient": R,
+                          "s_old": tuple(a.tolist()), "t_old": tuple(b.tolist())})
     report = verify_biset(B)
     if not report.passed:
         raise InvalidBiset(f"extracted biset fails: {report.failures()[:2]}")
@@ -273,16 +269,8 @@ def build_R_semigroupoid(B: EquivalenceBiset) -> InverseSemigroupoid:
     elems = ([("S", s) for s in range(len(S))] + [("T", t) for t in range(len(T))]
              + [("X", x) for x in range(nx)] + [("Y", x) for x in range(nx)])
     pos = {e: i for i, e in enumerate(elems)}
-    names = []
-    for kind, v in elems:
-        if kind == "S":
-            names.append(f"s_{S.names[v]}")
-        elif kind == "T":
-            names.append(f"t_{T.names[v]}")
-        elif kind == "X":
-            names.append(f"x_{B.points[v]}")
-        else:
-            names.append(f"y_{B.points[v]}")
+    names = ([f"s_{a}" for a in S.names] + [f"t_{a}" for a in T.names]
+             + [f"x_{p}" for p in B.points] + [f"y_{p}" for p in B.points])
 
     # the eight products, block by block; every other product is undefined
     ns, nt = len(S), len(T)
@@ -345,24 +333,19 @@ def build_bipartite_U(B: EquivalenceBiset):
     Rg = build_R_semigroupoid(B)
     U = _pair_category(Rg.table, Rg.star, Rg.names, "|",
                        {"kind": "bipartite_U", "sgpd": Rg})
-    elems = Rg.extra["elems"]
-    idem = U.extra["obj_elt"]
-    obj_of = {e: i for i, e in enumerate(idem)}
-    s_objs = [obj_of[e] for e in idem if elems[e][0] == "S"]
-    t_objs = [obj_of[e] for e in idem if elems[e][0] == "T"]
+    idem = np.array(U.extra["obj_elt"], dtype=np.int64)
+    s_part, t_part = (np.array(Rg.extra[k], dtype=np.int64) for k in ("s_part", "t_part"))
 
-    uidx = U.extra["index"]
-    pos = Rg.extra["pos"]
-    LS, LT = L_of(B.S), L_of(B.T)
+    def embed(Lc, part):
+        """L(S) or L(T) -> U: e -> part[e], (e, s) -> (part[e], part[s])."""
+        om = positions(idem, part[list(Lc.extra["obj_elt"])], lambda at: InvariantBroken(
+            "an idempotent of the part is not an object of U", witness=at[0]))
+        e, s = Lc._payload_array.T
+        return Functor(Lc, U, om, U.mor_of(part[e], part[s]))
 
-    def embed(Lc, tag):
-        om = np.array([obj_of[pos[(tag, e)]] for e in Lc.extra["obj_elt"]],
-                      dtype=np.int64)
-        mm = np.array([uidx[(pos[(tag, e)], pos[(tag, s)])]
-                       for (e, s) in Lc.extra["payload"]], dtype=np.int64)
-        return Functor(Lc, U, om, mm)
-
-    return U, s_objs, t_objs, embed(LS, "S"), embed(LT, "T")
+    # the objects of a part are the ascending images of its embedding
+    P, Q = embed(L_of(B.S), s_part), embed(L_of(B.T), t_part)
+    return U, P.obj_map.tolist(), Q.obj_map.tolist(), P, Q
 
 
 def biset_from_ordered_enlargement(G: OrderedGroupoid, S: InverseSemigroup,
@@ -391,23 +374,15 @@ def biset_from_ordered_enlargement(G: OrderedGroupoid, S: InverseSemigroup,
     t_objs = np.union1d(G.dom[emb_T], G.cod[emb_T])
     X = np.flatnonzero(np.isin(G.dom, t_objs) & np.isin(G.cod, s_objs))
 
-    def number(arrows, v, message):
-        """The position of each v in arrows; InvalidBiset if one is missing."""
-        pos = np.full(G.n_arrows, -1, dtype=np.int64)
-        pos[arrows] = np.arange(len(arrows))
-        if (pos[v] < 0).any():
-            raise InvalidBiset(message)
-        return pos[v]
-
     inv = G.inv
-    left = number(X, _defined_pseudoproducts(G, emb_S[:, None], X),
-                  "action s.x lands outside X")
-    right = number(X, _defined_pseudoproducts(G, X[:, None], emb_T),
-                   "action x.t lands outside X")
-    innS = number(emb_S, _defined_pseudoproducts(G, X[:, None], inv[X]),
-                  "pairing <x,y> lands outside the S part")
-    innT = number(emb_T, _defined_pseudoproducts(G, inv[X][:, None], X),
-                  "pairing [x,y] lands outside the T part")
+    left = positions(X, _defined_pseudoproducts(G, emb_S[:, None], X),
+                     lambda _at: InvalidBiset("action s.x lands outside X"))
+    right = positions(X, _defined_pseudoproducts(G, X[:, None], emb_T),
+                      lambda _at: InvalidBiset("action x.t lands outside X"))
+    innS = positions(emb_S, _defined_pseudoproducts(G, X[:, None], inv[X]),
+                     lambda _at: InvalidBiset("pairing <x,y> lands outside the S part"))
+    innT = positions(emb_T, _defined_pseudoproducts(G, inv[X][:, None], X),
+                     lambda _at: InvalidBiset("pairing [x,y] lands outside the T part"))
     B = EquivalenceBiset(S, T, tuple(G.arrows[x] for x in X),
                          left, right, innS, innT,
                          {"kind": "from_ordered_enlargement",

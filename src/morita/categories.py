@@ -4,13 +4,16 @@ A category is stored densely: morphisms are indices with dom/cod arrays
 and an m x m composition table using -1 for "not composable"; hom-sets are
 read from an index of the morphisms sorted by (dom, cod).  Every category
 built from a semigroup, a groupoid or spans comes out of one constructor,
-`_table_category`.  The two key constructions are the left-cancellative
-category of an inverse semigroup (pairs (e,s) with es=s) and the Cauchy
-completion (triples (e,s,f) with esf=s).  Equivalence of finite categories
-is decided through skeletons: two finite categories are equivalent iff
-their skeletons are isomorphic, and the isomorphism search is a
-backtracking matcher with invariant-refinement pruning.  Its inverse gives
-the backward witness, so each decision searches once.
+`_table_category`, which keys each morphism by a payload of ints;
+`FiniteCategory.mor_of` finds the morphisms of given payloads, read across
+arrays of payload columns, through `_util.positions`.  The two key
+constructions are the left-cancellative category of an inverse semigroup
+(pairs (e,s) with es=s) and the Cauchy completion (triples (e,s,f) with
+esf=s).  Equivalence of finite categories is decided through skeletons:
+two finite categories are equivalent iff their skeletons are isomorphic,
+and the isomorphism search is a backtracking matcher with
+invariant-refinement pruning.  Its inverse gives the backward witness, so
+each decision searches once.
 
 For the Cauchy completion the skeleton needs no search for isomorphisms:
 an isomorphism f -> e of C(S) is an element s with s*s = f and ss* = e, so
@@ -24,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import failures, row_blocks
+from ._util import failures, positions, ragged, row_blocks
 from .errors import (
     CospanMismatch,
     InvariantBroken,
@@ -91,9 +94,18 @@ class FiniteCategory:
     def _payload_array(self):
         """extra["payload"] as an (n_mor, width) array, for payloads of ints.
 
-        Cached once: the payloads are fixed when the category is made.
+        `_table_category` sets it from the arrays it is built from; any other
+        category reads it from extra["payload"] once.
         """
         return np.array(self.extra["payload"], dtype=np.int64).reshape(self.n_mor, -1)
+
+    def mor_of(self, *columns) -> np.ndarray:
+        """The morphism of each payload read across `columns`, which broadcast
+        together; a payload of no morphism raises InvariantBroken, witnessed
+        by the first one in C order."""
+        return positions(tuple(self._payload_array.T), columns, lambda at: InvariantBroken(
+            "no morphism has this payload",
+            witness=tuple(int(c[at]) for c in np.broadcast_arrays(*columns))))
 
     def _hom(self, a: int, b: int) -> np.ndarray:
         order, start = self._hom_index
@@ -166,12 +178,15 @@ def check_category(C: FiniteCategory) -> list:
 
 # -- L(S) and C(S) -----------------------------------------------------------
 
-def _table_category(objects, dom, cod, labels, payloads, ident, composite, extra):
+def _table_category(objects, dom, cod, label, payload, ident, composite, extra):
     """A category of payload-keyed morphisms with its composition table.
 
-    composite(g, f) maps arrays of composable morphism ids to the ids of
-    g.f; it is evaluated one block of composable pairs per middle object.
+    payload holds one int array per payload entry, over the morphisms, and
+    label(*entries) names a morphism.  composite(g, f) maps arrays of
+    composable morphism ids to the ids of g.f; it is evaluated one block of
+    composable pairs per middle object.
     """
+    payloads = tuple(zip(*(c.tolist() for c in payload)))
     m = len(payloads)
     comp = np.full((m, m), -1, dtype=np.int64)
     for j in range(len(objects)):
@@ -180,8 +195,9 @@ def _table_category(objects, dom, cod, labels, payloads, ident, composite, extra
         comp[np.ix_(g, f)] = composite(g[:, None], f[None, :])
     xt = dict(extra)
     xt["payload"] = payloads
-    xt["index"] = {p: i for i, p in enumerate(payloads)}
-    return FiniteCategory(objects, labels, dom, cod, comp, ident, xt)
+    cat = FiniteCategory(objects, tuple(label(*p) for p in payloads), dom, cod, comp, ident, xt)
+    cat._payload_array = np.stack(payload, axis=1)
+    return cat
 
 
 def _pair_category(tab, star, names, sep, extra) -> FiniteCategory:
@@ -200,7 +216,6 @@ def _pair_category(tab, star, names, sep, extra) -> FiniteCategory:
     ei, s = np.nonzero(tab[Ea] == np.arange(n))
     idx = np.full((k, n), -1, dtype=np.int64)
     idx[ei, s] = np.arange(len(s))
-    payloads = tuple(zip(Ea[ei].tolist(), s.tolist()))
 
     def composite(g, f):
         st = tab[s[g], s[f]]
@@ -212,7 +227,7 @@ def _pair_category(tab, star, names, sep, extra) -> FiniteCategory:
 
     return _table_category(
         tuple(names[e] for e in Ea), obj_of[tab[star[s], s]], ei,
-        tuple(f"({names[e]}{sep}{names[t]})" for e, t in payloads), payloads,
+        lambda e, t: f"({names[e]}{sep}{names[t]})", (Ea[ei], s),
         idx[np.arange(k), Ea], composite,
         {**extra, "obj_elt": tuple(Ea.tolist())})
 
@@ -233,10 +248,9 @@ def C_of(S: FiniteSemigroup) -> FiniteCategory:
     ei, fi, s = np.nonzero(tab[es[:, None, :], Ea[None, :, None]] == np.arange(n))
     idx = np.full((k, k, n), -1, dtype=np.int64)
     idx[ei, fi, s] = np.arange(len(s))
-    payloads = tuple(zip(Ea[ei].tolist(), s.tolist(), Ea[fi].tolist()))
-    labels = tuple(f"({names[e]},{names[t]},{names[f]})" for e, t, f in payloads)
     return _table_category(
-        tuple(names[e] for e in E), fi, ei, labels, payloads,
+        tuple(names[e] for e in E), fi, ei,
+        lambda e, t, f: f"({names[e]},{names[t]},{names[f]})", (Ea[ei], s, Ea[fi]),
         idx[np.arange(k), np.arange(k), Ea],
         lambda g, f: idx[ei[g], fi[f], tab[s[g], s[f]]],
         {"kind": "C", "sgrp": S, "obj_elt": tuple(E)})
@@ -280,25 +294,20 @@ def is_right_cancellative(C: FiniteCategory) -> bool:
 
 
 def idempotents_split(C: FiniteCategory) -> bool:
-    """Every endo e with ee=e factors as e = s.f with f.s an identity."""
-    for e in range(C.n_mor):
-        if C.dom[e] != C.cod[e] or C.comp[e, e] != e:
-            continue
-        c = int(C.dom[e])
-        found = False
-        for r in range(C.n_objects):
-            for f in C.hom(c, r):
-                if found:
-                    break
-                for s in C.hom(r, c):
-                    if C.comp[s, f] == e and C.comp[f, s] == C.identity[r]:
-                        found = True
-                        break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    """Every endo e with ee=e factors as e = s.f with f.s an identity.
+
+    One array test over the pairs (s, f) with f in hom(cod s, dom s) and
+    f.s = 1_dom(s), of which s.f is split when it starts where f does.
+    """
+    order, start = C._hom_index
+    h = C.cod * C.n_objects + C.dom
+    s, i = ragged(start[h + 1] - start[h])
+    f = order[start[h[s]] + i]
+    e = C.comp[s, f]
+    split = np.zeros(C.n_mor, dtype=bool)
+    split[e[(e >= 0) & (C.comp[f, s] == C.identity[C.dom[s]]) & (C.dom[e] == C.dom[f])]] = True
+    ar = np.arange(C.n_mor)
+    return bool(split[(C.dom == C.cod) & (np.diagonal(C.comp) == ar)].all())
 
 
 # -- isomorphisms of objects and skeletons -----------------------------------
@@ -418,11 +427,10 @@ def cauchy_skeleton(C: FiniteCategory) -> SkeletonData:
     to_r = dst == rep[src]
     np.minimum.at(best, src[to_r], s[to_r])
     to_rep, from_rep = C.identity.copy(), C.identity.copy()
-    index = C.extra["index"]
-    for o in np.flatnonzero(rep != np.arange(k)).tolist():
-        t, r = int(best[o]), int(rep[o])
-        to_rep[o] = index[(E[r], t, E[o])]
-        from_rep[o] = index[(E[o], int(star[t]), E[r])]
+    o = np.flatnonzero(rep != np.arange(k))
+    e, t, r = np.array(E, dtype=np.int64), best[o], rep[o]
+    # the rows (r, t, o): o -> r and (o, t*, r): r -> o
+    to_rep[o], from_rep[o] = C.mor_of(*np.array([[e[r], e[o]], [t, star[t]], [e[o], e[r]]]))
     return _skeleton_data(C, rep, to_rep, from_rep)
 
 
@@ -801,7 +809,6 @@ def span_category(L: FiniteCategory) -> FiniteCategory:
         raise NoPullbacks(witness=tuple(missing[0].tolist()))
     codes = np.unique(canon[canon >= 0])
     l, r = np.divmod(codes, L.n_mor)
-    payloads = tuple(zip(l.tolist(), r.tolist()))
 
     def composite(g, f):
         # (l2, r2).(l1, r1) = (l2.p, r1.q) over the pullback (p, q) of (r2, l1)
@@ -810,9 +817,8 @@ def span_category(L: FiniteCategory) -> FiniteCategory:
 
     ids = L.identity
     return _table_category(
-        L.objects, L.cod[r], L.cod[l],
-        tuple(f"[{L.mor_labels[a]};{L.mor_labels[b]}]" for a, b in payloads),
-        payloads, np.searchsorted(codes, canon[ids, ids]), composite,
+        L.objects, L.cod[r], L.cod[l], lambda a, b: f"[{L.mor_labels[a]};{L.mor_labels[b]}]",
+        (l, r), np.searchsorted(codes, canon[ids, ids]), composite,
         {"kind": "span", "base": L})
 
 
@@ -826,28 +832,21 @@ def cauchy_vs_span(S: InverseSemigroup) -> bool:
     Sp = span_category(L)
     C = C_of(S)
     tab, star = S.table, S.star
-    lidx = L.extra["index"]
-    spidx = Sp.extra["index"]
-    cidx = C.extra["index"]
     canon = L._spans[0]   # built by span_category
 
     # objects of C, L, Sp are all E(S) in the same order
     if C.objects != Sp.objects:
         return False
 
-    phi_m = np.empty(C.n_mor, dtype=np.int64)
-    for m, (e, s, d) in enumerate(C.extra["payload"]):
-        ss = int(tab[star[s], s])
-        l = lidx[(e, s)]
-        r = lidx[(d, ss)]
-        phi_m[m] = spidx[divmod(int(canon[l, r]), L.n_mor)]
+    # (e, s, d) -> the canonical span of ((e, s), (d, s*s))
+    e, s, d = C._payload_array.T
+    code = canon[L.mor_of(e, s), L.mor_of(d, tab[star[s], s])]
+    phi_m = Sp.mor_of(*np.divmod(code, L.n_mor))
     phi = Functor(C, Sp, np.arange(C.n_objects), phi_m)
 
-    psi_m = np.empty(Sp.n_mor, dtype=np.int64)
-    for w, (l, r) in enumerate(Sp.extra["payload"]):
-        e, s = L.extra["payload"][l]
-        d, t = L.extra["payload"][r]
-        psi_m[w] = cidx[(e, int(tab[s, star[t]]), d)]
+    # the span ((e, s), (d, t)) -> (e, st*, d)
+    (e, s), (d, t) = (L._payload_array[leg].T for leg in Sp._payload_array.T)
+    psi_m = C.mor_of(e, tab[s, star[t]], d)
     psi = Functor(Sp, C, np.arange(Sp.n_objects), psi_m)
 
     if not (is_functor(phi) and is_functor(psi)):

@@ -250,10 +250,8 @@ def L_of_groupoid(G: OrderedGroupoid) -> FiniteCategory:
     ei, gi = np.nonzero(G.obj_leq[G.cod].T)
     idx = np.full((k, G.n_arrows), -1, dtype=np.int64)
     idx[ei, gi] = np.arange(len(gi))
-    payloads = tuple(zip(ei.tolist(), gi.tolist()))
     return _table_category(
-        G.objects, G.dom[gi], ei,
-        tuple(f"({G.objects[e]},{G.arrows[g]})" for e, g in payloads), payloads,
+        G.objects, G.dom[gi], ei, lambda e, g: f"({G.objects[e]},{G.arrows[g]})", (ei, gi),
         idx[np.arange(k), G.identity],
         lambda g, f: idx[ei[g], _defined_pseudoproducts(G, gi[g], gi[f])],
         {"kind": "L_groupoid", "gpd": G})
@@ -269,11 +267,10 @@ def C_of_groupoid(G: OrderedGroupoid) -> FiniteCategory:
     ei, fi, xi = np.nonzero(below)
     idx = np.full((k, k, G.n_arrows), -1, dtype=np.int64)
     idx[ei, fi, xi] = np.arange(len(xi))
-    payloads = tuple(zip(ei.tolist(), xi.tolist(), fi.tolist()))
     return _table_category(
         G.objects, fi, ei,
-        tuple(f"({G.objects[e]},{G.arrows[x]},{G.objects[f]})" for e, x, f in payloads),
-        payloads, idx[np.arange(k), np.arange(k), G.identity],
+        lambda e, x, f: f"({G.objects[e]},{G.arrows[x]},{G.objects[f]})", (ei, xi, fi),
+        idx[np.arange(k), np.arange(k), G.identity],
         lambda g, f: idx[ei[g], fi[f], _defined_pseudoproducts(G, xi[g], xi[f])],
         {"kind": "C_groupoid", "gpd": G})
 
@@ -357,13 +354,8 @@ def L_of_ordered_functor(F: OrderedFunctor) -> Functor:
     """The induced functor L(G) -> L(H) on the pair categories."""
     LG = L_of_groupoid(F.source)
     LH = L_of_groupoid(F.target)
-    idx = LH.extra["index"]
-    om = F.obj_map.copy()
-    mm = np.array(
-        [idx[(int(F.obj_map[e]), int(F.arr_map[g]))] for (e, g) in LG.extra["payload"]],
-        dtype=np.int64,
-    )
-    return Functor(LG, LH, om, mm)
+    e, g = LG._payload_array.T
+    return Functor(LG, LH, F.obj_map.copy(), LH.mor_of(F.obj_map[e], F.arr_map[g]))
 
 
 def local_isomorphism_report(F: OrderedFunctor) -> dict:

@@ -12,9 +12,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from ._util import failures, inverse_relation
+from ._util import failures, inverse_relation, positions
 from .errors import (
     IdempotentsDontCommute,
+    InvariantBroken,
     NonUniqueInverse,
     NotASubsemigroup,
     NotRegular,
@@ -177,12 +178,22 @@ def _unit_flags(S: FiniteSemigroup) -> LocalUnitFlags:
     return LocalUnitFlags(right, left, right and left, SES.size == n)
 
 
+def _member_mask(n, subset):
+    """[a]: a lies in subset; None when subset holds an int outside range(n)."""
+    A = np.array([int(a) for a in subset], dtype=np.int64)
+    if A.size and (A.min() < 0 or A.max() >= n):
+        return None
+    inside = np.zeros(n, dtype=bool)
+    inside[A] = True
+    return inside
+
+
 def is_subsemigroup(S: FiniteSemigroup, subset) -> bool:
-    A = sorted(set(int(a) for a in subset))
-    if not A:
+    inside = _member_mask(len(S), subset)
+    if inside is None:
         return False
-    prods = set(int(v) for v in S.table[np.ix_(A, A)].ravel())
-    return prods <= set(A)
+    A = np.flatnonzero(inside)
+    return bool(A.size) and bool(inside[S.table[np.ix_(A, A)]].all())
 
 
 def is_semigroup_enlargement(T: FiniteSemigroup, subset) -> bool:
@@ -220,12 +231,8 @@ def restrict(S: FiniteSemigroup, subset):
     A = sorted(set(int(a) for a in subset))
     if not is_subsemigroup(S, A):
         raise NotASubsemigroup(witness=tuple(A))
-    new_of_old = {a: i for i, a in enumerate(A)}
-    k = len(A)
-    tab = np.empty((k, k), dtype=np.int64)
-    for i, a in enumerate(A):
-        for j, b in enumerate(A):
-            tab[i, j] = new_of_old[int(S.table[a, b])]
+    tab = positions(np.array(A), S.table[np.ix_(A, A)],
+                    lambda _at: NotASubsemigroup(witness=tuple(A)))
     names = tuple(S.names[a] for a in A)
     return FiniteSemigroup(names, tab), A
 
@@ -238,20 +245,22 @@ def restrict_inverse(S: FiniteSemigroup, subset):
 
 def subsemigroup_closure(S: FiniteSemigroup, seeds, star_closed: bool = False):
     """Smallest multiplication-closed subset containing seeds (sorted)."""
-    cur = set(int(a) for a in seeds)
+    inside = _member_mask(len(S), seeds)
+    if inside is None:
+        raise ValueError("seeds must be elements of S")
     if star_closed:
         if not isinstance(S, InverseSemigroup):
             raise ValueError("star closure needs an InverseSemigroup")
-        cur |= {int(S.star[a]) for a in cur}
+        inside[S.star[inside]] = True
     while True:
-        A = sorted(cur)
-        prods = set(int(v) for v in S.table[np.ix_(A, A)].ravel())
+        A = np.flatnonzero(inside)
+        new = inside.copy()
+        new[S.table[np.ix_(A, A)]] = True
         if star_closed:
-            prods |= {int(S.star[a]) for a in prods}
-        new = cur | prods
-        if new == cur:
-            return sorted(cur)
-        cur = new
+            new[S.star[new]] = True
+        if np.array_equal(new, inside):
+            return A.tolist()
+        inside = new
 
 
 # -- builders ----------------------------------------------------------------
@@ -289,24 +298,20 @@ def brandt(G: InverseSemigroup, k: int) -> InverseSemigroup:
     n = k * k * m + 1
     if n > _SIZE_CAP:
         raise SizeLimit(f"brandt size {n} exceeds cap {_SIZE_CAP}")
-    trivial = m == 1
-    elems = [(i, g, j) for i in range(1, k + 1) for g in range(m) for j in range(1, k + 1)]
-    names = []
-    for (i, g, j) in elems:
-        names.append(f"({i},{j})" if trivial else f"({i},{G.names[g]},{j})")
-    names.append("0")
+    # the elements (i, g, j), 0-based i and j, fill the grid (k, m, k) in C
+    # order, so `np.ravel_multi_index` of its entries numbers each one
+    grid = (k, m, k)
+    i, g, j = np.unravel_index(np.arange(n - 1), grid)
+    names = [f"({a + 1},{b + 1})" if m == 1 else f"({a + 1},{G.names[h]},{b + 1})"
+             for a, h, b in zip(i.tolist(), g.tolist(), j.tolist())]
     zero = n - 1
-    pos = {e: t for t, e in enumerate(elems)}
     table = np.full((n, n), zero, dtype=np.int64)
-    for t1, (i, g, j) in enumerate(elems):
-        for t2, (p, h, q) in enumerate(elems):
-            if j == p:
-                table[t1, t2] = pos[(i, G.mul(g, h), q)]
-    star = np.empty(n, dtype=np.int64)
-    for t, (i, g, j) in enumerate(elems):
-        star[t] = pos[(j, G.inv(g), i)]
-    star[zero] = zero
-    return InverseSemigroup(tuple(names), table, star)
+    # (i, g, j)(p, h, q) = (i, gh, q) when j = p
+    table[:zero, :zero] = np.where(
+        j[:, None] == i, np.ravel_multi_index((i[:, None], G.table[g[:, None], g], j), grid),
+        zero)
+    star = np.append(np.ravel_multi_index((j, G.star[g], i), grid), zero)
+    return InverseSemigroup(tuple(names) + ("0",), table, star)
 
 
 def group_with_zero(G: InverseSemigroup) -> InverseSemigroup:
@@ -320,17 +325,15 @@ def group_with_zero(G: InverseSemigroup) -> InverseSemigroup:
     return InverseSemigroup(tuple(G.names) + ("0",), table, star)
 
 
-def _partial_injections(n: int):
-    elems = []
-    for k in range(n + 1):
-        for dom in combinations(range(n), k):
-            for img in permutations(range(n), k):
-                f = [-1] * n
-                for d, i in zip(dom, img):
-                    f[d] = i
-                elems.append((dom, img, tuple(f)))
-    elems.sort(key=lambda e: (e[0], e[1]))
-    return [f for (_, _, f) in elems]
+def _partial_injections(n: int) -> np.ndarray:
+    """Row r is the r-th partial injection f of range(n) in (domain, image)
+    order: f[x] is the image of x, -1 off the domain."""
+    elems = sorted((dom, img) for k in range(n + 1) for dom in combinations(range(n), k)
+                   for img in permutations(range(n), k))
+    f = np.full((len(elems), n), -1, dtype=np.int64)
+    for r, (dom, img) in enumerate(elems):
+        f[r, list(dom)] = img
+    return f
 
 
 def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
@@ -339,26 +342,22 @@ def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
         raise SizeLimit("n must be >= 1")
     if n > 4:
         raise SizeLimit("symmetric_inverse_monoid is capped at n=4")
-    elems = _partial_injections(n)
-    pos = {f: i for i, f in enumerate(elems)}
+    f = _partial_injections(n)
+    m = len(f)
+    weight = (n + 1) ** np.arange(n)   # a map f has the key (f + 1) @ weight
+    keys = (f + 1) @ weight
+    # [a, b]: the key of f_a then f_b, one (m, m) term per point x; column n
+    # of `image` is -1, so an undefined f_a[x] stays undefined
+    image = np.concatenate([f, np.full((m, 1), -1, dtype=np.int64)], axis=1)
+    then = sum(weight[x] * (image[:, f[:, x]].T + 1) for x in range(n))
+    rows, x = np.nonzero(f >= 0)
+    back = np.full((m, n), -1, dtype=np.int64)
+    back[rows, f[rows, x]] = x
 
-    def compose(f, g):
-        return tuple(-1 if f[x] == -1 else g[f[x]] for x in range(n))
+    def position(k):
+        return positions(keys, k, lambda _at: InvariantBroken(
+            "partial injections do not compose to one"))
 
-    m = len(elems)
-    table = np.empty((m, m), dtype=np.int64)
-    for a, f in enumerate(elems):
-        for b, g in enumerate(elems):
-            table[a, b] = pos[compose(f, g)]
-    star = np.empty(m, dtype=np.int64)
-    for a, f in enumerate(elems):
-        back = [-1] * n
-        for x in range(n):
-            if f[x] != -1:
-                back[f[x]] = x
-        star[a] = pos[tuple(back)]
-    names = []
-    for f in elems:
-        parts = [f"{x}to{f[x]}" for x in range(n) if f[x] != -1]
-        names.append("_".join(parts) if parts else "nil")
-    return InverseSemigroup(tuple(names), table, star)
+    names = ["_".join(f"{x}to{y}" for x, y in enumerate(row) if y != -1) or "nil"
+             for row in f.tolist()]
+    return InverseSemigroup(tuple(names), position(then), position((back + 1) @ weight))

@@ -77,3 +77,19 @@ def local_submonoid_bisets():
                 eTe = [s for s in everything if tab[tab[e, s], e] == s]
                 out.append(biset_from_regular_enlargement(T, eTe, everything))
     return out
+
+
+@pytest.fixture(scope="session")
+def numbering_cases():
+    """The builtin corpus, I_3 and 30 random inverse subsemigroups of I_3, each
+    also under a random relabelling: the inputs on which the constructions on
+    composite points are compared with their loop forms."""
+    import random
+
+    from morita.corpus import builtin_corpus, random_inverse_subsemigroups, random_relabelling
+
+    rng = random.Random(16)
+    base = ([S for _name, S in builtin_corpus()] + [symmetric_inverse_monoid(3)]
+            + random_inverse_subsemigroups(16, 30))
+    return base + [random_relabelling(S, rng) for S in base]
+

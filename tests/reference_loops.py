@@ -6,11 +6,12 @@ they are not part of the package.
 """
 
 import re
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
 
-from morita._util import congruence
+from morita._util import congruence, inverse_relation
 from morita.actions import (
     EtaleAction,
     Presheaf,
@@ -28,19 +29,24 @@ from morita.categories import (
     C_of,
     FiniteCategory,
     Functor,
+    L_of,
     _joint_invariants,
     check_category,
     is_functor,
     iso_partner,
+    span_category,
 )
 from morita.errors import (
     BudgetExceeded,
     CospanMismatch,
     InvalidBiset,
     InvariantBroken,
+    MoritaError,
     NoPullbacks,
+    NotASubsemigroup,
     NotPrincipallyInductive,
     ParseError,
+    PreconditionFailed,
     UndefinedPseudoproduct,
     WrongSite,
 )
@@ -58,6 +64,7 @@ from morita.semigroups import (
     InverseSemigroup,
     as_inverse,
     idempotents,
+    is_semigroup_enlargement,
     natural_leq,
 )
 
@@ -122,7 +129,6 @@ def build_category(objects, mors, compose, identity_payload, extra=None):
                      dtype=np.int64)
     xt = dict(extra or {})
     xt["payload"] = tuple(payloads)
-    xt["index"] = index
     return FiniteCategory(tuple(objects), tuple(labels), np.array(dom, dtype=np.int64),
                           np.array(cod, dtype=np.int64), comp, ident, xt)
 
@@ -1602,3 +1608,346 @@ class LoopBisetSearch:
         if verify_biset(B).passed:
             return B
         return None
+
+
+# -- constructions on composite points, numbered through position dicts ------------
+
+def raised(build, *args):
+    """(type, message, witness) of the MoritaError build(*args) raises, or None."""
+    try:
+        build(*args)
+    except MoritaError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def _payload_index(C: FiniteCategory) -> dict:
+    """payload -> morphism of a category made by `_table_category`."""
+    return {p: i for i, p in enumerate(C.extra["payload"])}
+
+
+def loop_is_subsemigroup(S: FiniteSemigroup, subset) -> bool:
+    """Non-empty and closed, with the products read into a Python set."""
+    A = sorted(set(int(a) for a in subset))
+    if not A:
+        return False
+    prods = set(int(v) for v in S.table[np.ix_(A, A)].ravel())
+    return prods <= set(A)
+
+
+def loop_restrict(S: FiniteSemigroup, subset):
+    """The subsemigroup on `subset`, its table filled one cell at a time."""
+    A = sorted(set(int(a) for a in subset))
+    if not loop_is_subsemigroup(S, A):
+        raise NotASubsemigroup(witness=tuple(A))
+    new_of_old = {a: i for i, a in enumerate(A)}
+    k = len(A)
+    tab = np.empty((k, k), dtype=np.int64)
+    for i, a in enumerate(A):
+        for j, b in enumerate(A):
+            tab[i, j] = new_of_old[int(S.table[a, b])]
+    return FiniteSemigroup(tuple(S.names[a] for a in A), tab), A
+
+
+def loop_subsemigroup_closure(S: FiniteSemigroup, seeds, star_closed: bool = False):
+    """The closure of seeds under products (and stars), grown as a Python set."""
+    cur = set(int(a) for a in seeds)
+    if star_closed:
+        cur |= {int(S.star[a]) for a in cur}
+    while True:
+        A = sorted(cur)
+        prods = set(int(v) for v in S.table[np.ix_(A, A)].ravel())
+        if star_closed:
+            prods |= {int(S.star[a]) for a in prods}
+        new = cur | prods
+        if new == cur:
+            return sorted(cur)
+        cur = new
+
+
+def loop_brandt(G: InverseSemigroup, k: int) -> InverseSemigroup:
+    """B(G, k) with the triples (i, g, j) numbered through a dict."""
+    m = len(G)
+    n = k * k * m + 1
+    elems = [(i, g, j) for i in range(1, k + 1) for g in range(m) for j in range(1, k + 1)]
+    names = [f"({i},{j})" if m == 1 else f"({i},{G.names[g]},{j})" for (i, g, j) in elems]
+    zero = n - 1
+    pos = {e: t for t, e in enumerate(elems)}
+    table = np.full((n, n), zero, dtype=np.int64)
+    for t1, (i, g, j) in enumerate(elems):
+        for t2, (p, h, q) in enumerate(elems):
+            if j == p:
+                table[t1, t2] = pos[(i, G.mul(g, h), q)]
+    star = np.empty(n, dtype=np.int64)
+    for t, (i, g, j) in enumerate(elems):
+        star[t] = pos[(j, G.inv(g), i)]
+    star[zero] = zero
+    return InverseSemigroup(tuple(names) + ("0",), table, star)
+
+
+def loop_symmetric_inverse_monoid(n: int) -> InverseSemigroup:
+    """I_n with its partial injections as tuples, composed one cell at a time."""
+    elems = []
+    for k in range(n + 1):
+        for dom in combinations(range(n), k):
+            for img in permutations(range(n), k):
+                f = [-1] * n
+                for d, i in zip(dom, img):
+                    f[d] = i
+                elems.append((dom, img, tuple(f)))
+    elems.sort(key=lambda e: (e[0], e[1]))
+    elems = [f for (_, _, f) in elems]
+    pos = {f: i for i, f in enumerate(elems)}
+    m = len(elems)
+    table = np.empty((m, m), dtype=np.int64)
+    for a, f in enumerate(elems):
+        for b, g in enumerate(elems):
+            table[a, b] = pos[tuple(-1 if f[x] == -1 else g[f[x]] for x in range(n))]
+    star = np.empty(m, dtype=np.int64)
+    for a, f in enumerate(elems):
+        back = [-1] * n
+        for x in range(n):
+            if f[x] != -1:
+                back[f[x]] = x
+        star[a] = pos[tuple(back)]
+    names = []
+    for f in elems:
+        parts = [f"{x}to{f[x]}" for x in range(n) if f[x] != -1]
+        names.append("_".join(parts) if parts else "nil")
+    return InverseSemigroup(tuple(names), table, star)
+
+
+def _point_of(pos, key, error):
+    """pos[key], or error(), the typed error the array form raises where the
+    dict misses."""
+    if key not in pos:
+        raise error()
+    return pos[key]
+
+
+def loop_product_action(X: RightAction, Y: RightAction) -> RightAction:
+    """The bounded pairs (x, y), the action filled one cell at a time."""
+    S = X.sgrp
+    E = idempotents(S)
+    pts = [(x, y) for x in range(len(X)) for y in range(len(Y))
+           if any(X.act[x, e] == x and Y.act[y, e] == y for e in E)]
+    pos = {p: i for i, p in enumerate(pts)}
+    act = np.empty((len(pts), len(S)), dtype=np.int64)
+    for i, (x, y) in enumerate(pts):
+        for s in range(len(S)):
+            act[i, s] = _point_of(
+                pos, (int(X.act[x, s]), int(Y.act[y, s])), lambda: InvariantBroken(
+                    "not an action: a pair leaves the product", witness=((x, y), s)))
+    names = tuple(f"({X.carrier[x]},{Y.carrier[y]})" for (x, y) in pts)
+    return RightAction(names, S, act, {"kind": "product", "pairs": tuple(pts)})
+
+
+def loop_equalizer_action(f, g, X: RightAction) -> RightAction:
+    """The points with f(x) = g(x), the action filled one cell at a time."""
+    pts = [x for x in range(len(X)) if f[x] == g[x]]
+    pos = {x: i for i, x in enumerate(pts)}
+    act = np.empty((len(pts), len(X.sgrp)), dtype=np.int64)
+    for i, x in enumerate(pts):
+        for s in range(len(X.sgrp)):
+            act[i, s] = _point_of(pos, int(X.act[x, s]), lambda: InvariantBroken(
+                "f and g are not equivariant: a point leaves the equalizer", witness=(x, s)))
+    return RightAction(tuple(X.carrier[x] for x in pts), X.sgrp, act, {"kind": "equalizer"})
+
+
+def loop_R_of(X: RightAction) -> EtaleAction:
+    """R(X) = {(e, x) : xe = x}, the action filled one cell at a time."""
+    S = X.sgrp
+    pts = [(e, x) for e in idempotents(S) for x in range(len(X)) if X.act[x, e] == x]
+    pos = {p: i for i, p in enumerate(pts)}
+    tab, star = S.table, S.star
+    act = np.empty((len(pts), len(S)), dtype=np.int64)
+    for i, (e, x) in enumerate(pts):
+        for s in range(len(S)):
+            key = (int(tab[tab[star[s], e], s]), int(X.act[x, s]))
+            act[i, s] = _point_of(pos, key, lambda: InvariantBroken(
+                "not an action: a point leaves R(X)", witness=((e, x), s)))
+    names = tuple(f"({S.names[e]},{X.carrier[x]})" for (e, x) in pts)
+    base = RightAction(names, S, act, {"kind": "R", "pairs": tuple(pts)})
+    return EtaleAction(base, np.array([e for (e, _x) in pts], dtype=np.int64))
+
+
+def loop_unit_UR(X: EtaleAction):
+    """x -> (p(x), x), through a dict of the pairs of RU(X)."""
+    RU = loop_R_of(X.base)
+    pos = {p: i for i, p in enumerate(RU.base.extra["pairs"])}
+    return RU, np.array([_point_of(pos, (int(X.anchor[x]), x), lambda: InvariantBroken(
+        "the anchor of a point is not an idempotent fixing it", witness=x))
+        for x in range(len(X))], dtype=np.int64)
+
+
+def loop_counit_UR(X: RightAction):
+    """(e, x) -> x, read off the pairs of R(X) one at a time."""
+    RX = loop_R_of(X)
+    return RX, np.array([x for (_e, x) in RX.base.extra["pairs"]], dtype=np.int64)
+
+
+def loop_principal_etale(S: InverseSemigroup, e: int) -> EtaleAction:
+    """eS with the anchor s*s, one point at a time."""
+    base = loop_principal_action(S, e)
+    return EtaleAction(base, np.array([int(S.table[S.star[s], s])
+                                       for s in base.extra["elt_of_point"]], dtype=np.int64))
+
+
+def loop_etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
+    """The points (o, i) over L(S) or C(S), the action filled one cell at a time."""
+    S = _expect_site(P, kind)
+    site = P.site
+    obj_elt = site.extra["obj_elt"]
+    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
+    idx = _payload_index(site)
+    pts = [(o, i) for o in range(site.n_objects) for i in range(P.fiber_size(o))]
+    pos = {p: i for i, p in enumerate(pts)}
+    tab, star = S.table, S.star
+    act = np.empty((len(pts), len(S)), dtype=np.int64)
+    for k, (o, i) in enumerate(pts):
+        e = obj_elt[o]
+        for s in range(len(S)):
+            es = int(tab[e, s])
+            d = int(tab[tab[star[s], e], s])  # s*es
+            m = idx[(e, es, d) if kind == "C" else (e, es)]
+            value = int(P.maps[m][i]) if i < len(P.maps[m]) else -1
+            act[k, s] = _point_of(pos, (obj_of_elt[d], value), lambda: InvariantBroken(
+                "a presheaf map leaves the fiber over its domain", witness=((o, i), s)))
+    names = tuple(f"{site.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
+    base = RightAction(names, S, act, {"kind": tag, "pairs": tuple(pts)})
+    return EtaleAction(base, np.array([obj_elt[o] for (o, _i) in pts], dtype=np.int64))
+
+
+def loop_idempotents_split(C: FiniteCategory) -> bool:
+    """Every idempotent endo e = s.f with f.s = 1, searched hom-set by hom-set."""
+    for e in range(C.n_mor):
+        if C.dom[e] != C.cod[e] or C.comp[e, e] != e:
+            continue
+        c = int(C.dom[e])
+        found = False
+        for r in range(C.n_objects):
+            for f in C.hom(c, r):
+                if found:
+                    break
+                for s in C.hom(r, c):
+                    if C.comp[s, f] == e and C.comp[f, s] == C.identity[r]:
+                        found = True
+                        break
+            if found:
+                break
+        if not found:
+            return False
+    return True
+
+
+def loop_cauchy_vs_span(S: InverseSemigroup) -> bool:
+    """C(S) and Span(L(S)) are the same category, the functors built one
+    morphism at a time through dicts of the payloads."""
+    L = L_of(S)
+    Sp, C = span_category(L), C_of(S)
+    tab, star = S.table, S.star
+    lidx, spidx, cidx = _payload_index(L), _payload_index(Sp), _payload_index(C)
+    canon = L._spans[0]
+    if C.objects != Sp.objects:
+        return False
+    phi = np.array([spidx[divmod(int(canon[lidx[(e, s)], lidx[(d, int(tab[star[s], s]))]]),
+                                 L.n_mor)]
+                    for (e, s, d) in C.extra["payload"]], dtype=np.int64)
+    psi = np.empty(Sp.n_mor, dtype=np.int64)
+    for w, (l, r) in enumerate(Sp.extra["payload"]):
+        e, s = L.extra["payload"][l]
+        d, t = L.extra["payload"][r]
+        psi[w] = cidx[(e, int(tab[s, star[t]]), d)]
+    if not (is_functor(Functor(C, Sp, np.arange(C.n_objects), phi))
+            and is_functor(Functor(Sp, C, np.arange(Sp.n_objects), psi))):
+        return False
+    return (np.array_equal(psi[phi], np.arange(C.n_mor))
+            and np.array_equal(phi[psi], np.arange(Sp.n_mor)))
+
+
+def loop_L_of_ordered_functor(F) -> Functor:
+    """L(F), one morphism of L(G) at a time."""
+    LG, LH = callback_L_of_groupoid(F.source), callback_L_of_groupoid(F.target)
+    idx = _payload_index(LH)
+    mm = np.array([idx[(int(F.obj_map[e]), int(F.arr_map[g]))]
+                   for (e, g) in LG.extra["payload"]], dtype=np.int64)
+    return Functor(LG, LH, F.obj_map.copy(), mm)
+
+
+def loop_biset_from_regular_enlargement(R, S_subset, T_subset) -> EquivalenceBiset:
+    """The biset of a regular joint enlargement, its points numbered through a
+    dict and its tables filled one cell at a time."""
+    S_subset = sorted(set(int(a) for a in S_subset))
+    T_subset = sorted(set(int(a) for a in T_subset))
+    try:
+        S, s_old = loop_restrict(R, S_subset)
+        S = as_inverse(S)
+        T, t_old = loop_restrict(R, T_subset)
+        T = as_inverse(T)
+    except MoritaError as exc:
+        raise PreconditionFailed(f"subsets must be inverse subsemigroups: {exc}")
+    inverse = inverse_relation(R.table)
+    irregular = np.flatnonzero(~inverse.any(axis=1))
+    if len(irregular):
+        raise PreconditionFailed("R is not regular", witness=int(irregular[0]))
+    if not is_semigroup_enlargement(R, S_subset):
+        raise PreconditionFailed("R is not an enlargement of S")
+    if not is_semigroup_enlargement(R, T_subset):
+        raise PreconditionFailed("R is not an enlargement of T")
+    tab = R.table
+    full = np.arange(len(R))
+    SR = np.unique(tab[np.ix_(S_subset, full)])
+    SRT = set(int(v) for v in np.unique(tab[np.ix_(SR, T_subset)]))
+    TR = np.unique(tab[np.ix_(T_subset, full)])
+    TRS = set(int(v) for v in np.unique(tab[np.ix_(TR, S_subset)]))
+    points = [(x, xp) for x in sorted(SRT)
+              for xp in np.flatnonzero(inverse[x]).tolist() if xp in TRS]
+    pos = {p: i for i, p in enumerate(points)}
+    s_new = {a: i for i, a in enumerate(s_old)}
+    t_new = {a: i for i, a in enumerate(t_old)}
+    nx = len(points)
+    left = np.empty((len(S), nx), dtype=np.int64)
+    right = np.empty((nx, len(T)), dtype=np.int64)
+    innS = np.empty((nx, nx), dtype=np.int64)
+    innT = np.empty((nx, nx), dtype=np.int64)
+    for i, (x, xp) in enumerate(points):
+        for si, a in enumerate(s_old):
+            key = (int(tab[a, x]), int(tab[xp, s_old[int(S.star[si])]]))
+            left[si, i] = _point_of(
+                pos, key, lambda: InvalidBiset(f"left action leaves X at {key}"))
+        for ti, b in enumerate(t_old):
+            key = (int(tab[x, b]), int(tab[t_old[int(T.star[ti])], xp]))
+            right[i, ti] = _point_of(
+                pos, key, lambda: InvalidBiset(f"right action leaves X at {key}"))
+    for i, (x, xp) in enumerate(points):
+        for j, (y, yp) in enumerate(points):
+            innS[i, j] = _point_of(s_new, int(tab[x, yp]), lambda: InvalidBiset(
+                f"inner product <{i},{j}> lands outside S"))
+            innT[i, j] = _point_of(t_new, int(tab[xp, y]), lambda: InvalidBiset(
+                f"inner product [{i},{j}] lands outside T"))
+    names = tuple(f"({R.names[x]},{R.names[xp]})" for (x, xp) in points)
+    B = EquivalenceBiset(S, T, names, left, right, innS, innT,
+                         {"kind": "from_enlargement", "pairs": tuple(points),
+                          "ambient": R, "s_old": tuple(s_old), "t_old": tuple(t_old)})
+    report = verify_biset(B)
+    if not report.passed:
+        raise InvalidBiset(f"extracted biset fails: {report.failures()[:2]}")
+    return B
+
+
+def loop_bipartite_embeddings(B, U, Rg):
+    """(S objects, T objects, P, Q) of `build_bipartite_U`, through dicts."""
+    elems, pos = Rg.extra["elems"], Rg.extra["pos"]
+    idem = U.extra["obj_elt"]
+    obj_of = {e: i for i, e in enumerate(idem)}
+    uidx = _payload_index(U)
+
+    def embed(Lc, tag):
+        om = np.array([obj_of[pos[(tag, e)]] for e in Lc.extra["obj_elt"]], dtype=np.int64)
+        mm = np.array([uidx[(pos[(tag, e)], pos[(tag, s)])]
+                       for (e, s) in Lc.extra["payload"]], dtype=np.int64)
+        return Functor(Lc, U, om, mm)
+
+    return ([obj_of[e] for e in idem if elems[e][0] == "S"],
+            [obj_of[e] for e in idem if elems[e][0] == "T"],
+            embed(L_of(B.S), "S"), embed(L_of(B.T), "T"))

@@ -49,7 +49,7 @@ from morita.categories import C_of, L_of
 from morita.errors import InvariantBroken, NotClosed, WrongSite
 from morita.semigroups import chain_semilattice, cyclic_group, idempotents
 from morita._util import components
-from reference_loops import UnionFind, category_of_elements
+from reference_loops import UnionFind, category_of_elements, loop_etale_of_fibers
 
 
 def orphan_action(S):
@@ -569,7 +569,7 @@ def _ref_i_shriek(X, C):
     S = X.sgrp
     obj_elt = C.extra["obj_elt"]
     obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
-    cidx, tab, star, anchor = C.extra["index"], S.table, S.star, X.anchor
+    tab, star, anchor = S.table, S.star, X.anchor
     xmors = [(int(X.base.act[y, s]), y, s)
              for y in range(len(X)) for s in range(len(S))
              if tab[anchor[y], s] == s
@@ -579,7 +579,7 @@ def _ref_i_shriek(X, C):
         eo = obj_of_elt[e]
         edges = []
         for (x, y, s) in xmors:
-            smor = cidx[(int(anchor[y]), s, int(anchor[x]))]
+            smor = int(C.mor_of(anchor[y], s, anchor[x]))
             edges.extend(((x, m), (y, int(C.comp[smor, m])))
                          for m in C.hom(eo, obj_of_elt[int(anchor[x])]))
         classes, rep_of = _uf_classes(
@@ -839,48 +839,6 @@ def _ref_Q_of(X, C):
     return P
 
 
-def _ref_etale_of_presheaf(P):
-    L = P.site
-    S = L.extra["sgrp"]
-    obj_elt = L.extra["obj_elt"]
-    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
-    lidx = L.extra["index"]
-    pts = [(o, i) for o in range(L.n_objects) for i in range(P.fiber_size(o))]
-    pos = {p: i for i, p in enumerate(pts)}
-    tab, star = S.table, S.star
-    act = np.empty((len(pts), len(S)), dtype=np.int64)
-    for k, (o, i) in enumerate(pts):
-        e = obj_elt[o]
-        for s in range(len(S)):
-            es = int(tab[e, s])
-            d = int(tab[tab[star[s], e], s])
-            act[k, s] = pos[(obj_of_elt[d], int(P.maps[lidx[(e, es)]][i]))]
-    names = tuple(f"{L.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
-    base = RightAction(names, S, act, {"kind": "etale_of_presheaf", "pairs": tuple(pts)})
-    return EtaleAction(base, np.array([obj_elt[o] for (o, _i) in pts], dtype=np.int64))
-
-
-def _ref_I_star(P):
-    C = P.site
-    S = C.extra["sgrp"]
-    obj_elt = C.extra["obj_elt"]
-    obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
-    cidx = C.extra["index"]
-    pts = [(o, i) for o in range(C.n_objects) for i in range(P.fiber_size(o))]
-    pos = {p: i for i, p in enumerate(pts)}
-    tab, star = S.table, S.star
-    act = np.empty((len(pts), len(S)), dtype=np.int64)
-    for k, (o, i) in enumerate(pts):
-        e = obj_elt[o]
-        for s in range(len(S)):
-            es = int(tab[e, s])
-            d = int(tab[tab[star[s], e], s])
-            act[k, s] = pos[(obj_of_elt[d], int(P.maps[cidx[(e, es, d)]][i]))]
-    names = tuple(f"{C.objects[o]}#{P.fibers[o][i]}" for (o, i) in pts)
-    base = RightAction(names, S, act, {"kind": "I_star", "pairs": tuple(pts)})
-    return EtaleAction(base, np.array([obj_elt[o] for (o, _i) in pts], dtype=np.int64))
-
-
 def _assert_same_presheaf(P, ref):
     assert P.site is ref.site and P.fibers == ref.fibers and P.pts == ref.pts
     assert len(P.maps) == len(ref.maps)
@@ -908,11 +866,12 @@ def test_fiber_transports_match_loops():
             P = presheaf_of_etale(X, L)
             _assert_same_presheaf(P, _ref_presheaf_of_etale(X, L))
             for Q in (P, coproduct_presheaf(L, [P, P])):
-                _assert_same_etale(etale_of_presheaf(Q), _ref_etale_of_presheaf(Q))
+                _assert_same_etale(etale_of_presheaf(Q),
+                                   loop_etale_of_fibers(Q, "L", "etale_of_presheaf"))
         for X in sample_closed_actions(S, 3, 4) + [munn_action(S).base, empty_action(S)]:
             _assert_same_presheaf(Q_of(X, C), _ref_Q_of(X, C))
         for P in sample_presheaves(_representables(S, C), 3, 3):
-            _assert_same_etale(I_star(P), _ref_I_star(P))
+            _assert_same_etale(I_star(P), loop_etale_of_fibers(P, "C", "I_star"))
 
 
 # -- the array passes of psh-equiv against their loop forms ---------------------
@@ -1277,3 +1236,120 @@ def test_etale_checks_match_the_loops():
                 assert got is loop_etale_morphism_check(f, X, RUX)
                 verdicts.add(got)
     assert verdicts == {False, True}
+
+
+# -- constructions on composite points against their position-dict loops --------
+
+def _same_build(build, ref, *args):
+    """build(*args) and ref(*args) raise alike, or agree field for field.
+
+    Returns what they raise, (type, message, witness), or None.
+    """
+    from morita.errors import MoritaError
+
+    def run(make):
+        try:
+            return make(*args), None
+        except MoritaError as exc:
+            return None, (type(exc), str(exc), exc.witness)
+
+    (got, fault), (want, ref_fault) = run(build), run(ref)
+    assert fault == ref_fault
+    if fault is None:
+        for a, b in zip(got, want) if isinstance(got, tuple) else [(got, want)]:
+            if isinstance(a, EtaleAction):
+                _assert_same_etale(a, b)
+            elif isinstance(a, RightAction):
+                assert a.carrier == b.carrier and a.sgrp is b.sgrp and a.extra == b.extra
+                assert a.act.tolist() == b.act.tolist()
+            else:
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    return fault
+
+
+def test_composite_point_actions_match_loops(numbering_cases):
+    from morita.actions import _etale_of_fibers, equalizer_action
+    from morita.corpus import sample_closed_actions, sample_etale_actions
+    from reference_loops import (
+        loop_counit_UR,
+        loop_equalizer_action,
+        loop_etale_of_fibers,
+        loop_principal_etale,
+        loop_product_action,
+        loop_R_of,
+        loop_unit_UR,
+    )
+
+    rng = np.random.default_rng(17)
+    faults = {}
+
+    def check(name, build, ref, *args):
+        fault = _same_build(build, ref, *args)
+        faults.setdefault(name, set()).add(None if fault is None else fault[0])
+
+    for S in numbering_cases:
+        C, L = C_of(S), L_of(S)
+        actions = sample_closed_actions(S, 3, 3) + [empty_action(S)]
+        # non-actions: a sample with one cell moved
+        mutants = []
+        for X in [X for X in actions if len(X)][:2]:
+            act = X.act.copy()
+            act[rng.integers(len(X)), rng.integers(len(S))] = rng.integers(len(X))
+            mutants.append(RightAction(X.carrier, S, act))
+        small = min((X for X in actions if len(X)), key=len)
+        for X in actions[:2] + mutants:
+            check("R", R_of, loop_R_of, X)
+        for X in actions[:1] + mutants:
+            check("product", product_action, loop_product_action, X, small)
+        check("counit", counit_UR, loop_counit_UR, actions[0])
+        for X in [X for X in actions if len(X)][:2]:
+            ident = np.arange(len(X))
+            moved = ident.copy()
+            moved[rng.integers(len(X))] = -1             # not equivariant, as a rule
+            homs = action_homs(X, X)[:3] if len(X) <= 6 else []
+            for g in homs + [moved]:
+                check("equalizer", equalizer_action, loop_equalizer_action, ident, g, X)
+        for e in idempotents(S):
+            check("principal", principal_etale, loop_principal_etale, S, e)
+        etale = sample_etale_actions(S)
+        for Y in etale[:2]:
+            anchor = Y.anchor.copy()
+            anchor[rng.integers(len(Y))] = rng.integers(len(S))
+            for Z in (Y, EtaleAction(Y.base, anchor)):
+                check("unit", unit_UR, loop_unit_UR, Z)
+        # the fibers of the Munn action over L(S) and of eS over C(S), and
+        # both with one map entry moved, perhaps out of its fiber
+        for kind, P in (("L", presheaf_of_etale(etale[0], L)), ("C", Q_of(etale[1].base, C))):
+            values = P.values.copy()
+            values[rng.integers(len(values))] = rng.integers(-1, 3)
+            for Q in (P, Presheaf.from_flat(P.site, P.fibers, values, P.map_off)):
+                check(kind, _etale_of_fibers, loop_etale_of_fibers, Q, kind, "tag")
+    assert faults == {"R": {None, InvariantBroken}, "counit": {None},
+                      "product": {None, InvariantBroken},
+                      "equalizer": {None, InvariantBroken}, "principal": {None},
+                      "unit": {None, InvariantBroken}, "L": {None, InvariantBroken},
+                      "C": {None, InvariantBroken}}
+
+
+def test_composite_point_actions_raise_typed_errors(chain2, b12):
+    from morita.actions import equalizer_action
+
+    # each of these raised a bare KeyError before its points were numbered
+    # through `_util.positions`; (a e1) e0 = a but a (e1 e0) = b
+    moved = RightAction(("a", "b"), chain2, np.array([[0, 1], [0, 0]]))
+    assert not check_action(moved)
+    with pytest.raises(InvariantBroken, match="leaves R") as exc:
+        R_of(moved)
+    assert exc.value.witness == ((0, 0), 1)
+    with pytest.raises(InvariantBroken, match="leaves the product") as exc:
+        product_action(moved, moved)
+    assert exc.value.witness == ((0, 0), 1)
+    X = principal_action(b12, 0)
+    with pytest.raises(InvariantBroken, match="not equivariant") as exc:
+        equalizer_action([0, 1, 2], [0, 1, 1], X)
+    assert exc.value.witness == (0, 2)
+    Y = principal_etale(b12, 0)
+    bad = EtaleAction(Y.base, np.full(len(Y), int(b12.index("(1,2)"))))
+    with pytest.raises(InvariantBroken, match="anchor") as exc:
+        unit_UR(bad)
+    assert exc.value.witness == 0

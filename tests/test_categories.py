@@ -41,6 +41,7 @@ from morita.categories import (
 from morita.corpus import builtin_corpus, expected_morita_pairs, random_relabelling
 from morita.errors import (
     CospanMismatch,
+    InvariantBroken,
     IsomorphismChainBroken,
     NoPullbacks,
     PreconditionFailed,
@@ -49,8 +50,10 @@ from morita.errors import (
 from morita.groupoids import (
     C_of_groupoid,
     L_of_groupoid,
+    L_of_ordered_functor,
     inductive_groupoid_of,
     ordered_groupoid_of,
+    sub_ordered_groupoid,
 )
 from morita.semigroups import (
     cyclic_group,
@@ -64,11 +67,16 @@ from reference_loops import (
     callback_C_of_groupoid,
     callback_L_of_groupoid,
     callback_span_category,
+    loop_bipartite_embeddings,
+    loop_biset_from_regular_enlargement,
     loop_categories_isomorphic,
+    loop_cauchy_vs_span,
     loop_check_category,
     loop_check_weak_equivalence,
     loop_is_bipartite,
+    loop_idempotents_split,
     loop_iso_table,
+    loop_L_of_ordered_functor,
     loop_ordered_enlargement_tables,
     loop_pullback,
 )
@@ -163,6 +171,18 @@ def test_cancellation_witness_semantics():
     assert left_cancellation_witness(category([[0, -1], [-1, 1]])) is None
 
 
+def test_mor_of_reads_payload_columns(b12):
+    C = C_of(b12)
+    assert np.array_equal(C.mor_of(*C._payload_array.T), np.arange(C.n_mor))
+    E = np.array(C.extra["obj_elt"])
+    assert np.array_equal(C.mor_of(E, E, E), C.identity)            # (e, e, e) = 1_e
+    assert np.array_equal(C.mor_of(E[:, None], E[:, None], np.tile(E, (2, 1)).T),
+                          np.tile(C.identity, (2, 1)).T)            # broadcast to (k, 2)
+    with pytest.raises(InvariantBroken, match="no morphism") as exc:
+        C.mor_of(E, E[1], E)                                      # e0 e1 e0 = 0 != e1
+    assert exc.value.witness == (int(E[0]), int(E[1]), int(E[0]))
+
+
 def test_idempotents_split(small_corpus, b12):
     for S in small_corpus:
         assert idempotents_split(C_of(S))
@@ -234,11 +254,8 @@ def test_weak_equivalence_checks(b12):
     assert check_weak_equivalence(incl)
     # L(S) -> C(S), (e,s) -> (e,s,s*s): functor but not full for B(1,2)
     L = L_of(b12)
-    cidx = C.extra["index"]
-    mm = np.array(
-        [cidx[(e, s, b12.mul(b12.inv(s), s))] for (e, s) in L.extra["payload"]],
-        dtype=np.int64,
-    )
+    e, s = L._payload_array.T
+    mm = C.mor_of(e, s, b12.table[b12.star[s], s])
     om = np.arange(L.n_objects)
     incl = Functor(L, C, om, mm)
     assert is_functor(incl)
@@ -305,7 +322,7 @@ def test_pullback(chain2, b12):
     res = pullback(L, i, i)
     assert res is not None
     # pullback of (e,z): z -> e with itself has apex z and identity legs
-    ez = L.extra["index"][(0, 1)]
+    ez = int(L.mor_of(0, 1))
     apex, p, q = pullback(L, ez, ez)
     assert L.objects[apex] == "e1"
     assert p == q == int(L.identity[1])
@@ -395,7 +412,24 @@ def assert_same_category(A, B):
     for name in ("dom", "cod", "comp", "identity"):
         assert np.array_equal(getattr(A, name), getattr(B, name)), name
     assert A.extra["payload"] == B.extra["payload"]
-    assert A.extra["index"] == B.extra["index"]
+    assert np.array_equal(A.mor_of(*B._payload_array.T), np.arange(B.n_mor))
+
+
+def _ideal_inclusion(G):
+    """The inclusion of the full ordered subgroupoid on the objects below the
+    middle one: an order ideal, so it keeps restrictions and meets."""
+    down = G.obj_leq[:, G.n_objects // 2]
+    return sub_ordered_groupoid(G, np.flatnonzero(down[G.dom] & down[G.cod]))[1]
+
+
+def assert_same_biset(A, B):
+    assert A.points == B.points and A.extra == B.extra
+    for name in ("S", "T"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.names == b.names and np.array_equal(a.table, b.table)
+        assert np.array_equal(a.star, b.star)
+    for name in ("left_act", "right_act", "inner_S", "inner_T"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
 
 
 def span_outcome(build, L):
@@ -427,8 +461,11 @@ def test_constructions_match_reference(S):
             assert fast == ref
         else:
             assert_same_category(fast, ref)
-    # check_category against its dense loop, also on seeded mutants of comp
+    # check_category and idempotents_split against their loops, also on
+    # seeded mutants of comp
     rng = np.random.default_rng(int(S.table.sum()))
+    for A in (L, C, span_category(L), cauchy_skeleton(C).cat):
+        assert idempotents_split(A) is loop_idempotents_split(A) is True
     for A in (L, C):
         assert check_category(A) == loop_check_category(A) == []
         for _ in range(6):
@@ -437,10 +474,16 @@ def test_constructions_match_reference(S):
             comp[cells[:, 0], cells[:, 1]] = rng.integers(-1, A.n_mor, size=len(cells))
             M = FiniteCategory(A.objects, A.mor_labels, A.dom, A.cod, comp, A.identity)
             assert check_category(M) == loop_check_category(M)
+            assert idempotents_split(M) == loop_idempotents_split(M)
     # the ordered-groupoid categories, U and the biset read off the enlargement
     B = biset_from_regular_enlargement(S, range(len(S)), range(len(S)))
-    U, s_objs, t_objs, _P, _Q = build_bipartite_U(B)
+    assert_same_biset(B, loop_biset_from_regular_enlargement(S, range(len(S)), range(len(S))))
+    U, s_objs, t_objs, P, Q = build_bipartite_U(B)
     assert_same_category(U, callback_bipartite_U(U.extra["sgpd"]))
+    ref = loop_bipartite_embeddings(B, U, U.extra["sgpd"])
+    assert (s_objs, t_objs) == ref[:2]
+    for F, G in ((P, ref[2]), (Q, ref[3])):
+        assert np.array_equal(F.obj_map, G.obj_map) and np.array_equal(F.mor_map, G.mor_map)
     splits = [(s_objs, t_objs), (s_objs[1:], t_objs + s_objs[:1])]
     splits += [(list(np.flatnonzero(side)), list(np.flatnonzero(~side)))
                for side in rng.random((4, U.n_objects)) < 0.5]
@@ -527,3 +570,57 @@ def test_iso_search_is_not_capped_by_the_recursion_limit():
     d = morita_equivalent(cyclic_group(1100), cyclic_group(1100))
     assert d.equivalent
     assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+
+
+def test_regular_enlargement_biset_matches_the_loop_on_ambient_mutants():
+    # the enlargement shapes of the crosscheck benchmark (B(C_g, n) enlarging
+    # eTe) and two local submonoids eTe, fTf of it, on the ambient table and on
+    # tables with one or two cells moved: most such tables fail a
+    # precondition or verification, some leave X or land outside a part
+    from morita.semigroups import FiniteSemigroup, brandt, cyclic_group, idempotents
+    from reference_loops import loop_biset_from_regular_enlargement, raised
+
+    rng = np.random.default_rng(11)
+    seen = set()
+    for g, n in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)):
+        T = brandt(cyclic_group(g), n)
+        tab, full = T.table, np.arange(len(T))
+        local = [[s for s in full if tab[tab[e, s], e] == s] for e in idempotents(T)[:-1]]
+        for A, B in ((local[0], full), (local[0], local[-1]), (local[-1], local[0])):
+            for k in [0] + [1, 2] * 5:
+                t = tab.copy()
+                t[rng.integers(len(T), size=k), rng.integers(len(T), size=k)] = \
+                    rng.integers(len(T), size=k)
+                R = FiniteSemigroup(T.names, t)
+                fault = raised(biset_from_regular_enlargement, R, A, B)
+                assert fault == raised(loop_biset_from_regular_enlargement, R, A, B)
+                if fault is None:
+                    assert_same_biset(biset_from_regular_enlargement(R, A, B),
+                                      loop_biset_from_regular_enlargement(R, A, B))
+                seen.add(None if fault is None else fault[1][:15])
+    assert {None, "left action lea", "right action le", "inner product <",
+            "inner product ["} <= seen
+
+
+def test_category_numbering_matches_the_loops_on_random_members(numbering_cases):
+    # every numbering case for cauchy_vs_span and L of an order-ideal
+    # inclusion; the rest for the checks test_constructions_match_reference
+    # makes on the corpus members and I_3
+    for S in numbering_cases:
+        assert cauchy_vs_span(S) is loop_cauchy_vs_span(S) is True
+        F = _ideal_inclusion(inductive_groupoid_of(S))
+        got, want = L_of_ordered_functor(F), loop_L_of_ordered_functor(F)
+        assert np.array_equal(got.obj_map, want.obj_map)
+        assert np.array_equal(got.mor_map, want.mor_map)
+        C, L = C_of(S), L_of(S)
+        for A in (C, L, cauchy_skeleton(C).cat):
+            assert idempotents_split(A) is loop_idempotents_split(A) is True
+        if len(S) <= 12:
+            B = biset_from_regular_enlargement(S, range(len(S)), range(len(S)))
+            assert_same_biset(B, loop_biset_from_regular_enlargement(S, range(len(S)),
+                                                                      range(len(S))))
+            U, s_objs, t_objs, P, Q = build_bipartite_U(B)
+            ref = loop_bipartite_embeddings(B, U, U.extra["sgpd"])
+            assert (s_objs, t_objs) == ref[:2]
+            assert np.array_equal(P.mor_map, ref[2].mor_map)
+            assert np.array_equal(Q.mor_map, ref[3].mor_map)

@@ -149,20 +149,13 @@ def test_local_iso_matches_C_weak_equivalence(b12):
     # is_local_isomorphism(theta) == check_weak_equivalence(C(theta)) for
     # principally inductive groupoids
     G = inductive_groupoid_of(b12)
-    CG = C_of_groupoid(G)
-    cidx = CG.extra["index"]
 
     def C_of_functor(F):
         src = C_of_groupoid(F.source)
         dst = C_of_groupoid(F.target)
-        didx = dst.extra["index"]
-        om = F.obj_map.copy()
-        mm = np.array(
-            [didx[(int(F.obj_map[e]), int(F.arr_map[x]), int(F.obj_map[f]))]
-             for (e, x, f) in src.extra["payload"]],
-            dtype=np.int64,
-        )
-        return Functor(src, dst, om, mm)
+        e, x, f = src._payload_array.T
+        return Functor(src, dst, F.obj_map.copy(),
+                       dst.mor_of(F.obj_map[e], F.arr_map[x], F.obj_map[f]))
 
     ident = OrderedFunctor(G, G, np.arange(G.n_objects), np.arange(G.n_arrows))
     assert is_local_isomorphism(ident) == check_weak_equivalence(C_of_functor(ident))

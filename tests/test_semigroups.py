@@ -329,3 +329,61 @@ def test_natural_order_passes_match_loops():
         if not axiom_violations(S):
             assert loop_order_is_antisymmetric(S)
     assert unitary == antisymmetric == {True, False}
+
+
+def _same_semigroup(A, B):
+    assert A.names == B.names and A.table.tolist() == B.table.tolist()
+    assert getattr(A, "star", np.zeros(0)).tolist() == getattr(B, "star", np.zeros(0)).tolist()
+
+
+def test_subsemigroup_masks_and_restrict_match_loops(numbering_cases):
+    from morita.semigroups import restrict
+    from reference_loops import (
+        loop_is_subsemigroup,
+        loop_restrict,
+        loop_subsemigroup_closure,
+        raised,
+    )
+
+    rng = np.random.default_rng(16)
+    verdicts = set()
+    for S in numbering_cases:
+        n = len(S)
+        seeds = [rng.choice(n, size=k).tolist() for k in (1, 2, 3)]
+        closures = [subsemigroup_closure(S, sd, star) for sd in seeds for star in (False, True)]
+        assert closures == [loop_subsemigroup_closure(S, sd, star)
+                            for sd in seeds for star in (False, True)]
+        subsets = [range(n), [], set(seeds[2]), seeds[2] + seeds[2]]
+        subsets += [np.flatnonzero(rng.random(n) < p) for p in (0.2, 0.5, 0.8)]
+        for A in subsets + closures:
+            verdicts.add(is_subsemigroup(S, A))
+            assert is_subsemigroup(S, A) == loop_is_subsemigroup(S, A)
+            assert raised(restrict, S, A) == raised(loop_restrict, S, A)
+            if is_subsemigroup(S, A):
+                (sub, old), (ref, ref_old) = restrict(S, A), loop_restrict(S, A)
+                _same_semigroup(sub, ref)
+                assert old == ref_old
+    assert verdicts == {True, False}
+    # ints outside range(n) are no elements: the masks do not wrap them round
+    S = chain_semilattice(3)
+    for bad in ([-1], [2, -1], [3]):
+        assert not is_subsemigroup(S, bad)
+        with pytest.raises(NotASubsemigroup) as exc:
+            restrict(S, bad)
+        assert exc.value.witness == tuple(sorted(set(bad)))
+        with pytest.raises(ValueError):
+            subsemigroup_closure(S, bad)
+
+
+def test_builders_match_loops():
+    from morita.semigroups import restrict_inverse
+    from reference_loops import loop_brandt, loop_symmetric_inverse_monoid
+
+    for n in range(1, 5):
+        _same_semigroup(symmetric_inverse_monoid(n), loop_symmetric_inverse_monoid(n))
+    I3 = symmetric_inverse_monoid(3)
+    S3, _old = restrict_inverse(I3, [a for a in range(len(I3)) if I3.names[a].count("to") == 3])
+    assert len(S3) == 6 and len(idempotents(S3)) == 1       # the symmetric group, not abelian
+    for G in (cyclic_group(1), cyclic_group(2), cyclic_group(3), S3):
+        for k in range(1, 4):
+            _same_semigroup(brandt(G, k), loop_brandt(G, k))

@@ -95,3 +95,60 @@ def test_presheaf_maps_are_never_cut_with_np_split():
              if isinstance(node, ast.Attribute) and node.attr == "split"
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert found == []
+
+
+def _cell_fills(tree) -> list:
+    """Lines assigning a[i, j] where i and j are the variables of two nested for loops."""
+    found = []
+
+    def visit(node, loops):
+        if isinstance(node, ast.For):
+            loops = loops + [{n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}]
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                index = t.slice.elts if isinstance(t, ast.Subscript) and isinstance(
+                    t.slice, ast.Tuple) else []
+                if len(index) == 2 and all(isinstance(e, ast.Name) for e in index):
+                    i, j = ([k for k, names in enumerate(loops) if e.id in names]
+                            for e in index)
+                    if i and j and i[-1] != j[-1]:
+                        found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(tree, [])
+    return found
+
+
+def test_composite_points_are_numbered_through_positions():
+    # a construction on composite points finds where each value lands with
+    # `_util.positions` (or `FiniteCategory.mor_of` over payloads): no module
+    # reads a payload dict extra["index"] or fills a 2-d table one cell at a
+    # time in two nested loops; formats.py, which parses names, is exempt
+    src = Path(morita.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno} index"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "extra" and isinstance(node.slice, ast.Constant)
+                  and node.slice.value == "index"]
+        if path.name != "formats.py":
+            found += [f"{path.name}:{line} cell" for line in _cell_fills(tree)]
+    assert found == []
+
+
+def test_the_cell_fill_guard_sees_the_loop_it_replaced():
+    loop = ("def restrict(S, A):\n"
+            "    for i, a in enumerate(A):\n"
+            "        for j, b in enumerate(A):\n"
+            "            tab[i, j] = new_of_old[int(S.table[a, b])]\n")
+    assert _cell_fills(ast.parse(loop)) == [4]
+    # block writes and writes indexed by one loop only are not cell fills
+    block = ("for x in range(n):\n"
+             "    for rows in blocks:\n"
+             "        canon[out[rows], out] = 0\n"
+             "        pb[f[rows], g] = 1\n"
+             "        t[x, x] = 2\n")
+    assert _cell_fills(ast.parse(block)) == []

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
-from morita._util import failures, row_blocks
+from morita._util import failures, positions, row_blocks
 from morita.actions import action_law_witness, regular_action
 from morita.corpus import builtin_corpus, seeded_mutants
+from morita.errors import InvariantBroken
 from morita.semigroups import assoc_witness
 
 
@@ -48,3 +50,38 @@ def test_associativity_is_the_action_law_of_the_regular_action():
     witnesses = [assoc_witness(S) for S in tables]
     assert witnesses == [action_law_witness(regular_action(S)) for S in tables]
     assert sum(w is not None for w in witnesses) >= 30
+
+
+def _missing(at):
+    return InvariantBroken("missing", witness=at)
+
+
+def test_positions_place_every_key_and_name_the_first_missing_one():
+    rng = np.random.default_rng(4)
+    members = rng.permutation(60)[:40]                   # distinct
+    queries = rng.choice(members, size=(6, 7))
+    assert np.array_equal(members[positions(members, queries, _missing)], queries)
+    assert positions(members, members[5], _missing) == 5
+    queries[4, 1] = queries[2, 3] = 99
+    queries[5, 0] = -1
+    with pytest.raises(InvariantBroken) as exc:
+        positions(members, queries, _missing)
+    assert exc.value.witness == (2, 3)                   # the first in C order
+    with pytest.raises(InvariantBroken) as exc:
+        positions([], [[7]], _missing)
+    assert exc.value.witness == (0, 0)
+    assert positions([], np.zeros((0, 2), dtype=np.int64), _missing).shape == (0, 2)
+
+
+def test_positions_of_rows_broadcast_their_columns():
+    a, b = np.array([2, 0, 1, 0]), np.array([0, 3, 1, 1])   # the rows (a, b)
+    assert positions((a, b), (np.array([[0], [0]]), np.array([3, 1])), _missing).tolist() \
+        == [[1, 3], [1, 3]]
+    assert positions((a, b), (np.array([2, 1]), np.array([0, 1])), _missing).tolist() == [0, 2]
+    # a column outside the members' range is missing, not read as another row:
+    # (1, 4) would encode as (2, 0) over the ranges (3, 4), and (0, -1) and
+    # (3, 0) clip to the members (0, 0) and (2, 0)
+    for row in ((1, 4), (0, -1), (3, 0), (-1, 3)):
+        with pytest.raises(InvariantBroken) as exc:
+            positions((a, b), (np.array([2, row[0]]), np.array([0, row[1]])), _missing)
+        assert exc.value.witness == (1,)
