@@ -192,11 +192,10 @@ def principal_action(S: FiniteSemigroup, e: int) -> RightAction:
     point = np.full(len(S), -1, dtype=np.int64)
     point[elts] = np.arange(len(elts))
     pts = elts.tolist()
-    pos = {s: i for i, s in enumerate(pts)}
     act = point[tab[elts]]
     return RightAction(
         tuple(S.names[s] for s in pts), S, act,
-        {"kind": "principal", "e": e, "elt_of_point": tuple(pts), "point_of_elt": pos},
+        {"kind": "principal", "e": e, "elt_of_point": tuple(pts)},
     )
 
 

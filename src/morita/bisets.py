@@ -266,16 +266,13 @@ def build_R_semigroupoid(B: EquivalenceBiset) -> InverseSemigroupoid:
         raise InvalidBiset(f"biset fails verification: {report.failures()[:2]}")
     S, T = B.S, B.T
     nx = len(B)
-    elems = ([("S", s) for s in range(len(S))] + [("T", t) for t in range(len(T))]
-             + [("X", x) for x in range(nx)] + [("Y", x) for x in range(nx)])
-    pos = {e: i for i, e in enumerate(elems)}
     names = ([f"s_{a}" for a in S.names] + [f"t_{a}" for a in T.names]
              + [f"x_{p}" for p in B.points] + [f"y_{p}" for p in B.points])
 
     # the eight products, block by block; every other product is undefined
     ns, nt = len(S), len(T)
     oT, oX, oY = ns, ns + nt, ns + nt + nx
-    n = len(elems)
+    n = oY + nx
     table = np.full((n, n), -1, dtype=np.int64)
     sl_S, sl_T = slice(0, oT), slice(oT, oX)
     sl_X, sl_Y = slice(oX, oY), slice(oY, n)
@@ -290,10 +287,8 @@ def build_R_semigroupoid(B: EquivalenceBiset) -> InverseSemigroupoid:
     try:
         Rg = InverseSemigroupoid(
             names, table,
-            {"kind": "R_semigroupoid", "biset": B, "elems": tuple(elems),
-             "pos": pos,
-             "s_part": tuple(pos[("S", s)] for s in range(len(S))),
-             "t_part": tuple(pos[("T", t)] for t in range(len(T)))},
+            {"kind": "R_semigroupoid", "biset": B,
+             "s_part": tuple(range(oT)), "t_part": tuple(range(oT, oX))},
         )
     except NotInverseSemigroupoid as exc:
         # the associativity messages come first.  R(S,T;X) defines ab exactly
@@ -408,16 +403,17 @@ class MoritaDecision:
     backward: Functor = None
 
 
-def morita_equivalent(S: InverseSemigroup, T: InverseSemigroup) -> MoritaDecision:
+def morita_equivalent(S: InverseSemigroup, T: InverseSemigroup,
+                      budget: int = 10_000_000) -> MoritaDecision:
     """Decide Morita equivalence through the Cauchy completions.
 
     Each skeleton is built once from the D-classes of the idempotents; one
-    isomorphism search between them decides, and its inverse gives the
-    backward witness.
+    isomorphism search between them, under `budget` placements, decides,
+    and its inverse gives the backward witness.
     """
     CS, CT = C_of(S), C_of(T)
     skS, skT = cauchy_skeleton(CS), cauchy_skeleton(CT)
-    pair = equivalence_from_skeletons(CS, skS, CT, skT)
+    pair = equivalence_from_skeletons(CS, skS, CT, skT, budget)
     return MoritaDecision(
         S, T, pair is not None, CS, CT, skS, skT,
         None if pair is None else pair[0],

@@ -12,8 +12,9 @@ constructions are the left-cancellative category of an inverse semigroup
 esf=s).  Equivalence of finite categories is decided through skeletons:
 two finite categories are equivalent iff their skeletons are isomorphic,
 and the isomorphism search is a backtracking matcher with
-invariant-refinement pruning.  Its inverse gives the backward witness, so
-each decision searches once.
+invariant-refinement pruning that branches only on morphisms no placed pair
+composes to.  Its inverse gives the backward witness, so each decision
+searches once.
 
 For the Cauchy completion the skeleton needs no search for isomorphisms:
 an isomorphism f -> e of C(S) is an element s with s*s = f and ss* = e, so
@@ -29,6 +30,7 @@ import numpy as np
 
 from ._util import failures, positions, ragged, row_blocks
 from .errors import (
+    BudgetExceeded,
     CospanMismatch,
     InvariantBroken,
     IsomorphismChainBroken,
@@ -542,9 +544,15 @@ def _joint_invariants(C, D):
     keys are numbered jointly over both categories.  Endpoint classes key an
     object by its identity's class and the class counts of the morphisms out
     of and into it.  Rounds stop once C's partition stops splitting.
+
+    The endpoints and identities are read on the disjoint union of C and
+    D: D's morphisms follow C's, and D's objects follow C's.
     """
-    cats = (C, D)
     mC, nC = C.n_mor, C.n_objects
+    n = nC + D.n_objects
+    dom = np.concatenate([C.dom, D.dom + nC])
+    cod = np.concatenate([C.cod, D.cod + nC])
+    ident = np.concatenate([C.identity, D.identity + mC])
 
     def initial(cat):
         is_id = np.zeros(cat.n_mor, dtype=np.int64)
@@ -553,18 +561,13 @@ def _joint_invariants(C, D):
 
     def obj_classes(inv):
         K = int(inv.max()) + 1 if len(inv) else 1
-        keys = []
-        for cat, ci in zip(cats, (inv[:mC], inv[mC:])):
-            outs = np.zeros((cat.n_objects, K), dtype=np.int64)
-            ins = np.zeros((cat.n_objects, K), dtype=np.int64)
-            np.add.at(outs, (cat.dom, ci), 1)
-            np.add.at(ins, (cat.cod, ci), 1)
-            keys.append(np.column_stack([ci[cat.identity], outs, ins]))
-        return _intern(np.vstack(keys))
+        outs = np.bincount(dom * K + inv, minlength=n * K).reshape(n, K)
+        ins = np.bincount(cod * K + inv, minlength=n * K).reshape(n, K)
+        return _intern(np.column_stack([inv[ident], outs, ins]))
 
     def codes(inv, K, transpose):
         out = []
-        for cat, ci in zip(cats, (inv[:mC], inv[mC:])):
+        for cat, ci in zip((C, D), (inv[:mC], inv[mC:])):
             comp = cat.comp.T if transpose else cat.comp
             c = np.where(comp >= 0, ci[None, :] * K + ci[comp], -1)
             out.append(np.sort(c, axis=1))
@@ -574,15 +577,9 @@ def _joint_invariants(C, D):
     if len(inv):
         for _ in range(max(mC, 1)):
             ok = obj_classes(inv)
-            okC, okD = ok[:nC], ok[nC:]
             K = int(inv.max()) + 1
-            new = _intern(np.column_stack([
-                inv,
-                np.concatenate([okC[C.dom], okD[D.dom]]),
-                np.concatenate([okC[C.cod], okD[D.cod]]),
-                codes(inv, K, False),
-                codes(inv, K, True),
-            ]))
+            new = _intern(np.column_stack([inv, ok[dom], ok[cod], codes(inv, K, False),
+                                           codes(inv, K, True)]))
             # refinement only ever splits classes, so equal counts mean a fixpoint
             stable = (np.count_nonzero(np.bincount(new[:mC]))
                       == np.count_nonzero(np.bincount(inv[:mC])))
@@ -592,15 +589,54 @@ def _joint_invariants(C, D):
 
     ok = obj_classes(inv)
     ocC, ocD = ok[:nC], ok[nC:]
-    ocD = np.where(np.isin(ocD, ocC), ocD, -1)
+    in_C = np.zeros(len(ok), dtype=bool)
+    in_C[ocC] = True
+    ocD = np.where(in_C[ocD], ocD, -1)
     return inv[:mC], inv[mC:], ocC, ocD
 
 
-def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
+def _factor_table(C: FiniteCategory, non_id) -> list:
+    """[m]: the first (a, b) in row-major order with a.b = m and both a and b
+    before m in `non_id`, or (-1, -1); one pass over the composable cells.
+
+    Identities come before every morphism of `non_id`, but a pair with an
+    identity in it composes to its other member, so it never qualifies.
+    """
+    rank = np.full(C.n_mor, -1, dtype=np.int64)
+    rank[non_id] = np.arange(len(non_id))
+    a, b = np.nonzero(C.comp >= 0)
+    m = C.comp[a, b]
+    keep = (rank[a] < rank[m]) & (rank[b] < rank[m])
+    a, b = a[keep], b[keep]
+    m, first = np.unique(m[keep], return_index=True)
+    out = np.full((C.n_mor, 2), -1, dtype=np.int64)
+    out[m, 0], out[m, 1] = a[first], b[first]
+    return out.tolist()
+
+
+def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = 10_000_000):
     """Backtracking search for an isomorphism of categories.
 
     Prunes on morphism/object invariant classes refined through the
-    composition tables; returns a witness Functor or None.
+    composition tables; returns a witness Functor or None.  The objects are
+    placed first, each with its identity, then the other morphisms.
+
+    A morphism m = a.b whose factors a and b are placed before it is forced:
+    every functor F that extends the placed map has F(m) = F(a).F(b), so that
+    is its only candidate, kept if it is unused and of m's invariant class.
+    Every other candidate roots a subtree that holds no functor, and the
+    checks a forced placement skips (the hom-set, the composites with placed
+    morphisms) only reject maps that are no functor, which the final
+    `is_functor` rejects as well.  At the other levels a candidate w must
+    agree with the placed composites and, for an endomorphism m, have powers
+    that cycle as m's do: the search only completes maps that are bijective
+    on morphisms, and such a functor sends m^k to w^k and keeps m^j = m^k.
+    So the search still visits the subtrees that hold the functors it can
+    return in the same order, and returns the same first functor as the
+    search without forcing.
+
+    Each object or morphism placement counts one node against `budget`;
+    BudgetExceeded names both skeleton sizes once more are needed.
     """
     if C.n_objects != D.n_objects or C.n_mor != D.n_mor:
         return None
@@ -623,6 +659,29 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
     class_size = np.bincount(invD, minlength=int(invC.max(initial=0)) + 1)
     non_id = sorted(np.flatnonzero(~is_id).tolist(),
                     key=lambda m: (int(class_size[invC[m]]), m))
+    factor = _factor_table(C, non_id)
+    nodes = 0
+
+    def count_node():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                "isomorphism search between skeletons of (objects, morphisms) ="
+                f" ({C.n_objects}, {C.n_mor}) and ({D.n_objects}, {D.n_mor})"
+                f" used up its budget of {budget} placements")
+
+    shapesC, shapesD = {}, {}
+
+    def powers(cat, x, shapes):
+        """(index, period) of the powers x, x.x, ... of an endomorphism x."""
+        if x not in shapes:
+            seen, p = {}, x
+            while p not in seen:
+                seen[p] = len(seen) + 1
+                p = int(cat.comp[x, p])
+            shapes[x] = (seen[p], len(seen) + 1 - seen[p])
+        return shapes[x]
 
     def placed(line):
         """Morphisms f whose image and whose composite `line[f]` are placed."""
@@ -630,17 +689,29 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
         f = f[mor_map[line[f]] >= 0]
         return mor_map[f], mor_map[line[f]]
 
-    def place_mor(m):
-        a, b = int(obj_map[C.dom[m]]), int(obj_map[C.cod[m]])
-        # w must send m.f to w.F(f) and f.m to F(f).w wherever both are placed
+    def free_candidates(m):
+        """The unused w in hom(F(dom m), F(cod m)) and in m's class that send
+        m.f to w.F(f) and f.m to F(f).w wherever both are placed, and whose
+        powers cycle as m's do when m is an endomorphism."""
         right, right_to = placed(C.comp[m])
         left, left_to = placed(C.comp[:, m])
-        for w in D.hom(a, b):
-            if used_mor[w] or invD[w] != invC[m]:
-                continue
-            if not (np.array_equal(D.comp[w, right], right_to)
-                    and np.array_equal(D.comp[left, w], left_to)):
-                continue
+        shape = powers(C, m, shapesC) if C.dom[m] == C.cod[m] else None
+        for w in D.hom(int(obj_map[C.dom[m]]), int(obj_map[C.cod[m]])):
+            if (not used_mor[w] and invD[w] == invC[m]
+                    and np.array_equal(D.comp[w, right], right_to)
+                    and np.array_equal(D.comp[left, w], left_to)
+                    and (shape is None or powers(D, w, shapesD) == shape)):
+                yield w
+
+    def place_mor(m):
+        a, b = factor[m]
+        if a < 0:
+            candidates = free_candidates(m)
+        else:
+            w = int(D.comp[mor_map[a], mor_map[b]])
+            candidates = () if used_mor[w] or invD[w] != invC[m] else (w,)
+        for w in candidates:
+            count_node()
             mor_map[m] = w
             used_mor[w] = True
             yield
@@ -657,6 +728,7 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
                     or not np.array_equal(hsC[o, done], hsD[o2, images])
                     or not np.array_equal(hsC[done, o], hsD[images, o2])):
                 continue
+            count_node()
             obj_map[o] = o2
             used_obj[o2] = True
             im = int(D.identity[o2])
@@ -709,13 +781,14 @@ def _extend(src, src_sk, dst_sk, iso, dst) -> Functor:
 
 
 def equivalence_from_skeletons(C: FiniteCategory, skC: SkeletonData,
-                               D: FiniteCategory, skD: SkeletonData):
+                               D: FiniteCategory, skD: SkeletonData,
+                               budget: int = 10_000_000):
     """Weak equivalences C -> D and D -> C through the given skeletons, or None.
 
-    One isomorphism search between the skeletons; the backward witness
-    extends its inverse.
+    One isomorphism search between the skeletons, under `budget` placements;
+    the backward witness extends its inverse.
     """
-    phi = categories_isomorphic(skC.cat, skD.cat)
+    phi = categories_isomorphic(skC.cat, skD.cat, budget)
     if phi is None:
         return None
     return (_extend(C, skC, skD, phi, D),

@@ -144,7 +144,7 @@ def cmd_morita(args) -> Report:
     rep.add("input_t", "info", args.path_t)
     S = _load_inverse(args.path_s)
     T = _load_inverse(args.path_t)
-    d = bisets.morita_equivalent(S, T)
+    d = bisets.morita_equivalent(S, T, args.budget)
     rep.add("skeleton_s_objects", "info", str(d.skeleton_S.cat.n_objects))
     rep.add("skeleton_s_morphisms", "info", str(d.skeleton_S.cat.n_mor))
     rep.add("skeleton_t_objects", "info", str(d.skeleton_T.cat.n_objects))
@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10_000_000,
-                   help="cell budget for exhaustive searches")
+                   help="budget for exhaustive searches: placements of the"
+                   " isomorphism search, cell assignments of the oracle")
     p.add_argument("--max-points", type=int, default=4,
                    help="carrier bound for the biset search oracle")
     sub = p.add_subparsers(dest="command", required=True)

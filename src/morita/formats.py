@@ -74,16 +74,11 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
         raise ParseError(f"expected {n} names, found {len(names)}")
     _check_names(names)
     pos = {nm: i for i, nm in enumerate(names)}
-    table = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        row = lines[2 + i]
-        if len(row) != n:
-            raise ParseError(f"row {i} has {len(row)} entries, expected {n}")
-        for j, nm in enumerate(row):
-            if nm not in pos:
-                raise ParseError(f"unknown element {nm!r} in row {i}")
-            table[i, j] = pos[nm]
-    S = FiniteSemigroup(tuple(names), table)
+    rows = lines[2:]
+    cells = [pos.get(nm, -1) for row in rows for nm in row]
+    if -1 in cells or any(len(row) != n for row in rows):
+        raise _row_error(rows, pos, n)
+    S = FiniteSemigroup(tuple(names), np.array(cells, dtype=np.int64).reshape(n, n))
     w = assoc_witness(S)
     if w is not None:
         i, j, k = w
@@ -92,6 +87,16 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
             witness=w,
         )
     return S
+
+
+def _row_error(rows, pos, n) -> ParseError:
+    """The error of the first bad table row: its length, else its first
+    unknown name."""
+    i, row = next((i, row) for i, row in enumerate(rows)
+                  if len(row) != n or not pos.keys() >= set(row))
+    if len(row) != n:
+        return ParseError(f"row {i} has {len(row)} entries, expected {n}")
+    return ParseError(f"unknown element {next(nm for nm in row if nm not in pos)!r} in row {i}")
 
 
 def dump_semigroup(S: FiniteSemigroup) -> str:

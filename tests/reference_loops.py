@@ -30,6 +30,7 @@ from morita.categories import (
     FiniteCategory,
     Functor,
     L_of,
+    _intern,
     _joint_invariants,
     check_category,
     is_functor,
@@ -44,13 +45,14 @@ from morita.errors import (
     MoritaError,
     NoPullbacks,
     NotASubsemigroup,
+    NotAssociative,
     NotPrincipallyInductive,
     ParseError,
     PreconditionFailed,
     UndefinedPseudoproduct,
     WrongSite,
 )
-from morita.formats import _check_names, _need, load_semigroup
+from morita.formats import _check_names, _need, _tokens, load_semigroup
 from morita.groupoids import (
     OrderedGroupoid,
     corestriction,
@@ -63,6 +65,7 @@ from morita.semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
     as_inverse,
+    assoc_witness,
     idempotents,
     is_semigroup_enlargement,
     natural_leq,
@@ -266,6 +269,60 @@ def loop_iso_table(C: FiniteCategory) -> np.ndarray:
             has = ok.any(axis=1)
             out[M[has]] = W[ok.argmax(axis=1)[has]]
     return out
+
+
+def loop_joint_invariants(C, D):
+    """_joint_invariants one category at a time, counting with np.add.at."""
+    cats = (C, D)
+    mC, nC = C.n_mor, C.n_objects
+
+    def initial(cat):
+        is_id = np.zeros(cat.n_mor, dtype=np.int64)
+        is_id[cat.identity] = 1
+        return 4 * is_id + 2 * (iso_partner(cat) >= 0) + (cat.dom == cat.cod)
+
+    def obj_classes(inv):
+        K = int(inv.max()) + 1 if len(inv) else 1
+        keys = []
+        for cat, ci in zip(cats, (inv[:mC], inv[mC:])):
+            outs = np.zeros((cat.n_objects, K), dtype=np.int64)
+            ins = np.zeros((cat.n_objects, K), dtype=np.int64)
+            np.add.at(outs, (cat.dom, ci), 1)
+            np.add.at(ins, (cat.cod, ci), 1)
+            keys.append(np.column_stack([ci[cat.identity], outs, ins]))
+        return _intern(np.vstack(keys))
+
+    def codes(inv, K, transpose):
+        out = []
+        for cat, ci in zip(cats, (inv[:mC], inv[mC:])):
+            comp = cat.comp.T if transpose else cat.comp
+            c = np.where(comp >= 0, ci[None, :] * K + ci[comp], -1)
+            out.append(np.sort(c, axis=1))
+        return _intern(np.vstack(out))
+
+    inv = np.concatenate([initial(C), initial(D)])
+    if len(inv):
+        for _ in range(max(mC, 1)):
+            ok = obj_classes(inv)
+            okC, okD = ok[:nC], ok[nC:]
+            K = int(inv.max()) + 1
+            new = _intern(np.column_stack([
+                inv,
+                np.concatenate([okC[C.dom], okD[D.dom]]),
+                np.concatenate([okC[C.cod], okD[D.cod]]),
+                codes(inv, K, False),
+                codes(inv, K, True),
+            ]))
+            stable = (np.count_nonzero(np.bincount(new[:mC]))
+                      == np.count_nonzero(np.bincount(inv[:mC])))
+            inv = new
+            if stable:
+                break
+
+    ok = obj_classes(inv)
+    ocC, ocD = ok[:nC], ok[nC:]
+    ocD = np.where(np.isin(ocD, ocC), ocD, -1)
+    return inv[:mC], inv[mC:], ocC, ocD
 
 
 def loop_categories_isomorphic(C: FiniteCategory, D: FiniteCategory):
@@ -585,7 +642,7 @@ def loop_principal_action(S: FiniteSemigroup, e: int) -> RightAction:
             act[i, s] = pos[int(tab[x, s])]
     return RightAction(
         tuple(S.names[s] for s in pts), S, act,
-        {"kind": "principal", "e": e, "elt_of_point": tuple(pts), "point_of_elt": pos},
+        {"kind": "principal", "e": e, "elt_of_point": tuple(pts)},
     )
 
 
@@ -934,6 +991,48 @@ def loop_etale_morphism_check(f, X: EtaleAction, Y: EtaleAction) -> bool:
             if f[int(X.base.act[x, s])] != Y.base.act[int(f[x]), s]:
                 return False
     return True
+
+
+# -- .smg: one cell at a time ---------------------------------------------------
+
+def loop_parse_semigroup(text: str) -> FiniteSemigroup:
+    """parse_semigroup with the table filled one cell at a time."""
+    lines = _tokens(text)
+    if not lines:
+        raise ParseError("empty input")
+    if len(lines[0]) != 1:
+        raise ParseError("first line must be the element count")
+    try:
+        n = int(lines[0][0])
+    except ValueError:
+        raise ParseError(f"bad element count {lines[0][0]!r}")
+    if n < 1:
+        raise ParseError("need at least one element")
+    if len(lines) != n + 2:
+        raise ParseError(f"expected {n + 2} content lines, found {len(lines)}")
+    names = lines[1]
+    if len(names) != n:
+        raise ParseError(f"expected {n} names, found {len(names)}")
+    _check_names(names)
+    pos = {nm: i for i, nm in enumerate(names)}
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        row = lines[2 + i]
+        if len(row) != n:
+            raise ParseError(f"row {i} has {len(row)} entries, expected {n}")
+        for j, nm in enumerate(row):
+            if nm not in pos:
+                raise ParseError(f"unknown element {nm!r} in row {i}")
+            table[i, j] = pos[nm]
+    S = FiniteSemigroup(tuple(names), table)
+    w = assoc_witness(S)
+    if w is not None:
+        i, j, k = w
+        raise NotAssociative(
+            f"({names[i]} {names[j]}) {names[k]} != {names[i]} ({names[j]} {names[k]})",
+            witness=w,
+        )
+    return S
 
 
 # -- .cat, .act, .biset, .ogpd: one loop and one pattern per section ------------
@@ -1937,17 +2036,18 @@ def loop_biset_from_regular_enlargement(R, S_subset, T_subset) -> EquivalenceBis
 
 def loop_bipartite_embeddings(B, U, Rg):
     """(S objects, T objects, P, Q) of `build_bipartite_U`, through dicts."""
-    elems, pos = Rg.extra["elems"], Rg.extra["pos"]
+    part = {"S": Rg.extra["s_part"], "T": Rg.extra["t_part"]}
     idem = U.extra["obj_elt"]
     obj_of = {e: i for i, e in enumerate(idem)}
     uidx = _payload_index(U)
 
     def embed(Lc, tag):
-        om = np.array([obj_of[pos[(tag, e)]] for e in Lc.extra["obj_elt"]], dtype=np.int64)
-        mm = np.array([uidx[(pos[(tag, e)], pos[(tag, s)])]
+        pos = part[tag]
+        om = np.array([obj_of[pos[e]] for e in Lc.extra["obj_elt"]], dtype=np.int64)
+        mm = np.array([uidx[(pos[e], pos[s])]
                        for (e, s) in Lc.extra["payload"]], dtype=np.int64)
         return Functor(Lc, U, om, mm)
 
-    return ([obj_of[e] for e in idem if elems[e][0] == "S"],
-            [obj_of[e] for e in idem if elems[e][0] == "T"],
+    return ([obj_of[e] for e in idem if e in part["S"]],
+            [obj_of[e] for e in idem if e in part["T"]],
             embed(L_of(B.S), "S"), embed(L_of(B.T), "T"))

@@ -171,7 +171,7 @@ def test_check_etale_and_morphisms(b12):
         dS = principal_etale(b12, d)
         eS = principal_etale(b12, e)
         pts = dS.base.extra["elt_of_point"]
-        pos = eS.base.extra["point_of_elt"]
+        pos = {s: i for i, s in enumerate(eS.base.extra["elt_of_point"])}
         f = np.array([pos[b12.mul(s, t)] for t in pts], dtype=np.int64)
         assert etale_morphism_check(f, dS, eS)
         assert len(set(f.tolist())) == len(f)  # injective
@@ -307,9 +307,9 @@ def test_hom_counts_and_fullness(b12):
             eSd = [s for s in range(len(S)) if tab[tab[e, s], d] == s]
             assert len(homs) == len(eSd)
             # evaluation at d is a bijection hom(dS, eS) -> eSd
-            dpt = dS.extra["point_of_elt"][d]
+            dpt = dS.extra["elt_of_point"].index(d)
             evals = sorted(int(h[dpt]) for h in homs)
-            expected = sorted(eS.extra["point_of_elt"][s] for s in eSd)
+            expected = sorted(eS.extra["elt_of_point"].index(s) for s in eSd)
             assert evals == expected
     X = principal_action(S, E[0])
     Y = coproduct_action([principal_action(S, E[1]), principal_action(S, E[2])])

@@ -153,10 +153,11 @@ def test_R_semigroupoid(b12):
     Rg = build_R_semigroupoid(B)
     assert semigroupoid_violations(Rg.names, Rg.table) == []
     assert len(Rg) == len(B.S) + len(B.T) + 2 * len(B)
-    pos = Rg.extra["pos"]
+    # the blocks S', T', X, Y in order, so X starts after the T part
+    oX = Rg.extra["t_part"][-1] + 1
     # (1,x,2)(2,x,1)(1,x,2) = (1,x,2) for every x
     for x in range(len(B)):
-        xi, yi = pos[("X", x)], pos[("Y", x)]
+        xi, yi = oX + x, oX + len(B) + x
         assert Rg.table[int(Rg.table[xi, yi]), xi] == xi
         assert Rg.table[int(Rg.table[yi, xi]), yi] == yi
 

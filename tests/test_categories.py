@@ -16,6 +16,7 @@ from morita.categories import (
     Functor,
     L_of,
     _iso_table,
+    _joint_invariants,
     _skeleton_data,
     categories_equivalent,
     categories_isomorphic,
@@ -40,6 +41,7 @@ from morita.categories import (
 )
 from morita.corpus import builtin_corpus, expected_morita_pairs, random_relabelling
 from morita.errors import (
+    BudgetExceeded,
     CospanMismatch,
     InvariantBroken,
     IsomorphismChainBroken,
@@ -56,9 +58,12 @@ from morita.groupoids import (
     sub_ordered_groupoid,
 )
 from morita.semigroups import (
+    InverseSemigroup,
+    brandt,
     cyclic_group,
     group_with_zero,
     idempotents,
+    restrict_inverse,
     symmetric_inverse_monoid,
 )
 from reference_loops import (
@@ -70,6 +75,7 @@ from reference_loops import (
     loop_bipartite_embeddings,
     loop_biset_from_regular_enlargement,
     loop_categories_isomorphic,
+    loop_joint_invariants,
     loop_cauchy_vs_span,
     loop_check_category,
     loop_check_weak_equivalence,
@@ -565,11 +571,87 @@ def test_iso_search_keeps_the_witnesses_of_its_recursive_form():
     assert found == len(pairs) - 5
 
 
+def test_joint_invariants_match_the_per_category_loop():
+    # every pair of equally large skeletons and L(S)s of the corpus, each
+    # skeleton against a relabelled copy, and each C(S) against the C(S') of
+    # a relabelled S': the classes, and the -1 of a D object class that C
+    # lacks, are those of the loop
+    rng = random.Random(4)
+    members = [S for _name, S in builtin_corpus()]
+    cats = [cauchy_skeleton(C_of(S)).cat for S in members] + [L_of(S) for S in members]
+    cats += [cauchy_skeleton(C_of(random_relabelling(S, rng))).cat for S in members]
+    pairs = [(A, B) for A in cats for B in cats if A.n_mor == B.n_mor]
+    pairs += [(C_of(S), C_of(random_relabelling(S, rng))) for S in members]
+    for A, B in pairs:
+        for x, y in zip(_joint_invariants(A, B), loop_joint_invariants(A, B)):
+            assert np.array_equal(x, y)
+    assert any(-1 in _joint_invariants(A, B)[3] for A, B in pairs)
+
+
 def test_iso_search_is_not_capped_by_the_recursion_limit():
     # the skeleton of C(C_1100) has 1 099 non-identities, one search level each
     d = morita_equivalent(cyclic_group(1100), cyclic_group(1100))
     assert d.equivalent
     assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+
+
+def _direct_product(G, H):
+    """G x H, the pair (g, h) numbered g * |H| + h."""
+    g, h = np.divmod(np.arange(len(G) * len(H)), len(H))
+    return InverseSemigroup(
+        tuple(f"({G.names[a]},{H.names[b]})" for a, b in zip(g.tolist(), h.tolist())),
+        G.table[np.ix_(g, g)] * len(H) + H.table[np.ix_(h, h)],
+        G.star[g] * len(H) + H.star[h])
+
+
+def _units_of_I4():
+    """S_4, the group of units of I_4: the maps defined on all four points."""
+    I4 = symmetric_inverse_monoid(4)
+    return restrict_inverse(I4, [a for a, nm in enumerate(I4.names) if nm.count("to") == 4])[0]
+
+
+# groups whose invariant refinement splits little or nothing, Brandt
+# semigroups over two of them, and I_3
+_SEARCH_CASES = {
+    "C_12": lambda: cyclic_group(12),
+    "C_13": lambda: cyclic_group(13),
+    "C_14": lambda: cyclic_group(14),
+    "C_64": lambda: cyclic_group(64),
+    "C_2xC_6": lambda: _direct_product(cyclic_group(2), cyclic_group(6)),
+    "C_4xC_4": lambda: _direct_product(cyclic_group(4), cyclic_group(4)),
+    "S_4": _units_of_I4,
+    "B(C_12,2)": lambda: brandt(cyclic_group(12), 2),
+    "B(C_2xC_6,3)": lambda: brandt(_direct_product(cyclic_group(2), cyclic_group(6)), 3),
+    "C_1100": lambda: cyclic_group(1100),
+    "I_3": lambda: symmetric_inverse_monoid(3),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_CASES))
+def test_relabelled_copies_are_decided_equivalent(name):
+    # on the groups a search that placed every morphism by hand blew up
+    S = _SEARCH_CASES[name]()
+    d = morita_equivalent(S, random_relabelling(S, random.Random(1)))
+    assert d.equivalent
+    assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+
+
+def test_groups_of_one_order_that_differ_are_not_equivalent():
+    C12, C2xC6 = _SEARCH_CASES["C_12"](), _SEARCH_CASES["C_2xC_6"]()
+    assert len(C12) == len(C2xC6) == 12
+    assert not morita_equivalent(C12, C2xC6).equivalent
+
+
+@pytest.mark.parametrize("name", ["C_64", "B(C_12,2)", "I_3"])
+def test_forced_products_keep_the_search_near_one_placement_per_morphism(name):
+    # every product of placed morphisms is forced, so the search places
+    # about as many morphisms as the skeleton has, not exponentially many
+    S = _SEARCH_CASES[name]()
+    T = random_relabelling(S, random.Random(1))
+    n = cauchy_skeleton(C_of(S)).cat.n_mor
+    assert morita_equivalent(S, T, budget=2 * n).equivalent
+    with pytest.raises(BudgetExceeded):
+        morita_equivalent(S, T, budget=n // 2)
 
 
 def test_regular_enlargement_biset_matches_the_loop_on_ambient_mutants():

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
 from morita.cli import main
+from morita.corpus import random_relabelling
+from morita.formats import dump_semigroup
+from morita.semigroups import cyclic_group
 
 
 @pytest.fixture()
@@ -223,8 +227,12 @@ def test_bad_numeric_flags_exit_2(corpus_dir, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
-    # the least accepted values still run
+    # the least accepted values still run: a budget of 0 places nothing, so
+    # the isomorphism search stops at once with exit 3; its 5 placements
+    # (2 objects, 3 other morphisms) decide
     rc, out = run(capsys, ["--budget", "0", "--max-points", "1", "morita", chain2, chain2])
+    assert rc == 3 and out == ""
+    rc, out = run(capsys, ["--budget", "5", "--max-points", "1", "morita", chain2, chain2])
     assert rc == 0 and "verdict=true" in out
     rc, out = run(capsys, ["psh-equiv", chain2, "--samples", "0"])
     assert rc == 0 and "verdict=pass" in out
@@ -239,6 +247,23 @@ def test_oracle_budget_exhaustion_names_the_search(corpus_dir, capsys):
     assert captured.err == (
         "budget exceeded: exhaustive biset search for |S|=7, |T|=7 used up its"
         " budget of 500 cell assignments at carrier size 3\n")
+
+
+def test_iso_search_budget_exhaustion_names_both_skeletons(tmp_path, capsys):
+    # relabelled C_12 needs 12 placements: its one object, then 11 morphisms
+    S = cyclic_group(12)
+    paths = []
+    for name, G in (("c12", S), ("c12r", random_relabelling(S, random.Random(1)))):
+        paths.append(str(tmp_path / f"{name}.smg"))
+        (tmp_path / f"{name}.smg").write_text(dump_semigroup(G), encoding="utf-8")
+    rc = main(["--budget", "3", "morita", *paths])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == (
+        "budget exceeded: isomorphism search between skeletons of (objects, morphisms)"
+        " = (1, 12) and (1, 12) used up its budget of 3 placements\n")
+    rc, out = run(capsys, ["--budget", "12", "morita", *paths])
+    assert rc == 0 and "verdict=true" in out
 
 
 def test_repeated_main_calls_share_one_parser(corpus_dir, capsys):

@@ -55,6 +55,39 @@ def test_smg_errors():
         parse_semigroup("3\na b c\nc c c\nb b c\na b c\n")
 
 
+def _row_faults(row):
+    """A table row cut short, made long, with an unknown name, or both of
+    the first and last."""
+    tokens = row.split()
+    yield tokens[:-1]
+    yield tokens + tokens[:1]
+    yield tokens[:1] + ["zz"] + tokens[2:]
+    yield ["zz"] + tokens[:-1]
+
+
+def test_smg_table_errors_match_the_cell_loop(b12, chain3):
+    # one or two faulty table rows: the first faulty row raises, and within a
+    # row a wrong length comes before an unknown name
+    seen = Counter()
+    for S in (b12, chain3, cyclic_group(4)):
+        lines = dump_semigroup(S).splitlines()
+        rows = range(2, len(lines))
+        for i in rows:
+            for bad in _row_faults(lines[i]):
+                once = lines[:i] + [" ".join(bad)] + lines[i + 1:]
+                for j in [None, *rows]:
+                    mutated = list(once)
+                    if j is not None:
+                        mutated[j] = " ".join(next(_row_faults(mutated[j])))
+                    text = "\n".join(mutated) + "\n"
+                    new = _outcome(parse_semigroup, text)
+                    old = _outcome(ref.loop_parse_semigroup, text)
+                    assert _same_outcome(new, old), (text, new, old)
+                    seen[str(new).split()[0] if isinstance(new, ParseError) else "parsed"] += 1
+    # a row made long and then cut short is whole again
+    assert seen["row"] and seen["unknown"] and seen["parsed"], seen
+
+
 def test_smg_comments_and_whitespace():
     S = parse_semigroup("# header\n2\n\ne z  # names\ne z\nz z\n")
     assert S.names == ("e", "z")

@@ -124,7 +124,7 @@ def test_composite_points_are_numbered_through_positions():
     # a construction on composite points finds where each value lands with
     # `_util.positions` (or `FiniteCategory.mor_of` over payloads): no module
     # reads a payload dict extra["index"] or fills a 2-d table one cell at a
-    # time in two nested loops; formats.py, which parses names, is exempt
+    # time in two nested loops
     src = Path(morita.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -134,8 +134,7 @@ def test_composite_points_are_numbered_through_positions():
                   if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
                   and node.value.attr == "extra" and isinstance(node.slice, ast.Constant)
                   and node.slice.value == "index"]
-        if path.name != "formats.py":
-            found += [f"{path.name}:{line} cell" for line in _cell_fills(tree)]
+        found += [f"{path.name}:{line} cell" for line in _cell_fills(tree)]
     assert found == []
 
 
