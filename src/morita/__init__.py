@@ -31,7 +31,6 @@ from .categories import (
     L_of,
     categories_equivalent,
     categories_isomorphic,
-    cauchy_skeleton,
     cauchy_vs_span,
     check_morita_context,
     check_weak_equivalence,

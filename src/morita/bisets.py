@@ -26,11 +26,11 @@ from .categories import (
     L_of,
     SkeletonData,
     _pair_category,
-    cauchy_skeleton,
     check_morita_context,
     equivalence_from_skeletons,
     is_bipartite,
     is_left_cancellative,
+    skeleton_with_maps,
 )
 from .errors import (
     AssociativityFailure,
@@ -407,12 +407,13 @@ def morita_equivalent(S: InverseSemigroup, T: InverseSemigroup,
                       budget: int = 10_000_000) -> MoritaDecision:
     """Decide Morita equivalence through the Cauchy completions.
 
-    Each skeleton is built once from the D-classes of the idempotents; one
-    isomorphism search between them, under `budget` placements, decides,
-    and its inverse gives the backward witness.
+    Each skeleton is built once by `skeleton_with_maps`: its objects are
+    one idempotent per D-class, since an isomorphism f -> e of C(S) is an s
+    with s*s = f and ss* = e.  One isomorphism search between them, under
+    `budget` placements, decides, and its inverse gives the backward witness.
     """
     CS, CT = C_of(S), C_of(T)
-    skS, skT = cauchy_skeleton(CS), cauchy_skeleton(CT)
+    skS, skT = skeleton_with_maps(CS), skeleton_with_maps(CT)
     pair = equivalence_from_skeletons(CS, skS, CT, skT, budget)
     return MoritaDecision(
         S, T, pair is not None, CS, CT, skS, skT,

@@ -14,13 +14,8 @@ two finite categories are equivalent iff their skeletons are isomorphic,
 and the isomorphism search is a backtracking matcher with
 invariant-refinement pruning that branches only on morphisms no placed pair
 composes to.  Its inverse gives the backward witness, so each decision
-searches once.
-
-For the Cauchy completion the skeleton needs no search for isomorphisms:
-an isomorphism f -> e of C(S) is an element s with s*s = f and ss* = e, so
-the isomorphism classes of objects are the D-classes of idempotents, and
-the skeleton is the full subcategory on one idempotent per D-class, with
-hom(f, e) = eSf (`cauchy_skeleton`).
+searches once.  One builder, `skeleton_with_maps`, reads the skeleton of
+any finite category off its table of isomorphisms.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import failures, positions, ragged, row_blocks
+from ._util import components, failures, positions, ragged, row_blocks
 from .errors import (
     BudgetExceeded,
     CospanMismatch,
@@ -36,7 +31,6 @@ from .errors import (
     IsomorphismChainBroken,
     NoPullbacks,
     NotFullSubcategory,
-    PreconditionFailed,
     SourceTargetMismatch,
 )
 from .semigroups import FiniteSemigroup, InverseSemigroup, idempotents
@@ -301,10 +295,7 @@ def idempotents_split(C: FiniteCategory) -> bool:
     One array test over the pairs (s, f) with f in hom(cod s, dom s) and
     f.s = 1_dom(s), of which s.f is split when it starts where f does.
     """
-    order, start = C._hom_index
-    h = C.cod * C.n_objects + C.dom
-    s, i = ragged(start[h + 1] - start[h])
-    f = order[start[h[s]] + i]
+    s, f = _opposite_pairs(C)
     e = C.comp[s, f]
     split = np.zeros(C.n_mor, dtype=bool)
     split[e[(e >= 0) & (C.comp[f, s] == C.identity[C.dom[s]]) & (C.dom[e] == C.dom[f])]] = True
@@ -314,22 +305,32 @@ def idempotents_split(C: FiniteCategory) -> bool:
 
 # -- isomorphisms of objects and skeletons -----------------------------------
 
+def _opposite_pairs(C: FiniteCategory):
+    """(m, w) over every morphism m and every w in hom(cod m, dom m): m
+    ascending, and each hom-set in ascending id order."""
+    order, start = C._hom_index
+    h = C.cod * C.n_objects + C.dom
+    m, i = ragged(start[h + 1] - start[h])
+    return m, order[start[h[m]] + i]
+
+
 def iso_partner(C: FiniteCategory) -> np.ndarray:
     """For each morphism, its two-sided inverse or -1; built once per category."""
     return C._partners
 
 
 def _iso_table(C: FiniteCategory) -> np.ndarray:
-    """[m]: the least w with w.m = 1_dom(m) and m.w = 1_cod(m), or -1.
+    """[m]: the least w in hom(cod m, dom m) with w.m = 1_dom(m) and
+    m.w = 1_cod(m), or -1; one test over the opposite pairs.
 
-    In a category such a w lies in hom(cod m, dom m), so one test over every
-    (w, m) finds the same inverse as a search of that hom-set.
+    In a category the inverse is unique; on a table that is no category the
+    least such w is kept.
     """
-    ids, comp = C.identity, C.comp
-    ok = (comp == ids[C.dom]) & (comp.T == ids[C.cod])      # [w, m]
-    out = np.full(C.n_mor, -1, dtype=np.int64)
-    if C.n_mor:
-        out = np.where(ok.any(axis=0), ok.argmax(axis=0), -1)
+    m, w = _opposite_pairs(C)
+    ok = (C.comp[w, m] == C.identity[C.dom[m]]) & (C.comp[m, w] == C.identity[C.cod[m]])
+    out = np.full(C.n_mor, C.n_mor, dtype=np.int64)
+    np.minimum.at(out, m[ok], w[ok])
+    out[out == C.n_mor] = -1
     out.setflags(write=False)
     return out
 
@@ -370,69 +371,30 @@ def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
 
 
 def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
-    """Skeleton of any finite category, found through its isomorphisms."""
+    """Skeleton of any finite category, found through its isomorphisms.
+
+    The objects joined by isomorphisms form one class, represented by its
+    least object, which maps to itself by its identity; every other o goes
+    to rep o by the least isomorphism in hom(o, rep o), and back by its
+    inverse.  A composite of isomorphisms is an isomorphism, so in a
+    category that hom-set holds one; otherwise IsomorphismChainBroken names
+    the first o without one.
+    """
     partner = iso_partner(C)
     n = C.n_objects
-    rep = np.arange(n)
-    for m in range(C.n_mor):
-        if partner[m] >= 0:
-            a, b = int(C.dom[m]), int(C.cod[m])
-            ra, rb = int(rep[a]), int(rep[b])
-            # union by smallest representative
-            lo, hi = min(ra, rb), max(ra, rb)
-            if lo != hi:
-                rep[rep == hi] = lo
-    to_rep = np.full(n, -1, dtype=np.int64)
-    from_rep = np.full(n, -1, dtype=np.int64)
-    for o in range(n):
-        r = int(rep[o])
-        if r == o:
-            to_rep[o] = from_rep[o] = C.identity[o]
-            continue
-        for m in C.hom(o, r):
-            if partner[m] >= 0:
-                to_rep[o] = m
-                from_rep[o] = partner[m]
-                break
-        if to_rep[o] < 0:
-            # a composite of isomorphisms is an isomorphism, so in a category
-            # the union pass leaves one in hom(o, rep o)
-            raise IsomorphismChainBroken("object class without connecting isomorphism",
-                                         witness=(o, r))
-    return _skeleton_data(C, rep, to_rep, from_rep)
-
-
-def cauchy_skeleton(C: FiniteCategory) -> SkeletonData:
-    """The skeleton of a Cauchy completion C(S), read off the D-classes of E(S).
-
-    Each D-class is represented by its smallest object r, which maps to
-    itself by its identity; every other o of the class is sent to r by
-    (r, s, o) for the smallest s with s*s = o and ss* = r.  The result
-    equals skeleton_with_maps(C) field for field.
-    """
-    S = C.extra.get("sgrp")
-    if C.extra.get("kind") != "C" or not isinstance(S, InverseSemigroup):
-        raise PreconditionFailed("cauchy_skeleton needs C_of of an inverse semigroup")
-    tab, star = S.table, S.star
-    E = C.extra["obj_elt"]
-    k = len(E)
-    obj_of = np.full(len(S), -1, dtype=np.int64)
-    obj_of[list(E)] = np.arange(k)
-    s = np.arange(len(S))
-    src = obj_of[tab[star, s]]   # s*s
-    dst = obj_of[tab[s, star]]   # ss*
-    # D restricted to E(S) is an equivalence relation, so the smallest s*s
-    # over the s with ss* = o is the smallest object of o's class
-    rep = np.arange(k)
-    np.minimum.at(rep, dst, src)
-    best = np.full(k, len(S))
-    to_r = dst == rep[src]
-    np.minimum.at(best, src[to_r], s[to_r])
-    to_rep, from_rep = C.identity.copy(), C.identity.copy()
-    o = np.flatnonzero(rep != np.arange(k))
-    e, t, r = np.array(E, dtype=np.int64), best[o], rep[o]
-    # the rows (r, t, o): o -> r and (o, t*, r): r -> o
-    to_rep[o], from_rep[o] = C.mor_of(*np.array([[e[r], e[o]], [t, star[t]], [e[o], e[r]]]))
+    iso = np.flatnonzero(partner >= 0)
+    rep, _ = components(n, C.dom[iso], C.cod[iso])
+    into = iso[C.cod[iso] == rep[C.dom[iso]]]   # the isomorphisms o -> rep o
+    to_rep = np.full(n, C.n_mor, dtype=np.int64)
+    np.minimum.at(to_rep, C.dom[into], into)
+    is_rep = rep == np.arange(n)
+    to_rep[is_rep] = C.identity[is_rep]
+    broken = np.flatnonzero(to_rep == C.n_mor)
+    if len(broken):
+        o = int(broken[0])
+        raise IsomorphismChainBroken("object class without connecting isomorphism",
+                                     witness=(o, int(rep[o])))
+    from_rep = np.where(is_rep, C.identity, partner[to_rep])
     return _skeleton_data(C, rep, to_rep, from_rep)
 
 

@@ -30,8 +30,10 @@ from morita.categories import (
     FiniteCategory,
     Functor,
     L_of,
+    SkeletonData,
     _intern,
     _joint_invariants,
+    _skeleton_data,
     check_category,
     is_functor,
     iso_partner,
@@ -42,6 +44,7 @@ from morita.errors import (
     CospanMismatch,
     InvalidBiset,
     InvariantBroken,
+    IsomorphismChainBroken,
     MoritaError,
     NoPullbacks,
     NotASubsemigroup,
@@ -269,6 +272,38 @@ def loop_iso_table(C: FiniteCategory) -> np.ndarray:
             has = ok.any(axis=1)
             out[M[has]] = W[ok.argmax(axis=1)[has]]
     return out
+
+
+def loop_skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
+    """skeleton_with_maps by a union loop over the isomorphisms and a scan of
+    hom(o, rep o) for each object."""
+    partner = iso_partner(C)
+    n = C.n_objects
+    rep = np.arange(n)
+    for m in range(C.n_mor):
+        if partner[m] >= 0:
+            a, b = int(C.dom[m]), int(C.cod[m])
+            ra, rb = int(rep[a]), int(rep[b])
+            # union by smallest representative
+            lo, hi = min(ra, rb), max(ra, rb)
+            if lo != hi:
+                rep[rep == hi] = lo
+    to_rep = np.full(n, -1, dtype=np.int64)
+    from_rep = np.full(n, -1, dtype=np.int64)
+    for o in range(n):
+        r = int(rep[o])
+        if r == o:
+            to_rep[o] = from_rep[o] = C.identity[o]
+            continue
+        for m in C.hom(o, r):
+            if partner[m] >= 0:
+                to_rep[o] = m
+                from_rep[o] = partner[m]
+                break
+        if to_rep[o] < 0:
+            raise IsomorphismChainBroken("object class without connecting isomorphism",
+                                         witness=(o, r))
+    return _skeleton_data(C, rep, to_rep, from_rep)
 
 
 def loop_joint_invariants(C, D):

@@ -20,7 +20,6 @@ from morita.categories import (
     _skeleton_data,
     categories_equivalent,
     categories_isomorphic,
-    cauchy_skeleton,
     cauchy_vs_span,
     check_category,
     check_morita_context,
@@ -39,14 +38,18 @@ from morita.categories import (
     skeleton_with_maps,
     span_category,
 )
-from morita.corpus import builtin_corpus, expected_morita_pairs, random_relabelling
+from morita.corpus import (
+    builtin_corpus,
+    expected_morita_pairs,
+    random_inverse_subsemigroups,
+    random_relabelling,
+)
 from morita.errors import (
     BudgetExceeded,
     CospanMismatch,
     InvariantBroken,
     IsomorphismChainBroken,
     NoPullbacks,
-    PreconditionFailed,
     SourceTargetMismatch,
 )
 from morita.groupoids import (
@@ -85,6 +88,7 @@ from reference_loops import (
     loop_L_of_ordered_functor,
     loop_ordered_enlargement_tables,
     loop_pullback,
+    loop_skeleton_with_maps,
 )
 
 
@@ -438,6 +442,20 @@ def assert_same_biset(A, B):
         assert np.array_equal(getattr(A, name), getattr(B, name)), name
 
 
+def assert_same_skeleton(C):
+    """skeleton_with_maps(C) equals its loop form field for field; returns it."""
+    fast, ref = skeleton_with_maps(C), loop_skeleton_with_maps(C)
+    for name in ("objects", "mor_labels", "dom", "cod", "comp", "identity"):
+        assert np.array_equal(getattr(fast.cat, name), getattr(ref.cat, name)), name
+    assert fast.cat.extra == ref.cat.extra
+    for name in ("obj_rep", "sk_of_obj", "to_rep", "from_rep", "smor_of_cmor"):
+        a, b = getattr(fast, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert fast.obj_of_sk == ref.obj_of_sk
+    assert fast.cmor_of_smor == ref.cmor_of_smor
+    return fast
+
+
 def span_outcome(build, L):
     """The span category of L, or the cospan NoPullbacks names."""
     try:
@@ -470,7 +488,7 @@ def test_constructions_match_reference(S):
     # check_category and idempotents_split against their loops, also on
     # seeded mutants of comp
     rng = np.random.default_rng(int(S.table.sum()))
-    for A in (L, C, span_category(L), cauchy_skeleton(C).cat):
+    for A in (L, C, span_category(L), skeleton(C)):
         assert idempotents_split(A) is loop_idempotents_split(A) is True
     for A in (L, C):
         assert check_category(A) == loop_check_category(A) == []
@@ -506,21 +524,43 @@ def test_constructions_match_reference(S):
     if len(S) <= 10:
         IG = inductive_groupoid_of(S)
         assert_same_category(L_of_groupoid(IG), callback_L_of_groupoid(IG))
-        assert_same_category(C_of_groupoid(IG), callback_C_of_groupoid(IG))
-    fast, ref = cauchy_skeleton(C), skeleton_with_maps(C)
-    for name in ("objects", "mor_labels", "dom", "cod", "comp", "identity"):
-        assert np.array_equal(getattr(fast.cat, name), getattr(ref.cat, name)), name
-    assert fast.cat.extra == ref.cat.extra
-    for name in ("obj_rep", "sk_of_obj", "to_rep", "from_rep"):
-        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
-    assert fast.obj_of_sk == ref.obj_of_sk
-    assert fast.cmor_of_smor == ref.cmor_of_smor
-    assert np.array_equal(fast.smor_of_cmor, ref.smor_of_cmor)
+        CG = C_of_groupoid(IG)
+        assert_same_category(CG, callback_C_of_groupoid(IG))
+        assert_same_skeleton(CG)
+    # the skeletons against the union loop
+    for A in (C, L, span_category(L), U):
+        assert_same_skeleton(A)
 
 
-def test_cauchy_skeleton_needs_a_cauchy_completion(b12):
-    with pytest.raises(PreconditionFailed):
-        cauchy_skeleton(L_of(b12))
+def _d_classes(S):
+    """The D-classes of E(S), from S alone: e ~ f when e = s*s and f = ss*
+    for some s.  Sorted lists, in order of their least idempotent."""
+    tab, star = S.table, S.star
+    cls = {e: {e} for e in idempotents(S)}
+    for s in range(len(S)):
+        a, b = cls[int(tab[star[s], s])], cls[int(tab[s, star[s]])]
+        if a is not b:
+            a |= b
+            for e in b:
+                cls[e] = a
+    return sorted({tuple(sorted(c)) for c in cls.values()})
+
+
+def test_the_skeleton_of_C_has_one_object_per_D_class():
+    # the skeleton of C(S) is the full subcategory on the least idempotent
+    # of each D-class, and hom(f, e) there is eSf; it also equals the loop
+    # form on I_4 and on random subsemigroups of I_3 and I_4
+    members = [S for _name, S in builtin_corpus()]
+    members += random_inverse_subsemigroups(21, 40)
+    I4 = symmetric_inverse_monoid(4)
+    members += [I4] + random_inverse_subsemigroups(7, 6, I4)
+    for S in members:
+        reps = [c[0] for c in _d_classes(S)]
+        sk = assert_same_skeleton(C_of(S)).cat
+        assert sk.objects == tuple(S.names[e] for e in reps)
+        tab = S.table
+        eSf = np.array([[len(set(tab[tab[e], f].tolist())) for f in reps] for e in reps])
+        assert np.array_equal(sk.hom_sizes(), eSf.T)
 
 
 def test_iso_chain_raises_typed_error():
@@ -538,15 +578,17 @@ def test_iso_chain_raises_typed_error():
     C = FiniteCategory((0, 1, 2), ("1", "1'", "1''", "a", "a*", "b", "b*"),
                        dom, cod, comp, ids)
     assert check_category(C) != []
-    with pytest.raises(IsomorphismChainBroken):
-        skeleton_with_maps(C)
+    for build in (skeleton_with_maps, loop_skeleton_with_maps):
+        with pytest.raises(IsomorphismChainBroken) as exc:
+            build(C)
+        assert exc.value.witness == (2, 0)
 
 
 def test_iso_table_matches_the_loop():
     cats = []
     for _name, S in builtin_corpus():
         C, L = C_of(S), L_of(S)
-        cats += [C, L, cauchy_skeleton(C).cat, span_category(L)]
+        cats += [C, L, skeleton(C), span_category(L)]
     cats.append(C_of(symmetric_inverse_monoid(4)))
     for C in cats:
         assert np.array_equal(_iso_table(C), loop_iso_table(C))
@@ -561,7 +603,7 @@ def test_iso_search_keeps_the_witnesses_of_its_recursive_form():
     pairs += [(S, random_relabelling(S, rng)) for S in members.values()]
     found = 0
     for S, T in pairs:
-        A, B = cauchy_skeleton(C_of(S)).cat, cauchy_skeleton(C_of(T)).cat
+        A, B = skeleton(C_of(S)), skeleton(C_of(T))
         F, G = categories_isomorphic(A, B), loop_categories_isomorphic(A, B)
         assert (F is None) == (G is None)
         if F is not None:
@@ -578,8 +620,8 @@ def test_joint_invariants_match_the_per_category_loop():
     # lacks, are those of the loop
     rng = random.Random(4)
     members = [S for _name, S in builtin_corpus()]
-    cats = [cauchy_skeleton(C_of(S)).cat for S in members] + [L_of(S) for S in members]
-    cats += [cauchy_skeleton(C_of(random_relabelling(S, rng))).cat for S in members]
+    cats = [skeleton(C_of(S)) for S in members] + [L_of(S) for S in members]
+    cats += [skeleton(C_of(random_relabelling(S, rng))) for S in members]
     pairs = [(A, B) for A in cats for B in cats if A.n_mor == B.n_mor]
     pairs += [(C_of(S), C_of(random_relabelling(S, rng))) for S in members]
     for A, B in pairs:
@@ -648,7 +690,7 @@ def test_forced_products_keep_the_search_near_one_placement_per_morphism(name):
     # about as many morphisms as the skeleton has, not exponentially many
     S = _SEARCH_CASES[name]()
     T = random_relabelling(S, random.Random(1))
-    n = cauchy_skeleton(C_of(S)).cat.n_mor
+    n = skeleton(C_of(S)).n_mor
     assert morita_equivalent(S, T, budget=2 * n).equivalent
     with pytest.raises(BudgetExceeded):
         morita_equivalent(S, T, budget=n // 2)
@@ -695,8 +737,9 @@ def test_category_numbering_matches_the_loops_on_random_members(numbering_cases)
         assert np.array_equal(got.obj_map, want.obj_map)
         assert np.array_equal(got.mor_map, want.mor_map)
         C, L = C_of(S), L_of(S)
-        for A in (C, L, cauchy_skeleton(C).cat):
+        for A in (C, L, assert_same_skeleton(C).cat):
             assert idempotents_split(A) is loop_idempotents_split(A) is True
+        assert_same_skeleton(L)
         if len(S) <= 12:
             B = biset_from_regular_enlargement(S, range(len(S)), range(len(S)))
             assert_same_biset(B, loop_biset_from_regular_enlargement(S, range(len(S)),
