@@ -39,7 +39,6 @@ from .categories import (
     is_left_cancellative,
     is_right_cancellative,
     pullback,
-    skeleton,
     span_category,
 )
 from .actions import (

@@ -24,6 +24,7 @@ first point and element, where it is no point.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,8 +93,11 @@ class Presheaf:
     The maps are stored flat and read-only: P(f) is
     values[map_off[f]:map_off[f + 1]].  `Presheaf(site, fibers, maps)` takes
     one array per morphism and concatenates them; the constructions of this
-    module build the flat form directly with `from_flat`, and `maps` cuts
-    the per-morphism arrays from it only when it is read.
+    package build the flat form directly with `from_flat`, and `maps` cuts
+    the per-morphism arrays from it only when it is read.  The elements are
+    laid out once, in (o, i) order, and read-only too: (o, i) is element
+    fib_off[o] + i, set when P is made, and element k is (elements[0][k],
+    elements[1][k]), cached when first read.
     """
 
     def __init__(self, site: FiniteCategory, fibers, maps):
@@ -113,20 +117,27 @@ class Presheaf:
         self.fibers = tuple(tuple(f) for f in fibers)
         self.values = np.ascontiguousarray(values, dtype=np.int64)
         self.map_off = np.ascontiguousarray(map_off, dtype=np.int64)
-        self.values.setflags(write=False)
-        self.map_off.setflags(write=False)
+        self.fib_off = np.array([0, *accumulate(map(len, self.fibers))], dtype=np.int64)
+        for a in (self.values, self.map_off, self.fib_off):
+            a.setflags(write=False)
 
     @cached_property
     def maps(self) -> tuple:
         off = self.map_off.tolist()
         return tuple(self.values[a:b] for a, b in zip(off, off[1:]))
 
+    @cached_property
+    def elements(self) -> tuple:
+        obj, idx = ragged(np.diff(self.fib_off))
+        obj.setflags(write=False)
+        idx.setflags(write=False)
+        return obj, idx
+
     def fiber_size(self, o: int) -> int:
         return len(self.fibers[o])
 
     def __repr__(self):
-        sizes = tuple(len(f) for f in self.fibers)
-        return f"Presheaf(fibers={sizes})"
+        return f"Presheaf(fibers={tuple(np.diff(self.fib_off).tolist())})"
 
 
 def action_law_witness(X: RightAction):
@@ -144,9 +155,9 @@ def _out_of_fiber(P: Presheaf):
     One array test over the flat values; P has a fiber per object of its
     site and a map per morphism.
     """
-    nfib = np.array([len(f) for f in P.fibers], dtype=np.int64)
-    f = ragged(np.diff(P.map_off))[0]
-    bad = np.flatnonzero((P.values < 0) | (P.values >= nfib[P.site.dom[f]]))
+    off, f = P.fib_off, ragged(np.diff(P.map_off))[0]
+    # the fiber sizes by slicing: on small presheaves np.diff costs more than the test
+    bad = np.flatnonzero((P.values < 0) | (P.values >= (off[1:] - off[:-1])[P.site.dom[f]]))
     return int(f[bad[0]]) if len(bad) else None
 
 
@@ -154,9 +165,9 @@ def check_presheaf(P: Presheaf) -> bool:
     C = P.site
     if len(P.fibers) != C.n_objects or len(P.map_off) != C.n_mor + 1:
         return False
-    obj, idx, fib_off, flat, off = _flatten(P)
+    (obj, idx), flat, off = P.elements, P.values, P.map_off
     size = np.diff(off)
-    if not np.array_equal(size, np.diff(fib_off)[C.cod]):
+    if not np.array_equal(size, np.diff(P.fib_off)[C.cod]):
         return False
     if _out_of_fiber(P) is not None:
         return False
@@ -475,7 +486,7 @@ def _etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
     S = _expect_site(P, kind)
     site = P.site
     tab, star = S.table, S.star
-    obj, idx, _fib_off, values, map_off = _flatten(P)
+    (obj, idx), values, map_off = P.elements, P.values, P.map_off
     e = np.array(site.extra["obj_elt"], dtype=np.int64)[obj][:, None]
     s = np.arange(len(S))
     es, d = tab[e, s], tab[tab[star[s], e], s]     # d = s*es, the object of dom m
@@ -517,7 +528,7 @@ class ColimitActionResult:
 
     points[k] is the image of element k of P, in (o, i) order; origin[w] is
     the element of P under the least node of point w; elements is
-    `_flatten(P)`.
+    `P.elements`, the (obj, idx) arrays of that order.
     """
     action: RightAction
     points: np.ndarray
@@ -527,21 +538,8 @@ class ColimitActionResult:
     @cached_property
     def unit(self) -> dict:
         """(object index of site, fiber element index) -> carrier point."""
-        obj, idx = self.elements[:2]
+        obj, idx = self.elements
         return dict(zip(zip(obj.tolist(), idx.tolist()), self.points.tolist()))
-
-
-def _flatten(P: Presheaf):
-    """The elements (o, i) of P in (o, i) order and its flat maps.
-
-    Returns (obj, idx, fib_off, values, map_off): element k is (obj[k],
-    idx[k]) and (o, i) is element fib_off[o] + i; P.maps[m] is
-    values[map_off[m]:map_off[m + 1]].
-    """
-    nfib = np.array([len(f) for f in P.fibers], dtype=np.int64)
-    fib_off = np.concatenate([[0], np.cumsum(nfib)])
-    obj, idx = ragged(nfib)
-    return obj, idx, fib_off, P.values, P.map_off
 
 
 def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
@@ -569,8 +567,7 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     rank = np.cumsum(ideal, axis=1) - 1        # rank of u in eS
     elt = np.argsort(~ideal, axis=1, kind="stable")  # elt[o, rank] = u
     size = ideal.sum(axis=1)
-    elements = _flatten(P)
-    obj, idx, fib_off, flat, map_off = elements
+    (obj, idx), fib_off, flat, map_off = P.elements, P.fib_off, P.values, P.map_off
     nfib = np.diff(fib_off)
     node_off = np.concatenate([[0], np.cumsum(nfib * size)])
     co, do = C.cod, C.dom
@@ -598,7 +595,7 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     X = RightAction(tuple(f"q{c}" for c in range(len(reps))), S, act,
                     {"kind": "q_shriek"})
     unit = cls[node_off[obj] + idx * size[obj] + rank[obj, Ea[obj]]]
-    return ColimitActionResult(X, unit, fib_off[o] + i, elements)
+    return ColimitActionResult(X, unit, fib_off[o] + i, P.elements)
 
 
 def Q_shriek(P: Presheaf) -> RightAction:
@@ -626,8 +623,9 @@ def coproduct_presheaf(site: FiniteCategory, parts) -> Presheaf:
         if bad is not None:
             raise InvariantBroken("a presheaf map leaves the fiber over its domain",
                                   witness=bad)
-    nfib = np.array([[len(f) for f in P.fibers] for P in parts], dtype=np.int64)
-    nfib = nfib.reshape(len(parts), site.n_objects)
+    off = np.array([P.fib_off for P in parts], dtype=np.int64)
+    off = off.reshape(len(parts), site.n_objects + 1)
+    nfib = off[:, 1:] - off[:, :-1]
     shift = np.cumsum(nfib, axis=0) - nfib    # the earlier parts' fibers over o
     lens = np.array([np.diff(P.map_off) for P in parts], dtype=np.int64)
     lens = lens.reshape(len(parts), site.n_mor)
@@ -667,9 +665,8 @@ def unit_iso_checks(presheaves) -> list:
         raise WrongSite("unit checks in one pass need a common site")
     Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
     size = (S.table[Ea] == np.arange(len(S))).sum(axis=1)
-    nfib = np.array([[len(f) for f in P.fibers] for P in presheaves], dtype=np.int64)
     # P joins |P(e)| * |fS| edges for each site morphism f -> e
-    edges = (nfib.reshape(len(presheaves), C.n_objects)[:, C.cod] * size[C.dom]).sum(axis=1)
+    edges = (np.diff([P.fib_off for P in presheaves], axis=1)[:, C.cod] * size[C.dom]).sum(1)
     passes, total = [[]], 0
     for P, k in zip(presheaves, edges.tolist()):
         if passes[-1] and total + k > _PASS_EDGES:
@@ -688,8 +685,7 @@ def _unit_iso_pass(C: FiniteCategory, Ea, parts) -> list:
     hits = np.bincount(res.elements[0] * n + unit, minlength=C.n_objects * n)
     bad = (hits.reshape(C.n_objects, n) != (X.act[:, Ea].T == np.arange(n))).any(axis=0)
     # the coproduct's elements run over (o, part, i)
-    nfib = np.array([[len(f) for f in P.fibers] for P in parts], dtype=np.int64)
-    part = ragged(nfib.T.ravel())[0] % len(parts)
+    part = ragged(np.diff([P.fib_off for P in parts], axis=1).T.ravel())[0] % len(parts)
     return (np.bincount(part[res.origin[bad]], minlength=len(parts)) == 0).tolist()
 
 
@@ -719,17 +715,14 @@ def _orbit_maps(n: int, orbit, values):
     caller that offers fewer candidates as it fills; it is only read.  The
     search picks the least unassigned x0 and keeps a row when it gives
     every point of the orbit one value, agreeing with the values set by
-    earlier orbits; all rows are tested in one array pass.  The callers say
-    why the maps found are exactly the maps they want.
+    earlier orbits; all rows are tested in one array pass.  Each orbit is
+    one level, a generator of its choices on an explicit stack, so Python's
+    recursion limit does not cap the number of orbits.  The callers say why
+    the maps found are exactly the maps they want.
     """
     f = np.full(n, -1, dtype=np.int64)
 
-    def rec():
-        free = f < 0
-        if not free.any():
-            yield f.copy()
-            return
-        x0 = int(free.argmax())
+    def level(x0):
         pts, value = orbit(x0), values(x0, f)
         cols = (pts[:, None] == pts).argmax(axis=1)  # first column with each point
         before = f[pts]
@@ -738,10 +731,20 @@ def _orbit_maps(n: int, orbit, values):
         new = pts[before < 0]
         for y in np.flatnonzero(ok).tolist():
             f[pts] = value[y]
-            yield from rec()
+            yield
             f[new] = -1
 
-    yield from rec()
+    stack = []
+    while True:
+        free = f < 0
+        if free.any():
+            stack.append(level(int(free.argmax())))
+        else:
+            yield f.copy()
+        while stack and next(stack[-1], True):
+            stack.pop()
+        if not stack:
+            return
 
 
 def _orbit_table(X: RightAction) -> np.ndarray:
@@ -769,7 +772,7 @@ def action_homs(X: RightAction, Y: RightAction) -> list:
 def presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
     """All natural transformations P1 -> P2 over a common site, as tuples.
 
-    alpha maps the elements of P1, in the (o, i) order of `_flatten`, to
+    alpha maps the elements of P1, in the (o, i) order of `P1.elements`, to
     indices into the fibers of P2.  Choosing alpha_b(i) = y fixes alpha on
     the orbit of (b, i): the elements (dom m, P1(m)(i)) over the m with
     cod m = b, (b, i) itself by the identity, take the values P2(m)(y), as
@@ -784,8 +787,8 @@ def presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
     C = P1.site
     if P2.site is not C:
         raise WrongSite("natural transformations need a common site")
-    obj, idx, off1, flat1, moff1 = _flatten(P1)
-    off2, flat2, moff2 = _flatten(P2)[2:]
+    (obj, idx), off1, flat1, moff1 = P1.elements, P1.fib_off, P1.values, P1.map_off
+    off2, flat2, moff2 = P2.fib_off, P2.values, P2.map_off
     into = np.argsort(C.cod, kind="stable")      # the morphisms into each object
     cut = np.searchsorted(C.cod[into], np.arange(C.n_objects + 1))
     ms = [into[cut[b]:cut[b + 1]] for b in range(C.n_objects)]
@@ -815,7 +818,7 @@ def fullness_faithfulness_check(X: RightAction, Y: RightAction,
     nats = presheaf_nats(PX, PY)
     if len(homs) != len(nats):
         return False
-    obj = np.repeat(np.arange(C.n_objects), [len(p) for p in PX.pts])
+    obj = PX.elements[0]
     x = np.array([x for pts in PX.pts for x in pts], dtype=np.int64)
     y = np.array(homs, dtype=np.int64).reshape(len(homs), len(X))[:, x]
     member = Y.act[:, list(C.extra["obj_elt"])].T == np.arange(len(Y))  # Ye
@@ -892,62 +895,63 @@ def i_shriek_with_maps(X: EtaleAction, site: FiniteCategory = None) -> IShriekRe
     """I_!(p)(e) as the colimit of x -> C(S)(e, p(x)) over the element category.
 
     The category has the points of X as objects and, as morphisms x -> y,
-    the elements s with p(y)s = s, s*s = p(x) and ys = x.  Over the site
-    object e a node is a pair (x, m) with m in C(S)(e, p(x)), numbered
-    off[x] + (rank of m in that hom-set), which is the (x, m) order.
+    the elements s with p(y)s = s, s*s = p(x) and ys = x, read as site
+    morphisms s: p(x) -> p(y).  A node (e, x, n) has n in C(S)(e, p(x)) and
+    is numbered in (e, x, rank of n in its hom-set) order; s joins (e, x, n)
+    to (e, y, s.n).  One `components` pass per site object e, which bounds
+    the peak, gives the fiber over e; beta sends a class to x.t in Xe, for
+    n = (p(x), t, e), and a class with two such points means X is no action.
+
+    The transition along m: d -> c sends the class of (c, x, n) to that of
+    (d, x, n.m), read at the class representatives in one gather over (m,
+    class over c), the flat form.  It is well defined as C(S) is a
+    category: the edge (x, n) ~ (y, s.n) over c, precomposed with m, is the
+    edge (x, n.m) ~ (y, s.(n.m)) over d.
     """
     S = X.sgrp
     C = site if site is not None else C_of(S)
     if C.extra.get("kind") != "C" or C.extra.get("sgrp") is not S:
         raise WrongSite("site must be C(S) for the semigroup of the action")
-    k, nm = C.n_objects, C.n_mor
-    tab, star = S.table, S.star
-    act, anchor = X.base.act, X.anchor
-    ns = len(S)
+    k, n = C.n_objects, len(X)
+    tab, act, anchor = S.table, X.base.act, X.anchor
     px = positions(np.array(C.extra["obj_elt"], dtype=np.int64), anchor,
                    lambda at: InvariantBroken("an anchor is not an idempotent", witness=at[0]))
     # morphisms x -> y of the indexing category, with their site morphisms
-    ys, ss = np.nonzero((tab[anchor] == np.arange(ns))
-                        & (anchor[act] == tab[star, np.arange(ns)]))
+    ys, ss = np.nonzero((tab[anchor] == np.arange(len(S)))
+                        & (anchor[act] == tab[S.star, np.arange(len(S))]))
     xs = act[ys, ss]
     smor = C.mor_of(anchor[ys], ss, anchor[xs])
-    # rank of each site morphism in its hom-set
     order, start = C._hom_index
-    hom_pos = np.empty(nm, dtype=np.int64)
-    hom_pos[order] = np.arange(nm) - start[C.dom[order] * k + C.cod[order]]
-    payload_s = C._payload_array[:, 1]
-    sizes = C.hom_sizes()
-    fibers, betas = [], []
-    for eo in range(k):
-        hl = sizes[eo, px]
-        off = np.concatenate([[0], np.cumsum(hl)])
-        total = int(off[-1])
-        node_x, r = ragged(hl)
-        node_m = order[start[eo * k + px[node_x]] + r]
-        lens = hl[xs]
-        t, pos = ragged(lens)
-        a = off[xs[t]] + pos
-        b = off[ys[t]] + hom_pos[C.comp[smor[t], node_m[a]]]
-        root, cls = components(total, a, b)
-        val = act[node_x, payload_s[node_m]]
-        if not np.array_equal(val, val[root]):
-            raise InvariantBroken("colimit class maps to several points of Xe")
-        reps = np.flatnonzero(root == np.arange(total))
-        fibers.append((off, node_x, node_m, root, cls, reps))
-        betas.append(dict(enumerate(val[reps].tolist())))
-    # transitions: precompose with the site morphism
-    maps = []
-    for m in range(nm):
-        _off, node_x, node_m, root, _cls, reps = fibers[int(C.cod[m])]
-        off_d, _x, _m, _root, cls_d, _reps = fibers[int(C.dom[m])]
-        val = cls_d[off_d[node_x] + hom_pos[C.comp[node_m, m]]]
-        if not np.array_equal(val, val[root]):
-            raise InvariantBroken("transition not constant on a colimit class",
-                                  witness=m)
-        maps.append(val[reps])
-    fiber_labels = tuple(tuple(f"i{ci}" for ci in range(len(b))) for b in betas)
-    P = Presheaf(C, fiber_labels, tuple(maps))
-    return IShriekResult(P, tuple(betas))
+    hom_pos = np.empty(C.n_mor, dtype=np.int64)    # each morphism's rank in its hom-set
+    hom_pos[order] = np.arange(C.n_mor) - start[C.dom[order] * k + C.cod[order]]
+    hl = C.hom_sizes()[:, px]                       # hl[e, x] = |C(S)(e, p(x))|
+    node_off = np.concatenate([[0], np.cumsum(hl)])
+    first = node_off[:-1].reshape(k, n)             # the node (e, x, rank 0)
+    ex, r = ragged(hl.ravel())
+    node_e, node_x = np.divmod(ex, n)
+    node_n = order[start[node_e * k + px[node_x]] + r]
+    root = np.empty_like(ex)                        # the least node of each class
+    for e in range(k):
+        lo, hi = node_off[e * n], node_off[e * n + n]
+        t, pos = ragged(hl[e, xs])
+        a = first[e, xs[t]] - lo + pos
+        b = first[e, ys[t]] - lo + hom_pos[C.comp[smor[t], node_n[lo:hi][a]]]
+        del t, pos              # freed before `components`, the peak
+        root[lo:hi] = lo + components(hi - lo, a, b)[0]
+    val = act[node_x, C._payload_array[node_n, 1]]
+    if not np.array_equal(val, val[root]):
+        raise InvariantBroken("colimit class maps to several points of Xe")
+    reps = np.flatnonzero(root == np.arange(len(root)))
+    nfib = np.bincount(node_e[reps], minlength=k)
+    fib_off = np.concatenate([[0], np.cumsum(nfib)])
+    m, i = ragged(nfib[C.cod])
+    w, d = reps[fib_off[C.cod[m]] + i], C.dom[m]    # the least node of class (cod m, i)
+    y = first[d, node_x[w]] + hom_pos[C.comp[node_n[w], m]]    # the node (d, x, n.m)
+    values = reps.searchsorted(root[y]) - fib_off[d]
+    betas = tuple(dict(enumerate(val[reps[a:b]].tolist())) for a, b in zip(fib_off, fib_off[1:]))
+    labels = tuple(tuple(f"i{c}" for c in range(len(b))) for b in betas)
+    P = Presheaf.from_flat(C, labels, values, np.concatenate([[0], np.cumsum(nfib[C.cod])]))
+    return IShriekResult(P, betas)
 
 
 def I_shriek(X: EtaleAction, site: FiniteCategory = None) -> Presheaf:

@@ -398,11 +398,6 @@ def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
     return _skeleton_data(C, rep, to_rep, from_rep)
 
 
-def skeleton(C: FiniteCategory) -> FiniteCategory:
-    """Full subcategory on the smallest object of each isomorphism class."""
-    return skeleton_with_maps(C).cat
-
-
 # -- functors -----------------------------------------------------------------
 
 @dataclass(eq=False)

@@ -12,7 +12,6 @@ from ._util import congruence, ragged
 from .actions import (
     Presheaf,
     R_of,
-    _flatten,
     _out_of_fiber,
     coproduct_action,
     coproduct_presheaf,
@@ -238,11 +237,11 @@ def quotient_presheaf(P: Presheaf, idents) -> Presheaf:
                               witness=bad)
     site = P.site
     k = site.n_objects
-    obj, _idx, off, flat, map_off = _flatten(P)
+    obj, off = P.elements[0], P.fib_off
     n = int(off[-1])
-    m, i = ragged(np.diff(map_off))
+    m, i = ragged(np.diff(P.map_off))
     v = off[site.cod[m]] + i                  # the node moved by entry (m, i)
-    image = off[site.dom[m]] + flat
+    image = off[site.dom[m]] + P.values
     # move[v, m]: the image of node v under P(m), -1 off the fiber over cod m
     move = np.full((n, site.n_mor), -1, dtype=np.int64)
     move[v, m] = image

@@ -33,6 +33,7 @@ from morita.actions import (
     is_indecomposable,
     is_unitary,
     munn_action,
+    presheaf_nats,
     presheaf_of_etale,
     principal_action,
     principal_etale,
@@ -684,13 +685,46 @@ def test_colimits_match_union_find_reference():
             assert list(R.fibers) == fibers
             assert [m.tolist() for m in R.maps] == maps
         for X in sample_etale_actions(S)[:3 if big else None]:
-            res = i_shriek_with_maps(X, C)
-            sizes, maps, betas = _ref_i_shriek(X, C)
-            P = res.presheaf
-            assert [P.fiber_size(o) for o in range(C.n_objects)] == sizes
-            assert P.fibers == tuple(tuple(f"i{c}" for c in range(k)) for k in sizes)
-            assert [m.tolist() for m in P.maps] == maps
-            assert list(res.beta) == betas
+            _assert_i_shriek_matches_the_reference(X, C)
+
+
+def _assert_i_shriek_matches_the_reference(X, C):
+    res = i_shriek_with_maps(X, C)
+    sizes, maps, betas = _ref_i_shriek(X, C)
+    P = res.presheaf
+    assert [P.fiber_size(o) for o in range(C.n_objects)] == sizes
+    assert P.fibers == tuple(tuple(f"i{c}" for c in range(k)) for k in sizes)
+    assert [m.tolist() for m in P.maps] == maps
+    assert list(res.beta) == betas
+
+
+def test_i_shriek_matches_the_reference_on_random_subsemigroups():
+    from morita.corpus import random_inverse_subsemigroups, sample_etale_actions
+
+    subs = [S for S in random_inverse_subsemigroups(23, 20) if len(S) <= 20]
+    assert len(subs) >= 15
+    for S in subs:
+        C = C_of(S)
+        for X in sample_etale_actions(S):
+            _assert_i_shriek_matches_the_reference(X, C)
+
+
+def test_presheaf_layout_agrees_with_its_fibers(b12):
+    from morita.corpus import coproduct_presheaf, quotient_presheaf
+
+    C, L = C_of(b12), L_of(b12)
+    Q = Q_of(regular_action(b12), C)
+    QQ = coproduct_presheaf(C, [Q, Q])
+    for P in (Q, presheaf_of_etale(munn_action(b12), L), QQ,
+              quotient_presheaf(QQ, [(0, 0, 1)]), I_shriek(R_of(regular_action(b12)), C),
+              Presheaf(C, Q.fibers, Q.maps), Presheaf(C, [()] * C.n_objects, [()] * C.n_mor)):
+        sizes = [len(f) for f in P.fibers]
+        assert P.fib_off.tolist() == [0, *itertools.accumulate(sizes)]
+        obj, idx = P.elements
+        assert list(zip(obj.tolist(), idx.tolist())) == [
+            (o, i) for o, k in enumerate(sizes) for i in range(k)]
+        assert not any(a.flags.writeable for a in (P.fib_off, obj, idx))
+        assert P.fib_off is P.fib_off and P.elements is P.elements
 
 
 def test_presheaf_coproduct_and_quotient_match_loops():
@@ -1117,7 +1151,6 @@ def _relabel(X, perm):
 
 
 def test_presheaf_nats_matches_the_loop():
-    from morita.actions import presheaf_nats
     from morita.corpus import (
         builtin_corpus,
         random_inverse_subsemigroups,
@@ -1140,6 +1173,17 @@ def test_presheaf_nats_matches_the_loop():
                 assert nats == loop_presheaf_nats(P1, P2)
                 counts.add(min(len(nats), 2))
     assert counts == {0, 1, 2}
+
+
+def test_the_orbit_search_goes_deeper_than_the_recursion_limit():
+    # the trivial group on 1 100 points: every point is an orbit of its own,
+    # so the search has one level per point
+    S = cyclic_group(1)
+    X, Y = coproduct_action([regular_action(S)] * 1100), regular_action(S)
+    C = C_of(S)
+    assert action_homs(X, Y) == [(0,) * 1100]
+    assert presheaf_nats(Q_of(X, C), Q_of(Y, C)) == [(0,) * 1100]
+    assert action_isomorphic(X, X) == list(range(1100))
 
 
 def test_action_isomorphic_matches_the_loop():

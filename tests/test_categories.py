@@ -34,7 +34,6 @@ from morita.categories import (
     left_cancellation_witness,
     pullback,
     right_cancellation_witness,
-    skeleton,
     skeleton_with_maps,
     span_category,
 )
@@ -209,15 +208,15 @@ def test_idempotents_split(small_corpus, b12):
 
 
 def test_skeleton(b12, chain2):
-    sk = skeleton(C_of(b12))
+    sk = skeleton_with_maps(C_of(b12)).cat
     assert sk.n_objects == 2 and check_category(sk) == []
     # a group category is its own skeleton; so is C(2-chain)
     CG = C_of(cyclic_group(3))
-    assert skeleton(CG).n_mor == CG.n_mor
+    assert skeleton_with_maps(CG).cat.n_mor == CG.n_mor
     C2 = C_of(chain2)
-    assert skeleton(C2).n_objects == 2
+    assert skeleton_with_maps(C2).cat.n_objects == 2
     # idempotent up to isomorphism
-    assert categories_isomorphic(skeleton(sk), sk) is not None
+    assert categories_isomorphic(skeleton_with_maps(sk).cat, sk) is not None
 
 
 def test_categories_isomorphic(b12):
@@ -226,8 +225,8 @@ def test_categories_isomorphic(b12):
     assert F is not None and is_functor(F)
     # skeleton of C(B(1,2)) is the skeleton of C of the 2-element monoid {1, 0}
     gz1 = group_with_zero(cyclic_group(1))
-    a = skeleton(C_of(b12))
-    b = skeleton(C_of(gz1))
+    a = skeleton_with_maps(C_of(b12)).cat
+    b = skeleton_with_maps(C_of(gz1)).cat
     assert categories_isomorphic(a, b) is not None
     # one-object C2 vs C3: hom sizes differ
     assert categories_isomorphic(C_of(cyclic_group(2)), C_of(cyclic_group(3))) is None
@@ -241,7 +240,7 @@ def test_categories_equivalent(b12, b13):
     assert categories_equivalent(C_of(cyclic_group(2)), C_of(cyclic_group(3))) is None
     # any C is equivalent to its skeleton
     C = C_of(b12)
-    pair = categories_equivalent(C, skeleton(C))
+    pair = categories_equivalent(C, skeleton_with_maps(C).cat)
     assert pair is not None and check_weak_equivalence(pair[0])
 
 
@@ -303,7 +302,8 @@ def test_weak_equivalence_matches_the_loop(chain2, b12):
     assert all(map(is_functor, broken))
     assert not any(map(check_weak_equivalence, broken))
     functors += broken
-    small = [G1, G2, C_of(cyclic_group(3)), C, L_of(chain2), L_of(b12), skeleton(C_of(b12))]
+    small = [G1, G2, C_of(cyclic_group(3)), C, L_of(chain2), L_of(b12),
+             skeleton_with_maps(C_of(b12)).cat]
     for A, B in itertools.product(small, small + [C_of(b12)]):
         functors += _all_functors(A, B)
     for F in functors:
@@ -488,7 +488,7 @@ def test_constructions_match_reference(S):
     # check_category and idempotents_split against their loops, also on
     # seeded mutants of comp
     rng = np.random.default_rng(int(S.table.sum()))
-    for A in (L, C, span_category(L), skeleton(C)):
+    for A in (L, C, span_category(L), skeleton_with_maps(C).cat):
         assert idempotents_split(A) is loop_idempotents_split(A) is True
     for A in (L, C):
         assert check_category(A) == loop_check_category(A) == []
@@ -588,7 +588,7 @@ def test_iso_table_matches_the_loop():
     cats = []
     for _name, S in builtin_corpus():
         C, L = C_of(S), L_of(S)
-        cats += [C, L, skeleton(C), span_category(L)]
+        cats += [C, L, skeleton_with_maps(C).cat, span_category(L)]
     cats.append(C_of(symmetric_inverse_monoid(4)))
     for C in cats:
         assert np.array_equal(_iso_table(C), loop_iso_table(C))
@@ -603,7 +603,7 @@ def test_iso_search_keeps_the_witnesses_of_its_recursive_form():
     pairs += [(S, random_relabelling(S, rng)) for S in members.values()]
     found = 0
     for S, T in pairs:
-        A, B = skeleton(C_of(S)), skeleton(C_of(T))
+        A, B = skeleton_with_maps(C_of(S)).cat, skeleton_with_maps(C_of(T)).cat
         F, G = categories_isomorphic(A, B), loop_categories_isomorphic(A, B)
         assert (F is None) == (G is None)
         if F is not None:
@@ -620,8 +620,8 @@ def test_joint_invariants_match_the_per_category_loop():
     # lacks, are those of the loop
     rng = random.Random(4)
     members = [S for _name, S in builtin_corpus()]
-    cats = [skeleton(C_of(S)) for S in members] + [L_of(S) for S in members]
-    cats += [skeleton(C_of(random_relabelling(S, rng))) for S in members]
+    cats = [skeleton_with_maps(C_of(S)).cat for S in members] + [L_of(S) for S in members]
+    cats += [skeleton_with_maps(C_of(random_relabelling(S, rng))).cat for S in members]
     pairs = [(A, B) for A in cats for B in cats if A.n_mor == B.n_mor]
     pairs += [(C_of(S), C_of(random_relabelling(S, rng))) for S in members]
     for A, B in pairs:
@@ -690,7 +690,7 @@ def test_forced_products_keep_the_search_near_one_placement_per_morphism(name):
     # about as many morphisms as the skeleton has, not exponentially many
     S = _SEARCH_CASES[name]()
     T = random_relabelling(S, random.Random(1))
-    n = skeleton(C_of(S)).n_mor
+    n = skeleton_with_maps(C_of(S)).cat.n_mor
     assert morita_equivalent(S, T, budget=2 * n).equivalent
     with pytest.raises(BudgetExceeded):
         morita_equivalent(S, T, budget=n // 2)

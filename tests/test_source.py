@@ -97,6 +97,50 @@ def test_presheaf_maps_are_never_cut_with_np_split():
     assert found == []
 
 
+def _layout_rebuilds(tree) -> list:
+    """Lines of a `_flatten` function, and of a comprehension of len(...) over
+    some x.fibers outside class Presheaf."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name == "Presheaf":
+            return
+        if isinstance(node, ast.FunctionDef) and node.name == "_flatten":
+            found.append(node.lineno)
+        if (isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp))
+                and isinstance(node.elt, ast.Call) and getattr(node.elt.func, "id", None) == "len"
+                and any(getattr(g.iter, "attr", None) == "fibers" for g in node.generators)):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_the_presheaf_layout_is_never_rebuilt_from_the_fibers():
+    # a presheaf lays out its elements once, as `fib_off` and `elements`;
+    # a `_flatten` helper or a list of fiber sizes read off the label tuples
+    # outside the class computes that layout again
+    src = Path(morita.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _layout_rebuilds(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_layout_guard_sees_the_code_it_replaced():
+    old = ("def _flatten(P):\n"
+           "    nfib = np.array([len(f) for f in P.fibers], dtype=np.int64)\n"
+           "    return ragged(nfib)\n"
+           "nfib = np.array([[len(f) for f in P.fibers] for P in parts])\n")
+    assert _layout_rebuilds(ast.parse(old)) == [1, 2, 4]
+    # the class computes the layout from its own fibers, once
+    own = ("class Presheaf:\n"
+           "    def fib_off(self):\n"
+           "        return np.cumsum([len(f) for f in self.fibers])\n")
+    assert _layout_rebuilds(ast.parse(own)) == []
+
+
 def _cell_fills(tree) -> list:
     """Lines assigning a[i, j] where i and j are the variables of two nested for loops."""
     found = []
