@@ -30,7 +30,7 @@ import numpy as np
 
 from ._util import components, congruence, positions, ragged
 from .categories import C_of, FiniteCategory, L_of
-from .errors import InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
+from .errors import BudgetExceeded, InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
 from .semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
@@ -706,7 +706,7 @@ def unit_iso_check(P: Presheaf) -> bool:
 
 # -- maps between actions and presheaves, by one orbit search -------------------
 
-def _orbit_maps(n: int, orbit, values):
+def _orbit_maps(n: int, orbit, values, budget: int, search: str):
     """Every map f on range(n) that the orbit constraints allow, as arrays.
 
     orbit(x0) lists the points fixed by the choice at x0, x0 among them,
@@ -719,10 +719,15 @@ def _orbit_maps(n: int, orbit, values):
     one level, a generator of its choices on an explicit stack, so Python's
     recursion limit does not cap the number of orbits.  The callers say why
     the maps found are exactly the maps they want.
+
+    Each row kept counts one placement against `budget`; BudgetExceeded
+    names the `search` once more are needed.
     """
     f = np.full(n, -1, dtype=np.int64)
+    placements = 0
 
     def level(x0):
+        nonlocal placements
         pts, value = orbit(x0), values(x0, f)
         cols = (pts[:, None] == pts).argmax(axis=1)  # first column with each point
         before = f[pts]
@@ -730,6 +735,9 @@ def _orbit_maps(n: int, orbit, values):
               & ((before < 0) | (value == before)).all(axis=1))
         new = pts[before < 0]
         for y in np.flatnonzero(ok).tolist():
+            placements += 1
+            if placements > budget:
+                raise BudgetExceeded(f"{search} used up its budget of {budget} placements")
             f[pts] = value[y]
             yield
             f[new] = -1
@@ -752,7 +760,7 @@ def _orbit_table(X: RightAction) -> np.ndarray:
     return np.concatenate((np.arange(len(X))[:, None], X.act), axis=1)
 
 
-def action_homs(X: RightAction, Y: RightAction) -> list:
+def action_homs(X: RightAction, Y: RightAction, budget: int = 10_000_000) -> list:
     """All equivariant maps X -> Y, as tuples, by backtracking over orbits.
 
     Choosing f(x0) = y fixes f on the whole orbit x0 u x0.S at once:
@@ -760,16 +768,18 @@ def action_homs(X: RightAction, Y: RightAction) -> list:
     is closed under the action, (x0.s).t = x0.(st), and on it the law
     f(x0.s).t = (y.s).t = y.(st) = f(x0.(st)) already holds, so propagating
     further from x0.s, one point and one s at a time, would assign nothing
-    new: on valid actions this finds the same maps.
+    new: on valid actions this finds the same maps.  The search runs under
+    `budget` placements, as `_orbit_maps` counts them.
     """
     if X.sgrp is not Y.sgrp:
         raise ValueError("homs need a common semigroup")
     value = _orbit_table(Y)
-    maps = _orbit_maps(len(X), _orbit_table(X).__getitem__, lambda _x0, _f: value)
+    maps = _orbit_maps(len(X), _orbit_table(X).__getitem__, lambda _x0, _f: value, budget,
+                       f"hom search between actions of {len(X)} and {len(Y)} points")
     return sorted(tuple(f.tolist()) for f in maps)
 
 
-def presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
+def presheaf_nats(P1: Presheaf, P2: Presheaf, budget: int = 10_000_000) -> list:
     """All natural transformations P1 -> P2 over a common site, as tuples.
 
     alpha maps the elements of P1, in the (o, i) order of `P1.elements`, to
@@ -782,7 +792,8 @@ def presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
     cod m = a the point (dom m, P1(m)(j)) = (dom m0.m, P1(m0.m)(i)) lies in
     the same orbit with the value P2(m0.m)(y) = P2(m)(P2(m0)(y)), so
     naturality at (a, j) already holds.  A point reached from two orbits
-    is forced to one value by the agreement test of `_orbit_maps`.
+    is forced to one value by the agreement test of `_orbit_maps`, which
+    runs under `budget` placements.
     """
     C = P1.site
     if P2.site is not C:
@@ -800,22 +811,26 @@ def presheaf_nats(P1: Presheaf, P2: Presheaf) -> list:
         return off1[C.dom[m]] + flat1[moff1[m] + idx[k]]
 
     shift = off2[obj]
+    search = (f"natural transformation search between presheaves of {len(obj)}"
+              f" and {int(off2[-1])} elements")
     return sorted(tuple((f - shift).tolist())
-                  for f in _orbit_maps(len(obj), orbit, lambda k, _f: rows[obj[k]]))
+                  for f in _orbit_maps(len(obj), orbit, lambda k, _f: rows[obj[k]],
+                                       budget, search))
 
 
 def fullness_faithfulness_check(X: RightAction, Y: RightAction,
-                                PX: Presheaf, PY: Presheaf) -> bool:
+                                PX: Presheaf, PY: Presheaf, budget: int = 10_000_000) -> bool:
     """hom(X, Y) and Nat(Q(X), Q(Y)) match bijectively under restriction.
 
     PX and PY are Q(X) and Q(Y) on C(S); the caller builds each once,
     however many pairs it checks.  Every hom is restricted by one gather
     over (hom, element of PX); Q(Y) numbers the points of each Ye in
     increasing order, so the index of y in its fiber is a running count.
+    Both searches run under `budget` placements each.
     """
     C = PX.site
-    homs = action_homs(X, Y)
-    nats = presheaf_nats(PX, PY)
+    homs = action_homs(X, Y, budget)
+    nats = presheaf_nats(PX, PY, budget)
     if len(homs) != len(nats):
         return False
     obj = PX.elements[0]
@@ -832,13 +847,14 @@ def fullness_faithfulness_check(X: RightAction, Y: RightAction,
     return len(restricted) == len(homs) and restricted == set(nats)
 
 
-def action_isomorphic(X: RightAction, Y: RightAction):
+def action_isomorphic(X: RightAction, Y: RightAction, budget: int = 10_000_000):
     """An equivariant bijection X -> Y as a list, or None.
 
     The orbit search of `action_homs`, offered only the rows y that keep
     the map injective: one value per point of the orbit of x0, none of them
     taken by an earlier orbit.  With |X| = |Y| every map it finds is then a
-    bijection, and the first one is returned.
+    bijection, and the first one is returned.  The search runs under
+    `budget` placements.
     """
     if X.sgrp is not Y.sgrp or len(X) != len(Y):
         return None
@@ -855,7 +871,8 @@ def action_isomorphic(X: RightAction, Y: RightAction):
         return value[(distinct == len(np.unique(pts)))
                      & ~taken[value[:, f[pts] < 0]].any(axis=1)]
 
-    f = next(_orbit_maps(len(X), orbit.__getitem__, values), None)
+    search = f"isomorphism search between actions of {len(X)} points"
+    f = next(_orbit_maps(len(X), orbit.__getitem__, values, budget, search), None)
     return None if f is None else f.tolist()
 
 

@@ -2,9 +2,12 @@
 
 A category is stored densely: morphisms are indices with dom/cod arrays
 and an m x m composition table using -1 for "not composable"; hom-sets are
-read from an index of the morphisms sorted by (dom, cod).  Every category
-built from a semigroup, a groupoid or spans comes out of one constructor,
-`_table_category`, which keys each morphism by a payload of ints;
+read from an index of the morphisms sorted by (dom, cod), and the
+composable pairs with their composites are listed once, in row-major
+order, from the endpoints.  Every category built from a semigroup, a
+groupoid or spans comes out of one constructor, `_table_category`, which
+fills the table with one pass over those pairs and keys each morphism by a
+payload of ints;
 `FiniteCategory.mor_of` finds the morphisms of given payloads, read across
 arrays of payload columns, through `_util.positions`.  The two key
 constructions are the left-cancellative category of an inverse semigroup
@@ -29,6 +32,7 @@ from .errors import (
     CospanMismatch,
     InvariantBroken,
     IsomorphismChainBroken,
+    MoritaError,
     NoPullbacks,
     NotFullSubcategory,
     SourceTargetMismatch,
@@ -87,18 +91,26 @@ class FiniteCategory:
         return order, start
 
     @cached_property
-    def _payload_array(self):
-        """extra["payload"] as an (n_mor, width) array, for payloads of ints.
+    def _composable(self):
+        """The composable pairs (g, f) and their composites h = g.f, as three
+        read-only arrays in row-major order: g ascending, and for each g every
+        f into dom g, ascending.
 
-        `_table_category` sets it from the arrays it is built from; any other
-        category reads it from extra["payload"] once.
+        Listed from the endpoints, so no pass reads the m x m table for its
+        defined cells; `_table_category` sets it from the composites it fills
+        the table with, and any other category reads h off its table once.
         """
-        return np.array(self.extra["payload"], dtype=np.int64).reshape(self.n_mor, -1)
+        g, f = _composable_pairs(self.dom, self.cod, self.n_objects)
+        return _kept_pairs(g, f, self.comp.ravel()[g * self.n_mor + f])
 
     def mor_of(self, *columns) -> np.ndarray:
         """The morphism of each payload read across `columns`, which broadcast
         together; a payload of no morphism raises InvariantBroken, witnessed
-        by the first one in C order."""
+        by the first one in C order.
+
+        Only a category built by `_table_category` has payloads: it sets
+        `_payload_array`, the (n_mor, width) array of them.
+        """
         return positions(tuple(self._payload_array.T), columns, lambda at: InvariantBroken(
             "no morphism has this payload",
             witness=tuple(int(c[at]) for c in np.broadcast_arrays(*columns))))
@@ -174,25 +186,57 @@ def check_category(C: FiniteCategory) -> list:
 
 # -- L(S) and C(S) -----------------------------------------------------------
 
+def _composable_pairs(dom, cod, n):
+    """(g, f) over every pair with cod f = dom g, in row-major order.
+
+    One stable argsort of cod lists the morphisms into each object in
+    ascending order, and each g takes the run of its domain.
+    """
+    into = np.argsort(cod, kind="stable")
+    cut = np.searchsorted(cod[into], np.arange(n + 1))
+    lens = cut[dom + 1] - cut[dom]
+    g = np.repeat(np.arange(len(dom)), lens)
+    # pair k of g's run is the entry cut[dom g] + (k - where the run starts)
+    f = into[np.arange(len(g)) + np.repeat(cut[dom] - (np.cumsum(lens) - lens), lens)]
+    return g, f
+
+
+def _kept_pairs(g, f, h) -> tuple:
+    """(g, f, h) as the read-only int32 arrays a category keeps: half the
+    memory of int64, and every id fits, as no m x m table with m >= 2**31
+    could be built.  Readers gather through them with `take`, which reads
+    int32 indices without first converting them as fancy indexing does."""
+    kept = tuple(np.asarray(a, dtype=np.int32) for a in (g, f, h))
+    for a in kept:
+        a.setflags(write=False)
+    return kept
+
+
 def _table_category(objects, dom, cod, label, payload, ident, composite, extra):
     """A category of payload-keyed morphisms with its composition table.
 
     payload holds one int array per payload entry, over the morphisms, and
     label(*entries) names a morphism.  composite(g, f) maps arrays of
-    composable morphism ids to the ids of g.f; it is evaluated one block of
-    composable pairs per middle object.
+    composable morphism ids to the ids of g.f, and raises a MoritaError for
+    the first pair, in array order, that has none; it is evaluated once,
+    over the composable pairs, which the category keeps.  A failing pair is
+    named as the loop over middle objects met it first: the least middle
+    object, then row-major.
     """
-    payloads = tuple(zip(*(c.tolist() for c in payload)))
-    m = len(payloads)
+    m = len(dom)
+    g, f = _composable_pairs(dom, cod, len(objects))
+    try:
+        h = composite(g, f)
+    except MoritaError:
+        mid = np.argsort(dom[g], kind="stable")
+        composite(g[mid], f[mid])
+        raise
     comp = np.full((m, m), -1, dtype=np.int64)
-    for j in range(len(objects)):
-        g = np.flatnonzero(dom == j)
-        f = np.flatnonzero(cod == j)
-        comp[np.ix_(g, f)] = composite(g[:, None], f[None, :])
-    xt = dict(extra)
-    xt["payload"] = payloads
-    cat = FiniteCategory(objects, tuple(label(*p) for p in payloads), dom, cod, comp, ident, xt)
+    comp.ravel()[g * m + f] = h
+    cat = FiniteCategory(objects, tuple(label(*p) for p in zip(*(c.tolist() for c in payload))),
+                         dom, cod, comp, ident, extra)
     cat._payload_array = np.stack(payload, axis=1)
+    cat._composable = _kept_pairs(g, f, h)
     return cat
 
 
@@ -244,11 +288,14 @@ def C_of(S: FiniteSemigroup) -> FiniteCategory:
     ei, fi, s = np.nonzero(tab[es[:, None, :], Ea[None, :, None]] == np.arange(n))
     idx = np.full((k, k, n), -1, dtype=np.int64)
     idx[ei, fi, s] = np.arange(len(s))
+    # (e, s, f).(f, t, d) = (e, st, d), read as idx[e, d, st] through the
+    # flat tables: each pair costs gathers of per-morphism offsets
+    at_e, at_d, at_s = ei * (k * n), fi * n, s * n
     return _table_category(
         tuple(names[e] for e in E), fi, ei,
         lambda e, t, f: f"({names[e]},{names[t]},{names[f]})", (Ea[ei], s, Ea[fi]),
         idx[np.arange(k), np.arange(k), Ea],
-        lambda g, f: idx[ei[g], fi[f], tab[s[g], s[f]]],
+        lambda g, f: idx.ravel()[at_e[g] + at_d[f] + tab.ravel()[at_s[g] + s[f]]],
         {"kind": "C", "sgrp": S, "obj_elt": tuple(E)})
 
 
@@ -348,7 +395,12 @@ class SkeletonData:
 
 
 def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
-    """The full subcategory on the objects o with rep[o] == o."""
+    """The full subcategory on the objects o with rep[o] == o.
+
+    A full subcategory holds the inverse of each of its isomorphisms, which
+    runs between two of its objects, so it takes its isomorphism table from
+    C's rather than testing its own table again.
+    """
     is_rep = rep == np.arange(C.n_objects)
     reps = np.flatnonzero(is_rep)
     sk_index = np.full(C.n_objects, -1, dtype=np.int64)
@@ -366,6 +418,10 @@ def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
         smor[C.identity[reps]],
         {"kind": "skeleton", "parent": C},
     )
+    partner = C._partners[keep]
+    partner = np.where(partner >= 0, smor[partner], -1)
+    partner.setflags(write=False)
+    cat._partners = partner
     return SkeletonData(cat, rep, sk_index[rep], tuple(reps.tolist()),
                         to_rep, from_rep, tuple(keep.tolist()), smor)
 
@@ -423,8 +479,8 @@ def is_functor(F: Functor) -> bool:
         return False
     if not np.all(mm[C.identity] == D.identity[om]):
         return False
-    g, f = np.nonzero(C.comp >= 0)
-    return bool(np.all(mm[C.comp[g, f]] == D.comp[mm[g], mm[f]]))
+    g, f, h = C._composable
+    return bool(np.all(mm.take(h) == D.comp.ravel().take(mm.take(g) * D.n_mor + mm.take(f))))
 
 
 def identity_functor(C: FiniteCategory) -> Functor:
@@ -485,66 +541,111 @@ def is_bipartite(U: FiniteCategory, A_objs, B_objs) -> bool:
 
 # -- category isomorphism and equivalence ------------------------------------
 
-def _intern(rows) -> np.ndarray:
-    """Number the distinct rows of a 2-d array in order of first appearance."""
-    table = {}
-    return np.array([table.setdefault(r.tobytes(), len(table))
-                     for r in np.ascontiguousarray(rows)], dtype=np.int64)
+def _mix(x):
+    """splitmix64's finaliser on uint64 arrays: a fixed bijection of 64-bit
+    words that spreads every input bit over the output."""
+    x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> 31)
+
+
+# odd multipliers, one per word of a key
+_WEIGH = tuple(np.uint64(k) for k in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                                      0x165667B19E3779F9, 0xD6E8FEB86659FD93, 1))
+
+
+def _key(*words):
+    """One 64-bit word per key, read across equally long uint64 arrays: the
+    wrapping sum of the words, each weighed by an odd multiplier.
+
+    Keys that differ in one word differ, as the weights are odd; keys that
+    differ in several, whose words are sums of mixed labels, meet only by
+    chance.
+    """
+    h = words[0] * _WEIGH[0]
+    for w, k in zip(words[1:], _WEIGH[1:]):
+        h += w * k
+    return h
+
+
+def _sums(key, n, vals):
+    """[k]: the wrapping sum of vals over the entries with key k, k < n."""
+    out = np.zeros(n, dtype=np.uint64)
+    np.add.at(out, key, vals)
+    return out
+
+
+def _count(x) -> int:
+    """The number of distinct values of a non-empty array."""
+    srt = np.sort(x)
+    return 1 + int(np.count_nonzero(srt[1:] != srt[:-1]))
+
+
+def _first_appearance(x) -> np.ndarray:
+    """Number the distinct values of x in order of first appearance."""
+    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
 
 
 def _joint_invariants(C, D):
     """Composition-aware invariant classes shared between two categories.
 
     C and D have equally many morphisms.  Each round keys a morphism by its
-    class, the classes of its endpoints, and the sorted (class, composite
-    class) codes of its row and of its column of the composition table; the
-    keys are numbered jointly over both categories.  Endpoint classes key an
-    object by its identity's class and the class counts of the morphisms out
-    of and into it.  Rounds stop once C's partition stops splitting.
+    label, the labels of its endpoints, and the multisets of (label of f,
+    label of g.f) over the f composable with it on the right and of (label
+    of g, label of g.f) over the g composable with it on the left; an
+    object's label keys its identity's label and the multisets of the
+    labels of the morphisms out of and into it.  Rounds stop once C's
+    partition stops splitting.  The classes are the final labels, numbered
+    in order of first appearance.
 
-    The endpoints and identities are read on the disjoint union of C and
-    D: D's morphisms follow C's, and D's objects follow C's.
+    Colour refinement in the sense of McKay and Piperno: every key is
+    preserved by an isomorphism of categories, so an isomorphism C -> D
+    maps classes onto classes.  A label is a 64-bit word read off its key
+    (`_key`), and a multiset of pairs (x, y) goes in as the wrapping sum of
+    a(x) b(y), for two fixed mixing functions a and b.  Each label is a
+    function of the same isomorphism-invariant data whatever the hashes
+    do, so a collision can only merge classes: it weakens the pruning and
+    never changes a verdict.  Without one the classes are those of keying
+    by the multisets themselves.
+
+    Everything is read on the disjoint union of C and D: D's morphisms
+    follow C's, and D's objects follow C's; the rounds pass over the
+    composable pairs of both.
     """
     mC, nC = C.n_mor, C.n_objects
-    n = nC + D.n_objects
+    m, n = mC + D.n_mor, nC + D.n_objects
     dom = np.concatenate([C.dom, D.dom + nC])
     cod = np.concatenate([C.cod, D.cod + nC])
     ident = np.concatenate([C.identity, D.identity + mC])
+    g, f, h = (np.concatenate([c, d + mC], dtype=np.int64)
+               for c, d in zip(C._composable, D._composable))
 
-    def initial(cat):
-        is_id = np.zeros(cat.n_mor, dtype=np.int64)
-        is_id[cat.identity] = 1
-        return 4 * is_id + 2 * (iso_partner(cat) >= 0) + (cat.dom == cat.cod)
+    def obj_labels(lab):
+        """The objects' labels, and the mixing functions a and b of lab: b is
+        a rotated by 32 bits, so a(x) b(y) and a(y) b(x) differ."""
+        al = _mix(lab ^ np.uint64(0x5851F42D4C957F2D))
+        bl = (al << np.uint64(32)) | (al >> np.uint64(32))
+        return _key(lab[ident], _sums(dom, n, al), _sums(cod, n, bl)), al, bl
 
-    def obj_classes(inv):
-        K = int(inv.max()) + 1 if len(inv) else 1
-        outs = np.bincount(dom * K + inv, minlength=n * K).reshape(n, K)
-        ins = np.bincount(cod * K + inv, minlength=n * K).reshape(n, K)
-        return _intern(np.column_stack([inv[ident], outs, ins]))
-
-    def codes(inv, K, transpose):
-        out = []
-        for cat, ci in zip((C, D), (inv[:mC], inv[mC:])):
-            comp = cat.comp.T if transpose else cat.comp
-            c = np.where(comp >= 0, ci[None, :] * K + ci[comp], -1)
-            out.append(np.sort(c, axis=1))
-        return _intern(np.vstack(out))
-
-    inv = np.concatenate([initial(C), initial(D)])
-    if len(inv):
+    # the first labels: 4 for an identity, 2 for an isomorphism, 1 for an endomorphism
+    kind = 2 * (np.concatenate([iso_partner(C), iso_partner(D)]) >= 0) + (dom == cod)
+    kind[ident] += 4
+    lab = kind.astype(np.uint64)
+    if m:
+        classes = _count(lab[:mC])
         for _ in range(max(mC, 1)):
-            ok = obj_classes(inv)
-            K = int(inv.max()) + 1
-            new = _intern(np.column_stack([inv, ok[dom], ok[cod], codes(inv, K, False),
-                                           codes(inv, K, True)]))
+            ol, al, bl = obj_labels(lab)
+            bh = bl[h]
+            lab = _key(lab, ol[dom], ol[cod], _sums(g, m, al[f] * bh), _sums(f, m, al[g] * bh))
             # refinement only ever splits classes, so equal counts mean a fixpoint
-            stable = (np.count_nonzero(np.bincount(new[:mC]))
-                      == np.count_nonzero(np.bincount(inv[:mC])))
-            inv = new
-            if stable:
+            classes, before = _count(lab[:mC]), classes
+            if classes == before:
                 break
 
-    ok = obj_classes(inv)
+    inv, ok = _first_appearance(lab), _first_appearance(obj_labels(lab)[0])
     ocC, ocD = ok[:nC], ok[nC:]
     in_C = np.zeros(len(ok), dtype=bool)
     in_C[ocC] = True
@@ -554,16 +655,16 @@ def _joint_invariants(C, D):
 
 def _factor_table(C: FiniteCategory, non_id) -> list:
     """[m]: the first (a, b) in row-major order with a.b = m and both a and b
-    before m in `non_id`, or (-1, -1); one pass over the composable cells.
+    before m in `non_id`, or (-1, -1); one pass over the composable pairs.
 
     Identities come before every morphism of `non_id`, but a pair with an
     identity in it composes to its other member, so it never qualifies.
     """
     rank = np.full(C.n_mor, -1, dtype=np.int64)
     rank[non_id] = np.arange(len(non_id))
-    a, b = np.nonzero(C.comp >= 0)
-    m = C.comp[a, b]
-    keep = (rank[a] < rank[m]) & (rank[b] < rank[m])
+    a, b, m = C._composable
+    rm = rank.take(m)
+    keep = (rank.take(a) < rm) & (rank.take(b) < rm)
     a, b = a[keep], b[keep]
     m, first = np.unique(m[keep], return_index=True)
     out = np.full((C.n_mor, 2), -1, dtype=np.int64)

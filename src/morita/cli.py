@@ -272,7 +272,7 @@ def cmd_psh_equiv(args) -> Report:
     for i, X in enumerate(actions):
         j = (i + 1) % len(actions)
         rep.add(f"full_faithful_sample_{i}",
-                "ok" if fullness_faithfulness_check(X, actions[j], Q[i], Q[j])
+                "ok" if fullness_faithfulness_check(X, actions[j], Q[i], Q[j], args.budget)
                 else "fail")
     # dS is generated by d, so a hom dS -> (sum of the eS) lands in the one
     # summand that holds the image of d: one search per d, and each hom is
@@ -280,7 +280,7 @@ def cmd_psh_equiv(args) -> Report:
     summand = np.repeat(np.arange(len(E)), [len(X) for X in principal])
     union = coproduct_action(principal)
     for d, dS in zip(E, principal):
-        first = np.array([h[0] for h in action_homs(dS, union)], dtype=np.int64)
+        first = np.array([h[0] for h in action_homs(dS, union, args.budget)], dtype=np.int64)
         counts = np.bincount(summand[first], minlength=len(E))
         for e, n in zip(E, counts.tolist()):
             eSd = int((tab[tab[e], d] == np.arange(len(S))).sum())
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="budget for exhaustive searches: placements of the"
-                   " isomorphism search, cell assignments of the oracle")
+                   " isomorphism and orbit searches, cell assignments of the oracle")
     p.add_argument("--max-points", type=int, default=4,
                    help="carrier bound for the biset search oracle")
     sub = p.add_subparsers(dest="command", required=True)

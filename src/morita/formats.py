@@ -12,6 +12,7 @@ one filler (`_fill`) turns a section into a table, and one writer
 """
 
 import re
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +76,13 @@ def parse_semigroup(text: str) -> FiniteSemigroup:
     _check_names(names)
     pos = {nm: i for i, nm in enumerate(names)}
     rows = lines[2:]
-    cells = [pos.get(nm, -1) for row in rows for nm in row]
-    if -1 in cells or any(len(row) != n for row in rows):
+    if any(len(row) != n for row in rows):
         raise _row_error(rows, pos, n)
-    S = FiniteSemigroup(tuple(names), np.array(cells, dtype=np.int64).reshape(n, n))
+    cells = np.fromiter(map(pos.get, chain.from_iterable(rows), repeat(-1)),
+                        dtype=np.int64, count=n * n)
+    if (cells < 0).any():
+        raise _row_error(rows, pos, n)
+    S = FiniteSemigroup(tuple(names), cells.reshape(n, n))
     w = assoc_witness(S)
     if w is not None:
         i, j, k = w

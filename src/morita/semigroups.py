@@ -116,7 +116,7 @@ def as_inverse(S: FiniteSemigroup) -> InverseSemigroup:
     if (count == 0).any():
         s = int(np.argmax(count == 0))
         raise NotRegular(f"element {S.names[s]} has no inverse", witness=s)
-    E = np.array(idempotents(S), dtype=np.int64)
+    E = np.flatnonzero(np.diagonal(tab) == np.arange(len(tab)))
     ef = tab[np.ix_(E, E)]
     bad = np.argwhere(np.triu(ef != ef.T, 1))     # row-major: the least (e, f), e < f
     if bad.size:

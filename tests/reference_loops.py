@@ -31,7 +31,6 @@ from morita.categories import (
     Functor,
     L_of,
     SkeletonData,
-    _intern,
     _joint_invariants,
     _skeleton_data,
     check_category,
@@ -133,10 +132,13 @@ def build_category(objects, mors, compose, identity_payload, extra=None):
                 comp[g, f] = index[compose(payloads[g], payloads[f])]
     ident = np.array([index[identity_payload(o)] for o in range(len(objects))],
                      dtype=np.int64)
-    xt = dict(extra or {})
-    xt["payload"] = tuple(payloads)
-    return FiniteCategory(tuple(objects), tuple(labels), np.array(dom, dtype=np.int64),
-                          np.array(cod, dtype=np.int64), comp, ident, xt)
+    cat = FiniteCategory(tuple(objects), tuple(labels), np.array(dom, dtype=np.int64),
+                         np.array(cod, dtype=np.int64), comp, ident, dict(extra or {}))
+    if all(isinstance(p, tuple) for p in payloads):
+        # payloads of ints, as `_table_category` keeps them
+        width = len(payloads[0]) if m else 0
+        cat._payload_array = np.array(payloads, dtype=np.int64).reshape(m, width)
+    return cat
 
 
 # -- the natural order --------------------------------------------------------------
@@ -306,8 +308,18 @@ def loop_skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
     return _skeleton_data(C, rep, to_rep, from_rep)
 
 
+def _intern(rows) -> np.ndarray:
+    """Number the distinct rows of a 2-d array in order of first appearance."""
+    table = {}
+    return np.array([table.setdefault(r.tobytes(), len(table))
+                     for r in np.ascontiguousarray(rows)], dtype=np.int64)
+
+
 def loop_joint_invariants(C, D):
-    """_joint_invariants one category at a time, counting with np.add.at."""
+    """_joint_invariants keyed by the multisets themselves: each round sorts
+    the (class, composite class) codes of every dense row and column of the
+    composition table and interns them as byte strings, one category at a
+    time, counting with np.add.at."""
     cats = (C, D)
     mC, nC = C.n_mor, C.n_objects
 
@@ -638,14 +650,15 @@ def category_of_elements(P):
     labels = tuple(f"({C.objects[o]},{P.fibers[o][i]})" for (o, i) in objs)
     cat = build_category(labels, mors, compose, ident,
                          {"kind": "elements", "objs": tuple(objs)})
+    payloads = cat._payload_array.tolist()
     K = Functor(cat, C,
                 np.array([o for (o, _i) in objs], dtype=np.int64),
-                np.array([f for (f, _i) in cat.extra["payload"]], dtype=np.int64))
+                np.array([f for (f, _i) in payloads], dtype=np.int64))
     # verify K is a discrete fibration: unique lift of each f into K(y)
     for f in range(C.n_mor):
         b = int(C.cod[f])
         for i in range(P.fiber_size(b)):
-            lifts = [m for m, (ff, ii) in enumerate(cat.extra["payload"])
+            lifts = [m for m, (ff, ii) in enumerate(payloads)
                      if ff == f and ii == i]
             if len(lifts) != 1:
                 raise InvariantBroken("element category lost the fibration property",
@@ -687,7 +700,7 @@ def loop_fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Preshea
     pos = [{x: i for i, x in enumerate(p)} for p in pts]
     maps = tuple(
         np.array([pos[d][int(X.act[x, pay[1]])] for x in pts[c]], dtype=np.int64)
-        for d, c, pay in zip(site.dom.tolist(), site.cod.tolist(), site.extra["payload"])
+        for d, c, pay in zip(site.dom.tolist(), site.cod.tolist(), site._payload_array.tolist())
     )
     P = Presheaf(site, tuple(tuple(X.carrier[x] for x in p) for p in pts), maps)
     P.pts = tuple(tuple(p) for p in pts)
@@ -706,7 +719,7 @@ def loop_unit_iso_check(P: Presheaf) -> bool:
         image = [res.unit[(o, i)] for i in range(P.fiber_size(o))]
         if len(set(image)) != len(image) or set(image) != set(fixed):
             return False
-    for m, (e, s, f) in enumerate(C.extra["payload"]):
+    for m, (e, s, f) in enumerate(C._payload_array.tolist()):
         co = obj_elt.index(e)
         do = obj_elt.index(f)
         for i in range(P.fiber_size(co)):
@@ -1757,7 +1770,7 @@ def raised(build, *args):
 
 def _payload_index(C: FiniteCategory) -> dict:
     """payload -> morphism of a category made by `_table_category`."""
-    return {p: i for i, p in enumerate(C.extra["payload"])}
+    return {tuple(p): i for i, p in enumerate(C._payload_array.tolist())}
 
 
 def loop_is_subsemigroup(S: FiniteSemigroup, subset) -> bool:
@@ -1986,11 +1999,11 @@ def loop_cauchy_vs_span(S: InverseSemigroup) -> bool:
         return False
     phi = np.array([spidx[divmod(int(canon[lidx[(e, s)], lidx[(d, int(tab[star[s], s]))]]),
                                  L.n_mor)]
-                    for (e, s, d) in C.extra["payload"]], dtype=np.int64)
+                    for (e, s, d) in C._payload_array.tolist()], dtype=np.int64)
     psi = np.empty(Sp.n_mor, dtype=np.int64)
-    for w, (l, r) in enumerate(Sp.extra["payload"]):
-        e, s = L.extra["payload"][l]
-        d, t = L.extra["payload"][r]
+    for w, (l, r) in enumerate(Sp._payload_array.tolist()):
+        e, s = L._payload_array[l].tolist()
+        d, t = L._payload_array[r].tolist()
         psi[w] = cidx[(e, int(tab[s, star[t]]), d)]
     if not (is_functor(Functor(C, Sp, np.arange(C.n_objects), phi))
             and is_functor(Functor(Sp, C, np.arange(Sp.n_objects), psi))):
@@ -2004,7 +2017,7 @@ def loop_L_of_ordered_functor(F) -> Functor:
     LG, LH = callback_L_of_groupoid(F.source), callback_L_of_groupoid(F.target)
     idx = _payload_index(LH)
     mm = np.array([idx[(int(F.obj_map[e]), int(F.arr_map[g]))]
-                   for (e, g) in LG.extra["payload"]], dtype=np.int64)
+                   for (e, g) in LG._payload_array.tolist()], dtype=np.int64)
     return Functor(LG, LH, F.obj_map.copy(), mm)
 
 
@@ -2080,7 +2093,7 @@ def loop_bipartite_embeddings(B, U, Rg):
         pos = part[tag]
         om = np.array([obj_of[pos[e]] for e in Lc.extra["obj_elt"]], dtype=np.int64)
         mm = np.array([uidx[(pos[e], pos[s])]
-                       for (e, s) in Lc.extra["payload"]], dtype=np.int64)
+                       for (e, s) in Lc._payload_array.tolist()], dtype=np.int64)
         return Functor(Lc, U, om, mm)
 
     return ([obj_of[e] for e in idem if e in part["S"]],

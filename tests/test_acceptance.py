@@ -176,7 +176,7 @@ def test_criterion_5_etale_functor_suite():
                 Xe = [x for x in range(len(X)) if X.base.act[x, e] == x]
                 assert P.fiber_size(o) == len(Xe), name
                 assert sorted(res.beta[o].values()) == sorted(Xe), name
-            for m, (e, a, f) in enumerate(C.extra["payload"]):
+            for m, (e, a, f) in enumerate(C._payload_array.tolist()):
                 co, do = obj_elt.index(e), obj_elt.index(f)
                 for ci in range(P.fiber_size(co)):
                     assert (res.beta[do][int(P.maps[m][ci])]

@@ -47,7 +47,7 @@ from morita.actions import (
     unit_iso_checks,
 )
 from morita.categories import C_of, L_of
-from morita.errors import InvariantBroken, NotClosed, WrongSite
+from morita.errors import BudgetExceeded, InvariantBroken, NotClosed, WrongSite
 from morita.semigroups import chain_semilattice, cyclic_group, idempotents
 from morita._util import components
 from reference_loops import UnionFind, category_of_elements, loop_etale_of_fibers
@@ -167,7 +167,7 @@ def test_check_etale_and_morphisms(b12):
         assert check_etale(principal_etale(b12, e))
     # alpha_s : dS -> eS, t -> st is an injective etale morphism
     L = L_of(b12)
-    for (e, s) in L.extra["payload"]:
+    for (e, s) in L._payload_array.tolist():
         d = b12.mul(b12.inv(s), s)
         dS = principal_etale(b12, d)
         eS = principal_etale(b12, e)
@@ -378,7 +378,7 @@ def test_I_shriek_and_monads(b12, chain2, small_corpus):
                 assert P.fiber_size(o) == len(Xe)
                 assert sorted(res.beta[o].values()) == sorted(Xe)
             # naturality of the bijection: beta(P(m)(c)) = beta(c) . a
-            for m, (e, a, f) in enumerate(C.extra["payload"]):
+            for m, (e, a, f) in enumerate(C._payload_array.tolist()):
                 co, do = obj_elt.index(e), obj_elt.index(f)
                 for ci in range(P.fiber_size(co)):
                     lhs = res.beta[do][int(P.maps[m][ci])]
@@ -553,9 +553,9 @@ def _ref_q_shriek(P):
         return [s for s in range(len(S)) if tab[e, s] == s]
 
     edges = []
-    for m, (f, _i) in enumerate(elements.extra["payload"]):
+    for m, (f, _i) in enumerate(elements._payload_array.tolist()):
         src, dst = int(elements.dom[m]), int(elements.cod[m])
-        a = C.extra["payload"][f][1]
+        a = int(C._payload_array[f, 1])
         edges.extend(((dst, int(tab[a, u])), (src, u))
                      for u in ideal(obj_elt[eobjs[src][0]]))
     classes, rep_of = _uf_classes(
@@ -588,14 +588,14 @@ def _ref_i_shriek(X, C):
              for m in C.hom(eo, obj_of_elt[int(anchor[x])])], edges)
         beta = {}
         for ci, cls in enumerate(classes):
-            vals = {int(X.base.act[x, C.extra["payload"][m][1]]) for (x, m) in cls}
+            vals = {int(X.base.act[x, C._payload_array[m, 1]]) for (x, m) in cls}
             assert len(vals) == 1
             beta[ci] = vals.pop()
         fibers.append(classes)
         rep_ofs.append(rep_of)
         betas.append(beta)
     maps = []
-    for m, (e, _a, f) in enumerate(C.extra["payload"]):
+    for m, (e, _a, f) in enumerate(C._payload_array.tolist()):
         co, do = obj_of_elt[e], obj_of_elt[f]
         row = []
         for cls in fibers[co]:
@@ -844,7 +844,7 @@ def _ref_presheaf_of_etale(X, L):
     fiber_pts = [sorted(p, key=p.get) for p in pos]
     obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
     maps = []
-    for (e, s) in L.extra["payload"]:
+    for (e, s) in L._payload_array.tolist():
         co = obj_of_elt[e]
         do = obj_of_elt[int(S.table[S.star[s], s])]
         maps.append(np.array([pos[do][int(X.base.act[x, s])] for x in fiber_pts[co]],
@@ -864,7 +864,7 @@ def _ref_Q_of(X, C):
         fibers.append(tuple(X.carrier[x] for x in p))
     obj_of_elt = {e: i for i, e in enumerate(obj_elt)}
     maps = []
-    for (e, s, f) in C.extra["payload"]:
+    for (e, s, f) in C._payload_array.tolist():
         co, do = obj_of_elt[e], obj_of_elt[f]
         maps.append(np.array([pos[do][int(X.act[x, s])] for x in pts[co]],
                              dtype=np.int64))
@@ -1184,6 +1184,26 @@ def test_the_orbit_search_goes_deeper_than_the_recursion_limit():
     assert action_homs(X, Y) == [(0,) * 1100]
     assert presheaf_nats(Q_of(X, C), Q_of(Y, C)) == [(0,) * 1100]
     assert action_isomorphic(X, X) == list(range(1100))
+
+
+def test_the_orbit_searches_run_under_a_budget():
+    # the trivial group on 3 points: each search places one value per point,
+    # so a budget of 3 finds the map and one of 2 stops at the third placement
+    S = cyclic_group(1)
+    X, Y = coproduct_action([regular_action(S)] * 3), regular_action(S)
+    C = C_of(S)
+    PX, PY = Q_of(X, C), Q_of(Y, C)
+    assert action_homs(X, Y, 3) == [(0, 0, 0)]
+    assert presheaf_nats(PX, PY, 3) == [(0, 0, 0)]
+    assert action_isomorphic(X, X, 3) == [0, 1, 2]
+    for search, name in (
+            (lambda: action_homs(X, Y, 2), "hom search between actions of 3 and 1 points"),
+            (lambda: presheaf_nats(PX, PY, 2),
+             "natural transformation search between presheaves of 3 and 1 elements"),
+            (lambda: action_isomorphic(X, X, 2), "isomorphism search between actions of 3 points")):
+        with pytest.raises(BudgetExceeded) as exc:
+            search()
+        assert str(exc.value) == f"{name} used up its budget of 2 placements"
 
 
 def test_action_isomorphic_matches_the_loop():

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morita.bisets import (
     biset_from_ordered_enlargement,
@@ -17,6 +18,7 @@ from morita.categories import (
     L_of,
     _iso_table,
     _joint_invariants,
+    _pair_category,
     _skeleton_data,
     categories_equivalent,
     categories_isomorphic,
@@ -43,6 +45,7 @@ from morita.corpus import (
     random_inverse_subsemigroups,
     random_relabelling,
 )
+from morita.formats import dump_category, parse_category
 from morita.errors import (
     BudgetExceeded,
     CospanMismatch,
@@ -421,7 +424,7 @@ def assert_same_category(A, B):
     assert A.objects == B.objects and A.mor_labels == B.mor_labels
     for name in ("dom", "cod", "comp", "identity"):
         assert np.array_equal(getattr(A, name), getattr(B, name)), name
-    assert A.extra["payload"] == B.extra["payload"]
+    assert A._payload_array.tolist() == B._payload_array.tolist()
     assert np.array_equal(A.mor_of(*B._payload_array.T), np.arange(B.n_mor))
 
 
@@ -749,3 +752,85 @@ def test_category_numbering_matches_the_loops_on_random_members(numbering_cases)
             assert (s_objs, t_objs) == ref[:2]
             assert np.array_equal(P.mor_map, ref[2].mor_map)
             assert np.array_equal(Q.mor_map, ref[3].mor_map)
+
+
+# -- the composable pairs, listed once per category ------------------------------
+
+def test_composable_pairs_are_the_defined_cells_in_row_major_order():
+    # every kind of category the package builds, and one parsed from text:
+    # the pairs, read-only, are np.nonzero(comp >= 0) and their composites
+    cats = []
+    for S in [S for _name, S in builtin_corpus()] + random_inverse_subsemigroups(3, 6):
+        C, L = C_of(S), L_of(S)
+        G = inductive_groupoid_of(S)
+        cats += [C, L, skeleton_with_maps(C).cat, skeleton_with_maps(L).cat, span_category(L),
+                 G.cat, L_of_groupoid(G), C_of_groupoid(G), parse_category(dump_category(C))]
+        if len(S) <= 8:
+            B = biset_from_regular_enlargement(S, range(len(S)), range(len(S)))
+            cats.append(build_bipartite_U(B)[0])
+    for C in cats:
+        g, f = np.nonzero(C.comp >= 0)
+        for got, want in zip(C._composable, (g, f, C.comp[g, f])):
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+
+
+def test_a_skeleton_inherits_its_isomorphism_table():
+    # the skeleton is a full subcategory, so it takes its inverses from its
+    # parent's table; they are the ones its own table gives
+    members = [S for _name, S in builtin_corpus()] + [symmetric_inverse_monoid(3)]
+    for S in members + random_inverse_subsemigroups(8, 6):
+        for C in (C_of(S), L_of(S), span_category(L_of(S))):
+            sk = skeleton_with_maps(C).cat
+            assert "_partners" in vars(sk)   # set when built, not computed on first read
+            assert np.array_equal(sk._partners, _iso_table(sk))
+
+
+def test_pair_category_names_the_first_missing_composite_by_middle_object():
+    # products knocked out of inverse semigroup tables: the first composable
+    # pair without a composite is named as a loop over middle objects meets
+    # it, least middle object first and then row-major, though the
+    # composites are taken over all pairs at once in row-major order
+    rng = random.Random(5)
+    differs = 0
+    for S in [S for _name, S in builtin_corpus()] + [symmetric_inverse_monoid(3)]:
+        tab, star, n = S.table, S.star, len(S)
+        E = [e for e in range(n) if tab[e, e] == e]
+        mors = [(e, s) for e in E for s in range(n) if tab[e, s] == s]
+        dom = [E.index(int(tab[star[s], s])) for _e, s in mors]
+        cod = [E.index(e) for e, _s in mors]
+        # keep the products that number the morphisms and their domains
+        cells = [(a, b) for a in range(n) for b in range(n)
+                 if tab[a, a] != a and a != star[b]]
+        for _ in range(min(len(cells), 6)):
+            partial = tab.copy()
+            for a, b in rng.sample(cells, rng.randint(1, min(len(cells), 4))):
+                partial[a, b] = -1
+            missing = [(mors[g][1], mors[f][1], dom[g], g)
+                       for g in range(len(mors)) for f in range(len(mors))
+                       if dom[g] == cod[f] and partial[mors[g][1], mors[f][1]] < 0]
+            if not missing:
+                _pair_category(partial, star, S.names, ",", {})
+                continue
+            want = min(missing, key=lambda w: (w[2], w[3]))
+            with pytest.raises(InvariantBroken) as exc:
+                _pair_category(partial, star, S.names, ",", {})
+            assert exc.value.witness == want[:2]
+            differs += want != missing[0]
+    assert differs
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), relabel_seed=st.integers(0, 2**32 - 1))
+def test_refinement_matches_the_dense_loop_on_random_skeletons(seed, relabel_seed):
+    # the hashed refinement against the loop that keys by the sorted dense
+    # rows themselves, on the skeletons of two random inverse subsemigroups
+    # of I_3 and a relabelled copy of the first: the same classes, alike numbered
+    S, T = random_inverse_subsemigroups(seed, 2)
+    R = random_relabelling(S, random.Random(relabel_seed))
+    cats = [skeleton_with_maps(C_of(X)).cat for X in (S, T, R)]
+    for A in cats:
+        for B in cats:
+            if A.n_mor == B.n_mor:
+                for x, y in zip(_joint_invariants(A, B), loop_joint_invariants(A, B)):
+                    assert np.array_equal(x, y)

@@ -168,9 +168,9 @@ def test_psh_equiv_makes_one_colimit_and_one_hom_search_per_idempotent(
         calls["colimits"] += 1
         return real_colimit(P)
 
-    def homs(X, Y):
+    def homs(X, Y, *budget):
         calls["hom_searches"] += 1
-        return real_homs(X, Y)
+        return real_homs(X, Y, *budget)
     monkeypatch.setattr(actions, "q_shriek_with_unit", colimit)
     monkeypatch.setattr(cli, "action_homs", homs)
     rc, out = run(capsys, ["psh-equiv", str(corpus_dir / "brandt_c2_2.smg"),
@@ -264,6 +264,23 @@ def test_iso_search_budget_exhaustion_names_both_skeletons(tmp_path, capsys):
         " = (1, 12) and (1, 12) used up its budget of 3 placements\n")
     rc, out = run(capsys, ["--budget", "12", "morita", *paths])
     assert rc == 0 and "verdict=true" in out
+
+
+def test_orbit_search_budget_exhaustion_names_the_search(corpus_dir, capsys):
+    # psh-equiv runs its hom and natural-transformation searches under the
+    # one --budget: 2 placements stop a hom search into a 3-point action,
+    # and 3 let every search of this run finish with the default report
+    argv = ["psh-equiv", str(corpus_dir / "chain2.smg"), "--samples", "2"]
+    rc, full = run(capsys, argv)
+    assert rc == 0 and "verdict=pass" in full
+    rc = main(["--budget", "2", *argv])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == (
+        "budget exceeded: hom search between actions of 2 and 3 points used up its"
+        " budget of 2 placements\n")
+    rc, out = run(capsys, ["--budget", "3", *argv])
+    assert rc == 0 and out == full
 
 
 def test_repeated_main_calls_share_one_parser(corpus_dir, capsys):

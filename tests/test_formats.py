@@ -88,6 +88,18 @@ def test_smg_table_errors_match_the_cell_loop(b12, chain3):
     assert seen["row"] and seen["unknown"] and seen["parsed"], seen
 
 
+def test_smg_names_the_first_bad_row_whatever_its_fault():
+    # the row lengths are checked before the names are looked up, yet the
+    # error still names the first bad row: a short row before a row with an
+    # unknown name, and an unknown name before a short row
+    for rows, message in (("a b c\na b\nz b c\n", "row 1 has 2 entries, expected 3"),
+                          ("a b c\nz b c\na b\n", "unknown element 'z' in row 1"),
+                          ("z b\na b c\na b c\n", "row 0 has 2 entries, expected 3")):
+        with pytest.raises(ParseError) as exc:
+            parse_semigroup("3\na b c\n" + rows)
+        assert str(exc.value) == message
+
+
 def test_smg_comments_and_whitespace():
     S = parse_semigroup("# header\n2\n\ne z  # names\ne z\nz z\n")
     assert S.names == ("e", "z")

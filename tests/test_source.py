@@ -195,3 +195,55 @@ def test_the_cell_fill_guard_sees_the_loop_it_replaced():
              "        pb[f[rows], g] = 1\n"
              "        t[x, x] = 2\n")
     assert _cell_fills(ast.parse(block)) == []
+
+
+def _is_comp(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "comp"
+
+
+def _table_scans(tree) -> list:
+    """Lines that list the defined cells of a table `comp` with nonzero,
+    flatnonzero or argwhere of `comp >= 0`, fill `comp` through np.ix_, or
+    read `tobytes`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                "nonzero", "flatnonzero", "argwhere"):
+            arg = node.args[0] if node.args else None
+            if (isinstance(arg, ast.Compare) and isinstance(arg.ops[0], ast.GtE)
+                    and _is_comp(arg.left)):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Assign):
+            found += [node.lineno for t in node.targets
+                      if isinstance(t, ast.Subscript) and _is_comp(t.value)
+                      and isinstance(t.slice, ast.Call)
+                      and getattr(t.slice.func, "attr", None) == "ix_"]
+        elif isinstance(node, ast.Attribute) and node.attr == "tobytes":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_categories_read_the_composable_pairs_they_listed():
+    # a category lists its composable pairs once, from the endpoints, and
+    # fills its table with one pass over them; the refinement hashes its
+    # keys.  Scanning the m x m table for its defined cells, filling it one
+    # middle object at a time, or interning dense rows as byte strings is
+    # what that replaced.  check_category validates a table that need not
+    # be a category, so it reads the cells it finds defined, through a name.
+    src = Path(morita.__file__).parent / "categories.py"
+    assert _table_scans(ast.parse(src.read_text(encoding="utf-8"))) == []
+
+
+def test_the_table_scan_guard_sees_the_code_it_replaced():
+    old = ("g, f = np.nonzero(C.comp >= 0)\n"
+           "a, b = np.nonzero(comp >= 0)\n"
+           "comp[np.ix_(g, f)] = composite(g[:, None], f[None, :])\n"
+           "code = table.setdefault(r.tobytes(), len(table))\n")
+    assert _table_scans(ast.parse(old)) == [1, 2, 3, 4]
+    # reading the pairs, filling the table from them, and reading a
+    # submatrix through np.ix_ are not scans
+    new = ("g, f, h = C._composable\n"
+           "comp[g, f] = h\n"
+           "sub = C.comp[np.ix_(keep, keep)]\n"
+           "defined = np.flatnonzero(row >= 0)\n")
+    assert _table_scans(ast.parse(new)) == []
