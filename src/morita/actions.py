@@ -30,7 +30,8 @@ import numpy as np
 
 from ._util import components, congruence, positions, ragged
 from .categories import C_of, FiniteCategory, L_of
-from .errors import BudgetExceeded, InvariantBroken, NoRightLocalUnits, NotClosed, WrongSite
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, InvariantBroken, NoRightLocalUnits,
+                     NotClosed, WrongSite)
 from .semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
@@ -97,7 +98,7 @@ class Presheaf:
     the per-morphism arrays from it only when it is read.  The elements are
     laid out once, in (o, i) order, and read-only too: (o, i) is element
     fib_off[o] + i, set when P is made, and element k is (elements[0][k],
-    elements[1][k]), cached when first read.
+    elements[1][k]), cached when first read, as `out_of_fiber` is.
     """
 
     def __init__(self, site: FiniteCategory, fibers, maps):
@@ -133,6 +134,16 @@ class Presheaf:
         idx.setflags(write=False)
         return obj, idx
 
+    @cached_property
+    def out_of_fiber(self):
+        """The first morphism f with a value of P(f) outside P(dom f), or None;
+        one array test over the flat values, kept as they are read-only.  P
+        must have a fiber per object of its site and a map per morphism."""
+        off, f, v = self.fib_off, ragged(np.diff(self.map_off))[0], self.values
+        # the fiber sizes by slicing: on small presheaves np.diff costs more than the test
+        bad = np.flatnonzero((v < 0) | (v >= (off[1:] - off[:-1])[self.site.dom[f]]))
+        return int(f[bad[0]]) if len(bad) else None
+
     def fiber_size(self, o: int) -> int:
         return len(self.fibers[o])
 
@@ -149,18 +160,6 @@ def check_action(X: RightAction) -> bool:
     return action_law_witness(X) is None
 
 
-def _out_of_fiber(P: Presheaf):
-    """The first morphism f with a value of P(f) outside P(dom f), or None.
-
-    One array test over the flat values; P has a fiber per object of its
-    site and a map per morphism.
-    """
-    off, f = P.fib_off, ragged(np.diff(P.map_off))[0]
-    # the fiber sizes by slicing: on small presheaves np.diff costs more than the test
-    bad = np.flatnonzero((P.values < 0) | (P.values >= (off[1:] - off[:-1])[P.site.dom[f]]))
-    return int(f[bad[0]]) if len(bad) else None
-
-
 def check_presheaf(P: Presheaf) -> bool:
     C = P.site
     if len(P.fibers) != C.n_objects or len(P.map_off) != C.n_mor + 1:
@@ -169,7 +168,7 @@ def check_presheaf(P: Presheaf) -> bool:
     size = np.diff(off)
     if not np.array_equal(size, np.diff(P.fib_off)[C.cod]):
         return False
-    if _out_of_fiber(P) is not None:
+    if P.out_of_fiber is not None:
         return False
     if not np.array_equal(flat[off[C.identity[obj]] + idx], idx):
         return False
@@ -619,10 +618,9 @@ def coproduct_presheaf(site: FiniteCategory, parts) -> Presheaf:
     """
     parts = list(parts)
     for P in parts:
-        bad = _out_of_fiber(P)
-        if bad is not None:
+        if P.out_of_fiber is not None:
             raise InvariantBroken("a presheaf map leaves the fiber over its domain",
-                                  witness=bad)
+                                  witness=P.out_of_fiber)
     off = np.array([P.fib_off for P in parts], dtype=np.int64)
     off = off.reshape(len(parts), site.n_objects + 1)
     nfib = off[:, 1:] - off[:, :-1]
@@ -760,7 +758,7 @@ def _orbit_table(X: RightAction) -> np.ndarray:
     return np.concatenate((np.arange(len(X))[:, None], X.act), axis=1)
 
 
-def action_homs(X: RightAction, Y: RightAction, budget: int = 10_000_000) -> list:
+def action_homs(X: RightAction, Y: RightAction, budget: int = DEFAULT_BUDGET) -> list:
     """All equivariant maps X -> Y, as tuples, by backtracking over orbits.
 
     Choosing f(x0) = y fixes f on the whole orbit x0 u x0.S at once:
@@ -779,7 +777,7 @@ def action_homs(X: RightAction, Y: RightAction, budget: int = 10_000_000) -> lis
     return sorted(tuple(f.tolist()) for f in maps)
 
 
-def presheaf_nats(P1: Presheaf, P2: Presheaf, budget: int = 10_000_000) -> list:
+def presheaf_nats(P1: Presheaf, P2: Presheaf, budget: int = DEFAULT_BUDGET) -> list:
     """All natural transformations P1 -> P2 over a common site, as tuples.
 
     alpha maps the elements of P1, in the (o, i) order of `P1.elements`, to
@@ -819,7 +817,7 @@ def presheaf_nats(P1: Presheaf, P2: Presheaf, budget: int = 10_000_000) -> list:
 
 
 def fullness_faithfulness_check(X: RightAction, Y: RightAction,
-                                PX: Presheaf, PY: Presheaf, budget: int = 10_000_000) -> bool:
+                                PX: Presheaf, PY: Presheaf, budget: int = DEFAULT_BUDGET) -> bool:
     """hom(X, Y) and Nat(Q(X), Q(Y)) match bijectively under restriction.
 
     PX and PY are Q(X) and Q(Y) on C(S); the caller builds each once,
@@ -847,7 +845,7 @@ def fullness_faithfulness_check(X: RightAction, Y: RightAction,
     return len(restricted) == len(homs) and restricted == set(nats)
 
 
-def action_isomorphic(X: RightAction, Y: RightAction, budget: int = 10_000_000):
+def action_isomorphic(X: RightAction, Y: RightAction, budget: int = DEFAULT_BUDGET):
     """An equivariant bijection X -> Y as a list, or None.
 
     The orbit search of `action_homs`, offered only the rows y that keep

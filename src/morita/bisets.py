@@ -34,6 +34,7 @@ from .categories import (
 )
 from .errors import (
     AssociativityFailure,
+    DEFAULT_BUDGET,
     BudgetExceeded,
     InvalidBiset,
     InvariantBroken,
@@ -404,7 +405,7 @@ class MoritaDecision:
 
 
 def morita_equivalent(S: InverseSemigroup, T: InverseSemigroup,
-                      budget: int = 10_000_000) -> MoritaDecision:
+                      budget: int = DEFAULT_BUDGET) -> MoritaDecision:
     """Decide Morita equivalence through the Cauchy completions.
 
     Each skeleton is built once by `skeleton_with_maps`: its objects are
@@ -708,7 +709,7 @@ class _BisetSearch:
 
 
 def exhaustive_biset_search(S: InverseSemigroup, T: InverseSemigroup,
-                            max_points: int, budget: int = 10_000_000):
+                            max_points: int, budget: int = DEFAULT_BUDGET):
     """Search for an equivalence biset with at most max_points points.
 
     Independent of the category-equivalence decision route: a plain

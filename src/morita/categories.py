@@ -28,6 +28,7 @@ import numpy as np
 
 from ._util import components, failures, positions, ragged, row_blocks
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CospanMismatch,
     InvariantBroken,
@@ -299,33 +300,34 @@ def C_of(S: FiniteSemigroup) -> FiniteCategory:
         {"kind": "C", "sgrp": S, "obj_elt": tuple(E)})
 
 
-def _first_repeat(comp):
-    """First (row, c1, c2) with comp[row, c1] == comp[row, c2] defined and
-    c1 < c2, or None; one numpy pass per row."""
-    for g in range(comp.shape[0]):
-        row = comp[g]
-        defined = np.flatnonzero(row >= 0)
-        vals = row[defined]
-        if np.unique(vals).size == vals.size:
-            continue
-        # rare: recover the first repeat in column order
-        seen = {}
-        for f in defined:
-            v = int(row[f])
-            if v in seen:
-                return (g, seen[v], int(f))
-            seen[v] = int(f)
-    return None
+def _first_repeat(row, col, h, m):
+    """First (r, c1, c2) with h defined and equal at (r, c1) and (r, c2), c1 < c2,
+    in (r, c2) order, or None.  The pairs come in ascending column order within
+    each row, so after one stable sort by (row, h) each run of equal keys starts
+    at c1, the first column of its value, and its later pairs are repeats."""
+    keep = h >= 0
+    key = row[keep].astype(np.int64) * m + h[keep]
+    order = np.argsort(key, kind="stable")
+    key, row, col = key[order], row[keep][order], col[keep][order]
+    at = np.flatnonzero(key[1:] == key[:-1]) + 1
+    if not len(at):
+        return None
+    at = at[row[at] == row[at[0]]]          # the repeats of the least row
+    k = at[np.argmin(col[at])]
+    return int(row[k]), int(col[np.searchsorted(key, key[k])]), int(col[k])
 
 
 def left_cancellation_witness(C: FiniteCategory):
-    """First (g, f1, f2) with g.f1 == g.f2 defined and f1 != f2, or None."""
-    return _first_repeat(C.comp)
+    """First (g, f1, f2) with g.f1 == g.f2 and f1 != f2, or None, read off the
+    composable pairs: a table defined off its endpoint pairs is no category."""
+    return _first_repeat(*C._composable, C.n_mor)
 
 
 def right_cancellation_witness(C: FiniteCategory):
-    """First (f, g1, g2) with g1.f == g2.f defined and g1 != g2, or None."""
-    return _first_repeat(np.ascontiguousarray(C.comp.T))
+    """First (f, g1, g2) with g1.f == g2.f and g1 != g2, or None, read off the
+    composable pairs."""
+    g, f, h = C._composable
+    return _first_repeat(f, g, h, C.n_mor)
 
 
 def is_left_cancellative(C: FiniteCategory) -> bool:
@@ -672,7 +674,7 @@ def _factor_table(C: FiniteCategory, non_id) -> list:
     return out.tolist()
 
 
-def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = 10_000_000):
+def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = DEFAULT_BUDGET):
     """Backtracking search for an isomorphism of categories.
 
     Prunes on morphism/object invariant classes refined through the
@@ -840,7 +842,7 @@ def _extend(src, src_sk, dst_sk, iso, dst) -> Functor:
 
 def equivalence_from_skeletons(C: FiniteCategory, skC: SkeletonData,
                                D: FiniteCategory, skD: SkeletonData,
-                               budget: int = 10_000_000):
+                               budget: int = DEFAULT_BUDGET):
     """Weak equivalences C -> D and D -> C through the given skeletons, or None.
 
     One isomorphism search between the skeletons, under `budget` placements;

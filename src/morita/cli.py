@@ -27,7 +27,7 @@ from .actions import (
     fullness_faithfulness_check,
 )
 from .categories import C_of, L_of, check_weak_equivalence
-from .errors import BudgetExceeded, MoritaError, NotAssociative, ParseError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, MoritaError, NotAssociative, ParseError
 from .semigroups import (
     as_inverse,
     idempotents,
@@ -40,16 +40,17 @@ from .semigroups import (
 @dataclass
 class Report:
     command: str
-    verdict: str = "pass"
+    result: str = "pass"  # the verdict when no line fails: "pass", or "true"/"false"
     details: list = field(default_factory=list)  # (check, status, witness/value)
     timing_ms: float = 0.0
 
     def add(self, check: str, status: str, value: str = ""):
         self.details.append((check, status, str(value)))
 
-    def fail(self, check: str, witness: str = ""):
-        self.add(check, "fail", witness)
-        self.verdict = "fail"
+    @property
+    def verdict(self) -> str:
+        """The verdict: "fail" when any line fails, else the command's result."""
+        return "fail" if any(s == "fail" for (_c, s, _v) in self.details) else self.result
 
     def to_text(self) -> str:
         lines = [f"command={self.command}"]
@@ -76,7 +77,7 @@ def _emit(report: Report, args) -> int:
     out = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(out)
     sys.stderr.write(f"elapsed_ms={report.timing_ms:.1f}\n")
-    return 0 if report.verdict in ("pass", "true", "false") else 1
+    return 1 if report.verdict == "fail" else 0
 
 
 def _load_inverse(path):
@@ -91,13 +92,13 @@ def cmd_validate(args) -> Report:
     try:
         S = formats.load_semigroup(args.path)
     except NotAssociative as exc:
-        rep.fail("associativity", str(exc.witness))
+        rep.add("associativity", "fail", exc.witness)
         return rep
     rep.add("associativity", "ok")
     try:
         as_inverse(S)
     except MoritaError as exc:
-        rep.fail(f"inverse_structure:{type(exc).__name__}", str(exc.witness))
+        rep.add(f"inverse_structure:{type(exc).__name__}", "fail", exc.witness)
         return rep
     rep.add("inverse_structure", "ok")
     return rep
@@ -149,11 +150,11 @@ def cmd_morita(args) -> Report:
     rep.add("skeleton_s_morphisms", "info", str(d.skeleton_S.cat.n_mor))
     rep.add("skeleton_t_objects", "info", str(d.skeleton_T.cat.n_objects))
     rep.add("skeleton_t_morphisms", "info", str(d.skeleton_T.cat.n_mor))
-    rep.verdict = "true" if d.equivalent else "false"
+    rep.result = "true" if d.equivalent else "false"
     if d.equivalent:
         if not (check_weak_equivalence(d.forward)
                 and check_weak_equivalence(d.backward)):
-            rep.fail("witness_functors")
+            rep.add("witness_functors", "fail")
         else:
             rep.add("witness_forward", "ok")
             rep.add("witness_backward", "ok")
@@ -162,21 +163,20 @@ def cmd_morita(args) -> Report:
         agree = (found is not None) == d.equivalent
         rep.add("oracle_biset_search", "ok" if agree else "fail",
                 f"found={found is not None}")
-        if not agree:
-            rep.verdict = "fail"
     return rep
 
 
 def cmd_biset_check(args) -> Report:
     rep = Report("biset-check")
     rep.add("input", "info", args.path)
-    B = formats.load_biset(args.path)
-    report = bisets.verify_biset(B)
-    for (name, ok, witness) in report.entries:
-        rep.add(name, "ok" if ok else "fail", witness)
-    if not report.passed:
-        rep.verdict = "fail"
+    _add_biset_report(rep, formats.load_biset(args.path))
     return rep
+
+
+def _add_biset_report(rep: Report, B):
+    """One line per check of `verify_biset(B)`."""
+    for (name, ok, witness) in bisets.verify_biset(B).entries:
+        rep.add(name, "ok" if ok else "fail", witness)
 
 
 def _subset_by_names(S, selector: str) -> list:
@@ -198,11 +198,7 @@ def cmd_enlarge(args) -> Report:
     t_sub = _subset_by_names(R, args.right)
     B = bisets.biset_from_regular_enlargement(R, s_sub, t_sub)
     rep.add("points", "info", str(len(B)))
-    report = bisets.verify_biset(B)
-    for (name, ok, witness) in report.entries:
-        rep.add(name, "ok" if ok else "fail", witness)
-    if not report.passed:
-        rep.verdict = "fail"
+    _add_biset_report(rep, B)
     if args.emit_biset:
         base = Path(args.emit_biset)
         s_path = base.with_suffix(".S.smg")
@@ -235,7 +231,7 @@ def cmd_biset_enlarge(args) -> Report:
     rep.add("input", "info", args.path)
     B = formats.load_biset(args.path)
     if not bisets.verify_biset(B).passed:
-        rep.fail("biset_axioms")
+        rep.add("biset_axioms", "fail")
         return rep
     rep.add("biset_axioms", "ok")
     checks, G = bisets.biset_enlargement_chain(B)
@@ -245,8 +241,6 @@ def cmd_biset_enlarge(args) -> Report:
         Path(args.emit_ogpd).write_text(formats.dump_ordered_groupoid(G),
                                         encoding="utf-8")
         rep.add("emit_ogpd", "info", args.emit_ogpd)
-    if any(s == "fail" for (_c, s, _v) in rep.details):
-        rep.verdict = "fail"
     return rep
 
 
@@ -286,8 +280,6 @@ def cmd_psh_equiv(args) -> Report:
             eSd = int((tab[tab[e], d] == np.arange(len(S))).sum())
             rep.add(f"hom_count_{S.names[d]}_{S.names[e]}",
                     "ok" if n == eSd else "fail", f"{n}={eSd}")
-    if any(s == "fail" for (_c, s, _v) in rep.details):
-        rep.verdict = "fail"
     return rep
 
 
@@ -327,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="budget for exhaustive searches: placements of the"
                    " isomorphism and orbit searches, cell assignments of the oracle")
     p.add_argument("--max-points", type=int, default=4,

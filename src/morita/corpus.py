@@ -12,7 +12,6 @@ from ._util import congruence, ragged
 from .actions import (
     Presheaf,
     R_of,
-    _out_of_fiber,
     coproduct_action,
     coproduct_presheaf,
     empty_action,
@@ -231,10 +230,9 @@ def quotient_presheaf(P: Presheaf, idents) -> Presheaf:
     name an element past the end of a fiber still reach another fiber, and
     the across-fibers test catches them.
     """
-    bad = _out_of_fiber(P)
-    if bad is not None:
+    if P.out_of_fiber is not None:
         raise InvariantBroken("a presheaf map leaves the fiber over its domain",
-                              witness=bad)
+                              witness=P.out_of_fiber)
     site = P.site
     k = site.n_objects
     obj, off = P.elements[0], P.fib_off

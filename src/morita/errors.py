@@ -124,6 +124,10 @@ class BudgetExceeded(MoritaError):
     pass
 
 
+# the budget of every exhaustive search, unless the caller (or --budget) gives one
+DEFAULT_BUDGET = 10_000_000
+
+
 class InvariantBroken(MoritaError):
     """A construction's own invariant fails, e.g. a colimit is not well defined.
 

@@ -224,6 +224,26 @@ def loop_check_category(C: FiniteCategory) -> list:
     return bad
 
 
+def loop_first_repeat(comp):
+    """First (row, c1, c2) with comp[row, c1] == comp[row, c2] defined and
+    c1 < c2, or None; one numpy pass per row.  On comp it is
+    left_cancellation_witness, and on comp.T right_cancellation_witness."""
+    for g in range(comp.shape[0]):
+        row = comp[g]
+        defined = np.flatnonzero(row >= 0)
+        vals = row[defined]
+        if np.unique(vals).size == vals.size:
+            continue
+        # rare: recover the first repeat in column order
+        seen = {}
+        for f in defined:
+            v = int(row[f])
+            if v in seen:
+                return (g, seen[v], int(f))
+            seen[v] = int(f)
+    return None
+
+
 def loop_check_weak_equivalence(F: Functor) -> bool:
     """check_weak_equivalence, one hom-set and one morphism at a time."""
     if not is_functor(F):

@@ -296,6 +296,24 @@ def test_unit_iso(b12, chain2):
         unit_iso_check(P)
 
 
+def test_constructions_refuse_a_site_of_another_kind_or_semigroup(b12, chain2):
+    X = munn_action(chain2)
+    for wrong in (C_of(chain2), L_of(b12)):
+        with pytest.raises(WrongSite, match="site must be L"):
+            presheaf_of_etale(X, wrong)
+    for wrong in (L_of(chain2), C_of(b12)):
+        with pytest.raises(WrongSite, match="site must be C"):
+            Q_of(X.base, wrong)
+        with pytest.raises(WrongSite, match="site must be C"):
+            i_shriek_with_maps(X, wrong)
+    # a batch of unit checks is empty, or shares one site
+    assert unit_iso_checks([]) == []
+    P = Q_of(principal_action(chain2, 0))
+    with pytest.raises(WrongSite, match="common site"):
+        unit_iso_checks([P, Q_of(principal_action(chain2, 0))])
+    assert unit_iso_checks([P, P]) == [True, True]
+
+
 def test_hom_counts_and_fullness(b12):
     S = b12
     tab = S.table
@@ -1112,6 +1130,26 @@ def test_maps_leaving_their_fiber_raise_before_the_closure():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
+
+def test_a_presheaf_keeps_its_fiber_check(b12):
+    # the arrays of a presheaf are read-only, so its fiber check runs on
+    # first read and is kept: a representable reused in many coproducts is
+    # checked once
+    from morita.actions import coproduct_presheaf
+
+    C = C_of(b12)
+    P = Q_of(principal_action(b12, idempotents(b12)[0]), C)
+    assert "out_of_fiber" not in vars(P)
+    coproduct_presheaf(C, [P, P])
+    assert vars(P)["out_of_fiber"] is None
+    m = int(np.flatnonzero(np.diff(P.map_off))[0])
+    values = P.values.copy()
+    values[P.map_off[m]] = -1
+    Pm = Presheaf.from_flat(C, P.fibers, values, P.map_off)
+    assert not check_presheaf(Pm) and vars(Pm)["out_of_fiber"] == m
+    with pytest.raises(InvariantBroken, match="leaves the fiber") as err:
+        coproduct_presheaf(C, [P, Pm])
+    assert err.value.witness == m
 
 def test_action_law_witness_matches_the_loop_across_blocks():
     import random

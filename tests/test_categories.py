@@ -84,6 +84,7 @@ from reference_loops import (
     loop_cauchy_vs_span,
     loop_check_category,
     loop_check_weak_equivalence,
+    loop_first_repeat,
     loop_is_bipartite,
     loop_idempotents_split,
     loop_iso_table,
@@ -170,17 +171,44 @@ def test_cancellativity(small_corpus, chain3, b12):
     assert C.comp[g, f1] == C.comp[g, f2] and f1 != f2
 
 
-def test_cancellation_witness_semantics():
-    def category(comp):
-        comp = np.array(comp, dtype=np.int64)
-        zero = np.zeros(len(comp), dtype=np.int64)
-        labels = tuple(f"m{i}" for i in range(len(comp)))
-        return FiniteCategory(("a",), labels, zero, zero, comp, [0])
+def _one_object(comp):
+    """A one-object FiniteCategory on the table comp, which need not be a category."""
+    comp = np.array(comp, dtype=np.int64)
+    zero = np.zeros(len(comp), dtype=np.int64)
+    labels = tuple(f"m{i}" for i in range(len(comp)))
+    return FiniteCategory(("a",), labels, zero, zero, comp, [0])
 
-    assert left_cancellation_witness(category([[0, 0, -1], [-1, 1, 1], [-1, -1, 2]])) \
+
+def test_cancellation_witness_semantics():
+    assert left_cancellation_witness(_one_object([[0, 0, -1], [-1, 1, 1], [-1, -1, 2]])) \
         == (0, 0, 1)
-    assert right_cancellation_witness(category(np.eye(3))) is not None
-    assert left_cancellation_witness(category([[0, -1], [-1, 1]])) is None
+    assert right_cancellation_witness(_one_object(np.eye(3))) is not None
+    assert left_cancellation_witness(_one_object([[0, -1], [-1, 1]])) is None
+    # undefined cells repeat nothing
+    assert left_cancellation_witness(_one_object([[0, -1, -1], [1, 2, 0], [2, 0, 1]])) is None
+
+
+def test_cancellation_witnesses_match_the_row_loop():
+    # one sort of the composable pairs finds the witness that a scan of the
+    # table, row by row in column order, found
+    rng = np.random.default_rng(5)
+    cats = [_one_object(comp) for comp in ([[0, 0, -1], [-1, 1, 1], [-1, -1, 2]], np.eye(3),
+                                           [[0, -1], [-1, 1]], [[0, -1, -1], [1, 2, 0], [2, 0, 1]])]
+    cats += [_one_object(rng.integers(-1, m, (m, m))) for m in (1, 2, 3, 4, 6) for _ in range(40)]
+    members = [S for _name, S in builtin_corpus()] + [symmetric_inverse_monoid(3)]
+    for S in members + random_inverse_subsemigroups(4, 6):
+        C, L = C_of(S), L_of(S)
+        cats += [C, L, skeleton_with_maps(C).cat, skeleton_with_maps(L).cat, span_category(L)]
+        if len(S) <= 8:
+            B = biset_from_regular_enlargement(S, range(len(S)), range(len(S)))
+            cats.append(build_bipartite_U(B)[0])
+    seen = set()
+    for C in cats:
+        left, right = left_cancellation_witness(C), right_cancellation_witness(C)
+        assert left == loop_first_repeat(C.comp)
+        assert right == loop_first_repeat(np.ascontiguousarray(C.comp.T))
+        seen.add((left is None, right is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_mor_of_reads_payload_columns(b12):

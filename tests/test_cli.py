@@ -301,3 +301,103 @@ def test_repeated_main_calls_share_one_parser(corpus_dir, capsys):
 
 def test_exit_code_missing_file():
     assert main(["validate", "/nonexistent/path.smg"]) == 2
+
+
+def _flip_first(real):
+    """`real` with the first verdict of its list turned to False."""
+    def flipped(*args):
+        got = list(real(*args))
+        return [False] + got[1:]
+    return flipped
+
+
+def _failing_report(real):
+    """`real` with the biset it returns keeping a report whose (M4) fails."""
+    from morita.bisets import BisetReport
+
+    def made(*args):
+        B = real(*args)
+        B._report = BisetReport([("M4", False, "(0, 1)")])
+        return B
+    return made
+
+
+def _broken_chain(real):
+    def chain(B):
+        checks, G = real(B)
+        return {**checks, "morita_context": False}, G
+    return chain
+
+
+# (argv after the corpus path is filled in, what to patch, the failing line)
+_FAILING = {
+    "validate": (["validate", "{bad}"], None, "check=associativity status=fail value=(0, 0, 0)"),
+    "morita_witness": (["morita", "{c}/brandt_1_2.smg", "{c}/brandt_1_3.smg"],
+                       ("cli", "check_weak_equivalence", lambda real: lambda F: False),
+                       "check=witness_functors status=fail"),
+    "morita_oracle": (["morita", "{c}/brandt_1_2.smg", "{c}/brandt_1_3.smg", "--oracle"],
+                      ("bisets", "exhaustive_biset_search", lambda real: lambda *a: None),
+                      "check=oracle_biset_search status=fail value=found=False"),
+    "biset-check": (["biset-check", "{biset}"],
+                    ("formats", "load_biset", _failing_report),
+                    "check=M4 status=fail value=(0, 1)"),
+    "enlarge": (["enlarge", "{c}/brandt_1_2.smg", "--left", "(1,1) 0", "--right", "all"],
+                ("bisets", "biset_from_regular_enlargement", _failing_report),
+                "check=M4 status=fail value=(0, 1)"),
+    "biset-enlarge_axioms": (["biset-enlarge", "{biset}"],
+                             ("formats", "load_biset", _failing_report),
+                             "check=biset_axioms status=fail"),
+    "biset-enlarge_chain": (["biset-enlarge", "{biset}"],
+                            ("bisets", "biset_enlargement_chain", _broken_chain),
+                            "check=morita_context status=fail"),
+    "psh-equiv_unit": (["psh-equiv", "{c}/chain2.smg", "--samples", "2"],
+                       ("cli", "unit_iso_checks", _flip_first),
+                       "check=unit_iso_representable_e0 status=fail"),
+    "psh-equiv_full_faithful": (["psh-equiv", "{c}/chain2.smg", "--samples", "2"],
+                                ("cli", "fullness_faithfulness_check",
+                                 lambda real: lambda *a: False),
+                                "check=full_faithful_sample_0 status=fail"),
+    "psh-equiv_hom_count": (["psh-equiv", "{c}/chain2.smg", "--samples", "0"],
+                            ("cli", "action_homs", lambda real: lambda *a: []),
+                            "check=hom_count_e0_e0 status=fail value=0=2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING))
+def test_a_failing_check_fails_the_command(case, corpus_dir, tmp_path, capsys, monkeypatch):
+    # whatever check fails, the report shows its line and verdict=fail, in
+    # text and in JSON, and the command exits 1
+    from morita import bisets, cli, formats
+
+    argv, patch, line = _FAILING[case]
+    bad = tmp_path / "bad.smg"
+    bad.write_text("3\na b c\nc c c\nb b c\na b c\n", encoding="utf-8")
+    biset = tmp_path / "b.biset"
+    assert main(["enlarge", str(corpus_dir / "brandt_1_2.smg"), "--left", "(1,1) 0",
+                 "--right", "all", "--emit-biset", str(biset)]) == 0
+    capsys.readouterr()
+    argv = [a.format(c=corpus_dir, bad=bad, biset=biset) for a in argv]
+    if patch is not None:
+        module, name, make = patch
+        module = {"cli": cli, "bisets": bisets, "formats": formats}[module]
+        monkeypatch.setattr(module, name, make(getattr(module, name)))
+    rc, out = run(capsys, argv)
+    assert rc == 1
+    assert line in out.splitlines()
+    assert out.splitlines()[-1] == "verdict=fail"
+    rc, out = run(capsys, ["--format", "json", *argv])
+    payload = json.loads(out)
+    assert rc == 1 and payload["verdict"] == "fail"
+    check, status = (kv.split("=", 1)[1] for kv in line.split()[:2])
+    assert any(d["check"] == check and d["status"] == status for d in payload["details"])
+
+
+def test_analyze_of_a_semigroup_that_is_not_inverse_exits_1(tmp_path, capsys):
+    # associative, but its idempotents do not commute: a semantic failure,
+    # reported on stderr without a traceback
+    leftzero = tmp_path / "leftzero.smg"
+    leftzero.write_text("2\na b\na a\nb b\n", encoding="utf-8")
+    rc = main(["analyze", str(leftzero)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

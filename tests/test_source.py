@@ -247,3 +247,69 @@ def test_the_table_scan_guard_sees_the_code_it_replaced():
            "sub = C.comp[np.ix_(keep, keep)]\n"
            "defined = np.flatnonzero(row >= 0)\n")
     assert _table_scans(ast.parse(new)) == []
+
+
+def _verdict_writes(tree) -> list:
+    """Lines, inside a function, that assign some x.verdict or call some x.fail(...)."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if any(isinstance(t, ast.Attribute) and t.attr == "verdict" for t in targets):
+                found.append(node.lineno)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "fail"):
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_cli_verdicts_follow_from_the_report_lines():
+    # a report's verdict is derived from its lines (and the result of
+    # `morita`); a command that sets it, or a `fail` helper that sets it
+    # beside its line, keeps the two in step by hand again
+    src = Path(morita.__file__).parent / "cli.py"
+    assert _verdict_writes(ast.parse(src.read_text(encoding="utf-8"))) == []
+
+
+def test_the_verdict_guard_sees_the_code_it_replaced():
+    old = ("def fail(self, check, witness=''):\n"
+           "    self.add(check, 'fail', witness)\n"
+           "    self.verdict = 'fail'\n"
+           "def cmd(args):\n"
+           "    rep.fail('biset_axioms')\n"
+           "    if not report.passed:\n"
+           "        rep.verdict = 'fail'\n")
+    assert _verdict_writes(ast.parse(old)) == [3, 5, 7]
+    # reading the verdict, and setting the result it falls back on, are not writes
+    new = ("def cmd(args):\n"
+           "    rep.result = 'true'\n"
+           "    rep.add('witness_functors', 'fail')\n"
+           "    return 1 if rep.verdict == 'fail' else 0\n")
+    assert _verdict_writes(ast.parse(new)) == []
+
+
+def _budget_literals(tree) -> list:
+    """Lines holding the literal 10_000_000."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is int
+            and node.value == 10_000_000]
+
+
+def test_the_default_budget_is_written_once():
+    # every exhaustive search defaults to errors.DEFAULT_BUDGET; a second
+    # copy of the number can drift from it
+    src = Path(morita.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _budget_literals(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) == 1 and found[0].startswith("errors.py:")
+
+
+def test_the_budget_guard_sees_the_code_it_replaced():
+    old = ("def action_homs(X, Y, budget: int = 10_000_000):\n"
+           "    pass\n"
+           "p.add_argument('--budget', type=int, default=10000000)\n")
+    assert _budget_literals(ast.parse(old)) == [1, 3]
+    assert _budget_literals(ast.parse("budget = DEFAULT_BUDGET\nn = 10_000_001\n")) == []
