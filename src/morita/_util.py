@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .errors import BudgetExceeded
+
 
 def components(n, a, b):
     """Connected components of the graph on nodes 0..n-1 with edges a[k]-b[k].
@@ -32,6 +34,31 @@ def components(n, a, b):
     is_root = root == np.arange(n)
     cls = (np.cumsum(is_root) - 1)[root]
     return root, cls
+
+
+def depth_first(level, budget, search):
+    """Walk a backtracking search depth first, yielding at each leaf.
+
+    level(depth) is the generator of the choices at that depth (it yields
+    once a choice is made and undoes it when resumed), or None at a leaf.
+    The generators sit on a list, not Python's call stack, so the recursion
+    limit does not cap the depth.  Each choice is one placement; placement
+    budget + 1 raises BudgetExceeded naming the `search`.
+    """
+    stack, placements = [], 0
+    while True:
+        choices = level(len(stack))
+        if choices is None:
+            yield
+        else:
+            stack.append(choices)
+        while stack and next(stack[-1], True):
+            stack.pop()
+        if not stack:
+            return
+        placements += 1
+        if placements > budget:
+            raise BudgetExceeded(f"{search} used up its budget of {budget} placements")
 
 
 def ragged(lens):

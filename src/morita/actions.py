@@ -28,10 +28,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._util import components, congruence, positions, ragged
+from ._util import components, congruence, depth_first, positions, ragged
 from .categories import C_of, FiniteCategory, L_of
-from .errors import (DEFAULT_BUDGET, BudgetExceeded, InvariantBroken, NoRightLocalUnits,
-                     NotClosed, WrongSite)
+from .errors import (DEFAULT_BUDGET, InvariantBroken, NoRightLocalUnits, NotClosed,
+                     WrongSite)
 from .semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
@@ -432,10 +432,14 @@ def unit_UR(X: EtaleAction):
 
 # -- presheaves on L(S) <-> etale actions --------------------------------------
 
-def _expect_site(P: Presheaf, kind: str):
-    if P.site.extra.get("kind") != kind or "sgrp" not in P.site.extra:
-        raise WrongSite(f"presheaf site is not an {kind}-category")
-    return P.site.extra["sgrp"]
+def _read_site(site: FiniteCategory, kind: str, S=None):
+    """(S, E): the semigroup of a site L(S) or C(S), as `kind` says, and its
+    objects' idempotents; WrongSite for another kind, or another S if given."""
+    extra = site.extra
+    if (extra.get("kind") != kind or "sgrp" not in extra
+            or S is not None and extra["sgrp"] is not S):
+        raise WrongSite(f"site must be {kind}(S) for the semigroup in use")
+    return extra["sgrp"], np.array(extra["obj_elt"], dtype=np.int64)
 
 
 def _fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Presheaf:
@@ -468,12 +472,9 @@ def _fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Presheaf:
 
 def presheaf_of_etale(X: EtaleAction, site: FiniteCategory = None) -> Presheaf:
     """Fiber map e -> p^{-1}(e); transitions act by the element of L(S)."""
-    S = X.sgrp
-    L = site if site is not None else L_of(S)
-    if L.extra.get("kind") != "L" or L.extra.get("sgrp") is not S:
-        raise WrongSite("site must be L(S) for the semigroup of the action")
-    obj_elt = np.array(L.extra["obj_elt"], dtype=np.int64)
-    return _fiber_presheaf(L, X.base, X.anchor[None, :] == obj_elt[:, None])
+    L = site if site is not None else L_of(X.sgrp)
+    _, E = _read_site(L, "L", X.sgrp)
+    return _fiber_presheaf(L, X.base, X.anchor[None, :] == E[:, None])
 
 
 def _etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
@@ -482,11 +483,11 @@ def _etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
     The point i over e moves under s along the site morphism from s*es to e
     labelled es: payload (e, es) in L(S), (e, es, s*es) in C(S).
     """
-    S = _expect_site(P, kind)
     site = P.site
+    S, E = _read_site(site, kind)
     tab, star = S.table, S.star
     (obj, idx), values, map_off = P.elements, P.values, P.map_off
-    e = np.array(site.extra["obj_elt"], dtype=np.int64)[obj][:, None]
+    e = E[obj][:, None]
     s = np.arange(len(S))
     es, d = tab[e, s], tab[tab[star[s], e], s]     # d = s*es, the object of dom m
     m = site.mor_of(e, es, d) if kind == "C" else site.mor_of(e, es)
@@ -513,12 +514,9 @@ def Q_of(X: RightAction, site: FiniteCategory = None) -> Presheaf:
     """Q(X)(e) = Xe with transitions x . (e,s,f) = xs; needs X closed."""
     if not is_closed(X):
         raise NotClosed()
-    S = X.sgrp
-    C = site if site is not None else C_of(S)
-    if C.extra.get("kind") != "C" or C.extra.get("sgrp") is not S:
-        raise WrongSite("site must be C(S) for the semigroup of the action")
-    obj_elt = list(C.extra["obj_elt"])
-    return _fiber_presheaf(C, X, X.act[:, obj_elt].T == np.arange(len(X)))
+    C = site if site is not None else C_of(X.sgrp)
+    _, E = _read_site(C, "C", X.sgrp)
+    return _fiber_presheaf(C, X, X.act[:, E].T == np.arange(len(X)))
 
 
 @dataclass(eq=False)
@@ -558,10 +556,9 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     components are therefore a right congruence, and acting on classes by
     acting on a node is well defined and satisfies the action law.
     """
-    S = _expect_site(P, "C")
     C = P.site
+    S, Ea = _read_site(C, "C")
     tab = S.table
-    Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
     ideal = tab[Ea] == np.arange(len(S))       # ideal[o, u]: u in eS
     rank = np.cumsum(ideal, axis=1) - 1        # rank of u in eS
     elt = np.argsort(~ideal, axis=1, kind="stable")  # elt[o, rank] = u
@@ -658,10 +655,9 @@ def unit_iso_checks(presheaves) -> list:
     if not presheaves:
         return []
     C = presheaves[0].site
-    S = _expect_site(presheaves[0], "C")
+    S, Ea = _read_site(C, "C")
     if any(P.site is not C for P in presheaves):
         raise WrongSite("unit checks in one pass need a common site")
-    Ea = np.array(C.extra["obj_elt"], dtype=np.int64)
     size = (S.table[Ea] == np.arange(len(S))).sum(axis=1)
     # P joins |P(e)| * |fS| edges for each site morphism f -> e
     edges = (np.diff([P.fib_off for P in presheaves], axis=1)[:, C.cod] * size[C.dom]).sum(1)
@@ -714,18 +710,15 @@ def _orbit_maps(n: int, orbit, values, budget: int, search: str):
     search picks the least unassigned x0 and keeps a row when it gives
     every point of the orbit one value, agreeing with the values set by
     earlier orbits; all rows are tested in one array pass.  Each orbit is
-    one level, a generator of its choices on an explicit stack, so Python's
-    recursion limit does not cap the number of orbits.  The callers say why
-    the maps found are exactly the maps they want.
+    one level.  The callers say why the maps found are exactly the maps
+    they want.
 
-    Each row kept counts one placement against `budget`; BudgetExceeded
-    names the `search` once more are needed.
+    Each row kept counts against `budget`, as `_util.depth_first` counts,
+    and BudgetExceeded names the `search`.
     """
     f = np.full(n, -1, dtype=np.int64)
-    placements = 0
 
     def level(x0):
-        nonlocal placements
         pts, value = orbit(x0), values(x0, f)
         cols = (pts[:, None] == pts).argmax(axis=1)  # first column with each point
         before = f[pts]
@@ -733,24 +726,16 @@ def _orbit_maps(n: int, orbit, values, budget: int, search: str):
               & ((before < 0) | (value == before)).all(axis=1))
         new = pts[before < 0]
         for y in np.flatnonzero(ok).tolist():
-            placements += 1
-            if placements > budget:
-                raise BudgetExceeded(f"{search} used up its budget of {budget} placements")
             f[pts] = value[y]
             yield
             f[new] = -1
 
-    stack = []
-    while True:
+    def next_level(_depth):
         free = f < 0
-        if free.any():
-            stack.append(level(int(free.argmax())))
-        else:
-            yield f.copy()
-        while stack and next(stack[-1], True):
-            stack.pop()
-        if not stack:
-            return
+        return level(int(free.argmax())) if free.any() else None
+
+    for _ in depth_first(next_level, budget, search):
+        yield f.copy()
 
 
 def _orbit_table(X: RightAction) -> np.ndarray:
@@ -826,7 +811,7 @@ def fullness_faithfulness_check(X: RightAction, Y: RightAction,
     increasing order, so the index of y in its fiber is a running count.
     Both searches run under `budget` placements each.
     """
-    C = PX.site
+    _, E = _read_site(PX.site, "C")
     homs = action_homs(X, Y, budget)
     nats = presheaf_nats(PX, PY, budget)
     if len(homs) != len(nats):
@@ -834,7 +819,7 @@ def fullness_faithfulness_check(X: RightAction, Y: RightAction,
     obj = PX.elements[0]
     x = np.array([x for pts in PX.pts for x in pts], dtype=np.int64)
     y = np.array(homs, dtype=np.int64).reshape(len(homs), len(X))[:, x]
-    member = Y.act[:, list(C.extra["obj_elt"])].T == np.arange(len(Y))  # Ye
+    member = Y.act[:, E].T == np.arange(len(Y))  # Ye
     bad = np.argwhere(~member[obj, y])
     if bad.size:
         h, k = bad[0]
@@ -923,14 +908,12 @@ def i_shriek_with_maps(X: EtaleAction, site: FiniteCategory = None) -> IShriekRe
     category: the edge (x, n) ~ (y, s.n) over c, precomposed with m, is the
     edge (x, n.m) ~ (y, s.(n.m)) over d.
     """
-    S = X.sgrp
-    C = site if site is not None else C_of(S)
-    if C.extra.get("kind") != "C" or C.extra.get("sgrp") is not S:
-        raise WrongSite("site must be C(S) for the semigroup of the action")
+    C = site if site is not None else C_of(X.sgrp)
+    S, E = _read_site(C, "C", X.sgrp)
     k, n = C.n_objects, len(X)
     tab, act, anchor = S.table, X.base.act, X.anchor
-    px = positions(np.array(C.extra["obj_elt"], dtype=np.int64), anchor,
-                   lambda at: InvariantBroken("an anchor is not an idempotent", witness=at[0]))
+    px = positions(E, anchor, lambda at: InvariantBroken(
+        "an anchor is not an idempotent", witness=at[0]))
     # morphisms x -> y of the indexing category, with their site morphisms
     ys, ss = np.nonzero((tab[anchor] == np.arange(len(S)))
                         & (anchor[act] == tab[S.star, np.arange(len(S))]))

@@ -26,10 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import components, failures, positions, ragged, row_blocks
+from ._util import components, depth_first, failures, positions, ragged, row_blocks
 from .errors import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     CospanMismatch,
     InvariantBroken,
     IsomorphismChainBroken,
@@ -695,8 +694,8 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = DE
     return in the same order, and returns the same first functor as the
     search without forcing.
 
-    Each object or morphism placement counts one node against `budget`;
-    BudgetExceeded names both skeleton sizes once more are needed.
+    Each object or morphism placement counts against `budget`, as
+    `_util.depth_first` counts; BudgetExceeded names both skeleton sizes.
     """
     if C.n_objects != D.n_objects or C.n_mor != D.n_mor:
         return None
@@ -720,17 +719,6 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = DE
     non_id = sorted(np.flatnonzero(~is_id).tolist(),
                     key=lambda m: (int(class_size[invC[m]]), m))
     factor = _factor_table(C, non_id)
-    nodes = 0
-
-    def count_node():
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(
-                "isomorphism search between skeletons of (objects, morphisms) ="
-                f" ({C.n_objects}, {C.n_mor}) and ({D.n_objects}, {D.n_mor})"
-                f" used up its budget of {budget} placements")
-
     shapesC, shapesD = {}, {}
 
     def powers(cat, x, shapes):
@@ -763,7 +751,8 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = DE
                     and (shape is None or powers(D, w, shapesD) == shape)):
                 yield w
 
-    def place_mor(m):
+    def place_mor(depth):
+        m = non_id[depth - len(obj_order)]
         a, b = factor[m]
         if a < 0:
             candidates = free_candidates(m)
@@ -771,7 +760,6 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = DE
             w = int(D.comp[mor_map[a], mor_map[b]])
             candidates = () if used_mor[w] or invD[w] != invC[m] else (w,)
         for w in candidates:
-            count_node()
             mor_map[m] = w
             used_mor[w] = True
             yield
@@ -788,7 +776,6 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = DE
                     or not np.array_equal(hsC[o, done], hsD[o2, images])
                     or not np.array_equal(hsC[done, o], hsD[images, o2])):
                 continue
-            count_node()
             obj_map[o] = o2
             used_obj[o2] = True
             im = int(D.identity[o2])
@@ -800,25 +787,19 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = DE
             obj_map[o] = -1
             used_obj[o2] = False
 
-    # depth-first over the objects, then the non-identities: one generator of
-    # choices per level on an explicit stack, so the depth is not capped by
-    # Python's recursion limit; a complete map that is no functor backtracks
-    levels = len(obj_order) + len(non_id)
-    stack = []
-    while True:
-        depth = len(stack)
-        if depth == levels:
-            F = Functor(C, D, obj_map.copy(), mor_map.copy())
-            if is_functor(F):
-                return F
-        elif depth < len(obj_order):
-            stack.append(place_obj(depth))
-        else:
-            stack.append(place_mor(non_id[depth - len(obj_order)]))
-        while stack and next(stack[-1], True):
-            stack.pop()
-        if not stack:
+    def level(depth):
+        if depth == len(obj_order) + len(non_id):
             return None
+        return (place_obj if depth < len(obj_order) else place_mor)(depth)
+
+    # a complete map that is no functor backtracks
+    search = ("isomorphism search between skeletons of (objects, morphisms) ="
+              f" ({C.n_objects}, {C.n_mor}) and ({D.n_objects}, {D.n_mor})")
+    for _ in depth_first(level, budget, search):
+        F = Functor(C, D, obj_map.copy(), mor_map.copy())
+        if is_functor(F):
+            return F
+    return None
 
 
 def inverse_functor(F: Functor) -> Functor:

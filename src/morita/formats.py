@@ -294,11 +294,11 @@ def dump_action(X: RightAction, smg_path: str, anchor=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_action(text: str, base_dir=".", semigroup: FiniteSemigroup = None):
+def parse_action(text: str, base_dir="."):
     """Returns RightAction or EtaleAction (when anchor lines are present)."""
-    head = {"semigroup": semigroup, "points": []}
+    head = {"semigroup": None, "points": []}
 
-    def load(ref):  # the first reference only, and none when semigroup is given
+    def load(ref):  # the first reference only
         S = head["semigroup"]
         return load_semigroup(Path(base_dir) / ref.strip()) if S is None else S
 
@@ -340,9 +340,9 @@ def parse_action(text: str, base_dir=".", semigroup: FiniteSemigroup = None):
     return E
 
 
-def load_action(path, semigroup=None):
+def load_action(path):
     p = Path(path)
-    return parse_action(p.read_text(encoding="utf-8"), p.parent, semigroup)
+    return parse_action(p.read_text(encoding="utf-8"), p.parent)
 
 
 # -- .biset ----------------------------------------------------------------------

@@ -135,9 +135,14 @@ def validate_ordered_groupoid(G: OrderedGroupoid) -> list:
     """All ordered-groupoid axioms; returns a list of violations.
 
     The category axioms come first, worded by `check_category`; then the
-    inverse laws and the order axioms, each one array test.
+    inverse laws and the order axioms of `_order_violations`.
     """
-    bad = check_category(G.cat)
+    return check_category(G.cat) + _order_violations(G)
+
+
+def _order_violations(G: OrderedGroupoid) -> list:
+    """The inverse laws and the order axioms, each one array test."""
+    bad = []
     dom, cod, comp, inv, leq, ids = G.dom, G.cod, G.comp, G.inv, G.leq, G.identity
     ar = np.arange(G.n_arrows)
     if not np.all(comp[ar, inv] == ids[cod]):
@@ -485,12 +490,15 @@ def _ordered_groupoid(names, tab, star, extra) -> OrderedGroupoid:
 def ordered_groupoid_of(R: InverseSemigroupoid) -> OrderedGroupoid:
     """The ordered groupoid of R, checked against every ordered-groupoid axiom.
 
-    R passed `semigroupoid_violations` when it was made, so only the
-    ordered-groupoid axioms are checked here.
+    The checks R passed when it was made make G(R) a category, so only the
+    inverse laws and the order axioms are checked here.  g.f is R's product
+    gf where g*g = ff* (`_ordered_groupoid` raises if R leaves it undefined);
+    e = e* is the identity at e, as g(g*g) = g = (gg*)g; (gf)* = f*g* puts
+    gf between f*f and gg*; associativity is R's, on a subset of its triples.
     """
     G = _ordered_groupoid(R.names, R.table, R.star,
                           {"kind": "of_semigroupoid", "sgpd": R})
-    bad = validate_ordered_groupoid(G)
+    bad = _order_violations(G)
     if bad:
         raise NotInverseSemigroupoid("ordered groupoid invariants fail: " + bad[0])
     return G

@@ -16,7 +16,7 @@ from morita.actions import (
     EtaleAction,
     Presheaf,
     RightAction,
-    _expect_site,
+    _read_site,
     action_homs,
     check_action,
     check_etale,
@@ -729,7 +729,7 @@ def loop_fiber_presheaf(site: FiniteCategory, X: RightAction, member) -> Preshea
 
 def loop_unit_iso_check(P: Presheaf) -> bool:
     """The unit P -> Q(Q_!(P)) is a natural bijection, read from the unit dict."""
-    _expect_site(P, "C")
+    _read_site(P.site, "C")
     C = P.site
     obj_elt = C.extra["obj_elt"]
     res = q_shriek_with_unit(P)
@@ -1962,7 +1962,7 @@ def loop_principal_etale(S: InverseSemigroup, e: int) -> EtaleAction:
 
 def loop_etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
     """The points (o, i) over L(S) or C(S), the action filled one cell at a time."""
-    S = _expect_site(P, kind)
+    S, _E = _read_site(P.site, kind)
     site = P.site
     obj_elt = site.extra["obj_elt"]
     obj_of_elt = {e: i for i, e in enumerate(obj_elt)}

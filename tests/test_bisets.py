@@ -393,7 +393,8 @@ def test_pipeline(b12, bc22):
 
 
 def test_chain_checks_each_structure_once(tmp_path, monkeypatch):
-    # count the real work: biset reports, semigroupoid passes, U's isomorphisms
+    # count the real work: biset reports, semigroupoid passes, U's
+    # isomorphisms, and category checks of the ordered groupoid of R
     from collections import Counter
 
     from morita import bisets, categories, cli, formats, groupoids
@@ -412,10 +413,11 @@ def test_chain_checks_each_structure_once(tmp_path, monkeypatch):
     count(bisets, "_biset_report", lambda B: "biset reports")
     count(groupoids, "semigroupoid_violations", lambda *a: "semigroupoid passes")
     count(categories, "_iso_table", lambda C: C.extra.get("kind"))
+    count(groupoids, "check_category", lambda C: "category checks")
 
     def work():
         out = {k: counts[k] for k in ("biset reports", "semigroupoid passes",
-                                      "bipartite_U")}
+                                      "bipartite_U", "category checks")}
         counts.clear()
         return out
 
@@ -423,16 +425,19 @@ def test_chain_checks_each_structure_once(tmp_path, monkeypatch):
     e = T.index("(1,1)")
     eTe = [s for s in range(len(T)) if T.mul(T.mul(e, s), e) == s]
     assert all(enlargement_pipeline(T, eTe, range(len(T))).values())
-    assert work() == {"biset reports": 2, "semigroupoid passes": 1, "bipartite_U": 1}
+    assert work() == {"biset reports": 2, "semigroupoid passes": 1, "bipartite_U": 1,
+                      "category checks": 0}
 
     (tmp_path / "T.smg").write_text(formats.dump_semigroup(T))
     biset = str(tmp_path / "T.biset")
     assert cli.main(["enlarge", str(tmp_path / "T.smg"), "--left",
                      " ".join(T.names[s] for s in eTe), "--right", "all",
                      "--emit-biset", biset]) == 0
-    assert work() == {"biset reports": 1, "semigroupoid passes": 0, "bipartite_U": 0}
+    assert work() == {"biset reports": 1, "semigroupoid passes": 0, "bipartite_U": 0,
+                      "category checks": 0}
     assert cli.main(["biset-enlarge", biset]) == 0
-    assert work() == {"biset reports": 2, "semigroupoid passes": 1, "bipartite_U": 1}
+    assert work() == {"biset reports": 2, "semigroupoid passes": 1, "bipartite_U": 1,
+                      "category checks": 0}
 
 
 # -- the array checks against interpreted reference loops ---------------------

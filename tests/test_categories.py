@@ -727,6 +727,21 @@ def test_forced_products_keep_the_search_near_one_placement_per_morphism(name):
         morita_equivalent(S, T, budget=n // 2)
 
 
+@pytest.mark.parametrize("name, least, skeleton", [("C_64", 64, (1, 64)),
+                                                   ("I_3", 90, (4, 90))])
+def test_the_iso_search_stops_at_a_fixed_placement(name, least, skeleton):
+    # the least budget that decides a relabelled copy: the search order, and
+    # the placement at which it gives up, are pinned placement by placement
+    S = _SEARCH_CASES[name]()
+    T = random_relabelling(S, random.Random(1))
+    assert morita_equivalent(S, T, budget=least).equivalent
+    with pytest.raises(BudgetExceeded) as exc:
+        morita_equivalent(S, T, budget=least - 1)
+    assert str(exc.value) == (
+        f"isomorphism search between skeletons of (objects, morphisms) = {skeleton}"
+        f" and {skeleton} used up its budget of {least - 1} placements")
+
+
 def test_regular_enlargement_biset_matches_the_loop_on_ambient_mutants():
     # the enlargement shapes of the crosscheck benchmark (B(C_g, n) enlarging
     # eTe) and two local submonoids eTe, fTf of it, on the ambient table and on

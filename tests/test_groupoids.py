@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morita.categories import categories_isomorphic, check_weak_equivalence, Functor
+from morita.categories import (
+    Functor,
+    categories_isomorphic,
+    check_category,
+    check_weak_equivalence,
+)
 from morita.errors import (
     NotASubgroupoid,
     NotBelow,
@@ -177,6 +182,42 @@ def test_ordered_groupoid_of_semigroup(b12, chain3):
         assert np.array_equal(G.comp, H.comp)
         assert np.array_equal(G.leq, H.leq)
         assert G.objects == H.objects
+
+
+def test_an_inverse_semigroupoid_orders_a_category(local_submonoid_bisets):
+    # ordered_groupoid_of runs no check_category: the checks an
+    # InverseSemigroupoid passes when it is made already make G(R) a
+    # category.  No one-cell mutant of an R table is an inverse
+    # semigroupoid, so the tables here are sub-semigroupoids of R tables,
+    # the closures of 1-3 random elements under products and star, each
+    # renumbered by a random permutation.
+    from morita.bisets import build_R_semigroupoid
+    from morita.groupoids import _ordered_groupoid
+
+    rng = np.random.default_rng(31)
+    seen = set()
+    for B in local_submonoid_bisets:
+        R = build_R_semigroupoid(B)
+        for _ in range(16):
+            keep = np.unique(rng.integers(len(R), size=int(rng.integers(1, 4))))
+            while True:
+                prods = R.table[np.ix_(keep, keep)]
+                grown = np.union1d(np.union1d(keep, R.star[keep]), prods[prods >= 0])
+                if len(grown) == len(keep):
+                    break
+                keep = grown
+            p = rng.permutation(len(keep))
+            new = np.full(len(R), -1)
+            new[keep] = p
+            table = np.full((len(keep),) * 2, -1)
+            sub = R.table[np.ix_(keep, keep)]
+            table[p[:, None], p[None, :]] = np.where(sub >= 0, new[sub], -1)
+            names = tuple(str(i) for i in range(len(keep)))
+            Rsub = InverseSemigroupoid(names, table)
+            G = _ordered_groupoid(names, Rsub.table, Rsub.star, {})
+            assert check_category(G.cat) == []
+            seen.add((len(keep), table.tobytes()))
+    assert len(seen) >= 100 and len({n for n, _ in seen}) >= 10
 
 
 def test_inverse_semigroupoid_is_checked_when_made():

@@ -313,3 +313,100 @@ def test_the_budget_guard_sees_the_code_it_replaced():
            "p.add_argument('--budget', type=int, default=10000000)\n")
     assert _budget_literals(ast.parse(old)) == [1, 3]
     assert _budget_literals(ast.parse("budget = DEFAULT_BUDGET\nn = 10_000_001\n")) == []
+
+
+def _functions_where(tree, match) -> list:
+    """(function, line) of each node that match(node) accepts, naming the
+    innermost enclosing function, or "" at module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if match(node):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def _is_stack_step(node) -> bool:
+    """A call next(x[-1], ...): advancing the top generator of a stack."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "next"
+            and node.args and isinstance(node.args[0], ast.Subscript)):
+        return False
+    index = node.args[0].slice
+    return (isinstance(index, ast.UnaryOp) and isinstance(index.op, ast.USub)
+            and getattr(index.operand, "value", None) == 1)
+
+
+def test_one_driver_walks_every_placement_search():
+    # the backtracking searches walk their levels through _util.depth_first,
+    # which keeps the generators on a stack and counts the placements; a
+    # stack loop of its own elsewhere brings back its own budget rule
+    src = Path(morita.__file__).parent
+    found = [f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
+             for fn, _line in _functions_where(ast.parse(path.read_text(encoding="utf-8")),
+                                               _is_stack_step)]
+    assert found == ["_util.depth_first"]
+
+
+def test_the_driver_guard_sees_the_code_it_replaced():
+    old = ("def categories_isomorphic(C, D, budget):\n"
+           "    stack = []\n"
+           "    while True:\n"
+           "        while stack and next(stack[-1], True):\n"
+           "            stack.pop()\n"
+           "def _orbit_maps(n, orbit, values, budget, search):\n"
+           "    while stack and next(stack[-1], True):\n"
+           "        stack.pop()\n")
+    assert _functions_where(ast.parse(old), _is_stack_step) == [
+        ("categories_isomorphic", 4), ("_orbit_maps", 7)]
+    # taking the first item of an iterator, or of the last of a list, is no step
+    new = ("f = next(_orbit_maps(n, orbit, values, budget, search), None)\n"
+           "w = next(failures(n, k, fails), None)\n"
+           "x = stack[-1]\n")
+    assert _functions_where(ast.parse(new), _is_stack_step) == []
+
+
+def _is_site_read(node) -> bool:
+    """A read of x.extra["obj_elt"] or x.extra["sgrp"], or a call
+    x.extra.get("kind") or x.extra.get("sgrp"); `extra` may be a name."""
+    def is_extra(value):
+        return getattr(value, "attr", getattr(value, "id", None)) == "extra"
+
+    if isinstance(node, ast.Subscript) and is_extra(node.value):
+        return getattr(node.slice, "value", None) in ("obj_elt", "sgrp")
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and is_extra(node.func.value) and node.args
+            and getattr(node.args[0], "value", None) in ("kind", "sgrp"))
+
+
+def test_actions_read_their_sites_through_one_helper():
+    # a site is checked to be L(S) or C(S), and its semigroup and object
+    # idempotents read, in actions._read_site alone; a hand check elsewhere
+    # can drift from it
+    src = Path(morita.__file__).parent / "actions.py"
+    found = {fn for fn, _line in _functions_where(
+        ast.parse(src.read_text(encoding="utf-8")), _is_site_read)}
+    assert found == {"_read_site"}
+
+
+def test_the_site_guard_sees_the_code_it_replaced():
+    old = ("def _expect_site(P, kind):\n"
+           "    if P.site.extra.get('kind') != kind or 'sgrp' not in P.site.extra:\n"
+           "        raise WrongSite('presheaf site is not an L-category')\n"
+           "    return P.site.extra['sgrp']\n"
+           "def Q_of(X, site=None):\n"
+           "    if C.extra.get('kind') != 'C' or C.extra.get('sgrp') is not S:\n"
+           "        raise WrongSite('site must be C(S)')\n"
+           "    obj_elt = list(C.extra['obj_elt'])\n")
+    assert _functions_where(ast.parse(old), _is_site_read) == [
+        ("_expect_site", 2), ("_expect_site", 4), ("Q_of", 6), ("Q_of", 6), ("Q_of", 8)]
+    # the other payloads of an action, and building a site's extra, are no site reads
+    new = ("pairs = RX.base.extra['pairs']\n"
+           "elts = base.extra['elt_of_point']\n"
+           "X = RightAction(names, S, act, {'kind': 'regular'})\n")
+    assert _functions_where(ast.parse(new), _is_site_read) == []
