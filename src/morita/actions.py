@@ -36,6 +36,7 @@ from .semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
     _action_law_witness,
+    conjugates,
     idempotents,
     local_unit_flags,
 )
@@ -352,10 +353,9 @@ def is_closed(X: RightAction) -> bool:
 def munn_action(S: InverseSemigroup) -> EtaleAction:
     """E(S) with e.s = s*es and the identity anchor, as one gather."""
     E = idempotents(S)
-    tab = S.table
     pos = np.full(len(S), -1, dtype=np.int64)
     pos[E] = np.arange(len(E))
-    act = pos[tab[tab[S.star, np.array(E, dtype=np.int64)[:, None]], np.arange(len(S))]]
+    act = pos[conjugates(S, E)]
     base = RightAction(tuple(S.names[e] for e in E), S, act,
                        {"kind": "munn", "elt_of_point": tuple(E)})
     return EtaleAction(base, np.array(E, dtype=np.int64))
@@ -380,7 +380,7 @@ def check_etale(X: EtaleAction) -> bool:
         return False
     return bool((tab[e, e] == e).all()
                 and (act[np.arange(len(X)), e] == np.arange(len(X))).all()
-                and (e[act] == tab[tab[S.star, e[:, None]], np.arange(len(S))]).all())
+                and (e[act] == conjugates(S, e)).all())
 
 
 def etale_morphism_check(f, X: EtaleAction, Y: EtaleAction) -> bool:
@@ -397,12 +397,11 @@ def etale_morphism_check(f, X: EtaleAction, Y: EtaleAction) -> bool:
 def R_of(X: RightAction) -> EtaleAction:
     """Right adjoint of the forgetful U: carrier {(e,x) : xe = x}."""
     S = X.sgrp
-    tab, star = S.table, S.star
     E = np.array(idempotents(S), dtype=np.int64)
     i, x = np.nonzero(X.act[:, E].T == np.arange(len(X)))
     e = E[i]
     # (e, x)s = (s*es, xs)
-    act = positions((e, x), (tab[tab[star, e[:, None]], np.arange(len(S))], X.act[x]),
+    act = positions((e, x), (conjugates(S, e), X.act[x]),
                     lambda at: InvariantBroken(
                         "not an action: a point leaves R(X)",
                         witness=((int(e[at[0]]), int(x[at[0]])), at[1])))
@@ -485,11 +484,10 @@ def _etale_of_fibers(P: Presheaf, kind: str, tag: str) -> EtaleAction:
     """
     site = P.site
     S, E = _read_site(site, kind)
-    tab, star = S.table, S.star
     (obj, idx), values, map_off = P.elements, P.values, P.map_off
     e = E[obj][:, None]
-    s = np.arange(len(S))
-    es, d = tab[e, s], tab[tab[star[s], e], s]     # d = s*es, the object of dom m
+    es = S.table[e, np.arange(len(S))]
+    d = conjugates(S, e[:, 0])                      # d = s*es, the object of dom m
     m = site.mor_of(e, es, d) if kind == "C" else site.mor_of(e, es)
     # P(m)(i), or -1 past the end of a map shorter than its codomain fiber
     inside = idx[:, None] < np.diff(map_off)[m]

@@ -55,6 +55,8 @@ from .groupoids import (
 )
 from .semigroups import (
     InverseSemigroup,
+    _product_set,
+    enlargement_identities,
     is_semigroup_enlargement,
     restrict_inverse,
 )
@@ -213,7 +215,7 @@ def biset_from_regular_enlargement(R, S_subset, T_subset) -> EquivalenceBiset:
     def products(A, B):
         """[r]: r lies in the product set ARB."""
         inside = np.zeros(len(R), dtype=bool)
-        inside[tab[np.ix_(np.unique(tab[np.ix_(A, full)]), B)]] = True
+        inside[_product_set(tab, _product_set(tab, A, full), B)] = True
         return inside
 
     x, xp = np.nonzero(inverse & products(S_subset, T_subset)[:, None]
@@ -299,20 +301,12 @@ def build_R_semigroupoid(B: EquivalenceBiset) -> InverseSemigroupoid:
         if "associativity" in first:
             raise AssociativityFailure(first)
         raise InvalidBiset("semigroupoid checks fail: " + first)
-    # enlargement identities: S' = S'RS', R = RS'R, T' = T'RT', R = RT'R
-    def pset(A, Bset):
-        v = table[np.ix_(A, Bset)]
-        return np.unique(v[v >= 0])
-
-    sp, tp, everything = np.arange(ns), np.arange(oT, oX), np.arange(n)
-    if not np.array_equal(pset(pset(sp, everything), sp), sp):
-        raise InvalidBiset("S' = S'RS' fails")
-    if not np.array_equal(pset(pset(everything, sp), everything), everything):
-        raise InvalidBiset("R = RS'R fails")
-    if not np.array_equal(pset(pset(tp, everything), tp), tp):
-        raise InvalidBiset("T' = T'RT' fails")
-    if not np.array_equal(pset(pset(everything, tp), everything), everything):
-        raise InvalidBiset("R = RT'R fails")
+    for name, part in (("S'", np.arange(oT)), ("T'", np.arange(oT, oX))):
+        within, spans = enlargement_identities(table, part)
+        if not within:
+            raise InvalidBiset(f"{name} = {name}R{name} fails")
+        if not spans:
+            raise InvalidBiset(f"R = R{name}R fails")
     return Rg
 
 
@@ -769,14 +763,11 @@ def enlargement_pipeline(R, S_subset, T_subset) -> dict:
     out = {"biset_axioms": verify_biset(B).passed}
     checks, G = biset_enlargement_chain(B)
     out.update(checks)
-    # bipartite object condition on G: each object of one part has an arrow
-    # to an object of the other
+    # each object of one part has an arrow to the other: the test U passes,
+    # as G's objects are R's idempotents, which S' and T' split (a bridge x
+    # has xx undefined), and every arrow of a groupoid is an isomorphism
     Rg = G.extra["sgpd"]
-    s_objs = np.unique(G.dom[list(Rg.extra["s_part"])])
-    t_objs = np.unique(G.dom[list(Rg.extra["t_part"])])
-    linked = np.zeros((G.n_objects, G.n_objects), dtype=bool)
-    linked[G.dom, G.cod] = True
-    out["bipartite_objects"] = bool(linked[np.ix_(s_objs, t_objs)].any(axis=1).all()
-                                    and linked[np.ix_(t_objs, s_objs)].any(axis=1).all())
+    s_objs, t_objs = (G.dom[list(Rg.extra[k])] for k in ("s_part", "t_part"))
+    out["bipartite_objects"] = is_bipartite(G.cat, s_objs, t_objs)
     out["morita_equivalent"] = morita_equivalent(B.S, B.T).equivalent
     return out

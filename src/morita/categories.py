@@ -159,11 +159,11 @@ def check_category(C: FiniteCategory) -> list:
         if not np.all(comp[np.arange(m), ids[dom]] == np.arange(m)):
             bad.append("right identity law fails")
         # associativity over the triples (h, g, f) with h.g and g.f defined,
-        # one hom-set of g at a time, so the rows h and f are those that
-        # compose with it; the message names the least h that fails
+        # one non-empty hom-set of g at a time, so the rows h and f are those
+        # that compose with it; the message names the least h that fails
         order, start = C._hom_index
         least = m
-        for k in range(n * n):
+        for k in np.flatnonzero(np.diff(start)):
             g = order[start[k]:start[k + 1]]
             H = np.flatnonzero(defined[:, g].any(axis=1))
             F = np.flatnonzero(defined[g].any(axis=0))

@@ -252,7 +252,6 @@ def cmd_psh_equiv(args) -> Report:
     S = _load_inverse(args.path)
     C = C_of(S)
     E = C.extra["obj_elt"]
-    tab = S.table
     principal = [principal_action(S, e) for e in E]
     representables = [Q_of(X, C) for X in principal]
     presheaves = corpus.sample_presheaves(representables, args.seed, args.samples)
@@ -270,14 +269,14 @@ def cmd_psh_equiv(args) -> Report:
                 else "fail")
     # dS is generated by d, so a hom dS -> (sum of the eS) lands in the one
     # summand that holds the image of d: one search per d, and each hom is
-    # counted by the summand of the image of its first point
+    # counted by the summand of the image of its first point; |eSd| is the
+    # size of the hom-set C(S)(d, e)
     summand = np.repeat(np.arange(len(E)), [len(X) for X in principal])
     union = coproduct_action(principal)
-    for d, dS in zip(E, principal):
+    for d, dS, sizes in zip(E, principal, C.hom_sizes().tolist()):
         first = np.array([h[0] for h in action_homs(dS, union, args.budget)], dtype=np.int64)
         counts = np.bincount(summand[first], minlength=len(E))
-        for e, n in zip(E, counts.tolist()):
-            eSd = int((tab[tab[e], d] == np.arange(len(S))).sum())
+        for e, n, eSd in zip(E, counts.tolist(), sizes):
             rep.add(f"hom_count_{S.names[d]}_{S.names[e]}",
                     "ok" if n == eSd else "fail", f"{n}={eSd}")
     return rep

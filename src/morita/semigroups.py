@@ -132,6 +132,13 @@ def as_inverse(S: FiniteSemigroup) -> InverseSemigroup:
     return InverseSemigroup(S.names, S.table, np.argmax(inv, axis=1))
 
 
+def conjugates(S: InverseSemigroup, e) -> np.ndarray:
+    """[..., s]: s*es for each idempotent in the array e, as the anchor rule
+    p(xs) = s*p(x)s of an etale action reads it."""
+    tab = S.table
+    return tab[tab[S.star, np.asarray(e)[..., None]], np.arange(len(S))]
+
+
 def natural_leq(S: InverseSemigroup, s: int, t: int) -> bool:
     """Natural partial order: s <= t iff s = t(s*s)."""
     tab = S.table
@@ -156,9 +163,18 @@ class LocalUnitFlags:
 
 
 def _product_set(table, A, B):
-    if len(A) == 0 or len(B) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(table[np.ix_(A, B)])
+    """The distinct defined products ab, a in A and b in B, ascending; a
+    partial table marks an undefined product -1."""
+    ab = table[np.ix_(A, B)]
+    return np.unique(ab[ab >= 0])
+
+
+def enlargement_identities(table, A) -> tuple:
+    """The enlargement identities (ATA = A, TAT = T) as product sets, for an
+    ascending subset A of the elements T of a table, partial (-1) or not."""
+    T = np.arange(len(table))
+    return (np.array_equal(_product_set(table, _product_set(table, A, T), A), A),
+            _product_set(table, _product_set(table, T, A), T).size == len(T))
 
 
 def local_unit_flags(S: FiniteSemigroup) -> LocalUnitFlags:
@@ -201,13 +217,7 @@ def is_semigroup_enlargement(T: FiniteSemigroup, subset) -> bool:
     A = sorted(set(int(a) for a in subset))
     if not is_subsemigroup(T, A):
         raise NotASubsemigroup(witness=tuple(A))
-    tab = T.table
-    full = np.arange(len(T))
-    ST = _product_set(tab, A, full)
-    STS = _product_set(tab, ST, A)
-    TS = _product_set(tab, full, A)
-    TST = _product_set(tab, TS, full)
-    return set(STS.tolist()) == set(A) and TST.size == len(T)
+    return all(enlargement_identities(T.table, A))
 
 
 def is_locally_E_unitary(S: InverseSemigroup) -> bool:

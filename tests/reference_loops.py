@@ -1802,6 +1802,17 @@ def loop_is_subsemigroup(S: FiniteSemigroup, subset) -> bool:
     return prods <= set(A)
 
 
+def loop_enlargement_identities(table, A) -> tuple:
+    """(ATA = A, TAT = T) over Python sets of the defined products; -1 marks
+    an undefined one."""
+    A, T = set(int(a) for a in A), set(range(len(table)))
+
+    def products(X, Y):
+        return {int(table[x, y]) for x in X for y in Y if table[x, y] >= 0}
+
+    return products(products(A, T), A) == A, products(products(T, A), T) == T
+
+
 def loop_restrict(S: FiniteSemigroup, subset):
     """The subsemigroup on `subset`, its table filled one cell at a time."""
     A = sorted(set(int(a) for a in subset))

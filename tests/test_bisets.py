@@ -392,9 +392,26 @@ def test_pipeline(b12, bc22):
     assert all(out.values()), out
 
 
+def test_R_names_the_part_and_the_identity_that_fails(local_submonoid_bisets, monkeypatch):
+    # R(S,T;X) of a verified biset satisfies both enlargement identities for
+    # both parts, so each message is reached by answering one of them false
+    from morita import bisets
+
+    B = local_submonoid_bisets[0]
+    for k, message in enumerate(["S' = S'RS' fails", "R = RS'R fails",
+                                 "T' = T'RT' fails", "R = RT'R fails"]):
+        answers = iter([(k != 0, k != 1), (k != 2, k != 3)])
+        monkeypatch.setattr(bisets, "enlargement_identities", lambda *_a: next(answers))
+        with pytest.raises(InvalidBiset) as info:
+            build_R_semigroupoid(B)
+        assert str(info.value) == message
+
+
 def test_chain_checks_each_structure_once(tmp_path, monkeypatch):
-    # count the real work: biset reports, semigroupoid passes, U's
-    # isomorphisms, and category checks of the ordered groupoid of R
+    # count the real work: biset reports, semigroupoid passes, the
+    # isomorphisms of U and of the ordered groupoid G(R) of R, and category
+    # checks of G(R); the pipeline's bipartite test of G(R) reads its one
+    # isomorphism table
     from collections import Counter
 
     from morita import bisets, categories, cli, formats, groupoids
@@ -417,7 +434,7 @@ def test_chain_checks_each_structure_once(tmp_path, monkeypatch):
 
     def work():
         out = {k: counts[k] for k in ("biset reports", "semigroupoid passes",
-                                      "bipartite_U", "category checks")}
+                                      "bipartite_U", "groupoid", "category checks")}
         counts.clear()
         return out
 
@@ -426,7 +443,7 @@ def test_chain_checks_each_structure_once(tmp_path, monkeypatch):
     eTe = [s for s in range(len(T)) if T.mul(T.mul(e, s), e) == s]
     assert all(enlargement_pipeline(T, eTe, range(len(T))).values())
     assert work() == {"biset reports": 2, "semigroupoid passes": 1, "bipartite_U": 1,
-                      "category checks": 0}
+                      "groupoid": 1, "category checks": 0}
 
     (tmp_path / "T.smg").write_text(formats.dump_semigroup(T))
     biset = str(tmp_path / "T.biset")
@@ -434,10 +451,10 @@ def test_chain_checks_each_structure_once(tmp_path, monkeypatch):
                      " ".join(T.names[s] for s in eTe), "--right", "all",
                      "--emit-biset", biset]) == 0
     assert work() == {"biset reports": 1, "semigroupoid passes": 0, "bipartite_U": 0,
-                      "category checks": 0}
+                      "groupoid": 0, "category checks": 0}
     assert cli.main(["biset-enlarge", biset]) == 0
     assert work() == {"biset reports": 2, "semigroupoid passes": 1, "bipartite_U": 1,
-                      "category checks": 0}
+                      "groupoid": 0, "category checks": 0}
 
 
 # -- the array checks against interpreted reference loops ---------------------

@@ -1,6 +1,11 @@
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
+from morita.bisets import biset_from_regular_enlargement, build_R_semigroupoid
+from morita.corpus import builtin_corpus
 from morita.errors import (
     IdempotentsDontCommute,
     MoritaError,
@@ -17,6 +22,7 @@ from morita.semigroups import (
     brandt,
     chain_semilattice,
     cyclic_group,
+    enlargement_identities,
     group_with_zero,
     idempotents,
     inverses_of,
@@ -29,6 +35,7 @@ from morita.semigroups import (
     subsemigroup_closure,
     symmetric_inverse_monoid,
 )
+from reference_loops import loop_enlargement_identities
 
 
 def brute_force_assoc(table):
@@ -205,6 +212,30 @@ def test_enlargement_brandt(b12, chain2):
     assert not is_semigroup_enlargement(chain2, [1])
     with pytest.raises(NotASubsemigroup):
         is_semigroup_enlargement(b12, [b12.index("(1,2)")])
+
+
+def test_enlargement_identities_match_the_set_loop():
+    # the partial tables of R(S,T;X) for B(C_g, n) over eTe, with the parts
+    # S', T' and every one-element part, and corpus tables with random subsets
+    cases = []
+    for g, n in product((1, 2), (2, 3, 4)):
+        T = brandt(cyclic_group(g), n)
+        e = idempotents(T)[0]
+        eTe = [s for s in range(len(T)) if T.mul(T.mul(e, s), e) == s]
+        Rg = build_R_semigroupoid(biset_from_regular_enlargement(T, eTe, range(len(T))))
+        cases += [(Rg.table, part) for part in [Rg.extra["s_part"], Rg.extra["t_part"]]
+                  + [[a] for a in range(len(Rg.table))]]
+    rng = random.Random(26)
+    for _name, S in builtin_corpus():
+        cases += [(S.table, sorted(rng.sample(range(len(S)), rng.randint(1, len(S)))))
+                  for _ in range(6)]
+    seen = set()
+    for table, A in cases:
+        got = enlargement_identities(table, A)
+        assert got == loop_enlargement_identities(table, A), (table, A)
+        seen |= set(enumerate(got))
+    # each identity holds somewhere and fails somewhere
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
 
 
 def test_locally_e_unitary(b12, sim2):

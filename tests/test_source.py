@@ -410,3 +410,77 @@ def test_the_site_guard_sees_the_code_it_replaced():
            "elts = base.extra['elt_of_point']\n"
            "X = RightAction(names, S, act, {'kind': 'regular'})\n")
     assert _functions_where(ast.parse(new), _is_site_read) == []
+
+
+def _is_lookup(node) -> bool:
+    """t[a, b, ...]: a subscript by two or more indices, as a table is read."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and len(node.slice.elts) >= 2)
+
+
+def _is_conjugation(node) -> bool:
+    """A gather t[u[a, ...], ...] whose inner lookup's first index a reads
+    some `star`: the product s*es read off a table."""
+    return (_is_lookup(node) and _is_lookup(node.slice.elts[0])
+            and any(getattr(n, "id", getattr(n, "attr", None)) == "star"
+                    for n in ast.walk(node.slice.elts[0].slice.elts[0])))
+
+
+def test_the_anchor_rule_is_written_once():
+    # s*es, the anchor rule p(xs) = s*p(x)s of an etale action, is gathered
+    # in semigroups.conjugates alone; a gather of its own elsewhere can
+    # drift from it
+    src = Path(morita.__file__).parent
+    found = [f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
+             for fn, _line in _functions_where(ast.parse(path.read_text(encoding="utf-8")),
+                                               _is_conjugation)]
+    assert found == ["semigroups.conjugates"]
+
+
+def test_the_anchor_rule_guard_sees_the_code_it_replaced():
+    old = ("def munn_action(S):\n"
+           "    act = pos[tab[tab[S.star, np.array(E)[:, None]], np.arange(len(S))]]\n"
+           "def R_of(X):\n"
+           "    act = positions((e, x), (tab[tab[star, e[:, None]], np.arange(n)], a))\n"
+           "def _etale_of_fibers(P, kind, tag):\n"
+           "    es, d = tab[e, s], tab[tab[star[s], e], s]\n")
+    assert _functions_where(ast.parse(old), _is_conjugation) == [
+        ("munn_action", 2), ("R_of", 4), ("_etale_of_fibers", 6)]
+    # s*s, the natural order and the pairings of a biset are no conjugation
+    new = ("d = tab[S.star, np.arange(len(S))]\n"
+           "leq = tab[t, tab[S.star[s], s]] == s\n"
+           "leq = tab[:, tab[star, ar]].T == ar[:, None]\n"
+           "key = tab[b[T.star], xp[:, None]]\n")
+    assert _functions_where(ast.parse(new), _is_conjugation) == []
+
+
+def _unique_calls(tree) -> list:
+    """Lines calling np.unique or numpy.unique."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "unique"
+                  and getattr(node.func.value, "id", None) in ("np", "numpy"))
+
+
+def test_bisets_take_their_product_sets_from_semigroups():
+    # a product set is formed by semigroups._product_set, and the
+    # enlargement identities are read from semigroups.enlargement_identities;
+    # bisets.py forming its own can drift from them
+    src = Path(morita.__file__).parent / "bisets.py"
+    assert _unique_calls(ast.parse(src.read_text(encoding="utf-8"))) == []
+
+
+def test_the_product_set_guard_sees_the_code_it_replaced():
+    old = ("inside[tab[np.ix_(np.unique(tab[np.ix_(A, full)]), B)]] = True\n"
+           "def pset(A, Bset):\n"
+           "    v = table[np.ix_(A, Bset)]\n"
+           "    return np.unique(v[v >= 0])\n"
+           "s_objs = np.unique(G.dom[list(Rg.extra['s_part'])])\n"
+           "t_objs = numpy.unique(G.dom[list(Rg.extra['t_part'])])\n")
+    assert _unique_calls(ast.parse(old)) == [1, 4, 5, 6]
+    # the shared helpers, and a unique of another library, are no product set
+    new = ("inside[_product_set(tab, _product_set(tab, A, full), B)] = True\n"
+           "within, spans = enlargement_identities(table, part)\n"
+           "names = sorted(set(points))\n"
+           "u = pd.unique(values)\n")
+    assert _unique_calls(ast.parse(new)) == []
