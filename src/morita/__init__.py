@@ -17,7 +17,6 @@ from .semigroups import (
     cyclic_group,
     group_with_zero,
     idempotents,
-    inverses_of,
     is_locally_E_unitary,
     is_semigroup_enlargement,
     local_unit_flags,

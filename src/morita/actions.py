@@ -352,13 +352,11 @@ def is_closed(X: RightAction) -> bool:
 
 def munn_action(S: InverseSemigroup) -> EtaleAction:
     """E(S) with e.s = s*es and the identity anchor, as one gather."""
-    E = idempotents(S)
-    pos = np.full(len(S), -1, dtype=np.int64)
-    pos[E] = np.arange(len(E))
-    act = pos[conjugates(S, E)]
-    base = RightAction(tuple(S.names[e] for e in E), S, act,
-                       {"kind": "munn", "elt_of_point": tuple(E)})
-    return EtaleAction(base, np.array(E, dtype=np.int64))
+    F = S.cauchy
+    E = tuple(F.E.tolist())
+    base = RightAction(tuple(S.names[e] for e in E), S, F.obj[conjugates(S, F.E)],
+                       {"kind": "munn", "elt_of_point": E})
+    return EtaleAction(base, F.E)
 
 
 def principal_etale(S: InverseSemigroup, e: int) -> EtaleAction:
@@ -397,7 +395,7 @@ def etale_morphism_check(f, X: EtaleAction, Y: EtaleAction) -> bool:
 def R_of(X: RightAction) -> EtaleAction:
     """Right adjoint of the forgetful U: carrier {(e,x) : xe = x}."""
     S = X.sgrp
-    E = np.array(idempotents(S), dtype=np.int64)
+    E = S.cauchy.E
     i, x = np.nonzero(X.act[:, E].T == np.arange(len(X)))
     e = E[i]
     # (e, x)s = (s*es, xs)
@@ -557,7 +555,7 @@ def q_shriek_with_unit(P: Presheaf) -> ColimitActionResult:
     C = P.site
     S, Ea = _read_site(C, "C")
     tab = S.table
-    ideal = tab[Ea] == np.arange(len(S))       # ideal[o, u]: u in eS
+    ideal = S.cauchy.below                     # ideal[o, u]: u in eS
     rank = np.cumsum(ideal, axis=1) - 1        # rank of u in eS
     elt = np.argsort(~ideal, axis=1, kind="stable")  # elt[o, rank] = u
     size = ideal.sum(axis=1)
@@ -656,7 +654,7 @@ def unit_iso_checks(presheaves) -> list:
     S, Ea = _read_site(C, "C")
     if any(P.site is not C for P in presheaves):
         raise WrongSite("unit checks in one pass need a common site")
-    size = (S.table[Ea] == np.arange(len(S))).sum(axis=1)
+    size = S.cauchy.below.sum(axis=1)
     # P joins |P(e)| * |fS| edges for each site morphism f -> e
     edges = (np.diff([P.fib_off for P in presheaves], axis=1)[:, C.cod] * size[C.dom]).sum(1)
     passes, total = [[]], 0
@@ -908,13 +906,13 @@ def i_shriek_with_maps(X: EtaleAction, site: FiniteCategory = None) -> IShriekRe
     """
     C = site if site is not None else C_of(X.sgrp)
     S, E = _read_site(C, "C", X.sgrp)
-    k, n = C.n_objects, len(X)
-    tab, act, anchor = S.table, X.base.act, X.anchor
+    k, n, F = C.n_objects, len(X), S.cauchy
+    act, anchor = X.base.act, X.anchor
     px = positions(E, anchor, lambda at: InvariantBroken(
         "an anchor is not an idempotent", witness=at[0]))
-    # morphisms x -> y of the indexing category, with their site morphisms
-    ys, ss = np.nonzero((tab[anchor] == np.arange(len(S)))
-                        & (anchor[act] == tab[S.star, np.arange(len(S))]))
+    # morphisms x -> y of the indexing category, with their site morphisms:
+    # p(y)s = s and s*s = p(ys)
+    ys, ss = np.nonzero(F.below[px] & (px[act] == F.d))
     xs = act[ys, ss]
     smor = C.mor_of(anchor[ys], ss, anchor[xs])
     order, start = C._hom_index

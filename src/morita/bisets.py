@@ -21,7 +21,6 @@ import numpy as np
 from ._util import failures, inverse_relation, positions
 from .categories import (
     C_of,
-    FiniteCategory,
     Functor,
     L_of,
     SkeletonData,
@@ -321,8 +320,7 @@ def build_bipartite_U(B: EquivalenceBiset):
     (U, S_part_objects, T_part_objects, P: L(S) -> U, Q: L(T) -> U).
     """
     Rg = build_R_semigroupoid(B)
-    U = _pair_category(Rg.table, Rg.star, Rg.names, "|",
-                       {"kind": "bipartite_U", "sgpd": Rg})
+    U = _pair_category(Rg, "|", {"kind": "bipartite_U", "sgpd": Rg})
     idem = np.array(U.extra["obj_elt"], dtype=np.int64)
     s_part, t_part = (np.array(Rg.extra[k], dtype=np.int64) for k in ("s_part", "t_part"))
 
@@ -390,9 +388,7 @@ class MoritaDecision:
     S: InverseSemigroup
     T: InverseSemigroup
     equivalent: bool
-    cauchy_S: FiniteCategory
-    cauchy_T: FiniteCategory
-    skeleton_S: SkeletonData
+    skeleton_S: SkeletonData   # C(S) is skeleton_S.incl.target
     skeleton_T: SkeletonData
     forward: Functor = None   # C(S) -> C(T) when equivalent
     backward: Functor = None
@@ -407,14 +403,9 @@ def morita_equivalent(S: InverseSemigroup, T: InverseSemigroup,
     with s*s = f and ss* = e.  One isomorphism search between them, under
     `budget` placements, decides, and its inverse gives the backward witness.
     """
-    CS, CT = C_of(S), C_of(T)
-    skS, skT = skeleton_with_maps(CS), skeleton_with_maps(CT)
-    pair = equivalence_from_skeletons(CS, skS, CT, skT, budget)
-    return MoritaDecision(
-        S, T, pair is not None, CS, CT, skS, skT,
-        None if pair is None else pair[0],
-        None if pair is None else pair[1],
-    )
+    skS, skT = skeleton_with_maps(C_of(S)), skeleton_with_maps(C_of(T))
+    pair = equivalence_from_skeletons(skS, skT, budget)
+    return MoritaDecision(S, T, pair is not None, skS, skT, *(pair or (None, None)))
 
 
 # -- exhaustive biset search (independent oracle) --------------------------------

@@ -12,13 +12,15 @@ payload of ints;
 arrays of payload columns, through `_util.positions`.  The two key
 constructions are the left-cancellative category of an inverse semigroup
 (pairs (e,s) with es=s) and the Cauchy completion (triples (e,s,f) with
-esf=s).  Equivalence of finite categories is decided through skeletons:
+esf=s), both read off the factorisation S keeps (`semigroups.cauchy`).
+Equivalence of finite categories is decided through skeletons:
 two finite categories are equivalent iff their skeletons are isomorphic,
 and the isomorphism search is a backtracking matcher with
 invariant-refinement pruning that branches only on morphisms no placed pair
 composes to.  Its inverse gives the backward witness, so each decision
 searches once.  One builder, `skeleton_with_maps`, reads the skeleton of
-any finite category off its table of isomorphisms.
+any finite category off its table of isomorphisms, and keeps it as its
+inclusion and retraction functors, which the witnesses compose.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ from .errors import (
     NotFullSubcategory,
     SourceTargetMismatch,
 )
-from .semigroups import FiniteSemigroup, InverseSemigroup, idempotents
+from .semigroups import FiniteSemigroup, InverseSemigroup
 
 
 @dataclass(eq=False)
@@ -240,20 +242,18 @@ def _table_category(objects, dom, cod, label, payload, ident, composite, extra):
     return cat
 
 
-def _pair_category(tab, star, names, sep, extra) -> FiniteCategory:
-    """Pairs (e, s) with e idempotent and es = s, from s*s to e.
+def _pair_category(T, sep, extra) -> FiniteCategory:
+    """Pairs (e, s) with e idempotent and es = s, from s*s to e, read off
+    the factorisation of an inverse semigroup or semigroupoid T.
 
-    (e, s).(f, t) = (e, st).  tab may be a partial table (-1 where
-    undefined) with unique inverses star; a composable pair whose product
-    is undefined raises InvariantBroken.
+    (e, s).(f, t) = (e, st).  T's table may be partial (-1 where
+    undefined); a composable pair whose product is undefined raises
+    InvariantBroken.
     """
-    n = len(names)
-    Ea = np.flatnonzero(np.diagonal(tab) == np.arange(n))
-    k = len(Ea)
-    obj_of = np.full(n, -1, dtype=np.int64)
-    obj_of[Ea] = np.arange(k)
+    tab, names, F = T.table, T.names, T.cauchy
+    k, n = len(F.E), len(names)
     # morphisms in (e, s) order, numbered through idx[e, s]
-    ei, s = np.nonzero(tab[Ea] == np.arange(n))
+    ei, s = np.nonzero(F.below)
     idx = np.full((k, n), -1, dtype=np.int64)
     idx[ei, s] = np.arange(len(s))
 
@@ -265,27 +265,29 @@ def _pair_category(tab, star, names, sep, extra) -> FiniteCategory:
                                   witness=(int(s[g][st < 0][0]), int(s[f][st < 0][0])))
         return idx[ei[g], st]
 
+    E = tuple(F.E.tolist())
     return _table_category(
-        tuple(names[e] for e in Ea), obj_of[tab[star[s], s]], ei,
-        lambda e, t: f"({names[e]}{sep}{names[t]})", (Ea[ei], s),
-        idx[np.arange(k), Ea], composite,
-        {**extra, "obj_elt": tuple(Ea.tolist())})
+        tuple(names[e] for e in E), F.d[s], ei,
+        lambda e, t: f"({names[e]}{sep}{names[t]})", (F.E[ei], s),
+        idx[np.arange(k), F.E], composite, {**extra, "obj_elt": E})
 
 
 def L_of(S: InverseSemigroup) -> FiniteCategory:
     """Left-cancellative category: morphisms (e,s) with es=s, from s*s to e."""
-    return _pair_category(S.table, S.star, S.names, ",", {"kind": "L", "sgrp": S})
+    return _pair_category(S, ",", {"kind": "L", "sgrp": S})
 
 
 def C_of(S: FiniteSemigroup) -> FiniteCategory:
-    """Cauchy completion: morphisms (e,s,f) with esf=s, from f to e."""
-    tab, names = S.table, S.names
-    E = idempotents(S)
-    Ea = np.array(E, dtype=np.int64)
+    """Cauchy completion: morphisms (e,s,f) with esf=s, from f to e.
+
+    esf = s exactly when es = s and sf = s (es = e.esf = esf), so the
+    triples are read off the factorisation of S, which needs no star.
+    """
+    tab, names, F = S.table, S.names, S.cauchy
+    Ea, E = F.E, tuple(F.E.tolist())
     k, n = len(E), len(S)
     # morphisms in (e, f, s) order, numbered through idx[e, f, s]
-    es = tab[Ea]
-    ei, fi, s = np.nonzero(tab[es[:, None, :], Ea[None, :, None]] == np.arange(n))
+    ei, fi, s = np.nonzero(F.below[:, None, :] & F.above[None, :, :])
     idx = np.full((k, k, n), -1, dtype=np.int64)
     idx[ei, fi, s] = np.arange(len(s))
     # (e, s, f).(f, t, d) = (e, st, d), read as idx[e, d, st] through the
@@ -296,7 +298,7 @@ def C_of(S: FiniteSemigroup) -> FiniteCategory:
         lambda e, t, f: f"({names[e]},{names[t]},{names[f]})", (Ea[ei], s, Ea[fi]),
         idx[np.arange(k), np.arange(k), Ea],
         lambda g, f: idx.ravel()[at_e[g] + at_d[f] + tab.ravel()[at_s[g] + s[f]]],
-        {"kind": "C", "sgrp": S, "obj_elt": tuple(E)})
+        {"kind": "C", "sgrp": S, "obj_elt": E})
 
 
 def _first_repeat(row, col, h, m):
@@ -384,19 +386,29 @@ def _iso_table(C: FiniteCategory) -> np.ndarray:
 
 
 @dataclass(eq=False)
+class Functor:
+    source: FiniteCategory
+    target: FiniteCategory
+    obj_map: np.ndarray
+    mor_map: np.ndarray
+
+    def __post_init__(self):
+        self.obj_map = np.ascontiguousarray(self.obj_map, dtype=np.int64)
+        self.mor_map = np.ascontiguousarray(self.mor_map, dtype=np.int64)
+
+
+@dataclass(eq=False)
 class SkeletonData:
+    """A skeleton of C kept as the equivalence that makes it one."""
     cat: FiniteCategory
-    obj_rep: np.ndarray        # C-object -> representative C-object
-    sk_of_obj: np.ndarray      # C-object -> skeleton object index
-    obj_of_sk: tuple           # skeleton object index -> C-object
-    to_rep: np.ndarray         # C-object -> iso morphism o -> rep(o)
-    from_rep: np.ndarray       # C-object -> iso morphism rep(o) -> o
-    cmor_of_smor: tuple        # skeleton morphism -> C morphism
-    smor_of_cmor: np.ndarray   # C morphism -> skeleton morphism, -1 off the skeleton
+    incl: Functor      # skeleton -> C: the representatives and the kept morphisms
+    retract: Functor   # C -> skeleton: m: a -> b to to_rep(b).m.from_rep(a)
 
 
 def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
-    """The full subcategory on the objects o with rep[o] == o.
+    """The full subcategory on the objects o with rep[o] == o, with its
+    inclusion and the retraction along the isomorphisms to_rep[o]: o -> rep o
+    and from_rep[o]: rep o -> o.
 
     A full subcategory holds the inverse of each of its isomorphisms, which
     runs between two of its objects, so it takes its isomorphism table from
@@ -423,8 +435,9 @@ def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
     partner = np.where(partner >= 0, smor[partner], -1)
     partner.setflags(write=False)
     cat._partners = partner
-    return SkeletonData(cat, rep, sk_index[rep], tuple(reps.tolist()),
-                        to_rep, from_rep, tuple(keep.tolist()), smor)
+    t = C.comp[to_rep[C.cod], np.arange(C.n_mor)]
+    t = C.comp[t, from_rep[C.dom]]
+    return SkeletonData(cat, Functor(cat, C, reps, keep), Functor(C, cat, sk_index[rep], smor[t]))
 
 
 def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
@@ -457,18 +470,6 @@ def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
 
 # -- functors -----------------------------------------------------------------
 
-@dataclass(eq=False)
-class Functor:
-    source: FiniteCategory
-    target: FiniteCategory
-    obj_map: np.ndarray
-    mor_map: np.ndarray
-
-    def __post_init__(self):
-        self.obj_map = np.ascontiguousarray(self.obj_map, dtype=np.int64)
-        self.mor_map = np.ascontiguousarray(self.mor_map, dtype=np.int64)
-
-
 def is_functor(F: Functor) -> bool:
     C, D = F.source, F.target
     om, mm = F.obj_map, F.mor_map
@@ -482,10 +483,6 @@ def is_functor(F: Functor) -> bool:
         return False
     g, f, h = C._composable
     return bool(np.all(mm.take(h) == D.comp.ravel().take(mm.take(g) * D.n_mor + mm.take(f))))
-
-
-def identity_functor(C: FiniteCategory) -> Functor:
-    return Functor(C, C, np.arange(C.n_objects), np.arange(C.n_mor))
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
@@ -811,39 +808,24 @@ def inverse_functor(F: Functor) -> Functor:
     return Functor(F.target, F.source, om, mm)
 
 
-def _extend(src, src_sk, dst_sk, iso, dst) -> Functor:
-    """src -> dst: go to the skeleton, across `iso`, and include into dst."""
-    om = np.array(dst_sk.obj_of_sk, dtype=np.int64)[iso.obj_map[src_sk.sk_of_obj]]
-    t = src.comp[src_sk.to_rep[src.cod], np.arange(src.n_mor)]
-    t = src.comp[t, src_sk.from_rep[src.dom]]
-    smor = iso.mor_map[src_sk.smor_of_cmor[t]]
-    mm = np.array(dst_sk.cmor_of_smor, dtype=np.int64)[smor]
-    return Functor(src, dst, om, mm)
-
-
-def equivalence_from_skeletons(C: FiniteCategory, skC: SkeletonData,
-                               D: FiniteCategory, skD: SkeletonData,
+def equivalence_from_skeletons(skC: SkeletonData, skD: SkeletonData,
                                budget: int = DEFAULT_BUDGET):
-    """Weak equivalences C -> D and D -> C through the given skeletons, or None.
+    """Weak equivalences C -> D and D -> C through skeletons of each, or None.
 
-    One isomorphism search between the skeletons, under `budget` placements;
-    the backward witness extends its inverse.
+    One isomorphism search phi between the skeletons, under `budget`
+    placements; the witnesses are incl_D . phi . retract_C and
+    incl_C . phi^-1 . retract_D.
     """
     phi = categories_isomorphic(skC.cat, skD.cat, budget)
     if phi is None:
         return None
-    return (_extend(C, skC, skD, phi, D),
-            _extend(D, skD, skC, inverse_functor(phi), C))
+    return (compose_functors(skD.incl, compose_functors(phi, skC.retract)),
+            compose_functors(skC.incl, compose_functors(inverse_functor(phi), skD.retract)))
 
 
 def categories_equivalent(C: FiniteCategory, D: FiniteCategory):
-    """Weak equivalences both ways, or None.
-
-    Equivalence is decided on skeletons; the witness functors extend the
-    skeleton isomorphism along the chosen isomorphisms to representatives.
-    """
-    return equivalence_from_skeletons(C, skeleton_with_maps(C),
-                                      D, skeleton_with_maps(D))
+    """Weak equivalences both ways, or None, decided on skeletons."""
+    return equivalence_from_skeletons(skeleton_with_maps(C), skeleton_with_maps(D))
 
 
 # -- pullbacks and the span category -----------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     NotUnique,
     UndefinedPseudoproduct,
 )
-from .semigroups import InverseSemigroup, natural_order
+from .semigroups import InverseSemigroup, cauchy, natural_order
 
 
 @dataclass(eq=False)
@@ -73,10 +73,13 @@ class OrderedGroupoid:
 
     @cached_property
     def cat(self) -> FiniteCategory:
-        """The underlying category, over the same read-only arrays."""
-        return FiniteCategory(self.objects, self.arrows, self.dom, self.cod,
-                              self.comp, self.identity,
-                              {"kind": "groupoid", "gpd": self})
+        """The underlying category, over the same read-only arrays, with `inv`
+        as its isomorphism table: that needs the inverse laws, which every G
+        built here has, from an inverse table or by `_order_violations`."""
+        C = FiniteCategory(self.objects, self.arrows, self.dom, self.cod,
+                           self.comp, self.identity, {"kind": "groupoid", "gpd": self})
+        C._partners = self.inv
+        return C
 
     # Restrictions and meets are read from tables built once per groupoid;
     # the arrays they come from are read-only.
@@ -180,7 +183,7 @@ def _order_violations(G: OrderedGroupoid) -> list:
 
 def inductive_groupoid_of(S: InverseSemigroup) -> OrderedGroupoid:
     """Arrows are the elements, composition is the restricted product."""
-    return _ordered_groupoid(S.names, S.table, S.star, {"kind": "inductive", "sgrp": S})
+    return _ordered_groupoid(S, {"kind": "inductive", "sgrp": S})
 
 
 def restriction(G: OrderedGroupoid, e: int, g: int) -> int:
@@ -418,6 +421,11 @@ class InverseSemigroupoid:
     def __len__(self):
         return len(self.names)
 
+    @cached_property
+    def cauchy(self):
+        """`semigroups.cauchy` of the table, derived once: it is read-only."""
+        return cauchy(self.table, self.star)
+
     def __repr__(self):
         return f"InverseSemigroupoid(n={len(self)})"
 
@@ -458,32 +466,25 @@ def semigroupoid_violations(names, table) -> list:
     return bad
 
 
-def _ordered_groupoid(names, tab, star, extra) -> OrderedGroupoid:
+def _ordered_groupoid(T, extra) -> OrderedGroupoid:
     """Restricted product plus the natural partial order s <= t iff s = t(s*s).
 
-    tab is a total or partial (-1 where undefined) table with unique
-    inverses star; the idempotents are the objects.
+    T is an inverse semigroup or semigroupoid, its table total or partial
+    (-1 where undefined); the idempotents are the objects, and each s runs
+    from s*s to ss*, as T's factorisation gives them.
     """
-    n = len(names)
-    ar = np.arange(n)
-    idem = np.flatnonzero(np.diagonal(tab) == ar)
-    obj_of = np.full(n, -1, dtype=np.int64)
-    obj_of[idem] = np.arange(len(idem))
-    rr = tab[star, ar]                       # s*s
-    ss = tab[ar, star]                       # ss*
-    dom, cod = obj_of[rr], obj_of[ss]
-    composable = rr[:, None] == ss[None, :]
+    tab, F = T.table, T.cauchy
+    composable = F.d[:, None] == F.r[None, :]
     missing = np.argwhere(composable & (tab < 0))
     if missing.size:
         a, b = map(int, missing[0])
         raise NotInverseSemigroupoid(
             f"restricted product undefined at ({a},{b})", witness=(a, b))
     comp = np.where(composable, tab, -1)
-    leq = natural_order(tab, star)
-    obj_leq = tab[np.ix_(idem, idem)].T == idem[:, None]   # [e, f]: fe = e
+    obj_leq = F.below[:, F.E].T                  # [e, f]: fe = e
     return OrderedGroupoid(
-        tuple(names[e] for e in idem), obj_leq, names, dom, cod, comp,
-        star.copy(), idem, leq, extra,
+        tuple(T.names[e] for e in F.E), obj_leq, T.names, F.d, F.r, comp,
+        T.star.copy(), F.E, natural_order(tab, T.star), extra,
     )
 
 
@@ -496,8 +497,7 @@ def ordered_groupoid_of(R: InverseSemigroupoid) -> OrderedGroupoid:
     e = e* is the identity at e, as g(g*g) = g = (gg*)g; (gf)* = f*g* puts
     gf between f*f and gg*; associativity is R's, on a subset of its triples.
     """
-    G = _ordered_groupoid(R.names, R.table, R.star,
-                          {"kind": "of_semigroupoid", "sgpd": R})
+    G = _ordered_groupoid(R, {"kind": "of_semigroupoid", "sgpd": R})
     bad = _order_violations(G)
     if bad:
         raise NotInverseSemigroupoid("ordered groupoid invariants fail: " + bad[0])

@@ -6,6 +6,7 @@ All structures are immutable after construction and every operation here
 is pure.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
@@ -49,6 +50,11 @@ class FiniteSemigroup:
         return self.names.index(name)
 
     @cached_property
+    def cauchy(self):
+        """`cauchy(self.table)`, derived once: the table is read-only."""
+        return cauchy(self.table)
+
+    @cached_property
     def _local_unit_flags(self):
         """`local_unit_flags(self)`, computed once: the table is read-only."""
         return _unit_flags(self)
@@ -72,6 +78,11 @@ class InverseSemigroup(FiniteSemigroup):
     def inv(self, s: int) -> int:
         return int(self.star[s])
 
+    @cached_property
+    def cauchy(self):
+        """`cauchy(self.table, self.star)`, with d and r, derived once."""
+        return cauchy(self.table, self.star)
+
 
 def assoc_witness(S: FiniteSemigroup):
     """First triple (i, j, k) with (ij)k != i(jk), or None.
@@ -92,15 +103,33 @@ def _action_law_witness(act, table):
                          lambda r: act[act[r]] != act[r][:, table]), None)
 
 
+Factorisation = namedtuple("Factorisation", "E obj below above d r", defaults=(None, None))
+
+
+def cauchy(tab, star=None) -> Factorisation:
+    """The factorisation of a table, total or partial (-1 where undefined),
+    behind its Cauchy completion C(S), the splitting of its idempotents.
+
+    E holds the idempotents ascending, the objects of L, C and G; obj[s] is
+    the object of s, or -1 off E; below[o, s] says E[o]s = s, so row o is
+    the ideal E[o]S, and above[o, s] says sE[o] = s.  Given the unique
+    inverses star, d[s] and r[s] are the objects of s*s and ss*.  Every
+    array is read-only, so a structure keeps one copy.
+    """
+    ar = np.arange(len(tab))
+    E = np.flatnonzero(np.diagonal(tab) == ar)
+    obj = np.full(len(tab), -1, dtype=np.int64)
+    obj[E] = np.arange(len(E))
+    fields = [E, obj, tab[E] == ar, tab[:, E].T == ar]
+    if star is not None:
+        fields += [obj[tab[star, ar]], obj[tab[ar, star]]]
+    for a in fields:
+        a.setflags(write=False)
+    return Factorisation(*fields)
+
+
 def idempotents(S: FiniteSemigroup) -> list:
-    n = len(S)
-    d = S.table[np.arange(n), np.arange(n)]
-    return [int(e) for e in np.flatnonzero(d == np.arange(n))]
-
-
-def inverses_of(S: FiniteSemigroup, s: int) -> list:
-    """All t with sts = s and tst = t, sorted."""
-    return np.flatnonzero(inverse_relation(S.table)[s]).tolist()
+    return S.cauchy.E.tolist()
 
 
 def as_inverse(S: FiniteSemigroup) -> InverseSemigroup:
@@ -183,15 +212,14 @@ def local_unit_flags(S: FiniteSemigroup) -> LocalUnitFlags:
 
 
 def _unit_flags(S: FiniteSemigroup) -> LocalUnitFlags:
-    n = len(S)
-    E = idempotents(S)
-    full = np.arange(n)
-    SE = _product_set(S.table, full, E)
-    ES = _product_set(S.table, E, full)
-    right = SE.size == n
-    left = ES.size == n
-    SES = _product_set(S.table, SE, full)
-    return LocalUnitFlags(right, left, right and left, SES.size == n)
+    """s = te gives se = s, so SE(S) is the s with se = s for some e: the
+    columns of `above` that hold a True; E(S)S likewise from `below`."""
+    F = S.cauchy
+    SE = np.flatnonzero(F.above.any(axis=0))
+    right = SE.size == len(S)
+    left = bool(F.below.any(axis=0).all())
+    SES = _product_set(S.table, SE, np.arange(len(S)))
+    return LocalUnitFlags(right, left, right and left, SES.size == len(S))
 
 
 def _member_mask(n, subset):
@@ -226,11 +254,10 @@ def is_locally_E_unitary(S: InverseSemigroup) -> bool:
     Checks: for all e in E(S), s with ese = s, and idempotent d in eSe
     with d <= s, s must itself be idempotent.
     """
-    tab = S.table
-    ar, E = np.arange(len(S)), np.array(idempotents(S), dtype=np.int64)
-    local = tab[tab[E], E[:, None]] == ar                 # [e, s]: ese = s
-    below = local[:, E] @ natural_order(tab, S.star)[E]   # [e, s]: some d <= s in eSe
-    return not (local & below & (np.diagonal(tab) != ar)).any()
+    F = S.cauchy
+    local = F.below & F.above                                    # [e, s]: ese = s
+    low = local[:, F.E] @ natural_order(S.table, S.star)[F.E]    # [e, s]: some d <= s in eSe
+    return not (local & low & (F.obj < 0)).any()
 
 
 def restrict(S: FiniteSemigroup, subset):

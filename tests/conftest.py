@@ -93,3 +93,27 @@ def numbering_cases():
             + random_inverse_subsemigroups(16, 30))
     return base + [random_relabelling(S, rng) for S in base]
 
+
+
+@pytest.fixture(scope="session")
+def starless_tables():
+    """Associative tables given with no star: every associative table on one
+    to three elements (122, most of them not inverse), and the builtin corpus
+    as plain FiniteSemigroups."""
+    from itertools import product
+
+    import numpy as np
+
+    from morita.corpus import builtin_corpus
+    from morita.semigroups import FiniteSemigroup
+
+    out = []
+    for n in (1, 2, 3):
+        tabs = np.array(list(product(range(n), repeat=n * n))).reshape(-1, n, n)
+        i, ar = np.arange(len(tabs))[:, None, None, None], np.arange(n)
+        ab_c = tabs[i, tabs[:, :, :, None], ar]                # [t, a, b, c]: (ab)c
+        a_bc = tabs[i, ar[:, None, None], tabs[:, None, :, :]]  # a(bc)
+        out += [FiniteSemigroup(tuple(str(a) for a in range(n)), t)
+                for t in tabs[(ab_c == a_bc).all(axis=(1, 2, 3))]]
+    out += [FiniteSemigroup(S.names, S.table) for _name, S in builtin_corpus()]
+    return out

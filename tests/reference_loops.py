@@ -66,6 +66,8 @@ from morita.groupoids import (
 from morita.semigroups import (
     FiniteSemigroup,
     InverseSemigroup,
+    LocalUnitFlags,
+    _product_set,
     as_inverse,
     assoc_witness,
     idempotents,
@@ -298,7 +300,9 @@ def loop_iso_table(C: FiniteCategory) -> np.ndarray:
 
 def loop_skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
     """skeleton_with_maps by a union loop over the isomorphisms and a scan of
-    hom(o, rep o) for each object."""
+    hom(o, rep o) for each object; the inclusion and the retraction
+    m: a -> b to to_rep(b).m.from_rep(a) are filled one object and one
+    morphism at a time."""
     partner = iso_partner(C)
     n = C.n_objects
     rep = np.arange(n)
@@ -325,7 +329,15 @@ def loop_skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
         if to_rep[o] < 0:
             raise IsomorphismChainBroken("object class without connecting isomorphism",
                                          witness=(o, r))
-    return _skeleton_data(C, rep, to_rep, from_rep)
+    sk = _skeleton_data(C, rep, to_rep, from_rep).cat
+    reps = [o for o in range(n) if rep[o] == o]
+    keep = [m for m in range(C.n_mor) if C.dom[m] in reps and C.cod[m] in reps]
+    retract = []
+    for m in range(C.n_mor):
+        a, b = int(C.dom[m]), int(C.cod[m])
+        retract.append(keep.index(C.compose(C.compose(int(to_rep[b]), m), int(from_rep[a]))))
+    return SkeletonData(sk, Functor(sk, C, reps, keep),
+                        Functor(C, sk, [reps.index(int(rep[o])) for o in range(n)], retract))
 
 
 def _intern(rows) -> np.ndarray:
@@ -1811,6 +1823,37 @@ def loop_enlargement_identities(table, A) -> tuple:
         return {int(table[x, y]) for x in X for y in Y if table[x, y] >= 0}
 
     return products(products(A, T), A) == A, products(products(T, A), T) == T
+
+
+def loop_cauchy(table, star=None) -> dict:
+    """The fields of `semigroups.cauchy`, one cell at a time: E, obj, below
+    and above, and d and r given star (None without)."""
+    t = np.asarray(table).tolist()
+    n = len(t)
+    E = [e for e in range(n) if t[e][e] == e]
+    obj = [E.index(s) if s in E else -1 for s in range(n)]
+    out = {"E": np.array(E, dtype=np.int64), "obj": np.array(obj, dtype=np.int64),
+           "below": np.array([[t[e][s] == s for s in range(n)] for e in E],
+                             dtype=bool).reshape(len(E), n),
+           "above": np.array([[t[s][e] == s for s in range(n)] for e in E],
+                             dtype=bool).reshape(len(E), n),
+           "d": None, "r": None}
+    if star is not None:
+        out["d"] = np.array([obj[t[star[s]][s]] for s in range(n)], dtype=np.int64)
+        out["r"] = np.array([obj[t[s][star[s]]] for s in range(n)], dtype=np.int64)
+    return out
+
+
+def loop_unit_flags(S: FiniteSemigroup) -> LocalUnitFlags:
+    """`local_unit_flags` as product sets: SE(S), E(S)S and SE(S)S."""
+    n = len(S)
+    E = [e for e in range(n) if S.table[e, e] == e]
+    full = np.arange(n)
+    SE = _product_set(S.table, full, E)
+    right = SE.size == n
+    left = _product_set(S.table, E, full).size == n
+    return LocalUnitFlags(right, left, right and left,
+                          _product_set(S.table, SE, full).size == n)
 
 
 def loop_restrict(S: FiniteSemigroup, subset):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from morita.categories import (
     check_morita_context,
     check_weak_equivalence,
     compose_functors,
-    identity_functor,
     idempotents_split,
     is_bipartite,
     is_functor,
@@ -65,6 +65,7 @@ from morita.groupoids import (
 from morita.semigroups import (
     InverseSemigroup,
     brandt,
+    cauchy,
     cyclic_group,
     group_with_zero,
     idempotents,
@@ -285,13 +286,11 @@ def test_equivalence_relation_properties(b12, b13, chain2):
 
 def test_weak_equivalence_checks(b12):
     C = C_of(b12)
-    assert check_weak_equivalence(identity_functor(C))
-    # the skeleton inclusion is a weak equivalence
+    assert check_weak_equivalence(Functor(C, C, np.arange(C.n_objects), np.arange(C.n_mor)))
+    # the skeleton inclusion and retraction are weak equivalences
     sk = skeleton_with_maps(C)
-    incl = Functor(sk.cat, C,
-                   np.array(sk.obj_of_sk, dtype=np.int64),
-                   np.array(sk.cmor_of_smor, dtype=np.int64))
-    assert check_weak_equivalence(incl)
+    assert check_weak_equivalence(sk.incl)
+    assert check_weak_equivalence(sk.retract)
     # L(S) -> C(S), (e,s) -> (e,s,s*s): functor but not full for B(1,2)
     L = L_of(b12)
     e, s = L._payload_array.T
@@ -300,6 +299,30 @@ def test_weak_equivalence_checks(b12):
     incl = Functor(L, C, om, mm)
     assert is_functor(incl)
     assert not check_weak_equivalence(incl)
+
+
+def test_the_retraction_records_the_chosen_isomorphisms():
+    # C(B(C_2, 2)) has two isomorphisms from the object (2,2) to its
+    # representative (1,1); along either, the skeleton has the same category
+    # and inclusion, and a retraction of its own that is a weak equivalence
+    C = C_of(brandt(cyclic_group(2), 2))
+    sk = skeleton_with_maps(C)
+    rep = sk.incl.obj_map[sk.retract.obj_map]
+    is_rep = rep == np.arange(C.n_objects)
+    (o,) = np.flatnonzero(~is_rep)
+    partner = _iso_table(C)
+    isos = [m for m in C.hom(int(o), int(rep[o])) if partner[m] >= 0]
+    assert len(isos) == 2
+    retracts = []
+    for m in isos:
+        other = _skeleton_data(C, rep, np.where(is_rep, C.identity, m),
+                               np.where(is_rep, C.identity, partner[m]))
+        assert np.array_equal(other.cat.comp, sk.cat.comp)
+        assert np.array_equal(other.incl.mor_map, sk.incl.mor_map)
+        assert check_weak_equivalence(other.retract)
+        retracts.append(other.retract.mor_map)
+    assert np.array_equal(retracts[0], sk.retract.mor_map)
+    assert not np.array_equal(retracts[0], retracts[1])
 
 
 def _all_functors(C, D):
@@ -324,10 +347,11 @@ def test_weak_equivalence_matches_the_loop(chain2, b12):
     # each breaks one property: faithful, full, essentially surjective
     G1, G2 = C_of(cyclic_group(1)), C_of(cyclic_group(2))
     C = C_of(chain2)
-    top = _skeleton_data(C, np.zeros(2, dtype=np.int64), None, None)   # full on object 0
+    # C(C_1) onto the zero of C(chain2), object 1: full and faithful, and
+    # object 0 has no isomorphism to it
     broken = [Functor(G2, G1, [0], [0, 0]),
               Functor(G1, G2, [0], G2.identity),
-              Functor(top.cat, C, top.obj_of_sk, top.cmor_of_smor)]
+              Functor(G1, C, [1], [int(C.identity[1])])]
     # not faithful on a hom-set as large as its image's, so not full either
     broken.append(Functor(G2, G2, [0], [int(G2.identity[0])] * 2))
     assert all(map(is_functor, broken))
@@ -343,7 +367,7 @@ def test_weak_equivalence_matches_the_loop(chain2, b12):
 
 def test_morita_context_endpoint_check(b12):
     C = C_of(b12)
-    F = identity_functor(C)
+    F = Functor(C, C, np.arange(C.n_objects), np.arange(C.n_mor))
     assert check_morita_context(C, C, C, F, F)
     with pytest.raises(SourceTargetMismatch):
         check_morita_context(C, C, C_of(cyclic_group(2)), F, F)
@@ -456,6 +480,15 @@ def assert_same_category(A, B):
     assert np.array_equal(A.mor_of(*B._payload_array.T), np.arange(B.n_mor))
 
 
+def test_C_of_a_table_with_no_star_matches_the_loop(starless_tables):
+    # C(S) reads only the star-free fields of the factorisation, so it is
+    # built for any associative table
+    for S in starless_tables:
+        C, ref = C_of(S), reference_C_of(S)
+        assert_same_category(C, ref)
+        assert C.extra == ref.extra
+
+
 def _ideal_inclusion(G):
     """The inclusion of the full ordered subgroupoid on the objects below the
     middle one: an order ideal, so it keeps restrictions and meets."""
@@ -474,16 +507,23 @@ def assert_same_biset(A, B):
 
 
 def assert_same_skeleton(C):
-    """skeleton_with_maps(C) equals its loop form field for field; returns it."""
+    """skeleton_with_maps(C) equals its loop form field for field, with its
+    inclusion and retraction; returns it.
+
+    The retraction sends an isomorphism m: rep o -> o to to_rep(o).m, which
+    differs for each choice of to_rep(o), so comparing it compares to_rep
+    and from_rep.
+    """
     fast, ref = skeleton_with_maps(C), loop_skeleton_with_maps(C)
     for name in ("objects", "mor_labels", "dom", "cod", "comp", "identity"):
         assert np.array_equal(getattr(fast.cat, name), getattr(ref.cat, name)), name
     assert fast.cat.extra == ref.cat.extra
-    for name in ("obj_rep", "sk_of_obj", "to_rep", "from_rep", "smor_of_cmor"):
-        a, b = getattr(fast, name), getattr(ref, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert fast.obj_of_sk == ref.obj_of_sk
-    assert fast.cmor_of_smor == ref.cmor_of_smor
+    assert fast.incl.source is fast.cat is fast.retract.target
+    assert fast.incl.target is C is fast.retract.source
+    for F, G in ((fast.incl, ref.incl), (fast.retract, ref.retract)):
+        for name in ("obj_map", "mor_map"):
+            a, b = getattr(F, name), getattr(G, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
     return fast
 
 
@@ -852,12 +892,15 @@ def test_pair_category_names_the_first_missing_composite_by_middle_object():
             missing = [(mors[g][1], mors[f][1], dom[g], g)
                        for g in range(len(mors)) for f in range(len(mors))
                        if dom[g] == cod[f] and partial[mors[g][1], mors[f][1]] < 0]
+            # the partial table, held as `_pair_category` reads a structure
+            T = SimpleNamespace(names=S.names, table=partial, star=star,
+                                cauchy=cauchy(partial, star))
             if not missing:
-                _pair_category(partial, star, S.names, ",", {})
+                _pair_category(T, ",", {})
                 continue
             want = min(missing, key=lambda w: (w[2], w[3]))
             with pytest.raises(InvariantBroken) as exc:
-                _pair_category(partial, star, S.names, ",", {})
+                _pair_category(T, ",", {})
             assert exc.value.witness == want[:2]
             differs += want != missing[0]
     assert differs

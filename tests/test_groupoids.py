@@ -214,7 +214,7 @@ def test_an_inverse_semigroupoid_orders_a_category(local_submonoid_bisets):
             table[p[:, None], p[None, :]] = np.where(sub >= 0, new[sub], -1)
             names = tuple(str(i) for i in range(len(keep)))
             Rsub = InverseSemigroupoid(names, table)
-            G = _ordered_groupoid(names, Rsub.table, Rsub.star, {})
+            G = _ordered_groupoid(Rsub, {})
             assert check_category(G.cat) == []
             seen.add((len(keep), table.tobytes()))
     assert len(seen) >= 100 and len({n for n, _ in seen}) >= 10

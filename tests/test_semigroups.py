@@ -4,8 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from morita._util import inverse_relation
 from morita.bisets import biset_from_regular_enlargement, build_R_semigroupoid
-from morita.corpus import builtin_corpus
+from morita.corpus import builtin_corpus, random_inverse_subsemigroups, seeded_mutants
 from morita.errors import (
     IdempotentsDontCommute,
     MoritaError,
@@ -25,7 +26,6 @@ from morita.semigroups import (
     enlargement_identities,
     group_with_zero,
     idempotents,
-    inverses_of,
     is_locally_E_unitary,
     is_semigroup_enlargement,
     is_subsemigroup,
@@ -35,7 +35,7 @@ from morita.semigroups import (
     subsemigroup_closure,
     symmetric_inverse_monoid,
 )
-from reference_loops import loop_enlargement_identities
+from reference_loops import loop_cauchy, loop_enlargement_identities, loop_unit_flags
 
 
 def brute_force_assoc(table):
@@ -119,13 +119,14 @@ def test_inverses_of_rectangular_band():
     table = [[pos[(elems[a][0], elems[b][1])] for b in range(4)] for a in range(4)]
     S = FiniteSemigroup(tuple(map(str, elems)), np.array(table))
     for s in range(4):
-        assert inverses_of(S, s) == brute_force_inverses(table, s)
-        assert len(inverses_of(S, s)) == 4
+        inverses = np.flatnonzero(inverse_relation(S.table)[s]).tolist()
+        assert inverses == brute_force_inverses(table, s)
+        assert len(inverses) == 4
 
 
 def test_inverses_of_cyclic3():
     C3 = cyclic_group(3)
-    assert inverses_of(C3, 1) == [2]
+    assert np.flatnonzero(inverse_relation(C3.table)[1]).tolist() == [2]
 
 
 def test_natural_leq(b12, chain2):
@@ -192,6 +193,39 @@ def test_local_unit_flags(small_corpus):
     assert not flags.right_local_units and not flags.sandwich
     # computed once per semigroup: the table is read-only
     assert local_unit_flags(null) is flags
+
+
+def test_the_factorisation_matches_the_loop(local_submonoid_bisets, starless_tables):
+    # E, obj, below and above of every table, and d and r where it has a
+    # star: inverse semigroups, the partial tables of R(S,T;X), and
+    # associative tables with no star, whose d and r are None
+    inverse = [S for _name, S in builtin_corpus()] + random_inverse_subsemigroups(27, 20)
+    inverse += [brandt(cyclic_group(g), n) for g in (1, 2, 3) for n in (1, 2, 3, 4)]
+    inverse += [build_R_semigroupoid(B) for B in local_submonoid_bisets]
+    for T in inverse + starless_tables:
+        F, ref = T.cauchy, loop_cauchy(T.table, getattr(T, "star", None))
+        assert F._fields == tuple(ref) and T.cauchy is F
+        for name, want in ref.items():
+            got = getattr(F, name)
+            if want is None:
+                assert got is None, name
+            else:
+                assert not got.flags.writeable, name
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert sum(T.cauchy.d is None for T in starless_tables) == len(starless_tables) >= 139
+    assert any((T.table < 0).any() for T in inverse)
+
+
+def test_unit_flags_match_the_product_sets(starless_tables):
+    # SE(S) = S read off the columns of `above`, E(S)S = S off `below`,
+    # against the product sets, on associative tables with no star and on
+    # one-cell mutants that are no semigroup
+    seen = set()
+    for S in starless_tables + [M for _name, M, _cell in seeded_mutants(9, 300)]:
+        flags = local_unit_flags(S)
+        assert flags == loop_unit_flags(S)
+        seen.add((flags.right_local_units, flags.left_local_units, flags.sandwich))
+    assert len(seen) >= 4
 
 
 def test_enlargement_identity_case():

@@ -484,3 +484,71 @@ def test_the_product_set_guard_sees_the_code_it_replaced():
            "names = sorted(set(points))\n"
            "u = pd.unique(values)\n")
     assert _unique_calls(ast.parse(new)) == []
+
+
+def _is_idempotent_test(node) -> bool:
+    """np.diagonal(t) == ...: the idempotents of a table t, read off its
+    diagonal; a category's `comp` holds idempotent endomorphisms, not the
+    idempotents of a semigroup, and is left out."""
+    if not (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq)
+            and isinstance(node.left, ast.Call) and node.left.args):
+        return False
+    func = node.left.func
+    return (getattr(func, "attr", None) == "diagonal"
+            and getattr(func.value, "id", None) in ("np", "numpy")
+            and not _is_comp(node.left.args[0]))
+
+
+def test_the_idempotents_of_a_table_are_found_once():
+    # semigroups.cauchy derives E(S), with s*s, ss*, eS and Se, once per
+    # structure, and every construction reads it; the checks that run
+    # before a star exists (as_inverse, semigroupoid_violations) are the
+    # only other readers of a table's diagonal
+    src = Path(morita.__file__).parent
+    found = {f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
+             for fn, _line in _functions_where(ast.parse(path.read_text(encoding="utf-8")),
+                                               _is_idempotent_test)}
+    assert found == {"semigroups.cauchy", "semigroups.as_inverse",
+                     "groupoids.semigroupoid_violations"}
+
+
+def test_the_idempotent_guard_sees_the_code_it_replaced():
+    old = ("def _pair_category(tab, star, names, sep, extra):\n"
+           "    Ea = np.flatnonzero(np.diagonal(tab) == np.arange(n))\n"
+           "def _ordered_groupoid(names, tab, star, extra):\n"
+           "    idem = np.flatnonzero(np.diagonal(tab) == ar)\n")
+    assert _functions_where(ast.parse(old), _is_idempotent_test) == [
+        ("_pair_category", 2), ("_ordered_groupoid", 4)]
+    # a category's idempotent endomorphisms, and the elements off E(S), are no such test
+    new = ("idem = (C.dom == C.cod) & (np.diagonal(C.comp) == ar)\n"
+           "off = np.diagonal(tab) != ar\n"
+           "E = S.cauchy.E\n")
+    assert _functions_where(ast.parse(new), _is_idempotent_test) == []
+
+
+def _is_skeleton_field_read(node) -> bool:
+    """A definition of `_extend`, or a read of some to_rep or from_rep."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name == "_extend"
+    return getattr(node, "id", getattr(node, "attr", None)) in ("to_rep", "from_rep")
+
+
+def test_a_skeleton_is_read_through_its_functors():
+    # a skeleton is kept as its inclusion and retraction, and the witnesses
+    # of an equivalence compose them; the isomorphisms to the
+    # representatives are read only where the skeleton is built
+    src = Path(morita.__file__).parent / "categories.py"
+    found = {fn for fn, _line in _functions_where(ast.parse(src.read_text(encoding="utf-8")),
+                                                  _is_skeleton_field_read)}
+    assert found == {"skeleton_with_maps", "_skeleton_data"}
+
+
+def test_the_skeleton_guard_sees_the_code_it_replaced():
+    old = ("def _extend(src, src_sk, dst_sk, iso, dst):\n"
+           "    t = src.comp[src_sk.to_rep[src.cod], np.arange(src.n_mor)]\n"
+           "    t = src.comp[t, src_sk.from_rep[src.dom]]\n")
+    assert _functions_where(ast.parse(old), _is_skeleton_field_read) == [
+        ("_extend", 1), ("_extend", 2), ("_extend", 3)]
+    new = ("def equivalence_from_skeletons(skC, skD, budget):\n"
+           "    return compose_functors(skD.incl, compose_functors(phi, skC.retract))\n")
+    assert _functions_where(ast.parse(new), _is_skeleton_field_read) == []
