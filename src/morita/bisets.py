@@ -8,7 +8,8 @@ seven compatibility axioms (M1)-(M7).  This module can
   * extract a biset from a regular joint enlargement,
   * build the bipartite category [L(S), L(T)] and the intermediate
     inverse semigroupoid from a biset, and convert back,
-  * decide Morita equivalence through the Cauchy completions, and
+  * decide Morita equivalence through skeletons of the Cauchy
+    completions, read off S and T without building C(S) or C(T), and
   * search exhaustively for a biset of bounded size (the independent
     oracle for the decision procedure).
 """
@@ -21,15 +22,20 @@ import numpy as np
 from ._util import failures, inverse_relation, positions
 from .categories import (
     C_of,
+    FiniteCategory,
     Functor,
     L_of,
     SkeletonData,
+    _cauchy_category,
     _pair_category,
+    _representatives,
+    _skeleton_data,
     check_morita_context,
-    equivalence_from_skeletons,
+    categories_isomorphic,
     is_bipartite,
+    is_functor,
     is_left_cancellative,
-    skeleton_with_maps,
+    skeleton_witnesses,
 )
 from .errors import (
     AssociativityFailure,
@@ -384,28 +390,145 @@ def biset_from_ordered_enlargement(G: OrderedGroupoid, S: InverseSemigroup,
 # -- the decision procedure ------------------------------------------------------
 
 @dataclass(eq=False)
+class CauchySkeleton:
+    """A skeleton of C(S) read off S: the full subcategory on the least
+    idempotent of each D-class.  For each object o of C(S), rep[o] is the
+    object of its class in the skeleton and to_rep[o] is an element s with
+    s*s = E[o] and ss* = E[rep o], an isomorphism o -> rep o of C(S)."""
+    cat: FiniteCategory
+    rep: np.ndarray
+    to_rep: np.ndarray
+
+
+def cauchy_skeleton(S: InverseSemigroup) -> CauchySkeleton:
+    """The skeleton of C(S), built from S alone.
+
+    An isomorphism f -> e of C(S) is an s with s*s = f and ss* = e, so the
+    isomorphism classes of objects are the D-classes of E(S): `rep` joins
+    the objects of s*s and ss* over every s, and names each class by its
+    least idempotent.  to_rep[o] is the least s from o to rep o, the least
+    isomorphism of hom(o, rep o) in C(S)'s numbering, and E[o], the
+    identity, on a representative.  The category is C(S)'s triple
+    enumeration restricted to the representatives.
+    """
+    F = S.cauchy
+    rep, to_rep = _representatives(len(F.E), F.d, F.r, np.arange(len(S)), F.E)
+    reps = np.flatnonzero(rep == np.arange(len(F.E)))
+    return CauchySkeleton(_cauchy_category(S, reps, "skeleton"), rep, to_rep)
+
+
+def _skeleton_maps(S: InverseSemigroup, sk: CauchySkeleton) -> SkeletonData:
+    """The skeleton on sk's representatives cut out of C(S), built here, with
+    its inclusion and retraction: to_rep[o] = t is the morphism
+    (E[rep o], t, E[o]), and (E[o], t*, E[rep o]) its inverse."""
+    C, E, t = C_of(S), S.cauchy.E, sk.to_rep
+    r = E[sk.rep]
+    return _skeleton_data(C, sk.rep, C.mor_of(r, t, E), C.mor_of(E, S.star[t], r))
+
+
+@dataclass(eq=False)
 class MoritaDecision:
+    """A decision, made of the two skeletons read off S and T and an
+    isomorphism phi between them (None when there is none).
+
+    The witnesses C(S) -> C(T) and back are the skeletons' inclusions and
+    retractions composed with phi; they build C(S) and C(T), on first read.
+    """
     S: InverseSemigroup
     T: InverseSemigroup
-    equivalent: bool
-    skeleton_S: SkeletonData   # C(S) is skeleton_S.incl.target
-    skeleton_T: SkeletonData
-    forward: Functor = None   # C(S) -> C(T) when equivalent
-    backward: Functor = None
+    skeleton_S: CauchySkeleton
+    skeleton_T: CauchySkeleton
+    phi: Functor = None
+
+    @property
+    def equivalent(self) -> bool:
+        return self.phi is not None
+
+    @cached_property
+    def _witnesses(self):
+        if self.phi is None:
+            return None, None
+        # the skeletons cut out of C(S) and C(T) number their morphisms as
+        # the ones read off S and T do, so phi carries over as it is
+        skS, skT = _skeleton_maps(self.S, self.skeleton_S), _skeleton_maps(self.T, self.skeleton_T)
+        return skeleton_witnesses(skS, skT, Functor(skS.cat, skT.cat, self.phi.obj_map,
+                                                    self.phi.mor_map))
+
+    @property
+    def forward(self) -> Functor:
+        """C(S) -> C(T) when equivalent."""
+        return self._witnesses[0]
+
+    @property
+    def backward(self) -> Functor:
+        """C(T) -> C(S) when equivalent."""
+        return self._witnesses[1]
 
 
 def morita_equivalent(S: InverseSemigroup, T: InverseSemigroup,
                       budget: int = DEFAULT_BUDGET) -> MoritaDecision:
     """Decide Morita equivalence through the Cauchy completions.
 
-    Each skeleton is built once by `skeleton_with_maps`: its objects are
-    one idempotent per D-class, since an isomorphism f -> e of C(S) is an s
-    with s*s = f and ss* = e.  One isomorphism search between them, under
-    `budget` placements, decides, and its inverse gives the backward witness.
+    S ~ T exactly when C(S) and C(T) are equivalent, that is when their
+    skeletons are isomorphic.  Each skeleton is read off its semigroup by
+    `cauchy_skeleton`, so no C(S) is built; one isomorphism search between
+    them, under `budget` placements, decides.
     """
-    skS, skT = skeleton_with_maps(C_of(S)), skeleton_with_maps(C_of(T))
-    pair = equivalence_from_skeletons(skS, skT, budget)
-    return MoritaDecision(S, T, pair is not None, skS, skT, *(pair or (None, None)))
+    skS, skT = cauchy_skeleton(S), cauchy_skeleton(T)
+    return MoritaDecision(S, T, skS, skT, categories_isomorphic(skS.cat, skT.cat, budget))
+
+
+def _skeleton_holds(S: InverseSemigroup, sk: CauchySkeleton) -> bool:
+    """sk is a full subcategory of C(S) that meets every isomorphism class
+    of objects, checked on S's table.  Object i of sk.cat stands for R[i],
+    the i-th idempotent that rep fixes, and a morphism from i to j with s
+    in the middle of its payload for the triple (R[j], s, R[i]).  Then:
+
+    * rep sends each object to one it fixes, and each to_rep[o] = t has
+      t*t = E[o] and tt* = E[rep o], an isomorphism o -> rep o;
+    * the morphisms from f to e are the triples (e, s, f) with esf = s,
+      each once;
+    * the identities are the triples (e, e, e), and the table composes
+      (e, s, f) after (f, t, d), and nothing else, to (e, st, d).
+    """
+    F, tab, rep, t = S.cauchy, S.table, sk.rep, sk.to_rep
+    C, reps = sk.cat, np.flatnonzero(rep == np.arange(len(F.E)))
+    R, s = F.E[reps], C._payload_array[:, 1]
+    k, n = len(R), len(S)
+    esd = F.below[reps][:, None, :] & F.above[reps][None, :, :]   # [e, d, s]: esd = s
+    met = np.zeros((C.n_objects, C.n_objects, n), dtype=bool)
+    met[C.cod, C.dom, s] = True
+    # a morphism is named by its key (cod, dom, s), and the composite of g
+    # after f must be keyed (cod g, dom f, s_g s_f), read through
+    # per-morphism offsets
+    at_e, at_d, at_s = C.cod * (k * n), C.dom * n, s * n
+    key = at_e + at_d + s
+    g, f = (a.astype(np.int64) for a in C._composable[:2])
+    ids = np.arange(k)
+    return bool(np.array_equal(rep[rep], rep)
+                and np.array_equal(tab[S.star[t], t], F.E)
+                and np.array_equal(tab[t, S.star[t]], F.E[rep])
+                and np.array_equal(met, esd) and np.count_nonzero(met) == C.n_mor
+                and np.array_equal(key[C.identity], (ids * k + ids) * n + R)
+                and np.array_equal(C.comp >= 0, C.dom[:, None] == C.cod[None, :])
+                and np.array_equal(key.take(C.comp.ravel().take(g * C.n_mor + f)),
+                                   at_e.take(g) + at_d.take(f)
+                                   + tab.ravel().take(at_s.take(g) + s.take(f))))
+
+
+def check_decision_witness(d: MoritaDecision) -> bool:
+    """The certificate of a decision, checked without C(S): phi is a functor
+    between the two skeletons that is bijective on morphisms, and each
+    skeleton passes `_skeleton_holds` on its own semigroup.  A functor
+    bijective on morphisms is bijective on objects too (if F(m) = 1_b for
+    m: a -> a', then b = Fa and F(1_a) = 1_b forces m = 1_a), so phi is an
+    isomorphism.  Then C(S) is equivalent to its full subcategory sk(S),
+    which phi makes isomorphic to sk(T), which is equivalent to C(T).  A
+    decision without phi has no certificate."""
+    phi, A, B = d.phi, d.skeleton_S.cat, d.skeleton_T.cat
+    return bool(phi is not None and phi.source is A and phi.target is B and is_functor(phi)
+                and np.array_equal(np.sort(phi.mor_map), np.arange(B.n_mor))
+                and _skeleton_holds(d.S, d.skeleton_S) and _skeleton_holds(d.T, d.skeleton_T))
 
 
 # -- exhaustive biset search (independent oracle) --------------------------------

@@ -12,15 +12,20 @@ payload of ints;
 arrays of payload columns, through `_util.positions`.  The two key
 constructions are the left-cancellative category of an inverse semigroup
 (pairs (e,s) with es=s) and the Cauchy completion (triples (e,s,f) with
-esf=s), both read off the factorisation S keeps (`semigroups.cauchy`).
+esf=s), both read off the factorisation S keeps (`semigroups.cauchy`); one
+triple enumeration, `_cauchy_category`, builds C(S) and each of its full
+subcategories, so a skeleton of C(S) is built from S without C(S) (the
+decision in `bisets` reads its D-classes off S).
 Equivalence of finite categories is decided through skeletons:
 two finite categories are equivalent iff their skeletons are isomorphic,
 and the isomorphism search is a backtracking matcher with
 invariant-refinement pruning that branches only on morphisms no placed pair
 composes to.  Its inverse gives the backward witness, so each decision
-searches once.  One builder, `skeleton_with_maps`, reads the skeleton of
-any finite category off its table of isomorphisms, and keeps it as its
-inclusion and retraction functors, which the witnesses compose.
+searches once.  For a category with no semigroup behind it,
+`skeleton_with_maps` reads the skeleton off its table of isomorphisms, and
+keeps it as its inclusion and retraction functors, which the witnesses
+compose; one helper, `_representatives`, picks the representatives and the
+isomorphisms into them, here and over a semigroup's elements.
 """
 
 from dataclasses import dataclass, field
@@ -278,27 +283,44 @@ def L_of(S: InverseSemigroup) -> FiniteCategory:
 
 
 def C_of(S: FiniteSemigroup) -> FiniteCategory:
-    """Cauchy completion: morphisms (e,s,f) with esf=s, from f to e.
+    """Cauchy completion: morphisms (e,s,f) with esf=s, from f to e."""
+    return _cauchy_category(S, slice(None), "C")
+
+
+def _cauchy_category(S, objs, kind) -> FiniteCategory:
+    """The full subcategory of C(S) on the objects `objs`, an ascending index
+    into E: the triples (e, s, f) with e and f among them and esf = s.
 
     esf = s exactly when es = s and sf = s (es = e.esf = esf), so the
-    triples are read off the factorisation of S, which needs no star.
+    triples are read off the factorisation of S, which needs no star.  Given
+    a star, (e, s, f) is an isomorphism exactly when s*s = f and ss* = e, and
+    its inverse is (f, s*, e), so the category keeps that table when it is
+    made.
     """
     tab, names, F = S.table, S.names, S.cauchy
-    Ea, E = F.E, tuple(F.E.tolist())
+    Ea = F.E[objs]
+    E = tuple(Ea.tolist())
     k, n = len(E), len(S)
     # morphisms in (e, f, s) order, numbered through idx[e, f, s]
-    ei, fi, s = np.nonzero(F.below[:, None, :] & F.above[None, :, :])
+    ei, fi, s = np.nonzero(F.below[objs][:, None, :] & F.above[objs][None, :, :])
     idx = np.full((k, k, n), -1, dtype=np.int64)
     idx[ei, fi, s] = np.arange(len(s))
     # (e, s, f).(f, t, d) = (e, st, d), read as idx[e, d, st] through the
     # flat tables: each pair costs gathers of per-morphism offsets
     at_e, at_d, at_s = ei * (k * n), fi * n, s * n
-    return _table_category(
+    cat = _table_category(
         tuple(names[e] for e in E), fi, ei,
         lambda e, t, f: f"({names[e]},{names[t]},{names[f]})", (Ea[ei], s, Ea[fi]),
         idx[np.arange(k), np.arange(k), Ea],
         lambda g, f: idx.ravel()[at_e[g] + at_d[f] + tab.ravel()[at_s[g] + s[f]]],
-        {"kind": "C", "sgrp": S, "obj_elt": E})
+        {"kind": kind, "sgrp": S, "obj_elt": E})
+    if F.d is not None:
+        o = np.arange(len(F.E))[objs]
+        iso = (F.d[s] == o[fi]) & (F.r[s] == o[ei])
+        partner = np.where(iso, idx[fi, ei, S.star[s]], -1)
+        partner.setflags(write=False)
+        cat._partners = partner
+    return cat
 
 
 def _first_repeat(row, col, h, m):
@@ -440,6 +462,28 @@ def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
     return SkeletonData(cat, Functor(cat, C, reps, keep), Functor(C, cat, sk_index[rep], smor[t]))
 
 
+def _representatives(n, src, dst, arrows, identity) -> tuple:
+    """(rep, least): rep[o] is the least object of o's class, the objects
+    that the arrows src -> dst join, and least[o] is the least arrow from o
+    to rep o, or identity[o] when o is rep o.  A class in which some object
+    has no arrow to its representative raises IsomorphismChainBroken, which
+    names the first such object.
+    """
+    rep, _ = components(n, src, dst)
+    into = dst == rep[src]
+    none = np.iinfo(np.int64).max
+    least = np.full(n, none, dtype=np.int64)
+    np.minimum.at(least, src[into], arrows[into])
+    is_rep = rep == np.arange(n)
+    least[is_rep] = identity[is_rep]
+    broken = np.flatnonzero(least == none)
+    if len(broken):
+        o = int(broken[0])
+        raise IsomorphismChainBroken("object class without connecting isomorphism",
+                                     witness=(o, int(rep[o])))
+    return rep, least
+
+
 def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
     """Skeleton of any finite category, found through its isomorphisms.
 
@@ -451,20 +495,9 @@ def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
     the first o without one.
     """
     partner = iso_partner(C)
-    n = C.n_objects
     iso = np.flatnonzero(partner >= 0)
-    rep, _ = components(n, C.dom[iso], C.cod[iso])
-    into = iso[C.cod[iso] == rep[C.dom[iso]]]   # the isomorphisms o -> rep o
-    to_rep = np.full(n, C.n_mor, dtype=np.int64)
-    np.minimum.at(to_rep, C.dom[into], into)
-    is_rep = rep == np.arange(n)
-    to_rep[is_rep] = C.identity[is_rep]
-    broken = np.flatnonzero(to_rep == C.n_mor)
-    if len(broken):
-        o = int(broken[0])
-        raise IsomorphismChainBroken("object class without connecting isomorphism",
-                                     witness=(o, int(rep[o])))
-    from_rep = np.where(is_rep, C.identity, partner[to_rep])
+    rep, to_rep = _representatives(C.n_objects, C.dom[iso], C.cod[iso], iso, C.identity)
+    from_rep = np.where(rep == np.arange(C.n_objects), C.identity, partner[to_rep])
     return _skeleton_data(C, rep, to_rep, from_rep)
 
 
@@ -808,24 +841,18 @@ def inverse_functor(F: Functor) -> Functor:
     return Functor(F.target, F.source, om, mm)
 
 
-def equivalence_from_skeletons(skC: SkeletonData, skD: SkeletonData,
-                               budget: int = DEFAULT_BUDGET):
-    """Weak equivalences C -> D and D -> C through skeletons of each, or None.
-
-    One isomorphism search phi between the skeletons, under `budget`
-    placements; the witnesses are incl_D . phi . retract_C and
-    incl_C . phi^-1 . retract_D.
-    """
-    phi = categories_isomorphic(skC.cat, skD.cat, budget)
-    if phi is None:
-        return None
+def skeleton_witnesses(skC: SkeletonData, skD: SkeletonData, phi: Functor) -> tuple:
+    """Weak equivalences C -> D and D -> C from an isomorphism phi of their
+    skeletons: incl_D . phi . retract_C and incl_C . phi^-1 . retract_D."""
     return (compose_functors(skD.incl, compose_functors(phi, skC.retract)),
             compose_functors(skC.incl, compose_functors(inverse_functor(phi), skD.retract)))
 
 
 def categories_equivalent(C: FiniteCategory, D: FiniteCategory):
     """Weak equivalences both ways, or None, decided on skeletons."""
-    return equivalence_from_skeletons(skeleton_with_maps(C), skeleton_with_maps(D))
+    skC, skD = skeleton_with_maps(C), skeleton_with_maps(D)
+    phi = categories_isomorphic(skC.cat, skD.cat)
+    return None if phi is None else skeleton_witnesses(skC, skD, phi)
 
 
 # -- pullbacks and the span category -----------------------------------------

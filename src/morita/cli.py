@@ -26,7 +26,8 @@ from .actions import (
     unit_iso_checks,
     fullness_faithfulness_check,
 )
-from .categories import C_of, L_of, check_weak_equivalence
+from .bisets import check_decision_witness
+from .categories import C_of, L_of
 from .errors import DEFAULT_BUDGET, BudgetExceeded, MoritaError, NotAssociative, ParseError
 from .semigroups import (
     as_inverse,
@@ -152,8 +153,7 @@ def cmd_morita(args) -> Report:
     rep.add("skeleton_t_morphisms", "info", str(d.skeleton_T.cat.n_mor))
     rep.result = "true" if d.equivalent else "false"
     if d.equivalent:
-        if not (check_weak_equivalence(d.forward)
-                and check_weak_equivalence(d.backward)):
+        if not check_decision_witness(d):
             rep.add("witness_functors", "fail")
         else:
             rep.add("witness_forward", "ok")

@@ -33,6 +33,7 @@ from morita.categories import (
     SkeletonData,
     _joint_invariants,
     _skeleton_data,
+    categories_equivalent,
     check_category,
     is_functor,
     iso_partner,
@@ -338,6 +339,19 @@ def loop_skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
         retract.append(keep.index(C.compose(C.compose(int(to_rep[b]), m), int(from_rep[a]))))
     return SkeletonData(sk, Functor(sk, C, reps, keep),
                         Functor(C, sk, [reps.index(int(rep[o])) for o in range(n)], retract))
+
+
+def assert_witnesses_of_the_built_categories(d):
+    """The witnesses of an equivalent decision equal, array for array, those
+    found on C(S) and C(T) themselves: through `skeleton_with_maps` of each,
+    one isomorphism search between those skeletons, and its composites with
+    their inclusions and retractions."""
+    built = categories_equivalent(C_of(d.S), C_of(d.T))
+    assert built is not None
+    for lazy, full in zip((d.forward, d.backward), built):
+        for name in ("obj_map", "mor_map"):
+            a, b = getattr(lazy, name), getattr(full, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def _intern(rows) -> np.ndarray:

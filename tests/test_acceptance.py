@@ -56,6 +56,7 @@ from morita.semigroups import (
     is_locally_E_unitary,
     natural_leq,
 )
+from reference_loops import assert_witnesses_of_the_built_categories
 
 MUTANT_SEED = 0
 SAMPLE_SEED = 42
@@ -102,6 +103,7 @@ def test_criterion_2_morita_decision():
         assert d.equivalent
         assert check_weak_equivalence(d.forward)
         assert check_weak_equivalence(d.backward)
+        assert_witnesses_of_the_built_categories(d)
     for a, b in negatives:
         assert not morita_equivalent(by_name[a], by_name[b]).equivalent
     # oracle cross-check wherever the budget permits (sizes <= 7)

@@ -1,4 +1,7 @@
+import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,27 +10,36 @@ from hypothesis import assume, given, settings, strategies as st
 from morita import corpus
 from morita.bisets import (
     BisetReport,
+    CauchySkeleton,
     EquivalenceBiset,
+    MoritaDecision,
     _BisetSearch,
+    _skeleton_holds,
     biset_from_ordered_enlargement,
     biset_from_regular_enlargement,
     build_bipartite_U,
     build_R_semigroupoid,
+    check_decision_witness,
     enlargement_pipeline,
     exhaustive_biset_search,
     morita_equivalent,
     verify_biset,
 )
 from morita.categories import (
+    FiniteCategory,
+    Functor,
     check_morita_context,
     check_weak_equivalence,
+    inverse_functor,
     is_bipartite,
+    is_functor,
     is_left_cancellative,
 )
 from morita.errors import (
     AssociativityFailure,
     BudgetExceeded,
     InvalidBiset,
+    MoritaError,
     NotAnEnlargement,
     PreconditionFailed,
 )
@@ -45,7 +57,7 @@ from morita.semigroups import (
     cyclic_group,
     symmetric_inverse_monoid,
 )
-from reference_loops import LoopBisetSearch
+from reference_loops import LoopBisetSearch, assert_witnesses_of_the_built_categories
 
 
 def group_self_biset(G):
@@ -276,14 +288,173 @@ def test_disjoint_union_is_not_enlargement(chain2, chain3):
 
 
 def test_morita_decisions(b12, b13, bc22, c2z, chain2, chain3):
-    assert morita_equivalent(b12, b13).equivalent
-    assert morita_equivalent(b12, chain2).equivalent
-    assert morita_equivalent(bc22, c2z).equivalent
+    for S, T in ((b12, b13), (b12, chain2), (bc22, c2z)):
+        d = morita_equivalent(S, T)
+        assert d.equivalent
+        assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+        assert_witnesses_of_the_built_categories(d)
     assert not morita_equivalent(cyclic_group(2), cyclic_group(3)).equivalent
     assert not morita_equivalent(chain2, chain3).equivalent
     assert not morita_equivalent(cyclic_group(2), chain2).equivalent
-    d = morita_equivalent(b12, b13)
-    assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+
+
+def _broken_certificates(d):
+    """(kind, decision) for mutants of d's certificate on the S side, where
+    o is the first object that is no representative:
+
+    * phi with the first two morphisms whose swap makes it no functor;
+      phi replaced by the constant functor on the identity of one object;
+      phi taken from a decision on a relabelled copy of S, or of T, kept
+      on that copy's skeleton;
+    * to_rep[o] replaced by an element of hom(o, rep o) that is no
+      isomorphism, by E[rep o], which ends at rep o but starts elsewhere,
+      or by E[o], which starts at o but ends elsewhere;
+    * rep sending an object p to another object q of its class that rep
+      does not fix, with to_rep[p] an isomorphism p -> q, so that every
+      other part of the check still holds;
+    * rep and to_rep moving o's class onto o, each object by its least
+      isomorphism to o: consistent, but the skeleton keeps rep o instead;
+    * the skeleton's table with the composite a.1 of a morphism a and an
+      identity moved to another morphism of hom(dom a, cod a), or with a
+      composite defined off the composable pairs; the first object with
+      another endomorphism taking it for its identity; the skeleton
+      without its last morphism that is no identity, or with that
+      morphism twice; each with phi carried over to it.
+    """
+    S, sk, phi = d.S, d.skeleton_S, d.phi
+    A, B = sk.cat, phi.target
+    for i, j in itertools.combinations(range(A.n_mor), 2):
+        mm = phi.mor_map.copy()
+        mm[[i, j]] = mm[[j, i]]
+        swapped = Functor(A, B, phi.obj_map, mm)
+        if not is_functor(swapped):
+            yield "phi", replace(d, phi=swapped)
+            break
+    if A.n_mor > 1:
+        z = int(phi.obj_map[0])
+        constant = Functor(A, B, np.full(A.n_objects, z), np.full(A.n_mor, B.identity[z]))
+        assert is_functor(constant)
+        yield "phi_constant", replace(d, phi=constant)
+    # the isomorphism found for a relabelled copy of S, or of T, on the
+    # skeletons of the copy and of the other semigroup
+    other = morita_equivalent(corpus.random_relabelling(S, random.Random(0)), d.T).phi
+    yield "phi_source", replace(d, phi=Functor(other.source, B, other.obj_map, other.mor_map))
+    other = morita_equivalent(S, corpus.random_relabelling(d.T, random.Random(0))).phi
+    yield "phi_target", replace(d, phi=Functor(A, other.target, other.obj_map, other.mor_map))
+    F, tab, star = S.cauchy, S.table, S.star
+    E = F.E
+    non_reps = np.flatnonzero(sk.rep != np.arange(len(E))).tolist()
+    for o in non_reps[:1]:
+        r = int(sk.rep[o])
+        non_iso = [t for t in range(len(S)) if tab[tab[E[r], t], E[o]] == t
+                   and not (tab[star[t], t] == E[o] and tab[t, star[t]] == E[r])]
+        if non_iso:
+            to_rep = sk.to_rep.copy()
+            to_rep[o] = non_iso[0]
+            yield "to_rep", replace(d, skeleton_S=CauchySkeleton(A, sk.rep, to_rep))
+        for kind, t in (("to_rep_domain", E[r]), ("to_rep_range", E[o])):
+            to_rep = sk.to_rep.copy()
+            to_rep[o] = t
+            yield kind, replace(d, skeleton_S=CauchySkeleton(A, sk.rep, to_rep))
+        rep, to_rep = sk.rep.copy(), sk.to_rep.copy()
+        for p in np.flatnonzero(sk.rep == r).tolist():
+            rep[p] = o
+            to_rep[p] = np.flatnonzero((F.d == p) & (F.r == o))[0]
+        yield "rep_moved", replace(d, skeleton_S=CauchySkeleton(A, rep, to_rep))
+    for p, q in itertools.permutations(non_reps, 2):
+        if sk.rep[p] == sk.rep[q]:
+            rep, to_rep = sk.rep.copy(), sk.to_rep.copy()
+            rep[p] = q
+            to_rep[p] = np.flatnonzero((F.d == p) & (F.r == q))[0]
+            yield "rep", replace(d, skeleton_S=CauchySkeleton(A, rep, to_rep))
+            break
+    every = np.arange(A.n_mor)
+    sizes = A.hom_sizes()
+    if sizes.max() > 1:
+        a, b = A.hom(*np.argwhere(sizes > 1)[0])[:2]
+        comp = A.comp.copy()
+        comp[a, A.identity[A.dom[a]]] = b
+        yield "comp", _with_table(d, every, comp)
+    for o in np.flatnonzero(np.diagonal(sizes) > 1)[:1]:
+        identity = A.identity.copy()
+        identity[o] = next(m for m in A.hom(o, o) if m != A.identity[o])
+        yield "identity", _with_table(d, every, A.comp, identity)
+    off = np.argwhere(A.dom[:, None] != A.cod[None, :])
+    if len(off):
+        comp = A.comp.copy()
+        comp[tuple(off[0])] = off[0][0]
+        yield "off", _with_table(d, every, comp)
+    for x in sorted(set(every.tolist()) - set(A.identity.tolist()))[-1:]:
+        yield "dropped", _with_table(d, np.delete(every, x), A.comp)
+        yield "duplicated", _with_table(d, np.append(every, x), A.comp)
+
+
+def _with_table(d, keep, comp, identity=None):
+    """d with the S skeleton replaced by the category on its objects with
+    the morphisms `keep`, in order, composed by `comp` and with identities
+    `identity` (the skeleton's by default), both in the skeleton's
+    numbering, and with phi restricted to it.  A composite off `keep` is
+    undefined, and one kept twice is read as its last copy."""
+    sk, phi = d.skeleton_S, d.phi
+    A = sk.cat
+    new = np.full(A.n_mor, -1)
+    new[keep] = np.arange(len(keep))
+    sub = comp[np.ix_(keep, keep)]
+    B = FiniteCategory(A.objects, [A.mor_labels[m] for m in keep], A.dom[keep], A.cod[keep],
+                       np.where(sub >= 0, new[sub], -1),
+                       new[A.identity if identity is None else identity], A.extra)
+    B._payload_array = A._payload_array[keep]
+    return replace(d, skeleton_S=CauchySkeleton(B, sk.rep, sk.to_rep),
+                   phi=Functor(B, phi.target, phi.obj_map, phi.mor_map[keep]))
+
+
+def test_the_witness_check_rejects_a_broken_certificate():
+    # each mutant breaks one part of the certificate; check_decision_witness
+    # rejects it, on S's side and, for those that keep phi, on T's, and
+    # each but a broken phi fails _skeleton_holds on its own.  Where the witness C(S) -> C(T) can still be built from it,
+    # check_weak_equivalence rejects that functor too.  A moved class is
+    # another valid choice of representatives, so its functor may be a weak
+    # equivalence; the certificate still fails, as phi was found on the
+    # skeleton over the old ones.  The witnesses cut their skeletons out of
+    # C(S), so a broken table read off S does not reach them; they read
+    # phi's maps, not its endpoints; and a constant phi has no inverse to
+    # build the backward one from
+    members = corpus.corpus_by_name()
+    pairs = [(members[a], members[b])
+             for a, b, expected, _why in corpus.expected_morita_pairs() if expected]
+    pairs.append((symmetric_inverse_monoid(3), symmetric_inverse_monoid(3)))
+    made, made_T, built = Counter(), Counter(), Counter()
+    for S, T in pairs:
+        d = morita_equivalent(S, T)
+        assert check_decision_witness(d)
+        # the mutants that keep phi, made on T's side: on the decision read
+        # the other way, then put back on T's side of d
+        flipped = MoritaDecision(T, S, d.skeleton_T, d.skeleton_S, inverse_functor(d.phi))
+        assert check_decision_witness(flipped)
+        for kind, mutant in _broken_certificates(flipped):
+            if mutant.phi is flipped.phi and mutant.skeleton_S.cat is d.skeleton_T.cat:
+                made_T[kind] += 1
+                assert not check_decision_witness(replace(d, skeleton_T=mutant.skeleton_S)), kind
+        for kind, mutant in _broken_certificates(d):
+            made[kind] += 1
+            assert not check_decision_witness(mutant), kind
+            assert _skeleton_holds(S, mutant.skeleton_S) == kind.startswith("phi"), kind
+            if kind not in ("phi", "to_rep", "to_rep_domain", "to_rep_range", "rep"):
+                continue
+            try:
+                forward = mutant.forward
+            except MoritaError:
+                continue
+            built[kind] += 1
+            assert not check_weak_equivalence(forward), kind
+    assert min(made.values()) >= 2
+    assert set(made) == {"phi", "phi_constant", "phi_source", "phi_target", "to_rep",
+                         "to_rep_domain", "to_rep_range", "rep", "rep_moved", "comp", "identity",
+                         "off", "dropped", "duplicated"}
+    assert set(made_T) == {"to_rep", "to_rep_domain", "to_rep_range", "rep", "rep_moved"}
+    assert all(built[kind] == made[kind] for kind in ("phi", "to_rep", "rep"))
+    # a decision that found no isomorphism has no certificate
+    assert not check_decision_witness(morita_equivalent(cyclic_group(2), cyclic_group(3)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -295,6 +466,7 @@ def test_morita_relabel_invariance_and_symmetry(seed, relabel_seed):
     d = morita_equivalent(S, random_relabelling(S, random.Random(relabel_seed)))
     assert d.equivalent
     assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+    assert_witnesses_of_the_built_categories(d)
     assert morita_equivalent(S, T).equivalent == morita_equivalent(T, S).equivalent
 
 

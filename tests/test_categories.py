@@ -10,6 +10,7 @@ from morita.bisets import (
     biset_from_ordered_enlargement,
     biset_from_regular_enlargement,
     build_bipartite_U,
+    cauchy_skeleton,
     morita_equivalent,
 )
 from morita.categories import (
@@ -33,6 +34,7 @@ from morita.categories import (
     is_functor,
     is_left_cancellative,
     is_right_cancellative,
+    iso_partner,
     left_cancellation_witness,
     pullback,
     right_cancellation_witness,
@@ -73,6 +75,7 @@ from morita.semigroups import (
     symmetric_inverse_monoid,
 )
 from reference_loops import (
+    assert_witnesses_of_the_built_categories,
     build_category,
     callback_bipartite_U,
     callback_C_of_groupoid,
@@ -343,6 +346,7 @@ def test_weak_equivalence_matches_the_loop(chain2, b12):
         if expected:
             d = morita_equivalent(members[a], members[b])
             functors += [d.forward, d.backward]
+            assert_witnesses_of_the_built_categories(d)
     assert len(functors) >= 20 and all(map(check_weak_equivalence, functors))
     # each breaks one property: faithful, full, essentially surjective
     G1, G2 = C_of(cyclic_group(1)), C_of(cyclic_group(2))
@@ -634,6 +638,29 @@ def test_the_skeleton_of_C_has_one_object_per_D_class():
         assert np.array_equal(sk.hom_sizes(), eSf.T)
 
 
+def test_the_skeleton_read_off_S_is_the_skeleton_of_C():
+    # cauchy_skeleton(S) builds no C(S), yet equals skeleton_with_maps(C_of(S))
+    # field for field, its isomorphism table included; rep is the least
+    # object of each isomorphism class, and to_rep[o] the element s of the
+    # least isomorphism in hom(o, rep o) of C(S), or of the identity of a
+    # representative
+    members = [S for _name, S in builtin_corpus()] + random_inverse_subsemigroups(3, 20)
+    members += [brandt(cyclic_group(g), n) for g in (1, 2, 3) for n in (1, 2, 3, 4)]
+    members.append(symmetric_inverse_monoid(4))
+    for S in members:
+        C = C_of(S)
+        sk, ref = cauchy_skeleton(S), skeleton_with_maps(C)
+        for name in ("objects", "mor_labels", "dom", "cod", "comp", "identity", "_partners"):
+            assert np.array_equal(getattr(sk.cat, name), getattr(ref.cat, name)), name
+        rep = ref.incl.obj_map[ref.retract.obj_map]
+        partner = iso_partner(C)
+        to_rep = [C.identity[o] if rep[o] == o else
+                  min(m for m in C.hom(o, int(rep[o])) if partner[m] >= 0)
+                  for o in range(C.n_objects)]
+        assert np.array_equal(sk.rep, rep)
+        assert np.array_equal(sk.to_rep, C._payload_array[to_rep, 1])
+
+
 def test_iso_chain_raises_typed_error():
     # isomorphisms a: 0 -> 1 and b: 1 -> 2 with inverses, but no composite
     # b.a: 0 -> 2, so this is not a category and no iso joins 2 to 0, the
@@ -706,6 +733,7 @@ def test_iso_search_is_not_capped_by_the_recursion_limit():
     d = morita_equivalent(cyclic_group(1100), cyclic_group(1100))
     assert d.equivalent
     assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+    assert_witnesses_of_the_built_categories(d)
 
 
 def _direct_product(G, H):
@@ -747,6 +775,7 @@ def test_relabelled_copies_are_decided_equivalent(name):
     d = morita_equivalent(S, random_relabelling(S, random.Random(1)))
     assert d.equivalent
     assert check_weak_equivalence(d.forward) and check_weak_equivalence(d.backward)
+    assert_witnesses_of_the_built_categories(d)
 
 
 def test_groups_of_one_order_that_differ_are_not_equivalent():
@@ -867,6 +896,11 @@ def test_a_skeleton_inherits_its_isomorphism_table():
             sk = skeleton_with_maps(C).cat
             assert "_partners" in vars(sk)   # set when built, not computed on first read
             assert np.array_equal(sk._partners, _iso_table(sk))
+        # C(S) and the skeleton read off S keep the inverse (f, s*, e) of
+        # each (e, s, f) with s*s = f and ss* = e
+        for C in (C_of(S), cauchy_skeleton(S).cat):
+            assert "_partners" in vars(C)
+            assert np.array_equal(C._partners, _iso_table(C))
 
 
 def test_pair_category_names_the_first_missing_composite_by_middle_object():

@@ -333,7 +333,7 @@ def _broken_chain(real):
 _FAILING = {
     "validate": (["validate", "{bad}"], None, "check=associativity status=fail value=(0, 0, 0)"),
     "morita_witness": (["morita", "{c}/brandt_1_2.smg", "{c}/brandt_1_3.smg"],
-                       ("cli", "check_weak_equivalence", lambda real: lambda F: False),
+                       ("cli", "check_decision_witness", lambda real: lambda d: False),
                        "check=witness_functors status=fail"),
     "morita_oracle": (["morita", "{c}/brandt_1_2.smg", "{c}/brandt_1_3.smg", "--oracle"],
                       ("bisets", "exhaustive_biset_search", lambda real: lambda *a: None),

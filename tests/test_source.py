@@ -552,3 +552,70 @@ def test_the_skeleton_guard_sees_the_code_it_replaced():
     new = ("def equivalence_from_skeletons(skC, skD, budget):\n"
            "    return compose_functors(skD.incl, compose_functors(phi, skC.retract))\n")
     assert _functions_where(ast.parse(new), _is_skeleton_field_read) == []
+
+
+def _calls(tree, fn) -> set:
+    """The names that function `fn` of tree calls, as f(...) or x.f(...)."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for d in ast.walk(tree) if isinstance(d, ast.FunctionDef) and d.name == fn
+            for node in ast.walk(d) if isinstance(node, ast.Call)}
+
+
+def test_the_decision_reads_its_skeletons_off_the_semigroups():
+    # a skeleton of C(S) is read off S's factorisation; building C(S) and
+    # finding its isomorphism classes again is what the decision replaced
+    src = Path(morita.__file__).parent / "bisets.py"
+    calls = _calls(ast.parse(src.read_text(encoding="utf-8")), "morita_equivalent")
+    assert "cauchy_skeleton" in calls
+    assert not calls & {"C_of", "skeleton_with_maps"}
+
+
+def test_the_decision_guard_sees_the_code_it_replaced():
+    old = ("def morita_equivalent(S, T, budget):\n"
+           "    skS, skT = skeleton_with_maps(C_of(S)), skeleton_with_maps(C_of(T))\n"
+           "    return categories.C_of(S)\n")
+    assert _calls(ast.parse(old), "morita_equivalent") == {"skeleton_with_maps", "C_of"}
+    # the same calls in another function are not the decision's
+    assert _calls(ast.parse(old.replace("morita_equivalent", "witness")),
+                  "morita_equivalent") == set()
+
+
+def _count_C_of(monkeypatch) -> list:
+    """Patch C_of wherever a module of the package binds it, and return the
+    list each call appends its semigroup to."""
+    from morita import actions, bisets, categories, cli
+
+    real, calls = categories.C_of, []
+
+    def counted(S):
+        calls.append(S)
+        return real(S)
+
+    for module in (actions, bisets, categories, cli):
+        if getattr(module, "C_of", None) is real:
+            monkeypatch.setattr(module, "C_of", counted)
+    return calls
+
+
+def test_a_morita_run_builds_no_cauchy_completion(tmp_path, monkeypatch, capsys):
+    from morita.cli import main
+
+    assert main(["corpus", str(tmp_path)]) == 0
+    calls = _count_C_of(monkeypatch)
+    assert main(["morita", str(tmp_path / "brandt_1_2.smg"), str(tmp_path / "brandt_1_3.smg")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "check=witness_forward status=ok" in out and out[-1] == "verdict=true"
+    assert calls == []
+
+
+def test_the_count_guard_sees_the_code_it_replaced(monkeypatch):
+    # the witness functors on C(S) and C(T), which the decision and the CLI
+    # checked before, build both completions through the patched name
+    from morita.bisets import morita_equivalent
+    from morita.semigroups import brandt, cyclic_group
+
+    calls = _count_C_of(monkeypatch)
+    d = morita_equivalent(brandt(cyclic_group(1), 2), brandt(cyclic_group(1), 3))
+    assert calls == []
+    assert d.forward is not None and d.backward is not None
+    assert [len(S) for S in calls] == [5, 10]
