@@ -363,7 +363,8 @@ def principal_etale(S: InverseSemigroup, e: int) -> EtaleAction:
     """eS -> E(S), s |-> s*s."""
     base = principal_action(S, e)
     elts = np.array(base.extra["elt_of_point"], dtype=np.int64)
-    return EtaleAction(base, S.table[S.star[elts], elts])
+    F = S.cauchy
+    return EtaleAction(base, F.E[F.d[elts]])
 
 
 def check_etale(X: EtaleAction) -> bool:

@@ -25,11 +25,9 @@ from .categories import (
     FiniteCategory,
     Functor,
     L_of,
-    SkeletonData,
     _cauchy_category,
     _pair_category,
     _representatives,
-    _skeleton_data,
     check_morita_context,
     categories_isomorphic,
     is_bipartite,
@@ -394,10 +392,31 @@ class CauchySkeleton:
     """A skeleton of C(S) read off S: the full subcategory on the least
     idempotent of each D-class.  For each object o of C(S), rep[o] is the
     object of its class in the skeleton and to_rep[o] is an element s with
-    s*s = E[o] and ss* = E[rep o], an isomorphism o -> rep o of C(S)."""
+    s*s = E[o] and ss* = E[rep o], an isomorphism o -> rep o of C(S).
+    `incl` and `retract` build C(S) once, on the first read of either."""
     cat: FiniteCategory
     rep: np.ndarray
     to_rep: np.ndarray
+
+    @cached_property
+    def incl(self) -> Functor:
+        """skeleton -> C(S), each morphism to the one with its payload; an
+        object goes where its identity does, here and in `retract`."""
+        sk = self.cat
+        C = C_of(sk.extra["sgrp"])
+        mm = C.mor_of(*sk._payload_array.T)
+        return Functor(sk, C, C.dom[mm[sk.identity]], mm)
+
+    @cached_property
+    def retract(self) -> Functor:
+        """C(S) -> skeleton, (e, s, f) to (rep e, t s t'*, rep f) with
+        t = to_rep[e] and t' = to_rep[f]."""
+        C, sk = self.incl.target, self.cat
+        S = sk.extra["sgrp"]
+        tab, t, r = S.table, self.to_rep, S.cauchy.E[self.rep]
+        s = C._payload_array[:, 1]
+        mm = sk.mor_of(r[C.cod], tab[tab[t[C.cod], s], S.star[t[C.dom]]], r[C.dom])
+        return Functor(C, sk, sk.dom[mm[C.identity]], mm)
 
 
 def cauchy_skeleton(S: InverseSemigroup) -> CauchySkeleton:
@@ -417,22 +436,14 @@ def cauchy_skeleton(S: InverseSemigroup) -> CauchySkeleton:
     return CauchySkeleton(_cauchy_category(S, reps, "skeleton"), rep, to_rep)
 
 
-def _skeleton_maps(S: InverseSemigroup, sk: CauchySkeleton) -> SkeletonData:
-    """The skeleton on sk's representatives cut out of C(S), built here, with
-    its inclusion and retraction: to_rep[o] = t is the morphism
-    (E[rep o], t, E[o]), and (E[o], t*, E[rep o]) its inverse."""
-    C, E, t = C_of(S), S.cauchy.E, sk.to_rep
-    r = E[sk.rep]
-    return _skeleton_data(C, sk.rep, C.mor_of(r, t, E), C.mor_of(E, S.star[t], r))
-
-
 @dataclass(eq=False)
 class MoritaDecision:
     """A decision, made of the two skeletons read off S and T and an
     isomorphism phi between them (None when there is none).
 
-    The witnesses C(S) -> C(T) and back are the skeletons' inclusions and
-    retractions composed with phi; they build C(S) and C(T), on first read.
+    The witnesses C(S) -> C(T) and back are `skeleton_witnesses` of the two
+    skeletons and phi: each skeleton's own inclusion and retraction, which
+    build C(S) and C(T) once each, on first read.
     """
     S: InverseSemigroup
     T: InverseSemigroup
@@ -448,11 +459,7 @@ class MoritaDecision:
     def _witnesses(self):
         if self.phi is None:
             return None, None
-        # the skeletons cut out of C(S) and C(T) number their morphisms as
-        # the ones read off S and T do, so phi carries over as it is
-        skS, skT = _skeleton_maps(self.S, self.skeleton_S), _skeleton_maps(self.T, self.skeleton_T)
-        return skeleton_witnesses(skS, skT, Functor(skS.cat, skT.cat, self.phi.obj_map,
-                                                    self.phi.mor_map))
+        return skeleton_witnesses(self.skeleton_S, self.skeleton_T, self.phi)
 
     @property
     def forward(self) -> Functor:
@@ -492,7 +499,8 @@ def _skeleton_holds(S: InverseSemigroup, sk: CauchySkeleton) -> bool:
       (e, s, f) after (f, t, d), and nothing else, to (e, st, d).
     """
     F, tab, rep, t = S.cauchy, S.table, sk.rep, sk.to_rep
-    C, reps = sk.cat, np.flatnonzero(rep == np.arange(len(F.E)))
+    o = np.arange(len(F.E))
+    C, reps = sk.cat, np.flatnonzero(rep == o)
     R, s = F.E[reps], C._payload_array[:, 1]
     k, n = len(R), len(S)
     esd = F.below[reps][:, None, :] & F.above[reps][None, :, :]   # [e, d, s]: esd = s
@@ -506,8 +514,7 @@ def _skeleton_holds(S: InverseSemigroup, sk: CauchySkeleton) -> bool:
     g, f = (a.astype(np.int64) for a in C._composable[:2])
     ids = np.arange(k)
     return bool(np.array_equal(rep[rep], rep)
-                and np.array_equal(tab[S.star[t], t], F.E)
-                and np.array_equal(tab[t, S.star[t]], F.E[rep])
+                and np.array_equal(F.d[t], o) and np.array_equal(F.r[t], rep)
                 and np.array_equal(met, esd) and np.count_nonzero(met) == C.n_mor
                 and np.array_equal(key[C.identity], (ids * k + ids) * n + R)
                 and np.array_equal(C.comp >= 0, C.dom[:, None] == C.cod[None, :])

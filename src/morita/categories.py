@@ -7,15 +7,15 @@ composable pairs with their composites are listed once, in row-major
 order, from the endpoints.  Every category built from a semigroup, a
 groupoid or spans comes out of one constructor, `_table_category`, which
 fills the table with one pass over those pairs and keys each morphism by a
-payload of ints;
-`FiniteCategory.mor_of` finds the morphisms of given payloads, read across
-arrays of payload columns, through `_util.positions`.  The two key
-constructions are the left-cancellative category of an inverse semigroup
-(pairs (e,s) with es=s) and the Cauchy completion (triples (e,s,f) with
-esf=s), both read off the factorisation S keeps (`semigroups.cauchy`); one
-triple enumeration, `_cauchy_category`, builds C(S) and each of its full
-subcategories, so a skeleton of C(S) is built from S without C(S) (the
-decision in `bisets` reads its D-classes off S).
+payload of ints; `FiniteCategory.mor_of` finds the morphisms of given
+payloads, read across arrays of payload columns, through `_util.positions`.
+The two key constructions are the left-cancellative category of an inverse
+semigroup (pairs (e,s) with es=s) and the Cauchy completion (triples
+(e,s,f) with esf=s), both read off the factorisation S keeps
+(`semigroups.cauchy`); one triple enumeration, `_cauchy_category`, builds
+C(S) and each of its full subcategories, so a skeleton of C(S) is built
+from S without C(S) (the decision in `bisets` reads its D-classes off S,
+and its skeleton keeps its own inclusion and retraction).
 Equivalence of finite categories is decided through skeletons:
 two finite categories are equivalent iff their skeletons are isomorphic,
 and the isomorphism search is a backtracking matcher with
@@ -832,18 +832,27 @@ def categories_isomorphic(C: FiniteCategory, D: FiniteCategory, budget: int = DE
     return None
 
 
+def _inverse_map(p, n, what) -> np.ndarray:
+    """The inverse of p, a bijection onto range(n); otherwise InvariantBroken
+    names the least v < n that p hits twice or misses, or else p's first
+    value outside range(n)."""
+    inside = (p >= 0) & (p < n)
+    bad = np.flatnonzero(np.bincount(p[inside], minlength=n) != 1).tolist() + p[~inside].tolist()
+    if bad:
+        raise InvariantBroken(f"the {what} map is not a bijection", witness=bad[0])
+    return np.argsort(p)
+
+
 def inverse_functor(F: Functor) -> Functor:
     """The inverse of an isomorphism of categories."""
-    om = np.empty_like(F.obj_map)
-    om[F.obj_map] = np.arange(len(om))
-    mm = np.empty_like(F.mor_map)
-    mm[F.mor_map] = np.arange(len(mm))
-    return Functor(F.target, F.source, om, mm)
+    return Functor(F.target, F.source, _inverse_map(F.obj_map, F.target.n_objects, "object"),
+                   _inverse_map(F.mor_map, F.target.n_mor, "morphism"))
 
 
-def skeleton_witnesses(skC: SkeletonData, skD: SkeletonData, phi: Functor) -> tuple:
+def skeleton_witnesses(skC, skD, phi: Functor) -> tuple:
     """Weak equivalences C -> D and D -> C from an isomorphism phi of their
-    skeletons: incl_D . phi . retract_C and incl_C . phi^-1 . retract_D."""
+    skeletons, each kept with its inclusion and retraction:
+    incl_D . phi . retract_C and incl_C . phi^-1 . retract_D."""
     return (compose_functors(skD.incl, compose_functors(phi, skC.retract)),
             compose_functors(skC.incl, compose_functors(inverse_functor(phi), skD.retract)))
 
@@ -954,7 +963,7 @@ def cauchy_vs_span(S: InverseSemigroup) -> bool:
     L = L_of(S)
     Sp = span_category(L)
     C = C_of(S)
-    tab, star = S.table, S.star
+    tab, star, F = S.table, S.star, S.cauchy
     canon = L._spans[0]   # built by span_category
 
     # objects of C, L, Sp are all E(S) in the same order
@@ -963,7 +972,7 @@ def cauchy_vs_span(S: InverseSemigroup) -> bool:
 
     # (e, s, d) -> the canonical span of ((e, s), (d, s*s))
     e, s, d = C._payload_array.T
-    code = canon[L.mor_of(e, s), L.mor_of(d, tab[star[s], s])]
+    code = canon[L.mor_of(e, s), L.mor_of(d, F.E[F.d[s]])]
     phi_m = Sp.mor_of(*np.divmod(code, L.n_mor))
     phi = Functor(C, Sp, np.arange(C.n_objects), phi_m)
 

@@ -122,14 +122,16 @@ def cmd_analyze(args) -> Report:
     rep.add("natural_order_hasse_edges", "info", str(len(hasse)))
     for (a, b) in hasse:
         rep.add("hasse", "info", f"{S.names[a]}<{S.names[b]}")
-    L, C = L_of(S), C_of(S)
-    rep.add("L_morphisms", "info", str(L.n_mor))
-    rep.add("C_morphisms", "info", str(C.n_mor))
+    # |L(S)| counts the (e, s) with es = s, and |C(S)| the (e, s, f) with
+    # es = s and sf = s, which is esf = s
+    F = S.cauchy
+    rep.add("L_morphisms", "info", str(F.below.sum()))
+    rep.add("C_morphisms", "info", str(F.below.sum(0) @ F.above.sum(0)))
     if args.emit_l:
-        Path(args.emit_l).write_text(formats.dump_category(L), encoding="utf-8")
+        Path(args.emit_l).write_text(formats.dump_category(L_of(S)), encoding="utf-8")
         rep.add("emit_l", "info", args.emit_l)
     if args.emit_c:
-        Path(args.emit_c).write_text(formats.dump_category(C), encoding="utf-8")
+        Path(args.emit_c).write_text(formats.dump_category(C_of(S)), encoding="utf-8")
         rep.add("emit_c", "info", args.emit_c)
     return rep
 

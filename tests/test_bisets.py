@@ -39,6 +39,7 @@ from morita.errors import (
     AssociativityFailure,
     BudgetExceeded,
     InvalidBiset,
+    InvariantBroken,
     MoritaError,
     NotAnEnlargement,
     PreconditionFailed,
@@ -411,14 +412,16 @@ def _with_table(d, keep, comp, identity=None):
 def test_the_witness_check_rejects_a_broken_certificate():
     # each mutant breaks one part of the certificate; check_decision_witness
     # rejects it, on S's side and, for those that keep phi, on T's, and
-    # each but a broken phi fails _skeleton_holds on its own.  Where the witness C(S) -> C(T) can still be built from it,
+    # each but a broken phi fails _skeleton_holds on its own.  Where the
+    # witness C(S) -> C(T) can still be built from it,
     # check_weak_equivalence rejects that functor too.  A moved class is
     # another valid choice of representatives, so its functor may be a weak
     # equivalence; the certificate still fails, as phi was found on the
-    # skeleton over the old ones.  The witnesses cut their skeletons out of
-    # C(S), so a broken table read off S does not reach them; they read
-    # phi's maps, not its endpoints; and a constant phi has no inverse to
-    # build the backward one from
+    # skeleton over the old ones.  The witnesses map through the skeleton's
+    # payloads, not its table, so a broken table does not reach them.  A
+    # representative that is no object of the skeleton has no morphisms
+    # there, and a constant phi has no inverse to build the backward
+    # witness from: reading either witness raises InvariantBroken
     members = corpus.corpus_by_name()
     pairs = [(members[a], members[b])
              for a, b, expected, _why in corpus.expected_morita_pairs() if expected]
@@ -439,7 +442,12 @@ def test_the_witness_check_rejects_a_broken_certificate():
             made[kind] += 1
             assert not check_decision_witness(mutant), kind
             assert _skeleton_holds(S, mutant.skeleton_S) == kind.startswith("phi"), kind
-            if kind not in ("phi", "to_rep", "to_rep_domain", "to_rep_range", "rep"):
+            if kind in ("rep", "phi_constant"):
+                for side in ("forward", "backward"):
+                    with pytest.raises(InvariantBroken):
+                        getattr(mutant, side)
+                continue
+            if kind not in ("phi", "to_rep", "to_rep_domain", "to_rep_range"):
                 continue
             try:
                 forward = mutant.forward
@@ -452,7 +460,7 @@ def test_the_witness_check_rejects_a_broken_certificate():
                          "to_rep_domain", "to_rep_range", "rep", "rep_moved", "comp", "identity",
                          "off", "dropped", "duplicated"}
     assert set(made_T) == {"to_rep", "to_rep_domain", "to_rep_range", "rep", "rep_moved"}
-    assert all(built[kind] == made[kind] for kind in ("phi", "to_rep", "rep"))
+    assert all(built[kind] == made[kind] for kind in ("phi", "to_rep"))
     # a decision that found no isomorphism has no certificate
     assert not check_decision_witness(morita_equivalent(cyclic_group(2), cyclic_group(3)))
 

@@ -30,6 +30,7 @@ from morita.categories import (
     check_weak_equivalence,
     compose_functors,
     idempotents_split,
+    inverse_functor,
     is_bipartite,
     is_functor,
     is_left_cancellative,
@@ -302,6 +303,20 @@ def test_weak_equivalence_checks(b12):
     incl = Functor(L, C, om, mm)
     assert is_functor(incl)
     assert not check_weak_equivalence(incl)
+
+
+def test_inverse_functor_names_the_first_value_hit_twice_or_missed(chain2):
+    # a map that is no bijection has no inverse; the least value it hits
+    # twice or misses is named, not left as an uninitialised entry
+    C = C_of(chain2)
+    ids = np.arange(C.n_mor)
+    inv = inverse_functor(Functor(C, C, [1, 0], ids[::-1]))
+    assert np.array_equal(inv.obj_map, [1, 0]) and np.array_equal(inv.mor_map, ids[::-1])
+    for om, mm, witness in (([1, 1], ids, 0), ([0, 1], [0, 2, 2, 3, 4], 1),
+                            ([0, 1], [0, 1, 2, 3, 5], 4), ([0, 1], [-1, 1, 2, 3, 4], 0)):
+        with pytest.raises(InvariantBroken) as exc:
+            inverse_functor(Functor(C, C, om, mm))
+        assert exc.value.witness == witness
 
 
 def test_the_retraction_records_the_chosen_isomorphisms():

@@ -401,3 +401,22 @@ def test_analyze_of_a_semigroup_that_is_not_inverse_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_analyze_counts_match_the_built_categories(tmp_path, capsys):
+    # |L(S)| and |C(S)| are read off S's factorisation, without L(S) or
+    # C(S): the (e, s) with es = s, and the (e, s, f) with es = s and sf = s
+    from morita.categories import C_of, L_of
+    from morita.corpus import corpus_by_name, random_inverse_subsemigroups
+    from morita.semigroups import brandt, symmetric_inverse_monoid
+
+    semigroups = (list(corpus_by_name().values()) + random_inverse_subsemigroups(0, 20)
+                  + [symmetric_inverse_monoid(4), brandt(cyclic_group(3), 4)])
+    path = tmp_path / "s.smg"
+    for S in semigroups:
+        path.write_text(dump_semigroup(S), encoding="utf-8")
+        rc, out = run(capsys, ["analyze", str(path)])
+        lines = out.splitlines()
+        assert rc == 0
+        assert f"check=L_morphisms status=info value={L_of(S).n_mor}" in lines
+        assert f"check=C_morphisms status=info value={C_of(S).n_mor}" in lines

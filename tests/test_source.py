@@ -618,4 +618,91 @@ def test_the_count_guard_sees_the_code_it_replaced(monkeypatch):
     d = morita_equivalent(brandt(cyclic_group(1), 2), brandt(cyclic_group(1), 3))
     assert calls == []
     assert d.forward is not None and d.backward is not None
-    assert [len(S) for S in calls] == [5, 10]
+    # one C_of per side, T's first: the forward witness reads T's inclusion
+    # before S's retraction
+    assert [len(S) for S in calls] == [10, 5]
+
+
+def test_analyze_builds_C_only_to_emit_it(tmp_path, monkeypatch, capsys):
+    # the analyze report reads |C(S)| off S's factorisation; C(S) itself
+    # is built only to be written out
+    from morita.cli import main
+
+    assert main(["corpus", str(tmp_path)]) == 0
+    calls = _count_C_of(monkeypatch)
+    path = str(tmp_path / "brandt_1_2.smg")
+    assert main(["analyze", path, "--emit-l", str(tmp_path / "l.cat")]) == 0
+    assert calls == []
+    assert main(["analyze", path, "--emit-c", str(tmp_path / "c.cat")]) == 0
+    assert [len(S) for S in calls] == [5]
+    capsys.readouterr()
+
+
+def _is_domain_gather(node) -> bool:
+    """t[star[x], x], or t[star, ar] over every element: s*s read off a
+    table."""
+    if not (_is_lookup(node) and len(node.slice.elts) == 2):
+        return False
+    a, b = node.slice.elts
+
+    def named(n, name):
+        return getattr(n, "id", getattr(n, "attr", None)) == name
+
+    if isinstance(a, ast.Subscript) and named(a.value, "star"):
+        return ast.dump(a.slice) == ast.dump(b)
+    return named(a, "star") and (named(b, "ar") or named(getattr(b, "func", None), "arange"))
+
+
+def test_the_domain_of_an_element_is_gathered_once():
+    # s*s is read off a table by semigroups.cauchy, as d, and every
+    # construction reads E[d]; the natural order stays on its own gather,
+    # as it is checked on one-cell mutants whose s*s need not be idempotent
+    src = Path(morita.__file__).parent
+    found = {f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
+             for fn, _line in _functions_where(ast.parse(path.read_text(encoding="utf-8")),
+                                               _is_domain_gather)}
+    assert found == {"semigroups.cauchy", "semigroups.natural_order", "semigroups.natural_leq"}
+
+
+def test_the_domain_guard_sees_the_code_it_replaced():
+    old = ("def principal_etale(S, e):\n"
+           "    return EtaleAction(base, S.table[S.star[elts], elts])\n"
+           "def cauchy_vs_span(S):\n"
+           "    code = canon[L.mor_of(e, s), L.mor_of(d, tab[star[s], s])]\n"
+           "def _skeleton_holds(S, sk):\n"
+           "    ok = np.array_equal(tab[S.star[t], t], F.E)\n"
+           "def cauchy(tab, star):\n"
+           "    d = obj[tab[star, np.arange(len(tab))]]\n")
+    assert _functions_where(ast.parse(old), _is_domain_gather) == [
+        ("principal_etale", 2), ("cauchy_vs_span", 4), ("_skeleton_holds", 6), ("cauchy", 8)]
+    # a read of the factorisation, a product s t*, and a conjugation are no such gather
+    new = ("p = F.E[F.d[elts]]\n"
+           "psi_m = C.mor_of(e, tab[s, star[t]], d)\n"
+           "se = tab[S.star, np.asarray(e)[..., None]]\n")
+    assert _functions_where(ast.parse(new), _is_domain_gather) == []
+
+
+def _calls_skeleton_data(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_skeleton_data")
+
+
+def test_only_a_category_without_a_semigroup_is_cut_into_its_skeleton():
+    # a skeleton read off a semigroup keeps its own inclusion and
+    # retraction; cutting a second copy out of a built C(S) is what the
+    # decision's witnesses replaced
+    src = Path(morita.__file__).parent
+    found = {f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
+             for fn, _line in _functions_where(ast.parse(path.read_text(encoding="utf-8")),
+                                               _calls_skeleton_data)}
+    assert found == {"categories.skeleton_with_maps"}
+
+
+def test_the_cut_guard_sees_the_code_it_replaced():
+    old = ("def _skeleton_maps(S, sk):\n"
+           "    C, E, t = C_of(S), S.cauchy.E, sk.to_rep\n"
+           "    return _skeleton_data(C, sk.rep, C.mor_of(r, t, E), C.mor_of(E, S.star[t], r))\n")
+    assert _functions_where(ast.parse(old), _calls_skeleton_data) == [("_skeleton_maps", 3)]
+    new = ("def _witnesses(self):\n"
+           "    return skeleton_witnesses(self.skeleton_S, self.skeleton_T, self.phi)\n")
+    assert _functions_where(ast.parse(new), _calls_skeleton_data) == []
