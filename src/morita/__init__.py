@@ -20,7 +20,6 @@ from .semigroups import (
     is_locally_E_unitary,
     is_semigroup_enlargement,
     local_unit_flags,
-    natural_leq,
     symmetric_inverse_monoid,
 )
 from .categories import (
@@ -28,7 +27,6 @@ from .categories import (
     FiniteCategory,
     Functor,
     L_of,
-    categories_equivalent,
     categories_isomorphic,
     cauchy_vs_span,
     check_morita_context,

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import failures, inverse_relation, positions
+from ._util import components, failures, inverse_relation, positions
 from .categories import (
     C_of,
     FiniteCategory,
@@ -27,7 +27,6 @@ from .categories import (
     L_of,
     _cauchy_category,
     _pair_category,
-    _representatives,
     check_morita_context,
     categories_isomorphic,
     is_bipartite,
@@ -427,12 +426,17 @@ def cauchy_skeleton(S: InverseSemigroup) -> CauchySkeleton:
     the objects of s*s and ss* over every s, and names each class by its
     least idempotent.  to_rep[o] is the least s from o to rep o, the least
     isomorphism of hom(o, rep o) in C(S)'s numbering, and E[o], the
-    identity, on a representative.  The category is C(S)'s triple
+    identity, on a representative.  D is an equivalence relation, so some
+    s joins each object to rep o directly.  The category is C(S)'s triple
     enumeration restricted to the representatives.
     """
     F = S.cauchy
-    rep, to_rep = _representatives(len(F.E), F.d, F.r, np.arange(len(S)), F.E)
+    rep, _ = components(len(F.E), F.d, F.r)
     reps = np.flatnonzero(rep == np.arange(len(F.E)))
+    to_rep = np.full(len(F.E), len(S))
+    into = F.r == rep[F.d]
+    np.minimum.at(to_rep, F.d[into], np.flatnonzero(into))
+    to_rep[reps] = F.E[reps]
     return CauchySkeleton(_cauchy_category(S, reps, "skeleton"), rep, to_rep)
 
 

@@ -13,19 +13,16 @@ The two key constructions are the left-cancellative category of an inverse
 semigroup (pairs (e,s) with es=s) and the Cauchy completion (triples
 (e,s,f) with esf=s), both read off the factorisation S keeps
 (`semigroups.cauchy`); one triple enumeration, `_cauchy_category`, builds
-C(S) and each of its full subcategories, so a skeleton of C(S) is built
-from S without C(S) (the decision in `bisets` reads its D-classes off S,
-and its skeleton keeps its own inclusion and retraction).
+C(S) and each of its full subcategories, so the one skeleton builder,
+`bisets.cauchy_skeleton`, reads a skeleton of C(S) off S's D-classes
+without building C(S).
 Equivalence of finite categories is decided through skeletons:
 two finite categories are equivalent iff their skeletons are isomorphic,
 and the isomorphism search is a backtracking matcher with
 invariant-refinement pruning that branches only on morphisms no placed pair
 composes to.  Its inverse gives the backward witness, so each decision
-searches once.  For a category with no semigroup behind it,
-`skeleton_with_maps` reads the skeleton off its table of isomorphisms, and
-keeps it as its inclusion and retraction functors, which the witnesses
-compose; one helper, `_representatives`, picks the representatives and the
-isomorphisms into them, here and over a semigroup's elements.
+searches once; `skeleton_witnesses` composes it with each skeleton's
+inclusion and retraction.
 """
 
 from dataclasses import dataclass, field
@@ -33,12 +30,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import components, depth_first, failures, positions, ragged, row_blocks
+from ._util import depth_first, failures, positions, ragged, row_blocks
 from .errors import (
     DEFAULT_BUDGET,
     CospanMismatch,
     InvariantBroken,
-    IsomorphismChainBroken,
     MoritaError,
     NoPullbacks,
     NotFullSubcategory,
@@ -375,7 +371,7 @@ def idempotents_split(C: FiniteCategory) -> bool:
     return bool(split[(C.dom == C.cod) & (np.diagonal(C.comp) == ar)].all())
 
 
-# -- isomorphisms of objects and skeletons -----------------------------------
+# -- isomorphisms of objects -------------------------------------------------
 
 def _opposite_pairs(C: FiniteCategory):
     """(m, w) over every morphism m and every w in hom(cod m, dom m): m
@@ -417,88 +413,6 @@ class Functor:
     def __post_init__(self):
         self.obj_map = np.ascontiguousarray(self.obj_map, dtype=np.int64)
         self.mor_map = np.ascontiguousarray(self.mor_map, dtype=np.int64)
-
-
-@dataclass(eq=False)
-class SkeletonData:
-    """A skeleton of C kept as the equivalence that makes it one."""
-    cat: FiniteCategory
-    incl: Functor      # skeleton -> C: the representatives and the kept morphisms
-    retract: Functor   # C -> skeleton: m: a -> b to to_rep(b).m.from_rep(a)
-
-
-def _skeleton_data(C, rep, to_rep, from_rep) -> SkeletonData:
-    """The full subcategory on the objects o with rep[o] == o, with its
-    inclusion and the retraction along the isomorphisms to_rep[o]: o -> rep o
-    and from_rep[o]: rep o -> o.
-
-    A full subcategory holds the inverse of each of its isomorphisms, which
-    runs between two of its objects, so it takes its isomorphism table from
-    C's rather than testing its own table again.
-    """
-    is_rep = rep == np.arange(C.n_objects)
-    reps = np.flatnonzero(is_rep)
-    sk_index = np.full(C.n_objects, -1, dtype=np.int64)
-    sk_index[reps] = np.arange(len(reps))
-    keep = np.flatnonzero(is_rep[C.dom] & is_rep[C.cod])
-    smor = np.full(C.n_mor, -1, dtype=np.int64)
-    smor[keep] = np.arange(len(keep))
-    sub = C.comp[np.ix_(keep, keep)]
-    cat = FiniteCategory(
-        tuple(C.objects[r] for r in reps),
-        tuple(C.mor_labels[m] for m in keep),
-        sk_index[C.dom[keep]],
-        sk_index[C.cod[keep]],
-        np.where(sub >= 0, smor[sub], -1),
-        smor[C.identity[reps]],
-        {"kind": "skeleton", "parent": C},
-    )
-    partner = C._partners[keep]
-    partner = np.where(partner >= 0, smor[partner], -1)
-    partner.setflags(write=False)
-    cat._partners = partner
-    t = C.comp[to_rep[C.cod], np.arange(C.n_mor)]
-    t = C.comp[t, from_rep[C.dom]]
-    return SkeletonData(cat, Functor(cat, C, reps, keep), Functor(C, cat, sk_index[rep], smor[t]))
-
-
-def _representatives(n, src, dst, arrows, identity) -> tuple:
-    """(rep, least): rep[o] is the least object of o's class, the objects
-    that the arrows src -> dst join, and least[o] is the least arrow from o
-    to rep o, or identity[o] when o is rep o.  A class in which some object
-    has no arrow to its representative raises IsomorphismChainBroken, which
-    names the first such object.
-    """
-    rep, _ = components(n, src, dst)
-    into = dst == rep[src]
-    none = np.iinfo(np.int64).max
-    least = np.full(n, none, dtype=np.int64)
-    np.minimum.at(least, src[into], arrows[into])
-    is_rep = rep == np.arange(n)
-    least[is_rep] = identity[is_rep]
-    broken = np.flatnonzero(least == none)
-    if len(broken):
-        o = int(broken[0])
-        raise IsomorphismChainBroken("object class without connecting isomorphism",
-                                     witness=(o, int(rep[o])))
-    return rep, least
-
-
-def skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
-    """Skeleton of any finite category, found through its isomorphisms.
-
-    The objects joined by isomorphisms form one class, represented by its
-    least object, which maps to itself by its identity; every other o goes
-    to rep o by the least isomorphism in hom(o, rep o), and back by its
-    inverse.  A composite of isomorphisms is an isomorphism, so in a
-    category that hom-set holds one; otherwise IsomorphismChainBroken names
-    the first o without one.
-    """
-    partner = iso_partner(C)
-    iso = np.flatnonzero(partner >= 0)
-    rep, to_rep = _representatives(C.n_objects, C.dom[iso], C.cod[iso], iso, C.identity)
-    from_rep = np.where(rep == np.arange(C.n_objects), C.identity, partner[to_rep])
-    return _skeleton_data(C, rep, to_rep, from_rep)
 
 
 # -- functors -----------------------------------------------------------------
@@ -855,13 +769,6 @@ def skeleton_witnesses(skC, skD, phi: Functor) -> tuple:
     incl_D . phi . retract_C and incl_C . phi^-1 . retract_D."""
     return (compose_functors(skD.incl, compose_functors(phi, skC.retract)),
             compose_functors(skC.incl, compose_functors(inverse_functor(phi), skD.retract)))
-
-
-def categories_equivalent(C: FiniteCategory, D: FiniteCategory):
-    """Weak equivalences both ways, or None, decided on skeletons."""
-    skC, skD = skeleton_with_maps(C), skeleton_with_maps(D)
-    phi = categories_isomorphic(skC.cat, skD.cat)
-    return None if phi is None else skeleton_witnesses(skC, skD, phi)
 
 
 # -- pullbacks and the span category -----------------------------------------

@@ -52,10 +52,6 @@ class NotFullSubcategory(MoritaError):
     pass
 
 
-class IsomorphismChainBroken(MoritaError):
-    """Objects put in one isomorphism class are not joined by an isomorphism."""
-
-
 class CospanMismatch(MoritaError):
     pass
 

@@ -111,8 +111,17 @@ def dump_semigroup(S: FiniteSemigroup) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text(path) -> str:
+    """The text of the file at path, which must be UTF-8; ParseError names
+    a file that is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_semigroup(path) -> FiniteSemigroup:
-    return parse_semigroup(Path(path).read_text(encoding="utf-8"))
+    return parse_semigroup(_text(path))
 
 
 # -- sectioned formats -------------------------------------------------------------
@@ -341,8 +350,7 @@ def parse_action(text: str, base_dir="."):
 
 
 def load_action(path):
-    p = Path(path)
-    return parse_action(p.read_text(encoding="utf-8"), p.parent)
+    return parse_action(_text(path), Path(path).parent)
 
 
 # -- .biset ----------------------------------------------------------------------
@@ -390,8 +398,7 @@ def parse_biset(text: str, base_dir=".") -> EquivalenceBiset:
 
 
 def load_biset(path) -> EquivalenceBiset:
-    p = Path(path)
-    return parse_biset(p.read_text(encoding="utf-8"), p.parent)
+    return parse_biset(_text(path), Path(path).parent)
 
 
 # -- .ogpd -----------------------------------------------------------------------

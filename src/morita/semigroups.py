@@ -168,12 +168,6 @@ def conjugates(S: InverseSemigroup, e) -> np.ndarray:
     return tab[tab[S.star, np.asarray(e)[..., None]], np.arange(len(S))]
 
 
-def natural_leq(S: InverseSemigroup, s: int, t: int) -> bool:
-    """Natural partial order: s <= t iff s = t(s*s)."""
-    tab = S.table
-    return tab[t, tab[S.star[s], s]] == s
-
-
 def natural_order(tab, star) -> np.ndarray:
     """leq[a, b]: a <= b in the natural partial order, i.e. b(a*a) = a.
 

@@ -8,6 +8,7 @@ they are not part of the package.
 import re
 from itertools import combinations, permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,13 +31,12 @@ from morita.categories import (
     FiniteCategory,
     Functor,
     L_of,
-    SkeletonData,
     _joint_invariants,
-    _skeleton_data,
-    categories_equivalent,
+    categories_isomorphic,
     check_category,
     is_functor,
     iso_partner,
+    skeleton_witnesses,
     span_category,
 )
 from morita.errors import (
@@ -44,7 +44,6 @@ from morita.errors import (
     CospanMismatch,
     InvalidBiset,
     InvariantBroken,
-    IsomorphismChainBroken,
     MoritaError,
     NoPullbacks,
     NotASubsemigroup,
@@ -73,7 +72,6 @@ from morita.semigroups import (
     assoc_witness,
     idempotents,
     is_semigroup_enlargement,
-    natural_leq,
 )
 
 
@@ -146,10 +144,16 @@ def build_category(objects, mors, compose, identity_payload, extra=None):
 
 # -- the natural order --------------------------------------------------------------
 
+def loop_natural_leq(S: InverseSemigroup, s: int, t: int) -> bool:
+    """s <= t in the natural partial order, one cell at a time: s = t(s*s)."""
+    tab = S.table
+    return tab[t, tab[S.star[s], s]] == s
+
+
 def loop_hasse_edges(S: InverseSemigroup) -> list:
-    """The covering pairs a < b of the natural order, one natural_leq call per cell."""
+    """The covering pairs a < b of the natural order, one loop_natural_leq call per cell."""
     n = len(S)
-    leq = [[natural_leq(S, a, b) for b in range(n)] for a in range(n)]
+    leq = [[loop_natural_leq(S, a, b) for b in range(n)] for a in range(n)]
     edges = []
     for a in range(n):
         for b in range(n):
@@ -184,7 +188,7 @@ def loop_order_is_antisymmetric(S: InverseSemigroup) -> bool:
     n = len(S)
     for s in range(n):
         for t in range(n):
-            if natural_leq(S, s, t) and natural_leq(S, t, s) and s != t:
+            if loop_natural_leq(S, s, t) and loop_natural_leq(S, t, s) and s != t:
                 return False
     return True
 
@@ -299,11 +303,13 @@ def loop_iso_table(C: FiniteCategory) -> np.ndarray:
     return out
 
 
-def loop_skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
-    """skeleton_with_maps by a union loop over the isomorphisms and a scan of
-    hom(o, rep o) for each object; the inclusion and the retraction
-    m: a -> b to to_rep(b).m.from_rep(a) are filled one object and one
-    morphism at a time."""
+def loop_skeleton_with_maps(C: FiniteCategory) -> SimpleNamespace:
+    """A skeleton of any finite category, kept as (cat, incl, retract): a
+    union loop over the isomorphisms and a scan of hom(o, rep o) for each
+    object pick the least object of each class and the least isomorphism
+    into it; the full subcategory on those objects is cut out of C, and the
+    inclusion and the retraction m: a -> b to to_rep(b).m.from_rep(a) are
+    filled one object and one morphism at a time."""
     partner = iso_partner(C)
     n = C.n_objects
     rep = np.arange(n)
@@ -327,26 +333,39 @@ def loop_skeleton_with_maps(C: FiniteCategory) -> SkeletonData:
                 to_rep[o] = m
                 from_rep[o] = partner[m]
                 break
-        if to_rep[o] < 0:
-            raise IsomorphismChainBroken("object class without connecting isomorphism",
-                                         witness=(o, r))
-    sk = _skeleton_data(C, rep, to_rep, from_rep).cat
     reps = [o for o in range(n) if rep[o] == o]
     keep = [m for m in range(C.n_mor) if C.dom[m] in reps and C.cod[m] in reps]
+    kept = np.full(C.n_mor + 1, -1, dtype=np.int64)   # kept[-1] = -1: undefined stays
+    kept[keep] = np.arange(len(keep))
+    sk = FiniteCategory(
+        tuple(C.objects[r] for r in reps), tuple(C.mor_labels[m] for m in keep),
+        [reps.index(int(C.dom[m])) for m in keep], [reps.index(int(C.cod[m])) for m in keep],
+        kept[C.comp[np.ix_(keep, keep)]], kept[C.identity[reps]],
+        {"kind": "skeleton", "parent": C})
     retract = []
     for m in range(C.n_mor):
         a, b = int(C.dom[m]), int(C.cod[m])
-        retract.append(keep.index(C.compose(C.compose(int(to_rep[b]), m), int(from_rep[a]))))
-    return SkeletonData(sk, Functor(sk, C, reps, keep),
-                        Functor(C, sk, [reps.index(int(rep[o])) for o in range(n)], retract))
+        retract.append(kept[C.compose(C.compose(int(to_rep[b]), m), int(from_rep[a]))])
+    return SimpleNamespace(cat=sk, incl=Functor(sk, C, reps, keep),
+                           retract=Functor(C, sk, [reps.index(int(rep[o])) for o in range(n)],
+                                           retract))
+
+
+def loop_categories_equivalent(C: FiniteCategory, D: FiniteCategory):
+    """Weak equivalences C -> D and D -> C, or None: one isomorphism search
+    between the loop skeletons of C and D, composed with their inclusions
+    and retractions."""
+    skC, skD = loop_skeleton_with_maps(C), loop_skeleton_with_maps(D)
+    phi = categories_isomorphic(skC.cat, skD.cat)
+    return None if phi is None else skeleton_witnesses(skC, skD, phi)
 
 
 def assert_witnesses_of_the_built_categories(d):
     """The witnesses of an equivalent decision equal, array for array, those
-    found on C(S) and C(T) themselves: through `skeleton_with_maps` of each,
+    found on C(S) and C(T) themselves: through the loop skeleton of each,
     one isomorphism search between those skeletons, and its composites with
     their inclusions and retractions."""
-    built = categories_equivalent(C_of(d.S), C_of(d.T))
+    built = loop_categories_equivalent(C_of(d.S), C_of(d.T))
     assert built is not None
     for lazy, full in zip((d.forward, d.backward), built):
         for name in ("obj_map", "mor_map"):

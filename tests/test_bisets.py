@@ -58,7 +58,11 @@ from morita.semigroups import (
     cyclic_group,
     symmetric_inverse_monoid,
 )
-from reference_loops import LoopBisetSearch, assert_witnesses_of_the_built_categories
+from reference_loops import (
+    LoopBisetSearch,
+    assert_witnesses_of_the_built_categories,
+    loop_categories_equivalent,
+)
 
 
 def group_self_biset(G):
@@ -227,7 +231,6 @@ def test_ordered_groupoid_of_R(b12):
 def test_joint_enlargement_gives_L_equivalence(b12):
     # when a bipartite groupoid is an enlargement of both parts, the two
     # pair categories L(G(S)) and L(G(T)) of the parts are equivalent
-    from morita.categories import categories_equivalent
     from morita.categories import L_of as L_of_semigroup
     from morita.groupoids import L_of_groupoid
 
@@ -238,12 +241,12 @@ def test_joint_enlargement_gives_L_equivalence(b12):
     assert is_enlargement(G, list(Rg.extra["t_part"]))
     LS = L_of_groupoid(inductive_groupoid_of(B.S))
     LT = L_of_groupoid(inductive_groupoid_of(B.T))
-    pair = categories_equivalent(LS, LT)
+    pair = loop_categories_equivalent(LS, LT)
     assert pair is not None
     assert check_weak_equivalence(pair[0]) and check_weak_equivalence(pair[1])
     # and both agree with the semigroup-level pair categories
-    assert categories_equivalent(LS, L_of_semigroup(B.S)) is not None
-    assert categories_equivalent(LT, L_of_semigroup(B.T)) is not None
+    assert loop_categories_equivalent(LS, L_of_semigroup(B.S)) is not None
+    assert loop_categories_equivalent(LT, L_of_semigroup(B.T)) is not None
 
 
 def test_biset_from_own_inductive_groupoid(b12):

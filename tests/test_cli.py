@@ -299,8 +299,21 @@ def test_repeated_main_calls_share_one_parser(corpus_dir, capsys):
     assert build_parser() is build_parser()
 
 
-def test_exit_code_missing_file():
+def test_exit_code_missing_file(corpus_dir, tmp_path, capsys):
     assert main(["validate", "/nonexistent/path.smg"]) == 2
+    # a file that is not UTF-8 is an input error naming the file, read
+    # directly or through the S: reference of a .biset
+    bad = tmp_path / "bad.smg"
+    bad.write_bytes(b"\xff\xfe")
+    biset = tmp_path / "bad.biset"
+    biset.write_text(f"S: {bad}\nT: {corpus_dir / 'brandt_1_2.smg'}\npoints: x\n",
+                     encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["validate", str(bad)], ["morita", str(corpus_dir / "brandt_1_2.smg"), str(bad)],
+                 ["biset-check", str(biset)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(bad) in err and "UTF-8" in err
 
 
 def _flip_first(real):

@@ -474,7 +474,8 @@ def assert_validator_matches_loop(G):
 
 
 def loop_inductive_groupoid_of(S):
-    from morita.semigroups import idempotents, natural_leq
+    from morita.semigroups import idempotents
+    from reference_loops import loop_natural_leq
 
     tab, star = S.table, S.star
     E = idempotents(S)
@@ -484,7 +485,7 @@ def loop_inductive_groupoid_of(S):
     cod = [obj_of[int(tab[s, star[s]])] for s in range(n)]
     comp = [[int(tab[s, t]) if tab[star[s], s] == tab[t, star[t]] else -1
              for t in range(n)] for s in range(n)]
-    leq = [[natural_leq(S, s, t) for t in range(n)] for s in range(n)]
+    leq = [[loop_natural_leq(S, s, t) for t in range(n)] for s in range(n)]
     obj_leq = [[bool(tab[e, f] == e) for f in E] for e in E]
     return (tuple(S.names[e] for e in E), obj_leq, S.names, dom, cod, comp,
             S.star.tolist(), E, leq)

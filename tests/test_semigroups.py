@@ -30,7 +30,7 @@ from morita.semigroups import (
     is_semigroup_enlargement,
     is_subsemigroup,
     local_unit_flags,
-    natural_leq,
+    natural_order,
     restrict_inverse,
     subsemigroup_closure,
     symmetric_inverse_monoid,
@@ -131,18 +131,17 @@ def test_inverses_of_cyclic3():
 
 def test_natural_leq(b12, chain2):
     # z <= e in the chain; groups have the trivial order; 0 <= (1,2) in B(1,2)
-    assert natural_leq(chain2, 1, 0) and not natural_leq(chain2, 0, 1)
+    leq = natural_order(chain2.table, chain2.star)
+    assert leq[1, 0] and not leq[0, 1]
     C3 = cyclic_group(3)
-    for s in range(3):
-        for t in range(3):
-            assert natural_leq(C3, s, t) == (s == t)
-    assert natural_leq(b12, b12.index("0"), b12.index("(1,2)"))
+    assert np.array_equal(natural_order(C3.table, C3.star), np.eye(3, dtype=bool))
+    assert natural_order(b12.table, b12.star)[b12.index("0"), b12.index("(1,2)")]
 
 
 def test_natural_order_axioms(small_corpus):
     for S in small_corpus:
         n = len(S)
-        leq = [[natural_leq(S, a, b) for b in range(n)] for a in range(n)]
+        leq = natural_order(S.table, S.star).tolist()
         for a in range(n):
             assert leq[a][a]
             for b in range(n):

@@ -16,22 +16,29 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _reads(paths) -> tuple:
+    """The parsed files, and (path, line, name) of every name or attribute
+    they read."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    return trees, [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+                   for path, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))]
+
+
 def test_every_private_function_and_class_is_used():
-    # a module-level _name that nothing in the library reads is left over
-    # from a merge or a refactor
-    src = Path(morita.__file__).parent
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(src.glob("*.py"))}
-    uses = [(name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
-            for name, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
-    unused = [f"{name}:{d.name}"
-              for name, tree in trees.items() for d in tree.body
-              if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-              and d.name.startswith("_") and not d.name.startswith("__")
-              and not any(used == d.name and not (where == name
-                                                   and d.lineno <= line <= d.end_lineno)
-                          for (where, line, used) in uses)]
+    # a module-level function or class that nothing reads is left over from
+    # a merge or a refactor: a _name must be read by the library, and a
+    # public name by the library or the tests (an export in __init__ is an
+    # import, not a read)
+    trees, uses = _reads(sorted(Path(morita.__file__).parent.glob("*.py")))
+    _, test_uses = _reads(sorted(Path(__file__).parent.glob("*.py")))
+    unused = [f"{path.name}:{d.name}"
+              for path, tree in trees.items() for d in tree.body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("__")
+              and not any(used == d.name and not (where == path
+                                                  and d.lineno <= line <= d.end_lineno)
+                          for where, line, used in
+                          uses + ([] if d.name.startswith("_") else test_uses))]
     assert unused == []
 
 
@@ -530,17 +537,19 @@ def _is_skeleton_field_read(node) -> bool:
     """A definition of `_extend`, or a read of some to_rep or from_rep."""
     if isinstance(node, ast.FunctionDef):
         return node.name == "_extend"
-    return getattr(node, "id", getattr(node, "attr", None)) in ("to_rep", "from_rep")
+    return (isinstance(getattr(node, "ctx", None), ast.Load)
+            and getattr(node, "id", getattr(node, "attr", None)) in ("to_rep", "from_rep"))
 
 
 def test_a_skeleton_is_read_through_its_functors():
     # a skeleton is kept as its inclusion and retraction, and the witnesses
     # of an equivalence compose them; the isomorphisms to the
-    # representatives are read only where the skeleton is built
-    src = Path(morita.__file__).parent / "categories.py"
+    # representatives are read only where the skeleton is built, by its
+    # retraction (`CauchySkeleton.retract`) and by the certificate check
+    src = Path(morita.__file__).parent / "bisets.py"
     found = {fn for fn, _line in _functions_where(ast.parse(src.read_text(encoding="utf-8")),
                                                   _is_skeleton_field_read)}
-    assert found == {"skeleton_with_maps", "_skeleton_data"}
+    assert found == {"cauchy_skeleton", "retract", "_skeleton_holds"}
 
 
 def test_the_skeleton_guard_sees_the_code_it_replaced():
@@ -661,7 +670,7 @@ def test_the_domain_of_an_element_is_gathered_once():
     found = {f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
              for fn, _line in _functions_where(ast.parse(path.read_text(encoding="utf-8")),
                                                _is_domain_gather)}
-    assert found == {"semigroups.cauchy", "semigroups.natural_order", "semigroups.natural_leq"}
+    assert found == {"semigroups.cauchy", "semigroups.natural_order"}
 
 
 def test_the_domain_guard_sees_the_code_it_replaced():
@@ -682,27 +691,42 @@ def test_the_domain_guard_sees_the_code_it_replaced():
     assert _functions_where(ast.parse(new), _is_domain_gather) == []
 
 
-def _calls_skeleton_data(node) -> bool:
+def _builds_a_skeleton(node) -> bool:
+    """A definition of `skeleton_with_maps` or `_skeleton_data`, or a call
+    of `_cauchy_category` for a skeleton."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name in ("skeleton_with_maps", "_skeleton_data")
     return (isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_skeleton_data")
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_cauchy_category"
+            and any(getattr(a, "value", None) == "skeleton"
+                    for a in node.args + [k.value for k in node.keywords]))
 
 
-def test_only_a_category_without_a_semigroup_is_cut_into_its_skeleton():
-    # a skeleton read off a semigroup keeps its own inclusion and
-    # retraction; cutting a second copy out of a built C(S) is what the
-    # decision's witnesses replaced
+def test_skeletons_are_built_only_from_a_semigroup():
+    # the one skeleton builder reads a skeleton of C(S) off S's D-classes;
+    # cutting a skeleton out of a built category is what it replaced
     src = Path(morita.__file__).parent
     found = {f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
              for fn, _line in _functions_where(ast.parse(path.read_text(encoding="utf-8")),
-                                               _calls_skeleton_data)}
-    assert found == {"categories.skeleton_with_maps"}
+                                               _builds_a_skeleton)}
+    assert found == {"bisets.cauchy_skeleton"}
 
 
-def test_the_cut_guard_sees_the_code_it_replaced():
-    old = ("def _skeleton_maps(S, sk):\n"
-           "    C, E, t = C_of(S), S.cauchy.E, sk.to_rep\n"
-           "    return _skeleton_data(C, sk.rep, C.mor_of(r, t, E), C.mor_of(E, S.star[t], r))\n")
-    assert _functions_where(ast.parse(old), _calls_skeleton_data) == [("_skeleton_maps", 3)]
-    new = ("def _witnesses(self):\n"
-           "    return skeleton_witnesses(self.skeleton_S, self.skeleton_T, self.phi)\n")
-    assert _functions_where(ast.parse(new), _calls_skeleton_data) == []
+def test_the_skeleton_builder_guard_sees_the_code_it_replaced():
+    old = ("def _skeleton_data(C, rep, to_rep, from_rep):\n"
+           "    is_rep = rep == np.arange(C.n_objects)\n"
+           "def skeleton_with_maps(C):\n"
+           "    return _skeleton_data(C, rep, to_rep, from_rep)\n"
+           "def cauchy_skeleton(S):\n"
+           "    return CauchySkeleton(_cauchy_category(S, reps, \"skeleton\"), rep, to_rep)\n"
+           "def _extra_skeleton(S):\n"
+           "    return categories._cauchy_category(S, reps, kind=\"skeleton\")\n")
+    assert _functions_where(ast.parse(old), _builds_a_skeleton) == [
+        ("_skeleton_data", 1), ("skeleton_with_maps", 3), ("cauchy_skeleton", 6),
+        ("_extra_skeleton", 8)]
+    # C(S) itself, and a skeleton's own functors, are no skeleton builders
+    new = ("def C_of(S):\n"
+           "    return _cauchy_category(S, slice(None), \"C\")\n"
+           "def skeleton_witnesses(skC, skD, phi):\n"
+           "    return compose_functors(skD.incl, compose_functors(phi, skC.retract))\n")
+    assert _functions_where(ast.parse(new), _builds_a_skeleton) == []
