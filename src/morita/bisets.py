@@ -545,13 +545,12 @@ def check_decision_witness(d: MoritaDecision) -> bool:
 # -- exhaustive biset search (independent oracle) --------------------------------
 
 # Kinds of compiled constraint instance, the two equate kinds first.  A cell
-# an instance writes is fixed or `base + value * stride`, with the value read
-# from a watched cell.
-_EQ1 = 0  # (kind, a, base, stride, c): cell base + val[a]*stride equals cell c
-_EQ2 = 1  # (kind, a, b, base, stride, base2, stride2): cells base + val[a]*stride
-#           and base2 + val[b]*stride2 are equal
-_SET = 2  # (kind, a, b, base, stride, row): cell base + val[a]*stride is row[val[b]]
-_INV = 3  # (kind, a, b, star): val[b] = star[val[a]] and val[a] = star[val[b]]
+# an instance writes is read from a shared row list: one list per row or
+# column of L, R, P and Q, indexed by the value of a watched cell.
+_EQ1 = 0  # (a, row, c): cell row[val[a]] equals cell c
+_EQ2 = 1  # (a, b, row1, row2): cells row1[val[a]] and row2[val[b]] are equal
+_SET = 2  # (a, b, row, values): cell row[val[a]] is values[val[b]]
+_INV = 3  # (a, b, star): val[b] = star[val[a]] and val[a] = star[val[b]]
 
 
 class _BisetSearch:
@@ -562,8 +561,11 @@ class _BisetSearch:
     the diagonal signatures (P[x,x], Q[x,x]) to be non-decreasing in x.
     The budget counts cell assignments.
 
-    The constraint instances are compiled once per (S, T, nx) into flat
-    tuples of ints (see `_EQ1` .. `_INV`), held only in the watch lists.
+    The constraint instances are compiled once per (S, T, nx) into tuples
+    of cells and shared row lists (see `_EQ1` .. `_INV`), held only in the
+    watch table.  A cell's entry there is its list of (kind, instances)
+    runs, one run per section of `_build_instances` that watches it, so
+    `propagate` dispatches on the kind once per run.
     Which cells get assigned, and in what order, follows from four orders:
     the instance order, the order within each watch list (instances in the
     order they are made), the DFS cell and value order, and the LIFO queue.
@@ -590,21 +592,32 @@ class _BisetSearch:
         self._build_order()
 
     def _build_instances(self):
-        """Watch lists of the compiled instances of the axioms.
+        """Watch table of the compiled instances of the axioms.
 
-        In order: left action law (s1 s2) x, right action law x (t1 t2),
-        biset law (s x) t, (M1), (M2) beside (M5), (M3) beside (M6), (M4),
-        (M7).  Each instance watches every cell whose value it reads or
-        whose cell it may write, except that an (M7) instance (x, y, z),
-        L[P[x, y], z] = R[x, Q[y, z]], does not watch the cells L[v, z].
-        Those watches decided nothing: without them the search makes the
-        same number of assignments, finds the same bisets and stops on
-        budget at the same point as the loop search, which keeps them, on
-        every input tried (the curated pairs, `syminv2` and random
-        subsemigroups of size <= 5, at budgets from 50 to 200 000).  Fewer
-        watches can only propagate less; propagation never prunes a biset
-        and `_extract` verifies every leaf, so whenever the budget suffices
-        the first biset in DFS order stays the same.
+        Six sections, in order: the left action law (s1 s2) x and the right
+        action law x (t1 t2) (`_EQ1`), the biset law (s x) t (`_EQ2`), (M1)
+        (`_SET`), (M2) beside (M5) (`_INV`), (M3) beside (M6) and then (M4)
+        (`_SET`), (M7) (`_EQ2`).  Each section fills its own watch lists,
+        and a cell keeps the non-empty ones as (kind, instances) runs in
+        section order; as the sections are made in that order, each cell
+        meets its instances in the order they are made.
+
+        Each instance watches every cell whose value it reads or whose cell
+        it may write, once.  A section knows which of those cells repeat:
+        in the left law a = L[s2, x] lies in the row L[s1, .] iff s2 = s1, c
+        = L[s1 s2, x] lies in it iff s1 s2 = s1, and c = a iff s1 s2 = s2
+        (the right law is its mirror image); an (M2) or (M5) instance reads
+        one cell when x = y; the other sections' cells are distinct.
+
+        An (M7) instance (x, y, z), L[P[x, y], z] = R[x, Q[y, z]], does not
+        watch the cells L[v, z].  Those watches decided nothing: without
+        them the search makes the same number of assignments, finds the
+        same bisets and stops on budget at the same point as the loop
+        search, which keeps them, on every input tried (the curated pairs,
+        `syminv2` and random subsemigroups of size <= 5, at budgets from 50
+        to 200 000).  Fewer watches can only propagate less; propagation
+        never prunes a biset and `_extract` verifies every leaf, so whenever
+        the budget suffices the first biset in DFS order stays the same.
         """
         nx, ns, nt = self.nx, self.ns, self.nt
         oR, oP, oQ = self.off_R, self.off_P, self.off_Q
@@ -612,64 +625,100 @@ class _BisetSearch:
         tT, sT = self.T.table.tolist(), self.T.star.tolist()
         colT = self.T.table.T.tolist()
         X = range(nx)
-        watch = [[] for _ in self.val]
-
-        def add(inst, cells):
-            for c in set(cells):
-                watch[c].append(inst)
-
+        # the cells of each row and column a value can point into
+        L_row = [list(range(s * nx, s * nx + nx)) for s in range(ns)]
+        L_col = [list(range(x, oR, nx)) for x in X]
+        R_row = [list(range(oR + x * nt, oR + x * nt + nt)) for x in X]
+        R_col = [list(range(oR + t, oP, nt)) for t in range(nt)]
+        P_col = [list(range(oP + y, oQ, nx)) for y in X]
+        Q_row = [list(range(oQ + x * nx, oQ + x * nx + nx)) for x in X]
+        kinds = (_EQ1, _EQ2, _SET, _INV, _SET, _EQ2)
+        tables = [[[] for _ in self.val] for _ in kinds]
+        acts, biset, m1, m2_m5, m3_m6_m4, m7 = tables
         for s1 in range(ns):
-            row_L = range(s1 * nx, s1 * nx + nx)
+            row = L_row[s1]
             for s2 in range(ns):
                 s12 = tS[s1][s2]
                 for x in X:
                     a, c = s2 * nx + x, s12 * nx + x
-                    add((_EQ1, a, s1 * nx, 1, c), [a, c, *row_L])
+                    inst = (a, row, c)
+                    for cell in row:
+                        acts[cell].append(inst)
+                    if s2 != s1:
+                        acts[a].append(inst)
+                    if s12 != s1 and s12 != s2:
+                        acts[c].append(inst)
         for x in X:
             for t1 in range(nt):
                 a = oR + x * nt + t1
                 for t2 in range(nt):
-                    c = oR + x * nt + tT[t1][t2]
-                    add((_EQ1, a, oR + t2, nt, c), [a, c, *range(oR + t2, oP, nt)])
+                    t12 = tT[t1][t2]
+                    c, col = oR + x * nt + t12, R_col[t2]
+                    inst = (a, col, c)
+                    for cell in col:
+                        acts[cell].append(inst)
+                    if t1 != t2:
+                        acts[a].append(inst)
+                    if t12 != t2 and t12 != t1:
+                        acts[c].append(inst)
         for s in range(ns):
+            row = L_row[s]
             for x in X:
-                a = s * nx + x
                 for t in range(nt):
-                    b = oR + x * nt + t
-                    add((_EQ2, a, b, oR + t, nt, s * nx, 1),
-                        [a, b, *range(oR + t, oP, nt), *range(s * nx, s * nx + nx)])
+                    # L[s, x] lies in row and R[x, t] in col
+                    col = R_col[t]
+                    inst = (s * nx + x, oR + x * nt + t, col, row)
+                    for cell in col:
+                        biset[cell].append(inst)
+                    for cell in row:
+                        biset[cell].append(inst)
         for s in range(ns):
             for x in X:
                 a = s * nx + x
                 for y in X:
-                    b = oP + x * nx + y
-                    add((_SET, a, b, oP + y, nx, tS[s]), [a, b, *range(oP + y, oQ, nx)])
+                    # P[x, y] lies in col
+                    col = P_col[y]
+                    inst = (a, oP + x * nx + y, col, tS[s])
+                    m1[a].append(inst)
+                    for cell in col:
+                        m1[cell].append(inst)
         for x in X:
             for y in range(x, nx):
-                add((_INV, oP + x * nx + y, oP + y * nx + x, sS),
-                    [oP + x * nx + y, oP + y * nx + x])
-                add((_INV, oQ + x * nx + y, oQ + y * nx + x, sT),
-                    [oQ + x * nx + y, oQ + y * nx + x])
+                for off, star in ((oP, sS), (oQ, sT)):
+                    p, q = off + x * nx + y, off + y * nx + x
+                    inst = (p, q, star)
+                    m2_m5[p].append(inst)
+                    if q != p:
+                        m2_m5[q].append(inst)
         for x in X:
             # (M3) and (M6) read one cell: a constant row
             p, q = oP + x * nx + x, oQ + x * nx + x
-            add((_SET, p, p, x, nx, [x] * ns), [p])
-            add((_SET, q, q, oR + x * nt, 1, [x] * nt), [q])
+            m3_m6_m4[p].append((p, p, L_col[x], [x] * ns))
+            m3_m6_m4[q].append((q, q, R_row[x], [x] * nt))
         for x in X:
+            row = Q_row[x]
             for y in X:
+                # Q[x, y] lies in row
                 b = oQ + x * nx + y
                 for t in range(nt):
                     a = oR + y * nt + t
-                    add((_SET, a, b, oQ + x * nx, 1, colT[t]),
-                        [a, b, *range(oQ + x * nx, oQ + x * nx + nx)])
+                    inst = (a, b, row, colT[t])
+                    m3_m6_m4[a].append(inst)
+                    for cell in row:
+                        m3_m6_m4[cell].append(inst)
         for x in X:
-            row_R = range(oR + x * nt, oR + x * nt + nt)
+            row = R_row[x]
             for y in X:
                 a = oP + x * nx + y
                 for z in X:
                     b = oQ + y * nx + z
-                    add((_EQ2, a, b, z, nx, oR + x * nt, 1), [a, b, *row_R])
-        self.watch = watch
+                    inst = (a, b, L_col[z], row)
+                    m7[a].append(inst)
+                    m7[b].append(inst)
+                    for cell in row:
+                        m7[cell].append(inst)
+        self.watch = [[(kind, w[c]) for kind, w in zip(kinds, tables) if w[c]]
+                      for c in range(len(self.val))]
 
     def _build_order(self):
         """DFS cell order, point by point, and each cell's domain size."""
@@ -708,48 +757,85 @@ class _BisetSearch:
         """Evaluate the instances watching each queued cell, newest cell first.
 
         An instance that forces a cell assigns it (and queues it) at once;
-        returns False at the first instance that cannot hold.
+        returns False at the first instance that cannot hold.  Two cells
+        that must be equal and hold the same value, both unassigned
+        included, force nothing.
         """
         val, trail, queue, watch = self.val, self.trail, self.queue, self.watch
         budget, count = self.budget, self.counter[0]
         try:
             while queue:
-                for inst in watch[queue.pop()]:
-                    kind = inst[0]
-                    if kind <= _EQ2:
-                        if kind == _EQ1:
-                            _, a, base, stride, c2 = inst
+                for kind, insts in watch[queue.pop()]:
+                    if kind == _EQ1:
+                        for a, row, c2 in insts:
                             va = val[a]
                             if va < 0:
                                 continue
-                        else:
-                            _, a, b, base, stride, base2, stride2 = inst
-                            va, vb = val[a], val[b]
-                            if va < 0 or vb < 0:
+                            c1 = row[va]
+                            v1, v2 = val[c1], val[c2]
+                            if v1 == v2:
                                 continue
-                            c2 = base2 + vb * stride2
-                        c1 = base + va * stride
-                        v1, v2 = val[c1], val[c2]
-                        if v1 < 0:
-                            if v2 < 0:
+                            if v1 < 0:
+                                c, v = c1, v2
+                            elif v2 < 0:
+                                c, v = c2, v1
+                            else:
+                                queue.clear()
+                                return False
+                            count += 1
+                            if count > budget:
+                                raise self._over_budget()
+                            val[c] = v
+                            trail.append(c)
+                            queue.append(c)
+                    elif kind == _EQ2:
+                        for a, b, row1, row2 in insts:
+                            va = val[a]
+                            if va < 0:
                                 continue
-                            c, v = c1, v2
-                        elif v2 < 0:
-                            c, v = c2, v1
-                        elif v1 == v2:
-                            continue
-                        else:
-                            queue.clear()
-                            return False
+                            vb = val[b]
+                            if vb < 0:
+                                continue
+                            c1, c2 = row1[va], row2[vb]
+                            v1, v2 = val[c1], val[c2]
+                            if v1 == v2:
+                                continue
+                            if v1 < 0:
+                                c, v = c1, v2
+                            elif v2 < 0:
+                                c, v = c2, v1
+                            else:
+                                queue.clear()
+                                return False
+                            count += 1
+                            if count > budget:
+                                raise self._over_budget()
+                            val[c] = v
+                            trail.append(c)
+                            queue.append(c)
+                    elif kind == _SET:
+                        for a, b, row, values in insts:
+                            va = val[a]
+                            if va < 0:
+                                continue
+                            vb = val[b]
+                            if vb < 0:
+                                continue
+                            c, v = row[va], values[vb]
+                            cur = val[c]
+                            if cur == v:
+                                continue
+                            if cur >= 0:
+                                queue.clear()
+                                return False
+                            count += 1
+                            if count > budget:
+                                raise self._over_budget()
+                            val[c] = v
+                            trail.append(c)
+                            queue.append(c)
                     else:
-                        if kind == _SET:
-                            _, a, b, base, stride, row = inst
-                            va, vb = val[a], val[b]
-                            if va < 0 or vb < 0:
-                                continue
-                            c, v = base + va * stride, row[vb]
-                        else:
-                            _, a, b, star = inst
+                        for a, b, star in insts:
                             va = val[a]
                             if va >= 0:
                                 c, v = b, star[va]
@@ -758,18 +844,18 @@ class _BisetSearch:
                                 if vb < 0:
                                     continue
                                 c, v = a, star[vb]
-                        cur = val[c]
-                        if cur >= 0:
+                            cur = val[c]
                             if cur == v:
                                 continue
-                            queue.clear()
-                            return False
-                    count += 1
-                    if count > budget:
-                        raise self._over_budget()
-                    val[c] = v
-                    trail.append(c)
-                    queue.append(c)
+                            if cur >= 0:
+                                queue.clear()
+                                return False
+                            count += 1
+                            if count > budget:
+                                raise self._over_budget()
+                            val[c] = v
+                            trail.append(c)
+                            queue.append(c)
             return True
         finally:
             self.counter[0] = count

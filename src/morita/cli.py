@@ -162,8 +162,10 @@ def cmd_morita(args) -> Report:
             rep.add("witness_backward", "ok")
     if args.oracle:
         found = bisets.exhaustive_biset_search(S, T, args.max_points, args.budget)
+        # a verified biset refutes a false verdict; finding none within
+        # --max-points points leaves a true one open
         agree = (found is not None) == d.equivalent
-        rep.add("oracle_biset_search", "ok" if agree else "fail",
+        rep.add("oracle_biset_search", "ok" if agree else "info" if d.equivalent else "fail",
                 f"found={found is not None}")
     return rep
 

@@ -1524,7 +1524,8 @@ class LoopBisetSearch:
 
     The loop form of `bisets._BisetSearch`: named tuple instances, each
     evaluated by one `eval_inst` call.  The library compiles the same
-    instances, in the same order, into flat int tuples; both make the same
+    instances, in the same order, into tuples of cells and shared row
+    lists, grouped per cell into runs of one kind; both make the same
     sequence of cell assignments.
 
     Cells: left action L[s,x], right action R[x,t], pairings P[x,y] -> S

@@ -496,12 +496,12 @@ def test_exhaustive_search_penalties(b12, chain2):
                                 symmetric_inverse_monoid(2), 7, budget=10_000)
 
 
-def _search_outcomes(search_class, S, T, budget):
+def _search_outcomes(search_class, S, T, budget, max_points=6):
     """(nx, assignments so far, tables found / None / "budget") per carrier
     size, run as `exhaustive_biset_search` runs them: one counter, smallest
-    carrier first, up to 6 points, stopping at the first biset or budget."""
+    carrier first, up to max_points, stopping at the first biset or budget."""
     out, counter = [], [0]
-    for nx in range(1, 7):
+    for nx in range(1, max_points + 1):
         if nx * nx < max(len(S), len(T)):
             continue
         try:
@@ -535,6 +535,49 @@ def test_compiled_biset_search_matches_the_loop():
             assert (_search_outcomes(_BisetSearch, S, T, budget)
                     == _search_outcomes(LoopBisetSearch, S, T, budget)), (S.names, T.names, budget)
 
+
+# (nx, assignments so far, True / None / "budget") per carrier size, as the
+# acceptance suite runs the oracle: up to 6 points on a Morita equivalent
+# pair and 4 on an inequivalent one, under 200 000 assignments (10 000 for
+# syminv2, whose 200 000 take seconds)
+_DEEP_OUTCOMES = {
+    ("cyclic1", "cyclic1"): [(1, 4, True)],
+    ("cyclic2", "cyclic2"): [(2, 19, True)],
+    ("cyclic3", "cyclic3"): [(2, 21, None), (3, 67, True)],
+    ("cyclic4", "cyclic4"): [(2, 23, None), (3, 103, None), (4, 190, True)],
+    ("cyclic5", "cyclic5"): [(3, 104, None), (4, 465, None), (5, 611, True)],
+    ("cyclic6", "cyclic6"): [(3, 90, None), (4, 574, None), (5, 2566, None), (6, 2790, True)],
+    ("chain1", "chain1"): [(1, 4, True)],
+    ("chain2", "chain2"): [(2, 19, True)],
+    ("chain3", "chain3"): [(2, 154, None), (3, 202, True)],
+    ("chain4", "chain4"): [(2, 288, None), (3, 1705, None), (4, 1798, True)],
+    ("brandt_1_1", "brandt_1_1"): [(2, 19, True)],
+    ("brandt_1_2", "brandt_1_2"): [(3, 854, None), (4, 4651, None), (5, 8353, True)],
+    ("c2_zero", "c2_zero"): [(2, 82, None), (3, 128, True)],
+    ("syminv1", "syminv1"): [(2, 38, True)],
+    ("syminv2", "syminv2"): [(3, 1982, None), (4, 10001, "budget")],
+    ("brandt_1_2", "chain2"): [(3, 91, True)],
+    ("chain2", "brandt_1_2"): [(3, 107, True)],
+    ("cyclic2", "cyclic3"): [(2, 25, None), (3, 95, None), (4, 376, None)],
+    ("chain2", "chain3"): [(2, 112, None), (3, 589, None), (4, 2525, None)],
+    ("cyclic2", "chain2"): [(2, 37, None), (3, 137, None), (4, 430, None)],
+    ("c2_zero", "brandt_1_1"): [(2, 72, None), (3, 296, None), (4, 1015, None)],
+}
+
+
+def test_deep_budget_counters_are_frozen():
+    # the loop comparison stops at 3 000 assignments; deeper searches keep
+    # the counters they had when the compiled search matched the loop, so a
+    # change in how instances are stored or evaluated cannot move the point
+    # at which a search finds its biset or runs out of budget
+    by_name = corpus.corpus_by_name()
+    for (a, b), expected in _DEEP_OUTCOMES.items():
+        S, T = by_name[a], by_name[b]
+        points = 6 if morita_equivalent(S, T).equivalent else 4
+        budget = 10_000 if a == "syminv2" else 200_000
+        got = [(nx, n, True if isinstance(found, list) else found)
+               for nx, n, found in _search_outcomes(_BisetSearch, S, T, budget, points)]
+        assert got == expected, (a, b)
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), relabel_seed=st.integers(0, 2**32 - 1))

@@ -68,6 +68,16 @@ def test_morita_verdicts(corpus_dir, capsys):
     assert "oracle_biset_search status=ok" in out
 
 
+def test_a_bounded_oracle_that_finds_nothing_leaves_a_true_verdict(corpus_dir, capsys):
+    # a group's smallest self-biset has |G| points, beyond the default
+    # --max-points 4 for C_6: no biset found is no disagreement
+    cyclic6 = str(corpus_dir / "cyclic6.smg")
+    rc, out = run(capsys, ["morita", cyclic6, cyclic6, "--oracle"])
+    assert rc == 0
+    assert "check=oracle_biset_search status=info value=found=False" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict=true"
+
+
 def test_enlarge_biset_check_and_enlargement(corpus_dir, tmp_path, capsys):
     rc, out = run(capsys, ["enlarge", str(corpus_dir / "brandt_1_2.smg"),
                            "--left", "(1,1) 0", "--right", "all",
@@ -348,9 +358,11 @@ _FAILING = {
     "morita_witness": (["morita", "{c}/brandt_1_2.smg", "{c}/brandt_1_3.smg"],
                        ("cli", "check_decision_witness", lambda real: lambda d: False),
                        "check=witness_functors status=fail"),
-    "morita_oracle": (["morita", "{c}/brandt_1_2.smg", "{c}/brandt_1_3.smg", "--oracle"],
-                      ("bisets", "exhaustive_biset_search", lambda real: lambda *a: None),
-                      "check=oracle_biset_search status=fail value=found=False"),
+    # a biset for an inequivalent pair: the oracle returns one of S with itself
+    "morita_oracle": (["morita", "{c}/cyclic2.smg", "{c}/cyclic3.smg", "--oracle"],
+                      ("bisets", "exhaustive_biset_search",
+                       lambda real: lambda S, T, *a: real(S, S, *a)),
+                      "check=oracle_biset_search status=fail value=found=True"),
     "biset-check": (["biset-check", "{biset}"],
                     ("formats", "load_biset", _failing_report),
                     "check=M4 status=fail value=(0, 1)"),

@@ -730,3 +730,58 @@ def test_the_skeleton_builder_guard_sees_the_code_it_replaced():
            "def skeleton_witnesses(skC, skD, phi):\n"
            "    return compose_functors(skD.incl, compose_functors(phi, skC.retract))\n")
     assert _functions_where(ast.parse(new), _builds_a_skeleton) == []
+
+
+_KINDS = {"kind", "_EQ1", "_EQ2", "_SET", "_INV"}
+
+
+def _per_instance_kind_reads(tree, fn) -> list:
+    """Lines where function `fn` of tree reads an instance kind (the name
+    `kind` or a constant `_EQ1` .. `_INV`) inside a loop with no loop in it,
+    the loop over single instances."""
+    found = set()
+    for d in ast.walk(tree):
+        if not (isinstance(d, ast.FunctionDef) and d.name == fn):
+            continue
+        for loop in ast.walk(d):
+            if isinstance(loop, ast.For) and not any(
+                    isinstance(inner, ast.For) for node in loop.body
+                    for inner in ast.walk(node)):
+                found |= {node.lineno for node in loop.body for node in ast.walk(node)
+                          if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                          and node.id in _KINDS}
+    return sorted(found)
+
+
+def test_the_oracle_dispatches_once_per_run():
+    # the oracle's watch table groups each cell's instances into runs of one
+    # kind, built without deduplicating each instance's cells; testing the
+    # kind of every instance, or a set() per instance, is what it replaced
+    tree = ast.parse((Path(morita.__file__).parent / "bisets.py").read_text(encoding="utf-8"))
+    assert "set" not in _calls(tree, "_build_instances")
+    assert _per_instance_kind_reads(tree, "propagate") == []
+
+
+def test_the_dispatch_guard_sees_the_code_it_replaced():
+    old = ("def _build_instances(self):\n"
+           "    def add(inst, cells):\n"
+           "        for c in set(cells):\n"
+           "            watch[c].append(inst)\n"
+           "def propagate(self):\n"
+           "    while queue:\n"
+           "        for inst in watch[queue.pop()]:\n"
+           "            kind = inst[0]\n"
+           "            if kind <= _EQ2:\n"
+           "                if kind == _EQ1:\n"
+           "                    pass\n")
+    tree = ast.parse(old)
+    assert "set" in _calls(tree, "_build_instances")
+    assert _per_instance_kind_reads(tree, "propagate") == [9, 10]
+    # the kind read once per run, outside the loop over its instances
+    new = ("def propagate(self):\n"
+           "    while queue:\n"
+           "        for kind, insts in watch[queue.pop()]:\n"
+           "            if kind == _EQ1:\n"
+           "                for a, row, c2 in insts:\n"
+           "                    va = val[a]\n")
+    assert _per_instance_kind_reads(ast.parse(new), "propagate") == []
