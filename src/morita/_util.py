@@ -42,8 +42,8 @@ def depth_first(level, budget, search):
     level(depth) is the generator of the choices at that depth (it yields
     once a choice is made and undoes it when resumed), or None at a leaf.
     The generators sit on a list, not Python's call stack, so the recursion
-    limit does not cap the depth.  Each choice is one placement; placement
-    budget + 1 raises BudgetExceeded naming the `search`.
+    limit does not cap the depth.  Each choice is one placement, counted
+    by `spend`.
     """
     stack, placements = [], 0
     while True:
@@ -56,9 +56,61 @@ def depth_first(level, budget, search):
             stack.pop()
         if not stack:
             return
-        placements += 1
-        if placements > budget:
-            raise BudgetExceeded(f"{search} used up its budget of {budget} placements")
+        placements = spend(placements + 1, budget, search)
+
+
+def spend(placements, budget, search):
+    """placements, once it is no more than budget; past it, BudgetExceeded
+    names the `search`.  Every placement search counts through this rule."""
+    if placements > budget:
+        raise BudgetExceeded(f"{search} used up its budget of {budget} placements")
+    return placements
+
+
+def orbit_levels(n, orbit, values, budget, search):
+    """Every map on range(n) that fixed orbit constraints allow, as array rows.
+
+    orbit(x0) lists the points fixed by the choice at x0, x0 among them, and
+    values(x0) has one row per candidate, giving the images of those points;
+    neither reads the maps found so far.  So every partial map at one depth
+    has set the same points and goes on at the same least unset x0, and a
+    level is one pass over its (partial map, row) pairs in row-major order,
+    keeping a pair when the row gives each point of the orbit one value and
+    agrees with the map where it is set.  That is the depth-first walk of the
+    same search, one level at a time: the same maps in the same order, one
+    placement per pair kept, so for any budget of 0 or more the same
+    BudgetExceeded.  Each level counts its placements through `spend` before
+    it builds them: an orbit that meets no set point keeps every pair, and
+    any other runs over row blocks of the level.
+    """
+    # the values index a finite target, so int32 holds them at half the size
+    maps, placements = np.full((1, n), -1, dtype=np.int32), 0
+    unset = np.ones(n, dtype=bool)
+    while len(maps) and unset.any():
+        x0 = int(unset.argmax())
+        pts, value = orbit(x0), values(x0)
+        # a row gives a point one value when it agrees with the point's first column
+        value = value[(value == value[:, (pts[:, None] == pts).argmax(axis=1)]).all(axis=1)]
+        old = ~unset[pts]
+        unset[pts] = False
+        if not old.any():
+            placements = spend(placements + len(maps) * len(value), budget, search)
+            k = len(maps)
+            maps = np.repeat(maps, len(value), axis=0)
+            maps[:, pts] = np.tile(value, (k, 1))
+            continue
+        at, to = pts[old], pts[~old]
+        want, fill = value[:, old], value[:, ~old]
+        parts, step = [], block_size(len(value) * len(at))
+        for lo in range(0, len(maps), step):
+            block = maps[lo:lo + step]
+            i, r = np.nonzero((block[:, None, at] == want).all(axis=2))
+            placements = spend(placements + len(i), budget, search)
+            block = block[i]
+            block[:, to] = fill[r]
+            parts.append(block)
+        maps = np.concatenate(parts)
+    return maps
 
 
 def ragged(lens):
@@ -140,13 +192,16 @@ def positions(members, queries, error):
     return found
 
 
-def row_blocks(n, row_cells):
-    """Consecutive blocks of range(n), each holding about 2**15 cells.
+def block_size(row_cells):
+    """How many indices a block holds when each contributes row_cells cells:
+    about 2**15 cells, so a pass that evaluates a block at once keeps its
+    temporaries at that size."""
+    return max(1, 2**15 // max(1, row_cells))
 
-    row_cells is the number of cells one index contributes; a pass that
-    evaluates a block at once keeps its temporaries at that size.
-    """
-    step = max(1, 2**15 // max(1, row_cells))
+
+def row_blocks(n, row_cells):
+    """Consecutive blocks of range(n), each of `block_size(row_cells)` indices."""
+    step = block_size(row_cells)
     return [np.arange(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 

@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._util import components, congruence, depth_first, positions, ragged
+from ._util import components, congruence, depth_first, orbit_levels, positions, ragged
 from .categories import C_of, FiniteCategory, L_of
 from .errors import (DEFAULT_BUDGET, InvariantBroken, NoRightLocalUnits, NotClosed,
                      WrongSite)
@@ -700,18 +700,12 @@ def unit_iso_check(P: Presheaf) -> bool:
 def _orbit_maps(n: int, orbit, values, budget: int, search: str):
     """Every map f on range(n) that the orbit constraints allow, as arrays.
 
-    orbit(x0) lists the points fixed by the choice at x0, x0 among them,
-    and values(x0, f) has one row per candidate: a row gives the images of
-    those points.  f is the partial map so far (-1 where unassigned), for a
-    caller that offers fewer candidates as it fills; it is only read.  The
-    search picks the least unassigned x0 and keeps a row when it gives
-    every point of the orbit one value, agreeing with the values set by
-    earlier orbits; all rows are tested in one array pass.  Each orbit is
-    one level.  The callers say why the maps found are exactly the maps
-    they want.
-
-    Each row kept counts against `budget`, as `_util.depth_first` counts,
-    and BudgetExceeded names the `search`.
+    The search of `_util.orbit_levels`, walked depth first for a caller
+    whose candidates depend on the map so far: values(x0, f) has one row
+    per candidate, and f is the partial map (-1 where unassigned); it is
+    only read.  All rows of one node are tested in one array pass, each
+    orbit is one level, and each row kept is one placement of
+    `_util.depth_first`.
     """
     f = np.full(n, -1, dtype=np.int64)
 
@@ -748,15 +742,16 @@ def action_homs(X: RightAction, Y: RightAction, budget: int = DEFAULT_BUDGET) ->
     is closed under the action, (x0.s).t = x0.(st), and on it the law
     f(x0.s).t = (y.s).t = y.(st) = f(x0.(st)) already holds, so propagating
     further from x0.s, one point and one s at a time, would assign nothing
-    new: on valid actions this finds the same maps.  The search runs under
-    `budget` placements, as `_orbit_maps` counts them.
+    new: on valid actions this finds the same maps.  The candidates are the
+    same rows for every x0, so the search runs one level at a time, by
+    `_util.orbit_levels`, under `budget` placements.
     """
     if X.sgrp is not Y.sgrp:
         raise ValueError("homs need a common semigroup")
     value = _orbit_table(Y)
-    maps = _orbit_maps(len(X), _orbit_table(X).__getitem__, lambda _x0, _f: value, budget,
-                       f"hom search between actions of {len(X)} and {len(Y)} points")
-    return sorted(tuple(f.tolist()) for f in maps)
+    maps = orbit_levels(len(X), _orbit_table(X).__getitem__, lambda _x0: value, budget,
+                        f"hom search between actions of {len(X)} and {len(Y)} points")
+    return sorted(map(tuple, maps.tolist()))
 
 
 def presheaf_nats(P1: Presheaf, P2: Presheaf, budget: int = DEFAULT_BUDGET) -> list:
@@ -772,8 +767,8 @@ def presheaf_nats(P1: Presheaf, P2: Presheaf, budget: int = DEFAULT_BUDGET) -> l
     cod m = a the point (dom m, P1(m)(j)) = (dom m0.m, P1(m0.m)(i)) lies in
     the same orbit with the value P2(m0.m)(y) = P2(m)(P2(m0)(y)), so
     naturality at (a, j) already holds.  A point reached from two orbits
-    is forced to one value by the agreement test of `_orbit_maps`, which
-    runs under `budget` placements.
+    is forced to one value by the agreement test of `_util.orbit_levels`,
+    which runs under `budget` placements.
     """
     C = P1.site
     if P2.site is not C:
@@ -782,20 +777,21 @@ def presheaf_nats(P1: Presheaf, P2: Presheaf, budget: int = DEFAULT_BUDGET) -> l
     off2, flat2, moff2 = P2.fib_off, P2.values, P2.map_off
     into = np.argsort(C.cod, kind="stable")      # the morphisms into each object
     cut = np.searchsorted(C.cod[into], np.arange(C.n_objects + 1))
-    ms = [into[cut[b]:cut[b + 1]] for b in range(C.n_objects)]
-    rows = [off2[C.dom[m]] + flat2[moff2[m] + np.arange(off2[b + 1] - off2[b])[:, None]]
-            for b, m in enumerate(ms)]
 
     def orbit(k):
-        m = ms[obj[k]]
+        m = into[cut[obj[k]]:cut[obj[k] + 1]]
         return off1[C.dom[m]] + flat1[moff1[m] + idx[k]]
+
+    def values(k):
+        b = obj[k]
+        m = into[cut[b]:cut[b + 1]]
+        return off2[C.dom[m]] + flat2[moff2[m] + np.arange(off2[b + 1] - off2[b])[:, None]]
 
     shift = off2[obj]
     search = (f"natural transformation search between presheaves of {len(obj)}"
               f" and {int(off2[-1])} elements")
-    return sorted(tuple((f - shift).tolist())
-                  for f in _orbit_maps(len(obj), orbit, lambda k, _f: rows[obj[k]],
-                                       budget, search))
+    maps = orbit_levels(len(obj), orbit, values, budget, search)
+    return sorted(map(tuple, (maps - shift).tolist()))
 
 
 def fullness_faithfulness_check(X: RightAction, Y: RightAction,

@@ -867,12 +867,11 @@ class _BisetSearch:
         for a, b in zip(sigs, sigs[1:]):
             if -1 not in a and -1 not in b and a > b:
                 return False
-        # surjectivity is still reachable
+        # surjectivity is still reachable, as it always is with n cells free
         for vals, n in ((val[self.off_P:self.off_Q], self.ns),
                         (val[self.off_Q:], self.nt)):
-            seen = set(vals)
-            seen.discard(-1)
-            if n - len(seen) > vals.count(-1):
+            free = vals.count(-1)
+            if free < n and n - len(set(vals) - {-1}) > free:
                 return False
         return True
 

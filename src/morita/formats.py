@@ -104,10 +104,8 @@ def _row_error(rows, pos, n) -> ParseError:
 
 
 def dump_semigroup(S: FiniteSemigroup) -> str:
-    n = len(S)
-    lines = [str(n), " ".join(S.names)]
-    for i in range(n):
-        lines.append(" ".join(S.names[int(S.table[i, j])] for j in range(n)))
+    lines = [str(len(S)), " ".join(S.names)]
+    lines += [" ".join(map(S.names.__getitem__, row)) for row in S.table.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -1148,6 +1148,14 @@ def loop_parse_semigroup(text: str) -> FiniteSemigroup:
     return S
 
 
+def loop_dump_semigroup(S: FiniteSemigroup) -> str:
+    n = len(S)
+    lines = [str(n), " ".join(S.names)]
+    for i in range(n):
+        lines.append(" ".join(S.names[int(S.table[i, j])] for j in range(n)))
+    return "\n".join(lines) + "\n"
+
+
 # -- .cat, .act, .biset, .ogpd: one loop and one pattern per section ------------
 
 def loop_dump_category(C: FiniteCategory) -> str:

@@ -1244,6 +1244,134 @@ def test_the_orbit_searches_run_under_a_budget():
         assert str(exc.value) == f"{name} used up its budget of 2 placements"
 
 
+# -- the level walk against the depth-first walk -----------------------------
+
+def _depth_first_walk(n, orbit, values, search):
+    """The maps of the depth-first `_orbit_maps` walk of a level search, in
+    order, and the placements it makes."""
+    from morita import _util
+    from morita.actions import _orbit_maps
+
+    spend, spent = _util.spend, [0]
+
+    def counted(placements, budget, search):
+        spent[0] = placements
+        return spend(placements, budget, search)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_util, "spend", counted)
+        maps = [f.tolist() for f in
+                _orbit_maps(n, orbit, lambda x0, _f: values(x0), 10**12, search)]
+    return maps, spent[0]
+
+
+def _level_searches(run):
+    """run()'s result, and (n, orbit, values, search, maps) of each
+    `orbit_levels` call it made."""
+    from morita import actions
+    from morita._util import orbit_levels
+
+    calls = []
+
+    def spy(n, orbit, values, budget, search):
+        maps = orbit_levels(n, orbit, values, budget, search)
+        calls.append((n, orbit, values, search, maps))
+        return maps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(actions, "orbit_levels", spy)
+        return run(), calls
+
+
+@st.composite
+def _hom_search_cases(draw):
+    """(C(S), X, Y) for closed actions X, Y of one semigroup S of the corpus
+    or of I_3: its principal actions, its sampled closed actions, and
+    coproducts of up to two principal actions, quotiented or not."""
+    from morita.corpus import sample_closed_actions
+
+    S, C, _reps = draw(st.sampled_from(_unit_check_cases()))
+    principal = [principal_action(S, e) for e in idempotents(S)]
+
+    def action():
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            return draw(st.sampled_from(principal))
+        if kind == 1:
+            return draw(st.sampled_from(sample_closed_actions(S, draw(st.integers(0, 99)), 3)))
+        X = coproduct_action(draw(st.lists(st.sampled_from(principal),
+                                           min_size=1, max_size=2)))
+        if kind == 2 or len(X) < 2:
+            return X
+        point = st.integers(0, len(X) - 1)
+        return quotient_action(X, draw(st.lists(st.tuples(point, point),
+                                                min_size=1, max_size=2)))
+
+    return C, action(), action()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hom_search_cases())
+def test_level_searches_match_the_loops_and_the_depth_first_walk(case):
+    from reference_loops import loop_action_homs, loop_presheaf_nats
+
+    C, X, Y = case
+    PX, PY = Q_of(X, C), Q_of(Y, C)
+    for search, loop in ((lambda budget: action_homs(X, Y, budget), loop_action_homs(X, Y)),
+                         (lambda budget: presheaf_nats(PX, PY, budget),
+                          loop_presheaf_nats(PX, PY))):
+        found, calls = _level_searches(lambda: search(10**12))
+        assert found == loop
+        [(n, orbit, values, name, maps)] = calls
+        walk, placements = _depth_first_walk(n, orbit, values, name)
+        assert maps.tolist() == walk
+        # the same placements: the depth-first count is the least budget
+        # either walk finishes under
+        assert search(placements) == found
+        if placements:
+            with pytest.raises(BudgetExceeded) as exc:
+                search(placements - 1)
+            assert str(exc.value) == f"{name} used up its budget of {placements - 1} placements"
+
+
+def _star(S, k):
+    """Points 0..k over chain_semilattice(2): its zero e1 sends every point
+    to 0, and its identity e0 fixes every point."""
+    act = np.zeros((k + 1, 2), dtype=np.int64)
+    act[:, 0] = np.arange(k + 1)
+    return RightAction(tuple(range(k + 1)), S, act)
+
+
+def test_a_wide_level_stops_at_its_budget_before_it_is_built():
+    # 3 fixed points into 1 000: 1 000 placements at depth 1 and a million at
+    # depth 2, so a budget of two million runs out early in depth 3, whose
+    # billion maps must never be held at once.  Three points over the zero
+    # of a star into a star of 1 000 grow the same way after the zero's own
+    # level, but each of their orbits meets the zero, set by then, so those
+    # levels are built block by block
+    import time
+    import tracemalloc
+
+    C1, chain = cyclic_group(1), chain_semilattice(2)
+    cases = [(coproduct_action([regular_action(C1)] * 3),
+              coproduct_action([regular_action(C1)] * 1000)),
+             (_star(chain, 3), _star(chain, 1000))]
+    for X, Y in cases:
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded) as exc:
+                action_homs(X, Y, 2_000_000)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"hom search between actions of {len(X)} and {len(Y)}"
+                                  " points used up its budget of 2000000 placements")
+        assert elapsed < 1
+        assert peak < 50 * 2**20
+
+
 def test_action_isomorphic_matches_the_loop():
     import random
 

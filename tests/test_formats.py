@@ -40,6 +40,13 @@ def test_smg_roundtrip(b12, sim2):
         assert np.array_equal(S2.table, S.table)
 
 
+def test_dump_semigroup_matches_the_per_cell_loop():
+    from morita.semigroups import symmetric_inverse_monoid
+
+    for S in [S for _name, S in builtin_corpus()] + [symmetric_inverse_monoid(4)]:
+        assert dump_semigroup(S) == ref.loop_dump_semigroup(S)
+
+
 def test_smg_errors():
     with pytest.raises(ParseError):
         parse_semigroup("")

@@ -378,6 +378,57 @@ def test_the_driver_guard_sees_the_code_it_replaced():
     assert _functions_where(ast.parse(new), _is_stack_step) == []
 
 
+def _is_budget_message(node) -> bool:
+    """An f-string worded "... used up its budget of ... placements" (the
+    biset oracle counts cell assignments, under a message of its own)."""
+    if not isinstance(node, ast.JoinedStr):
+        return False
+    text = "".join(part.value for part in node.values if isinstance(part, ast.Constant))
+    return "used up its budget of" in text and text.endswith("placements")
+
+
+def test_one_rule_counts_every_placement_budget():
+    # the depth-first driver and the level walk both count placements
+    # through _util.spend; a second copy of the test or of its message can
+    # drift from it
+    src = Path(morita.__file__).parent
+    found = [f"{path.stem}.{fn}" for path in sorted(src.glob("*.py"))
+             for fn, _line in _functions_where(ast.parse(path.read_text(encoding="utf-8")),
+                                               _is_budget_message)]
+    assert found == ["_util.spend"]
+
+
+def _orbit_maps_callers(tree, names) -> list:
+    """The functions among names that read `_orbit_maps`."""
+    return [fn.name for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in names
+            and any(getattr(node, "id", None) == "_orbit_maps" for node in ast.walk(fn))]
+
+
+def test_homs_and_nats_walk_their_searches_one_level_at_a_time():
+    # their orbits and candidates never read the partial map, so
+    # _util.orbit_levels finds their maps level by level; the depth-first
+    # _orbit_maps is for action_isomorphic, whose candidates do
+    src = Path(morita.__file__).parent
+    tree = ast.parse((src / "actions.py").read_text(encoding="utf-8"))
+    assert _orbit_maps_callers(tree, ("action_homs", "presheaf_nats")) == []
+    assert _orbit_maps_callers(tree, ("action_isomorphic",)) == ["action_isomorphic"]
+
+
+def test_the_level_and_budget_guards_see_the_code_they_replaced():
+    old = ("def depth_first(level, budget, search):\n"
+           "    if placements > budget:\n"
+           "        raise BudgetExceeded(f'{search} used up its budget of {budget} placements')\n"
+           "def action_homs(X, Y, budget):\n"
+           "    maps = _orbit_maps(len(X), orbit, lambda _x0, _f: value, budget, search)\n"
+           "def presheaf_nats(P1, P2, budget):\n"
+           "    return sorted(tuple(f) for f in _orbit_maps(n, orbit, values, budget, search))\n")
+    tree = ast.parse(old)
+    assert _functions_where(tree, _is_budget_message) == [("depth_first", 3)]
+    assert _orbit_maps_callers(tree, ("action_homs", "presheaf_nats")) == [
+        "action_homs", "presheaf_nats"]
+
+
 def _is_site_read(node) -> bool:
     """A read of x.extra["obj_elt"] or x.extra["sgrp"], or a call
     x.extra.get("kind") or x.extra.get("sgrp"); `extra` may be a name."""
